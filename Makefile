@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction package.
 
-.PHONY: install test bench bench-smoke bench-engine chaos scale shard overload coverage report observe examples all
+.PHONY: install test bench bench-smoke bench-engine bench-pi chaos scale shard overload coverage report observe examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -26,6 +26,13 @@ bench-smoke:
 # --benchmark-only so the gate tests (plain assertions) execute.
 bench-engine:
 	timeout 300 pytest benchmarks/test_bench_engine_throughput.py -q
+
+# PI refresh over engine jobs (the from-scratch path): records host ms
+# per refresh at n = 100 / 1000 in BENCH_scale.json ("pi_refresh") and
+# gates on counts -- job snapshots per refresh == population, and no
+# treap insert inside an empty-queue project().
+bench-pi:
+	pytest -m scale benchmarks/test_bench_pi_refresh.py --benchmark-only -q -s
 
 chaos:
 	pytest -m chaos tests/

@@ -366,10 +366,23 @@ class IncrementalSchedule:
         if query.query_id in self._entries:
             raise ValueError(f"duplicate query id {query.query_id!r}")
         validate_snapshots((query,))
-        tag = self._virtual + query.remaining_cost / query.weight
-        node = _Node(tag, query.query_id, query.weight, self._rng.random())
+        self.add_validated(query.query_id, query.remaining_cost, query.weight)
+
+    def add_validated(
+        self, query_id: str, remaining_cost: float, weight: float
+    ) -> None:
+        """:meth:`add` for a caller that has validated cost and weight.
+
+        An entry point that checked its whole input once (a projection)
+        admits through here, so no query is validated a second time.
+        Duplicate ids still raise: that check guards the tree itself.
+        """
+        if query_id in self._entries:
+            raise ValueError(f"duplicate query id {query_id!r}")
+        tag = self._virtual + remaining_cost / weight
+        node = _Node(tag, query_id, weight, self._rng.random())
         self._root = _insert(self._root, node)
-        self._entries[query.query_id] = (tag, query.weight)
+        self._entries[query_id] = (tag, weight)
 
     def remove(self, query_id: str) -> None:
         """Withdraw *query_id* (finished elsewhere, aborted, blocked...).

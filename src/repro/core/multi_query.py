@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from repro.core import projection
 from repro.core.forecast import AdaptiveForecaster, WorkloadForecast
 from repro.core.model import SystemSnapshot
-from repro.core.projection import ProjectionResult, project
+from repro.core.projection import ProjectionResult, project_validated
 from repro.core.validation import validate_finite, validate_snapshots
 
 
@@ -149,15 +149,19 @@ class MultiQueryProgressIndicator:
             forecast = replace(
                 forecast, horizon=self._horizon_drain_factor * drain
             )
-        result: ProjectionResult = project(
+        validate_finite(
+            snapshot.processing_rate, "processing_rate", minimum=0.0, exclusive=True
+        )
+        result: ProjectionResult = project_validated(
             running=snapshot.running,
             queued=snapshot.queued if self._consider_queue else (),
             processing_rate=snapshot.processing_rate,
             multiprogramming_limit=snapshot.multiprogramming_limit,
             forecast=forecast,
+            extra_arrivals=(),
             backend=self._backend,
         )
-        remaining = dict(result.remaining_times)
+        remaining = result.remaining_times
         waits = {qid: p.queue_wait for qid, p in result.queries.items()}
 
         if not self._consider_queue and snapshot.queued:

@@ -24,12 +24,20 @@ verifies).
 Two interchangeable *backends* drive the active set:
 
 * ``"incremental"`` (the default) keeps the running queries in a shared
-  :class:`~repro.core.incremental.IncrementalSchedule`: each event costs
-  ``O(log n)`` instead of the reference engine's ``O(n)``, so a whole
-  projection is ``O((n + events) log n)``.
+  :class:`~repro.core.incremental.IncrementalSchedule` while arrivals or
+  admissions can still change the active set: each event costs
+  ``O(log n)`` instead of the reference engine's ``O(n)``.  As soon as
+  nothing can arrive or be admitted any more -- the queue is empty, the
+  known arrivals are used up, the forecast has run out -- the rest *is*
+  the standard case, and one sort plus one sweep of the flat kernel
+  (:func:`~repro.core.standard_case.solve_stages`) finishes it in place of
+  one treap pop per query.  With an empty queue and no forecast that is
+  the whole projection: no treap is built.  A projection is
+  ``O((n + arrivals) log n)``.
 * ``"reference"`` is the direct event loop matching the paper's
-  derivation step for step -- ``O(n)`` per event.  It is kept verbatim
-  as the oracle for the differential test suite.
+  derivation step for step -- ``O(n)`` per event, every completion popped
+  one by one.  It is kept verbatim as the oracle for the differential
+  test suite.
 
 Both produce the same estimates (within floating-point slack; the
 differential suite asserts agreement to 1e-9) and each is individually
@@ -38,6 +46,7 @@ deterministic: same inputs, same backend, bit-identical outputs.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -45,6 +54,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.forecast import WorkloadForecast
 from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot
+from repro.core.standard_case import solve_stages
 from repro.core.validation import validate_finite, validate_snapshots
 
 #: Recognised projection backends.
@@ -159,24 +169,35 @@ class _ReferenceEngine:
 
 
 class _IncrementalEngine:
-    """Active set as a shared schedule: ``O(log n)`` per event."""
+    """Active set as a shared schedule: ``O(log n)`` per event.
+
+    Admissions are buffered and enter the treap only when the event loop
+    next asks for a completion time.  A projection whose tail rule (see
+    :meth:`finish_rest`) fires before that never builds a treap at all.
+    """
 
     def __init__(self, processing_rate: float) -> None:
+        self._rate = processing_rate
         self._schedule = IncrementalSchedule(processing_rate)
+        #: Admitted ``(query_id, cost, weight)`` not yet in the treap.
+        self._fresh: list[tuple[str, float, float]] = []
         self._virtual_ids: set[str] = set()
 
     def __len__(self) -> int:
-        return len(self._schedule)
+        return len(self._schedule) + len(self._fresh)
 
     def virtual_count(self) -> int:
         return len(self._virtual_ids)
 
     def add(self, query_id: str, cost: float, weight: float, virtual: bool) -> None:
-        self._schedule.add(QuerySnapshot(query_id, cost, weight=weight))
+        self._fresh.append((query_id, cost, weight))
         if virtual:
             self._virtual_ids.add(query_id)
 
     def finish_dt(self) -> float:
+        for entry in self._fresh:
+            self._schedule.add_validated(*entry)
+        self._fresh.clear()
         head = self._schedule.next_finish()
         return head[0] if head is not None else float("inf")
 
@@ -188,6 +209,32 @@ class _IncrementalEngine:
             self._virtual_ids.discard(qid)
             out.append((qid, virtual))
         return out
+
+    def finish_rest(self, clock: float) -> list[tuple[str, bool, float]]:
+        """Finish every active job in one kernel sweep starting at *clock*.
+
+        Only valid once nothing can arrive or be admitted any more: from
+        then on the projection *is* the Section 2.2 standard case over
+        the active set, so one sort and one sweep replace one treap pop
+        per query.  Returns ``(query_id, virtual, finish_time)`` in
+        finish order.
+        """
+        active = [
+            (q.query_id, q.remaining_cost, q.weight)
+            for q in self._schedule.snapshots()
+        ] + self._fresh
+        if not active:
+            return []
+        ids, costs, weights = zip(*active)
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for qid in ids:
+                if qid in seen:
+                    raise ValueError(f"duplicate query id {qid!r}")
+                seen.add(qid)
+        order, times = solve_stages(ids, costs, weights, self._rate, start=clock)
+        virtual_ids = self._virtual_ids
+        return [(qid, qid in virtual_ids, t) for qid, t in zip(order, times)]
 
 
 _ENGINES = {
@@ -278,9 +325,10 @@ def project(
         by workload-management what-if analyses.
     backend:
         ``"incremental"`` (shared-schedule engine, ``O(log n)`` per
-        event), ``"reference"`` (the original ``O(n)``-per-event loop),
-        or ``None`` to use the process default (see
-        :func:`set_default_backend`).
+        event while the active set can still grow, then one flat-kernel
+        sweep over what is left), ``"reference"`` (the original
+        ``O(n)``-per-event loop), or ``None`` to use the process default
+        (see :func:`set_default_backend`).
 
     Returns
     -------
@@ -305,6 +353,28 @@ def project(
             minimum=0.0,
         )
     validate_snapshots((q for _, q in extra_arrivals), where="extra_arrivals")
+    return project_validated(
+        running, queued, processing_rate, multiprogramming_limit, forecast,
+        extra_arrivals, backend,
+    )
+
+
+def project_validated(
+    running: Sequence[QuerySnapshot],
+    queued: Sequence[QuerySnapshot],
+    processing_rate: float,
+    multiprogramming_limit: int | None,
+    forecast: WorkloadForecast | None,
+    extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
+    backend: str | None,
+) -> ProjectionResult:
+    """The body of :func:`project`, which checks nothing.
+
+    For an entry point that has itself validated the rate and every
+    snapshot (:meth:`MultiQueryProgressIndicator.estimate
+    <repro.core.multi_query.MultiQueryProgressIndicator.estimate>`),
+    so that each query is validated once per refresh, not once per layer.
+    """
     mpl = multiprogramming_limit
     if backend is None:
         backend = _default_backend
@@ -323,10 +393,10 @@ def project(
 
     for q in running:
         engine.add(q.query_id, q.remaining_cost, q.weight, virtual=False)
-    waiting: list[_Waiting] = [
+    waiting: deque[_Waiting] = deque(
         _Waiting(q.query_id, q.remaining_cost, q.weight, virtual=False, arrived_at=0.0)
         for q in queued
-    ]
+    )
 
     pending = sorted(
         ((t, q.query_id, q.remaining_cost, q.weight) for t, q in extra_arrivals),
@@ -349,14 +419,34 @@ def project(
     def admit() -> None:
         """Move queued jobs into the active set while slots are available."""
         while waiting and (mpl is None or len(engine) < mpl):
-            w = waiting.pop(0)
+            w = waiting.popleft()
             engine.add(w.query_id, w.cost, w.weight, w.virtual)
             if not w.virtual:
                 started_at[w.query_id] = clock
 
     admit()
 
+    # The tail rule is the default backend's; the reference engine pops
+    # every completion, as the oracle must.
+    tail_rule = backend == "incremental"
+
     while real_outstanding > 0:
+        if (
+            tail_rule
+            and not waiting
+            and pending_idx >= len(pending)
+            and next_virtual is None
+        ):
+            # Nothing can arrive or be admitted any more: what is left is
+            # the standard case, one event per completion.
+            for qid, virtual, t_fin in engine.finish_rest(clock):
+                events += 1
+                if not virtual:
+                    finish_times[qid] = t_fin
+                    real_outstanding -= 1
+                    if real_outstanding == 0:
+                        break
+            break
         events += 1
         if events > _MAX_EVENTS:
             raise ProjectionError(

@@ -22,6 +22,8 @@ The algorithm is ``O(n log n)`` time and ``O(n)`` space, matching the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import truediv
 from typing import Sequence
 
 from repro.core.model import QuerySnapshot
@@ -78,6 +80,46 @@ class StandardCaseResult:
     quiescent_time: float = 0.0
 
 
+def solve_stages(
+    ids: Sequence[str],
+    costs: Sequence[float],
+    weights: Sequence[float],
+    processing_rate: float,
+    start: float = 0.0,
+) -> tuple[list[str], list[float]]:
+    """The flat Section 2.2 solve: one sort, one suffix-weight sweep.
+
+    This is the kernel under every one-shot solve -- the body of
+    :func:`standard_case` without stages, the tail of a
+    :func:`~repro.core.projection.project` call, the simulator's per-refresh
+    recompute.  It takes parallel sequences that the caller has already
+    validated (finite, ``cost >= 0``, ``weight > 0``) and does no checking
+    of its own, so a public entry point validates once and solves once.
+
+    Returns ``(finish_order, finish_times)``: the ids in ascending
+    ``(c/w, query_id)`` order and, parallel to them, ``start`` plus each
+    query's remaining time.  The weight of the queries still running in
+    stage ``k`` is summed right to left exactly as the staged loop of
+    :func:`standard_case` sums it, so the two agree bit for bit.
+    """
+    # The position breaks a tie on (ratio, id), so equal keys keep input
+    # order as the staged path's stable sort does and weights never compare.
+    keyed = sorted(zip(map(truediv, costs, weights), ids, range(len(ids))))
+    live_weight = list(
+        accumulate((weights[i] for _, _, i in reversed(keyed)), initial=0.0)
+    )
+    finish_order: list[str] = []
+    finish_times: list[float] = []
+    clock = start
+    prev_ratio = 0.0
+    for ratio, query_id, _ in keyed:
+        clock += (ratio - prev_ratio) * live_weight.pop() / processing_rate
+        finish_order.append(query_id)
+        finish_times.append(clock)
+        prev_ratio = ratio
+    return finish_order, finish_times
+
+
 def standard_case(
     queries: Sequence[QuerySnapshot],
     processing_rate: float,
@@ -117,6 +159,19 @@ def standard_case(
         return StandardCaseResult(
             remaining_times={}, finish_order=(), stages=(), quiescent_time=0.0
         )
+    if not include_stages:
+        finish_order, finish_times = solve_stages(
+            [q.query_id for q in queries],
+            [q.remaining_cost for q in queries],
+            [q.weight for q in queries],
+            processing_rate,
+        )
+        return StandardCaseResult(
+            remaining_times=dict(zip(finish_order, finish_times)),
+            finish_order=tuple(finish_order),
+            stages=(),
+            quiescent_time=finish_times[-1],
+        )
 
     # Sort ascending by the c/w ratio; ties broken by query id for determinism.
     order = sorted(queries, key=lambda q: (q.remaining_cost / q.weight, q.query_id))
@@ -134,23 +189,22 @@ def standard_case(
         ratio = q.remaining_cost / q.weight
         w_k = weight_after[k]
         duration = (ratio - prev_ratio) * w_k / processing_rate
-        if include_stages:
-            running = order[k:]
-            speeds = {
-                other.query_id: processing_rate * other.weight / w_k
-                for other in running
-            }
-            stages.append(
-                Stage(
-                    index=k + 1,
-                    duration=duration,
-                    start=clock,
-                    end=clock + duration,
-                    finishing_query=q.query_id,
-                    running_query_ids=tuple(o.query_id for o in running),
-                    speeds=speeds,
-                )
+        running = order[k:]
+        speeds = {
+            other.query_id: processing_rate * other.weight / w_k
+            for other in running
+        }
+        stages.append(
+            Stage(
+                index=k + 1,
+                duration=duration,
+                start=clock,
+                end=clock + duration,
+                finishing_query=q.query_id,
+                running_query_ids=tuple(o.query_id for o in running),
+                speeds=speeds,
             )
+        )
         clock += duration
         remaining_times[q.query_id] = clock
         prev_ratio = ratio

@@ -88,19 +88,29 @@ def validate_snapshots(
         Naming the offending query and field, e.g.
         ``remaining_cost of query 'Q3' (in running) must be finite, got nan``.
     """
+    isfinite = math.isfinite
     for q in queries:
+        cost, done, weight = q.remaining_cost, q.completed_work, q.weight
+        if (
+            isfinite(cost) and cost >= 0.0
+            and isfinite(done) and done >= 0.0
+            and isfinite(weight) and weight > 0.0
+        ):
+            continue
+        # Labels (three f-strings and a repr per query) are only built
+        # here, once a check is known to fail.
         validate_finite(
-            q.remaining_cost,
+            cost,
             f"remaining_cost of query {q.query_id!r} (in {where})",
             minimum=0.0,
         )
         validate_finite(
-            q.completed_work,
+            done,
             f"completed_work of query {q.query_id!r} (in {where})",
             minimum=0.0,
         )
         validate_finite(
-            q.weight,
+            weight,
             f"weight of query {q.query_id!r} (in {where})",
             minimum=0.0,
             exclusive=True,

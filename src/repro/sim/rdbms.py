@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Sequence
 
 from repro.core.incremental import IncrementalSchedule
-from repro.core.model import SystemSnapshot
+from repro.core.model import QuerySnapshot, SystemSnapshot
 from repro.core.standard_case import standard_case
 from repro.engine.errors import EngineError
 from repro.obs.runtime import Observability, resolve
@@ -164,6 +165,22 @@ class SimulatedRDBMS:
         #: consults it up to three times per slice; recomputing the O(n)
         #: record scan each time dominated large-population runs.
         self._deadline_cache: float | None = None
+        #: Memoized job snapshots of the running set and of the queue,
+        #: and the standard-case solve over the running ones (None =
+        #: stale).  Every reader of one simulator state -- ``snapshot()``,
+        #: ``remaining_times()``, ``remaining_time_of()`` -- shares one set
+        #: of ``Job.snapshot()`` calls and one solve; see
+        #: :meth:`_invalidate_snapshots`.  Kept only while the clock is
+        #: being advanced (``_sharing_reads``): that is where one state
+        #: has several readers -- the sampler callbacks and hooks of a
+        #: step -- and where the next step is sure to drop them.  A
+        #: simulator at rest holds no snapshots, so a driver polling once
+        #: between ``run_until`` calls leaves nothing behind for the
+        #: garbage collector to carry.
+        self._sharing_reads = False
+        self._running_snapshots: tuple[QuerySnapshot, ...] | None = None
+        self._queued_snapshots: tuple[QuerySnapshot, ...] | None = None
+        self._solved_cache: dict[str, float] | None = None
         #: The shared incremental schedule serving all PIs, built lazily
         #: and maintained across steps; None when invalidated.
         self._shared_schedule: IncrementalSchedule | None = None
@@ -251,13 +268,62 @@ class SimulatedRDBMS:
         applied here: the PIs see the corrupted numbers, the execution
         itself is unaffected.
         """
+        running = self._snapshots_of_running()
+        queued = self._queued_snapshots
+        if queued is None:
+            queued = tuple(j.snapshot() for j in self._queue)
+            if self._sharing_reads:
+                self._queued_snapshots = queued
+        if self._estimate_corruption:
+            running = tuple(self._corrupted(s) for s in running)
+            queued = tuple(self._corrupted(s) for s in queued)
         return SystemSnapshot(
-            running=tuple(self._corrupted(j.snapshot()) for j in self._running),
-            queued=tuple(self._corrupted(j.snapshot()) for j in self._queue),
+            running=running,
+            queued=queued,
             processing_rate=self.processing_rate,
             multiprogramming_limit=self.multiprogramming_limit,
             time=self._clock,
         )
+
+    def _snapshots_of_running(self) -> tuple[QuerySnapshot, ...]:
+        """The running jobs' own (uncorrupted) snapshots.
+
+        Taken once per simulator state, however many readers of a
+        running simulator ask.
+        """
+        snapshots = self._running_snapshots
+        if snapshots is None:
+            snapshots = tuple(j.snapshot() for j in self._running)
+            if self._obs is not None:
+                self._count("rdbms.snapshots.built")
+            if self._sharing_reads:
+                self._running_snapshots = snapshots
+        return snapshots
+
+    def _solved_remaining_times(self) -> dict[str, float]:
+        """One from-scratch solve per simulator state; callers must copy."""
+        solved = self._solved_cache
+        if solved is None:
+            solved = standard_case(
+                self._snapshots_of_running(),
+                self.processing_rate,
+                include_stages=False,
+            ).remaining_times
+            if self._sharing_reads:
+                self._solved_cache = solved
+        return solved
+
+    def _invalidate_snapshots(self) -> None:
+        """Mark the memoized job snapshots and their solve stale.
+
+        Must be called whenever what a ``Job.snapshot()`` would return, or
+        the membership or order of the running set or the queue, may have
+        changed: every step that advances jobs and every mutator.  A stale
+        memo would hand PIs the estimates of an earlier state.
+        """
+        self._running_snapshots = None
+        self._queued_snapshots = None
+        self._solved_cache = None
 
     def _corrupted(self, snap):
         factor = self._estimate_corruption.get(
@@ -285,7 +351,15 @@ class SimulatedRDBMS:
         (which replace ``speed_model`` with a
         :class:`~repro.sim.scheduler.ScaledSpeedModel`) make the shared
         schedule's predictions diverge from execution, so those
-        configurations fall back to full recomputation.
+        configurations are solved from scratch -- once per simulator
+        state, by the flat kernel, for all readers together.
+
+        This stays false for engine jobs on purpose.  A treap earns its
+        keep when the schedule outlives the refresh and few entries move
+        between reads; every engine job's estimate moves every quantum,
+        so mirroring them costs ``n`` ``O(log n)`` treap updates per
+        *step* against one sort per *refresh* (``docs/PERFORMANCE.md``
+        section 10).
         """
         return type(self.speed_model) is WeightedFairSharing and all(
             isinstance(j, SyntheticJob) for j in self._running
@@ -329,7 +403,9 @@ class SimulatedRDBMS:
         """Remaining time of one *running* query under the current mix.
 
         Served from the shared schedule in ``O(log n)`` when available,
-        falling back to a fresh standard-case solve.  Raises
+        otherwise from the one solve that all readers of this simulator
+        state share while the clock is being advanced (``n`` PIs reading
+        their own estimate from a sampler cost one solve, not ``n``).  Raises
         :class:`KeyError` for unknown queries and :class:`ValueError`
         when the query is not currently running.
         """
@@ -339,9 +415,7 @@ class SimulatedRDBMS:
         sched = self.shared_schedule()
         if sched is not None:
             return sched.remaining_time_of(query_id)
-        snaps = [j.snapshot() for j in self._running]
-        result = standard_case(snaps, self.processing_rate, include_stages=False)
-        return result.remaining_times[query_id]
+        return self._solved_remaining_times()[query_id]
 
     def remaining_times(self) -> dict[str, float]:
         """Remaining times of every running query, in one ``O(n)`` sweep."""
@@ -352,11 +426,8 @@ class SimulatedRDBMS:
             return sched.remaining_times()
         if self._obs is not None:
             self._count("rdbms.refresh.recompute")
-        if not self._running:
-            return {}
-        snaps = [j.snapshot() for j in self._running]
-        result = standard_case(snaps, self.processing_rate, include_stages=False)
-        return dict(result.remaining_times)
+        # A fresh dict: callers may mutate what they get, not the memo.
+        return dict(self._solved_remaining_times())
 
     def _invalidate_schedule(self) -> None:
         if self._shared_schedule is not None and self._obs is not None:
@@ -416,6 +487,7 @@ class SimulatedRDBMS:
             self._invalidate_deadline_cache()
         self._records[job.query_id] = record
         self._queue.append(job)
+        self._invalidate_snapshots()
         if self._obs is not None:
             self._count("rdbms.submitted")
             self._emit("query.submit", job.query_id,
@@ -587,6 +659,7 @@ class SimulatedRDBMS:
             self._clock, "retry", f"attempt {record.attempts} resubmitted"
         )
         self._queue.append(job)
+        self._invalidate_snapshots()
         if self._obs is not None:
             self._count("rdbms.resubmitted")
             self._emit("query.resubmit", job.query_id, attempt=record.attempts)
@@ -647,6 +720,7 @@ class SimulatedRDBMS:
         record = QueryRecord(job=job, status="queued", trace=trace)
         self._records[job.query_id] = record
         self._queue.append(job)
+        self._invalidate_snapshots()
         self._admit()
         return record
 
@@ -663,6 +737,7 @@ class SimulatedRDBMS:
         if record.status != "running":
             raise ValueError(f"query {query_id!r} is {record.status}, not running")
         self._running = [j for j in self._running if j.query_id != query_id]
+        self._invalidate_snapshots()
         if self._shared_schedule is not None:
             self._shared_schedule.discard(query_id)
         self._blocked[query_id] = record.job
@@ -682,6 +757,7 @@ class SimulatedRDBMS:
             raise ValueError(f"query {query_id!r} is {record.status}, not blocked")
         job = self._blocked.pop(query_id)
         self._queue.insert(0, job)
+        self._invalidate_snapshots()
         record.status = "queued"
         if self._obs is not None:
             self._count("rdbms.unblocked_actions")
@@ -696,6 +772,7 @@ class SimulatedRDBMS:
         from repro.core.model import weight_for_priority
 
         job.weight = weight_for_priority(priority) if weight is None else float(weight)
+        self._invalidate_snapshots()
         if job.weight <= 0:
             raise ValueError("weight must be > 0")
         if self._shared_schedule is not None and record.status == "running":
@@ -721,18 +798,22 @@ class SimulatedRDBMS:
         """Advance the virtual clock to *target* seconds."""
         if target < self._clock - _EPS:
             raise ValueError(f"cannot run backwards to {target} from {self._clock}")
-        while self._clock < target - _EPS:
-            self._step(target)
+        with self._advancing():
+            while self._clock < target - _EPS:
+                self._step(target)
 
     def run_to_completion(self, max_time: float = 1e9) -> None:
         """Run until no runnable or pending work remains (blocked jobs stay).
 
         Raises :class:`RuntimeError` if *max_time* is reached first.
         """
-        while self._has_outstanding_work():
-            if self._clock >= max_time:
-                raise RuntimeError(f"simulation exceeded max_time={max_time}")
-            self._step(max_time)
+        with self._advancing():
+            while self._has_outstanding_work():
+                if self._clock >= max_time:
+                    raise RuntimeError(
+                        f"simulation exceeded max_time={max_time}"
+                    )
+                self._step(max_time)
 
     def quiescent(self) -> bool:
         """True when nothing is running, queued or pending."""
@@ -741,6 +822,16 @@ class SimulatedRDBMS:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def _advancing(self):
+        """The span in which readers of one state share job snapshots."""
+        self._sharing_reads = True
+        try:
+            yield
+        finally:
+            self._sharing_reads = False
+            self._invalidate_snapshots()
 
     def _has_outstanding_work(self) -> bool:
         return bool(
@@ -756,6 +847,7 @@ class SimulatedRDBMS:
         while self._queue and (mpl is None or len(self._running) < mpl):
             job = self._queue.pop(0)
             self._running.append(job)
+            self._invalidate_snapshots()
             self._schedule_admit(job)
             record = self._records[job.query_id]
             record.status = "running"
@@ -886,11 +978,13 @@ class SimulatedRDBMS:
         else:
             finished = [j for j in self._running if j.finished]
         self._clock += dt
+        self._invalidate_snapshots()
         if self._shared_schedule is not None:
             self._sync_schedule(dt, finished)
 
         for job, exc in failed:
             self._running = [j for j in self._running if j.query_id != job.query_id]
+            self._invalidate_snapshots()
             record = self._records[job.query_id]
             record.status = "failed"
             self._invalidate_deadline_cache()
@@ -908,6 +1002,7 @@ class SimulatedRDBMS:
         # Retire completions (deterministic order).
         for job in sorted(finished, key=lambda j: j.query_id):
             self._running = [j for j in self._running if j.query_id != job.query_id]
+            self._invalidate_snapshots()
             record = self._records[job.query_id]
             record.status = "finished"
             self._invalidate_deadline_cache()
@@ -967,6 +1062,7 @@ class SimulatedRDBMS:
         self._running = [j for j in self._running if j.query_id != query_id]
         self._queue = [j for j in self._queue if j.query_id != query_id]
         self._blocked.pop(query_id, None)
+        self._invalidate_snapshots()
         if self._shared_schedule is not None:
             self._shared_schedule.discard(query_id)
 

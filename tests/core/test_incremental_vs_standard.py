@@ -134,7 +134,10 @@ def _snapshot_pool(data, prefix, max_n, min_cost=0.0):
     ]
 
 
-def _assert_backends_agree(running, queued, rate, mpl, forecast, context):
+def _assert_backends_agree(
+    running, queued, rate, mpl, forecast, context,
+    extra_arrivals=(), abs_tol=1e-6,
+):
     results = {
         backend: project(
             running=running,
@@ -142,6 +145,7 @@ def _assert_backends_agree(running, queued, rate, mpl, forecast, context):
             processing_rate=rate,
             multiprogramming_limit=mpl,
             forecast=forecast,
+            extra_arrivals=extra_arrivals,
             backend=backend,
         )
         for backend in ("incremental", "reference")
@@ -150,18 +154,18 @@ def _assert_backends_agree(running, queued, rate, mpl, forecast, context):
     assert set(inc.remaining_times) == set(ref.remaining_times), context
     for qid, expected in ref.remaining_times.items():
         got = inc.remaining_times[qid]
-        assert math.isclose(got, expected, rel_tol=TOL, abs_tol=1e-6), (
+        assert math.isclose(got, expected, rel_tol=TOL, abs_tol=abs_tol), (
             f"{context}: {qid} incremental={got!r} reference={expected!r}"
         )
     assert math.isclose(
-        inc.quiescent_time, ref.quiescent_time, rel_tol=TOL, abs_tol=1e-6
+        inc.quiescent_time, ref.quiescent_time, rel_tol=TOL, abs_tol=abs_tol
     ), context
     for qid in ref.queries:
         assert math.isclose(
             inc.queries[qid].queue_wait,
             ref.queries[qid].queue_wait,
             rel_tol=TOL,
-            abs_tol=1e-6,
+            abs_tol=abs_tol,
         ), f"{context}: queue wait of {qid}"
 
 

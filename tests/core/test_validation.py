@@ -59,6 +59,52 @@ class TestValidateSnapshots:
         with pytest.raises(ValueError):
             validate_snapshots([QuerySnapshot("a", 1.0, completed_work=NAN)])
 
+    def test_happy_path_builds_no_label(self):
+        class CountingId(str):
+            reprs = 0
+
+            def __repr__(self):
+                CountingId.reprs += 1
+                return super().__repr__()
+
+        validate_snapshots(
+            [QuerySnapshot(CountingId(f"q{i}"), 1.0 + i) for i in range(5)],
+            where="running",
+        )
+        assert CountingId.reprs == 0
+
+    @pytest.mark.parametrize("field, bad, where, message", [
+        ("remaining_cost", NAN, "running",
+         "remaining_cost of query 'Q3' (in running) must be finite, got nan"),
+        ("remaining_cost", -1.0, "queries",
+         "remaining_cost of query 'Q3' (in queries) must be >= 0.0, got -1.0"),
+        ("completed_work", INF, "queued",
+         "completed_work of query 'Q3' (in queued) must be finite, got inf"),
+        ("completed_work", -2.5, "queries",
+         "completed_work of query 'Q3' (in queries) must be >= 0.0, got -2.5"),
+        ("weight", -INF, "extra_arrivals",
+         "weight of query 'Q3' (in extra_arrivals) must be finite, got -inf"),
+        ("weight", 0.0, "queries",
+         "weight of query 'Q3' (in queries) must be > 0.0, got 0.0"),
+    ])
+    def test_failure_messages_are_byte_identical(self, field, bad, where, message):
+        snap = QuerySnapshot("Q3", 4.0, completed_work=1.0, weight=2.0)
+        # The constructor rejects negatives itself; a corrupted runtime
+        # signal is modelled by overwriting the frozen field.
+        object.__setattr__(snap, field, bad)
+        with pytest.raises(ValueError) as info:
+            validate_snapshots([QuerySnapshot("Q1", 1.0), snap], where=where)
+        assert str(info.value) == message
+
+    def test_first_failing_field_of_first_failing_query_wins(self):
+        first = QuerySnapshot("a", NAN, completed_work=NAN)
+        second = QuerySnapshot("b", INF)
+        with pytest.raises(ValueError) as info:
+            validate_snapshots([first, second])
+        assert str(info.value) == (
+            "remaining_cost of query 'a' (in queries) must be finite, got nan"
+        )
+
     def test_finite_snapshots_filters_not_raises(self):
         good = QuerySnapshot("good", 10.0)
         kept = finite_snapshots([good, QuerySnapshot("bad", NAN)])
