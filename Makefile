@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction package.
 
-.PHONY: install test bench bench-smoke bench-engine bench-pi chaos scale shard overload coverage report observe examples all
+.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -33,6 +33,13 @@ bench-engine:
 # treap insert inside an empty-queue project().
 bench-pi:
 	pytest -m scale benchmarks/test_bench_pi_refresh.py --benchmark-only -q -s
+
+# Smoke test of the end-to-end benchmark (BENCHMARK.json): a --quick
+# --trace run prints exactly the declared metric names, traced and
+# untraced signatures agree, a self-compare is clean.  `make bench`
+# passes --benchmark-only, which skips it (it has no benchmark fixture).
+e2e-smoke:
+	pytest benchmarks/e2e -q
 
 chaos:
 	pytest -m chaos tests/

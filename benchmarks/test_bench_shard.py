@@ -14,6 +14,14 @@ asserts the robustness headlines: results stay byte-identical to
 single-node execution through the crash, most checkpointed work
 survives, and the refresh cost stays far below the simulated epoch.
 
+A second series (section ``"gather"``) records what the gather path's
+merged-table cache and the aggregator's stored contributions are worth:
+host ms of the 1st vs the 2nd...qth gather query over one table at 4
+shards, and host us per ``GlobalQueryEstimate`` at each shard count.  It
+is gated on counts only -- one table build for q same-table queries, no
+``ShardEstimate`` constructed by a roll-up without degraded shards --
+because those repeat exactly; the timings are recorded, not asserted.
+
 ``REPRO_SHARD_SIZES`` (comma-separated shard counts) overrides the sweep
 for quick CI runs.  Run with ``pytest -m shard benchmarks/``.
 """
@@ -24,10 +32,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.dist import ShardedCluster, load_tpcr
+from repro.dist import ClusterFaultInjector, ShardedCluster, global_pi, load_tpcr
 from repro.experiments.reporting import format_table
 from repro.faults.plan import FaultPlan, NodeCrash
-from repro.dist import ClusterFaultInjector
+from repro.obs import Observability
 from repro.sim.scale import merge_bench_json
 from repro.workload.tpcr import TpcrConfig, generate
 
@@ -169,3 +177,116 @@ def test_shard_refresh_and_failover(once):
     data = json.loads(BENCH_JSON.read_text())
     assert data["shard"]["sizes"] == list(sizes)
     assert len(data["shard"]["points"]) == len(sizes)
+
+
+# ----------------------------------------------------------------------
+# Gather cache and roll-up cost
+# ----------------------------------------------------------------------
+
+GATHER_QUERIES = 6
+ROLLUP_QUERIES = 8
+
+
+def measure_gather(n_shards: int = 4) -> dict:
+    """Host ms of q sequential gather queries over ``lineitem``."""
+    obs = Observability()
+    cluster = ShardedCluster(
+        n_shards=n_shards, replication=2, processing_rate=10.0, obs=obs
+    )
+    load_tpcr(cluster, config=SMALL)
+    single = generate(SMALL).db
+    host_ms = []
+    identical = True
+    for k in range(GATHER_QUERIES):
+        sql = ("SELECT partkey, SUM(quantity) FROM lineitem "
+               f"WHERE quantity > {k} GROUP BY partkey ORDER BY partkey")
+        start = time.perf_counter()
+        cluster.submit(f"g{k}", sql)
+        cluster.run_to_completion()
+        host_ms.append((time.perf_counter() - start) * 1e3)
+        identical = identical and cluster.result_rows(f"g{k}") == single.query(sql)
+    later = sorted(host_ms[1:])
+    return {
+        "n_shards": n_shards,
+        "queries": GATHER_QUERIES,
+        "first_query_ms": host_ms[0],
+        "later_query_ms_median": later[len(later) // 2],
+        "tables_built": int(
+            obs.metrics.counter_value("dist.gather.tables_built")
+        ),
+        "tables_reused": int(
+            obs.metrics.counter_value("dist.gather.tables_reused")
+        ),
+        "identical": identical,
+    }
+
+
+def measure_rollup(n_shards: int, monkeypatch) -> dict:
+    """Host us per ``GlobalQueryEstimate`` with every shard fresh."""
+    cluster = ShardedCluster(
+        n_shards=n_shards, replication=2, processing_rate=10.0
+    )
+    load_tpcr(cluster, config=SMALL)
+    for k in range(ROLLUP_QUERIES):
+        cluster.submit(f"s{k}", f"SELECT * FROM lineitem WHERE partkey > {k}")
+    cluster.run_until(1.0)  # everything running, nothing degraded
+    start = time.perf_counter()
+    for _ in range(REFRESH_ROUNDS):
+        estimates = cluster.estimates()
+    seconds = time.perf_counter() - start
+    constructed = []
+    real = global_pi.ShardEstimate
+
+    def counting(*args):
+        constructed.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(global_pi, "ShardEstimate", counting)
+        cluster.estimates()
+    return {
+        "n_shards": n_shards,
+        "queries": len(estimates),
+        "us_per_estimate": seconds / (REFRESH_ROUNDS * len(estimates)) * 1e6,
+        "degraded": sum(e.degraded for e in estimates.values()),
+        "shard_estimates_constructed": len(constructed),
+    }
+
+
+@pytest.mark.shard
+def test_gather_cache_and_rollup(once, monkeypatch):
+    sizes = _sizes()
+
+    def sweep():
+        return {
+            "one_table": measure_gather(),
+            "rollup": [measure_rollup(n, monkeypatch) for n in sizes],
+        }
+
+    series = once(sweep)
+    merge_bench_json(BENCH_JSON, "gather", series)
+
+    gather = series["one_table"]
+    print()
+    print(f"Gather over one table, {gather['n_shards']} shards: "
+          f"1st query {gather['first_query_ms']:.0f} ms, "
+          f"2nd..{gather['queries']}th {gather['later_query_ms_median']:.0f} ms "
+          f"(median); built {gather['tables_built']}, "
+          f"reused {gather['tables_reused']}")
+    print(
+        format_table(
+            ["shards", "queries", "us / GlobalQueryEstimate", "constructed"],
+            [
+                (p["n_shards"], p["queries"], f"{p['us_per_estimate']:.2f}",
+                 p["shard_estimates_constructed"])
+                for p in series["rollup"]
+            ],
+        )
+    )
+
+    assert gather["identical"]
+    assert gather["tables_built"] == 1
+    assert gather["tables_reused"] == GATHER_QUERIES - 1
+    for p in series["rollup"]:
+        assert p["degraded"] == 0 and p["queries"] == ROLLUP_QUERIES
+        assert p["shard_estimates_constructed"] == 0

@@ -28,11 +28,10 @@ global estimate is *always finite*:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ShardEstimate:
+class ShardEstimate(NamedTuple):
     """One shard's contribution to a global query estimate."""
 
     shard: int
@@ -47,14 +46,13 @@ class ShardEstimate:
     staleness: float
 
 
-@dataclass(frozen=True)
-class GlobalQueryEstimate:
+class GlobalQueryEstimate(NamedTuple):
     """The rolled-up progress of one distributed query."""
 
     query_id: str
     #: Max over the shards' remaining estimates (finish = last shard).
     remaining_seconds: float
-    #: Per-shard contributions, keyed by shard index.
+    #: Per-shard contributions, keyed by shard index, ascending.
     shards: dict[int, ShardEstimate]
     #: Virtual time of the rollup.
     as_of: float
@@ -72,27 +70,27 @@ class GlobalQueryEstimate:
     @property
     def slowest_shard(self) -> int | None:
         """The shard currently bounding the global remaining time."""
-        live = {s: e for s, e in self.shards.items()}
-        if not live:
+        shards = self.shards
+        if not shards:
             return None
-        return max(live, key=lambda s: (live[s].remaining_seconds, -s))
-
-
-class _ShardState:
-    __slots__ = ("remaining", "refreshed_at", "degraded", "done")
-
-    def __init__(self, remaining: float, now: float) -> None:
-        self.remaining = remaining
-        self.refreshed_at = now
-        self.degraded = False
-        self.done = False
+        return max(shards, key=lambda s: (shards[s].remaining_seconds, -s))
 
 
 class GlobalProgressAggregator:
-    """Rolls per-shard estimates into always-finite global query PIs."""
+    """Rolls per-shard estimates into always-finite global query PIs.
+
+    The aggregator stores, per (query, shard), the immutable
+    :class:`ShardEstimate` it hands out: every mutator replaces the stored
+    contribution (staleness 0.0), and a roll-up copies the per-query dict
+    and re-stamps ``staleness`` only on degraded contributions -- a query
+    with no degraded shard costs one dict copy and one max sweep.
+    """
 
     def __init__(self) -> None:
-        self._queries: dict[str, dict[int, _ShardState]] = {}
+        #: query -> {shard: contribution}, shards in ascending order.
+        self._queries: dict[str, dict[int, ShardEstimate]] = {}
+        #: query -> shards whose sub-queries have all completed.
+        self._done: dict[str, set[int]] = {}
 
     def register(
         self, query_id: str, shard: int, initial_remaining: float, now: float
@@ -111,7 +109,16 @@ class GlobalProgressAggregator:
         shards = self._queries.setdefault(query_id, {})
         if shard in shards:
             raise ValueError(f"shard {shard} of {query_id!r} already registered")
-        shards[shard] = _ShardState(float(initial_remaining), now)
+        self._done.setdefault(query_id, set())
+        out_of_order = bool(shards) and next(reversed(shards)) > shard
+        shards[shard] = ShardEstimate(
+            shard, float(initial_remaining), now, False, 0.0
+        )
+        if out_of_order:
+            # Keep ascending shard order here so no roll-up has to sort.
+            ordered = sorted(shards.items())
+            shards.clear()
+            shards.update(ordered)
 
     def report(
         self, query_id: str, shard: int, remaining: float, now: float
@@ -123,30 +130,26 @@ class GlobalProgressAggregator:
         back and marks the shard degraded -- the global PI survives a
         shard whose estimator has gone insane.
         """
-        state = self._state(query_id, shard)
-        if state.done:
+        shards, current = self._lookup(query_id, shard)
+        if shard in self._done[query_id]:
             return False
         if not math.isfinite(remaining) or remaining < 0:
-            state.degraded = True
+            shards[shard] = current._replace(degraded=True)
             return False
-        state.remaining = float(remaining)
-        state.refreshed_at = now
-        state.degraded = False
+        shards[shard] = ShardEstimate(shard, float(remaining), now, False, 0.0)
         return True
 
     def mark_degraded(self, query_id: str, shard: int) -> None:
         """Flag a shard's estimate as carried-back (its node is gone)."""
-        state = self._state(query_id, shard)
-        if not state.done:
-            state.degraded = True
+        shards, current = self._lookup(query_id, shard)
+        if shard not in self._done[query_id]:
+            shards[shard] = current._replace(degraded=True)
 
     def mark_done(self, query_id: str, shard: int, now: float) -> None:
         """Record a sub-query's completion: zero remaining, fresh, final."""
-        state = self._state(query_id, shard)
-        state.remaining = 0.0
-        state.refreshed_at = now
-        state.degraded = False
-        state.done = True
+        shards, _ = self._lookup(query_id, shard)
+        shards[shard] = ShardEstimate(shard, 0.0, now, False, 0.0)
+        self._done[query_id].add(shard)
 
     def move_shard(
         self, query_id: str, shard: int, remaining: float, now: float
@@ -163,10 +166,8 @@ class GlobalProgressAggregator:
             raise ValueError(
                 f"failover estimate must be finite and >= 0, got {remaining}"
             )
-        state = self._state(query_id, shard)
-        state.remaining = float(remaining)
-        state.refreshed_at = now
-        state.degraded = True
+        shards, _ = self._lookup(query_id, shard)
+        shards[shard] = ShardEstimate(shard, float(remaining), now, True, 0.0)
 
     def estimate(self, query_id: str, now: float) -> GlobalQueryEstimate:
         """The query's global estimate at virtual time *now*.
@@ -174,28 +175,18 @@ class GlobalProgressAggregator:
         Always finite: every contribution is either a fresh measurement
         or a carried-back finite value with its staleness exposed.
         """
-        shards = self._shards(query_id)
-        contributions: dict[int, ShardEstimate] = {}
-        for shard, state in sorted(shards.items()):
-            stale = 0.0 if not state.degraded else max(
-                now - state.refreshed_at, 0.0
-            )
-            contributions[shard] = ShardEstimate(
-                shard=shard,
-                remaining_seconds=state.remaining,
-                refreshed_at=state.refreshed_at,
-                degraded=state.degraded,
-                staleness=stale,
-            )
-        remaining = max(
-            (c.remaining_seconds for c in contributions.values()), default=0.0
-        )
-        return GlobalQueryEstimate(
-            query_id=query_id,
-            remaining_seconds=remaining,
-            shards=contributions,
-            as_of=now,
-        )
+        contributions = dict(self._shards(query_id))
+        remaining = 0.0
+        for c in contributions.values():
+            if c.remaining_seconds > remaining:
+                remaining = c.remaining_seconds
+            if c.degraded:
+                # Replacing the value of an existing key is safe mid-sweep.
+                contributions[c.shard] = ShardEstimate(
+                    c.shard, c.remaining_seconds, c.refreshed_at, True,
+                    max(now - c.refreshed_at, 0.0),
+                )
+        return GlobalQueryEstimate(query_id, remaining, contributions, now)
 
     def estimates(self, now: float) -> dict[str, GlobalQueryEstimate]:
         """Global estimates for every registered query."""
@@ -208,12 +199,7 @@ class GlobalProgressAggregator:
         refresh, so overload- or outage-induced carry-back is visible in
         metrics without walking per-query snapshots.
         """
-        return sum(
-            1
-            for shards in self._queries.values()
-            for state in shards.values()
-            if state.degraded and not state.done
-        )
+        return sum(1 for _ in self._live_degraded())
 
     def max_staleness(self, now: float) -> float:
         """Age of the stalest carried-back contribution, seconds.
@@ -222,12 +208,7 @@ class GlobalProgressAggregator:
         current.  Published as the obs gauge ``dist.pi.staleness_max``.
         """
         return max(
-            (
-                max(now - state.refreshed_at, 0.0)
-                for shards in self._queries.values()
-                for state in shards.values()
-                if state.degraded and not state.done
-            ),
+            (max(now - c.refreshed_at, 0.0) for c in self._live_degraded()),
             default=0.0,
         )
 
@@ -238,17 +219,29 @@ class GlobalProgressAggregator:
     def forget(self, query_id: str) -> None:
         """Drop a query's state entirely (after its results are consumed)."""
         self._queries.pop(query_id, None)
+        self._done.pop(query_id, None)
 
-    def _shards(self, query_id: str) -> dict[int, _ShardState]:
+    def _live_degraded(self):
+        """Degraded contributions of shards that are not done."""
+        for query_id, shards in self._queries.items():
+            done = self._done[query_id]
+            for c in shards.values():
+                if c.degraded and c.shard not in done:
+                    yield c
+
+    def _shards(self, query_id: str) -> dict[int, ShardEstimate]:
         try:
             return self._queries[query_id]
         except KeyError:
             raise KeyError(f"unknown distributed query {query_id!r}") from None
 
-    def _state(self, query_id: str, shard: int) -> _ShardState:
+    def _lookup(
+        self, query_id: str, shard: int
+    ) -> tuple[dict[int, ShardEstimate], ShardEstimate]:
+        """The query's contributions and the stored one of *shard*."""
         shards = self._shards(query_id)
         try:
-            return shards[shard]
+            return shards, shards[shard]
         except KeyError:
             raise KeyError(
                 f"shard {shard} of {query_id!r} was never registered"

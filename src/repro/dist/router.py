@@ -13,9 +13,11 @@ distributed queries over them:
 * **gather** -- everything else (joins, aggregates, subqueries, ORDER
   BY, hash/range partitionings) runs one fragment scan per (table,
   shard); the router reassembles each table's rows into their original
-  global order (the catalog kept every fragment row's position), builds
-  a coordinator merge database with the original DDL/indexes/statistics,
-  and executes the original SQL there.  The merge execution is
+  global order (the catalog kept every fragment row's position), merges
+  them into a table with the original DDL/indexes/statistics -- built
+  once and reused while the shipped fragments compare equal to the ones
+  it was built from -- and executes the original SQL on a coordinator
+  database holding exactly the query's tables.  The merge execution is
   work-for-work the single-node execution, so the distributed result is
   byte-identical to the single-node result for arbitrary SQL.
 
@@ -50,6 +52,7 @@ from repro.dist.catalog import ShardCatalog
 from repro.dist.global_pi import GlobalProgressAggregator, GlobalQueryEstimate
 from repro.dist.node import ShardNode
 from repro.dist.partition import Partitioner
+from repro.engine.catalog import Table
 from repro.engine.database import Database
 from repro.engine.expr import expr_contains_subquery
 from repro.engine.sql import ast, parse_statement
@@ -293,6 +296,11 @@ class ShardedCluster:
         self.work_preserved = 0.0
         self.work_lost = 0.0
         self.failovers = 0
+        #: Gathered table -> (the ``{shard: rows}`` it was merged from, the
+        #: merged engine table).  One merged copy per table, kept for the
+        #: cluster's lifetime and reused only while the shipped fragments
+        #: compare equal to the ones it was built from.
+        self._merged: dict[str, tuple[dict[int, tuple], Table]] = {}
         self._obs = resolve(obs)
 
     # ------------------------------------------------------------------
@@ -524,18 +532,25 @@ class ShardedCluster:
             sub_id=sub_id, parent_id=dq.query_id, table=table, shard=shard,
             sql=sub_sql, node_id=node_id, job=job,
         )
+        first_on_shard = not dq.shard_subqueries(shard)
         dq.subqueries[sub_id] = sub
         self._subs[sub_id] = sub
         node.submit(job)
-        if shard not in {
-            s.shard for s in dq.subqueries.values() if s.sub_id != sub_id
-        }:
-            initial = self._finite_or(
-                execution.progress.estimated_remaining_cost()
-                / node.rdbms.processing_rate,
-                fallback=1.0,
-            )
+        initial = self._finite_or(
+            execution.progress.estimated_remaining_cost()
+            / node.rdbms.processing_rate,
+            fallback=1.0,
+        )
+        if first_on_shard:
             self.aggregator.register(dq.query_id, shard, initial, self._clock)
+        else:
+            # A gather query scans several tables per shard; the shard's
+            # estimate is the max over them, as in ``_refresh_pi``.
+            registered = self.aggregator.estimate(dq.query_id, self._clock)
+            if initial > registered.shards[shard].remaining_seconds:
+                self.aggregator.report(
+                    dq.query_id, shard, initial, self._clock
+                )
         if self._obs is not None:
             self._emit("shard.subquery.submit", sub_id, shard=shard,
                        table=table, node=node_id)
@@ -664,40 +679,71 @@ class ShardedCluster:
                        duration=self._clock - dq.submitted_at)
 
     def _gather_merge(self, dq: DistributedQuery) -> list[tuple]:
-        """Rebuild the referenced tables and run the original SQL.
+        """Run the original SQL over the merged referenced tables.
 
-        Fragment rows are re-slotted into their original global
-        positions, the original DDL/index/statistics sequence is
-        replayed, and the untouched SQL executes against the rebuilt
-        database -- the same plan over the same data in the same order
-        as a single-node run, hence byte-identical rows.
+        A fresh coordinator database adopts exactly the query's tables,
+        in catalog-registration order, and the untouched SQL executes
+        there -- the same plan over the same data in the same order as a
+        single-node run, hence byte-identical rows.  (Fresh per query:
+        the planner reads statistics by bare column name across the whole
+        catalog, so another query's tables must not be visible.)
         """
         merge_db = Database(page_capacity=self.page_capacity)
         for table in dq.tables:
-            meta = self.catalog.table(table)
-            merge_db.execute(meta.ddl)
-            placed: list[tuple[int, tuple]] = []
-            by_shard: dict[int, list[SubQuery]] = {}
-            for sub in dq.subqueries.values():
-                if sub.table == table:
-                    by_shard.setdefault(sub.shard, []).append(sub)
-            for shard, subs in by_shard.items():
-                (sub,) = subs
-                assert sub.rows is not None
-                positions = self.catalog.positions_for(table, shard)
-                if len(positions) != len(sub.rows):
-                    raise RuntimeError(
-                        f"fragment {fragment_table(table, shard)} returned "
-                        f"{len(sub.rows)} rows, catalog expects "
-                        f"{len(positions)}"
-                    )
-                placed.extend(zip(positions, sub.rows))
-            placed.sort(key=lambda pr: pr[0])
-            merge_db.insert_rows(table, [row for _, row in placed])
-            for index_ddl in meta.index_ddls:
-                merge_db.execute(index_ddl)
-            merge_db.analyze(table)
+            merge_db.catalog.adopt_table(self._merged_table(dq, table))
         return merge_db.prepare(dq.sql).run_to_completion()
+
+    def _merged_table(self, dq: DistributedQuery, table: str) -> Table:
+        """The merged engine table for the fragments *dq* shipped.
+
+        Built once per content: the table merged from the previous gather
+        is reused when this query's fragments compare equal to the ones it
+        was built from (content only -- any difference, or a NaN that is
+        not the very same object, rebuilds).  A build re-slots the
+        fragment rows into their original global positions and replays
+        the original DDL / index / ``ANALYZE`` sequence.
+        """
+        fragments: dict[int, tuple] = {}
+        for sub in dq.subqueries.values():
+            if sub.table != table:
+                continue
+            if sub.shard in fragments:
+                raise RuntimeError(
+                    f"query {dq.query_id!r} has more than one sub-query "
+                    f"for fragment {fragment_table(table, sub.shard)}"
+                )
+            assert sub.rows is not None
+            expected = len(self.catalog.positions_for(table, sub.shard))
+            if expected != len(sub.rows):
+                raise RuntimeError(
+                    f"fragment {fragment_table(table, sub.shard)} returned "
+                    f"{len(sub.rows)} rows, catalog expects {expected}"
+                )
+            fragments[sub.shard] = sub.rows
+        cached = self._merged.get(table)
+        if cached is not None and cached[0] == fragments:
+            if self._obs is not None:
+                self._obs.metrics.counter("dist.gather.tables_reused").inc()
+            return cached[1]
+        meta = self.catalog.table(table)
+        build_db = Database(page_capacity=self.page_capacity)
+        build_db.execute(meta.ddl)
+        placed: list[tuple[int, tuple]] = []
+        for shard, rows in fragments.items():
+            placed.extend(zip(self.catalog.positions_for(table, shard), rows))
+        placed.sort(key=lambda pr: pr[0])
+        build_db.insert_rows(table, [row for _, row in placed])
+        for index_ddl in meta.index_ddls:
+            build_db.execute(index_ddl)
+        build_db.analyze(table)
+        merged = build_db.catalog.table(table)
+        self._merged[table] = (fragments, merged)
+        if self._obs is not None:
+            self._obs.metrics.counter("dist.gather.tables_built").inc()
+            self._emit("shard.gather.build", dq.query_id, table=table,
+                       rows=len(placed),
+                       reason="first" if cached is None else "changed")
+        return merged
 
     # ------------------------------------------------------------------
     # Failover

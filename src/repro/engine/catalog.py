@@ -103,6 +103,29 @@ class Catalog:
         self.bump_stats_epoch()
         return table
 
+    def adopt_table(self, table: Table) -> Table:
+        """Register an already-built table (heap, indexes and statistics).
+
+        The table is shared, not copied; this catalog becomes the one its
+        mutations notify.
+
+        Raises
+        ------
+        CatalogError
+            If a table or an index of the same name already exists.
+        """
+        key = table.name.lower()
+        if key in self._tables:
+            raise CatalogError(f"table {table.name!r} already exists")
+        taken = {k for t in self._tables.values() for k in t.indexes}
+        clash = taken & table.indexes.keys()
+        if clash:
+            raise CatalogError(f"index {min(clash)!r} already exists")
+        table.on_mutation = self.bump_stats_epoch
+        self._tables[key] = table
+        self.bump_stats_epoch()
+        return table
+
     def drop_table(self, name: str) -> None:
         """Remove a table and its indexes.
 

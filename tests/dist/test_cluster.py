@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.dist import ShardedCluster, fragment_table, load_tpcr, referenced_tables
+from repro.dist import (
+    BlockPartitioner,
+    ShardedCluster,
+    fragment_table,
+    load_tpcr,
+    referenced_tables,
+)
 from repro.engine.sql.parser import parse_statement
 from repro.workload.tpcr import TpcrConfig
 
@@ -124,6 +130,41 @@ class TestExecution:
         later = cluster.global_estimate("Q").remaining_seconds
         if not cluster.query("Q").finished:
             assert later < early
+
+    def test_gather_registers_the_largest_fragment_per_shard(self):
+        # A small table registered before a large one: every shard's
+        # initial estimate must cover its largest fragment scan, the way
+        # _refresh_pi rolls a shard up from its first epoch on.
+        cluster = ShardedCluster(n_shards=3, replication=2, processing_rate=10.0)
+        cluster.create_table(
+            "tiny", "CREATE TABLE tiny (k INT NOT NULL)",
+            [(k,) for k in range(6)], BlockPartitioner(),
+        )
+        cluster.create_table(
+            "big", "CREATE TABLE big (k INT NOT NULL, v FLOAT NOT NULL)",
+            [(k % 6, k / 2) for k in range(3000)], BlockPartitioner(),
+        )
+        dq = cluster.submit(
+            "Q", "SELECT t.k, SUM(b.v) FROM tiny t, big b WHERE t.k = b.k "
+                 "GROUP BY t.k ORDER BY t.k"
+        )
+        assert dq.tables == ("tiny", "big")
+        before_any_epoch = cluster.global_estimate("Q")
+        for shard in range(3):
+            costs = {
+                s.table: s.execution.progress.estimated_remaining_cost() / 10.0
+                for s in dq.shard_subqueries(shard)
+            }
+            assert costs["big"] > costs["tiny"] > 0
+            contribution = before_any_epoch.shards[shard]
+            assert contribution.remaining_seconds == costs["big"]
+            assert not contribution.degraded
+        assert before_any_epoch.remaining_seconds >= max(
+            s.execution.progress.estimated_remaining_cost() / 10.0
+            for s in dq.subqueries.values()
+        )
+        cluster.run_to_completion()
+        assert len(cluster.result_rows("Q")) == 6
 
     def test_work_tallies_zero_without_faults(self):
         cluster = make_cluster()
