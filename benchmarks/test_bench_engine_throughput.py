@@ -8,10 +8,14 @@ benches run whole simulations on top of it).
 
 ``test_throughput_row_vs_batch`` is the vectorization gate: it times each
 query in both execution modes, requires the batch mode to beat the row
-mode by at least :data:`MIN_SPEEDUP` on the scan-heavy queries while
-producing byte-identical rows and identical charged-work totals, and
-persists the measured numbers to ``BENCH_engine.json`` (atomically, one
-section per bench module -- same scheme as ``BENCH_scale.json``).
+mode by the per-query floors in :data:`GATES` while producing
+byte-identical rows and identical charged-work totals, and persists the
+measured numbers to ``BENCH_engine.json`` (atomically, one section per
+bench module -- same scheme as ``BENCH_scale.json``).
+
+``test_checkpoint_cost_series`` is the checkpoint gate: a high-output scan
+at the cluster's default cadence (one checkpoint per 2 U) must store, over
+all its checkpoints, no more row references than the rows it emitted.
 """
 
 import time
@@ -19,30 +23,37 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.runtime import observed
 from repro.sim.scale import merge_bench_json
-from repro.workload.queries import join_query, paper_query, scan_query
+from repro.workload.queries import join_query, paper_query
 from repro.workload.tpcr import TpcrConfig, generate
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
-#: CI gate: batch mode must beat row mode by at least this factor on the
-#: scan-heavy queries.  The acceptance target for the full scan is 8x
-#: under the columnar page layout; the gate is set lower so a loaded CI
-#: runner does not flake.
-MIN_SPEEDUP = 2.0
-
-#: Per-query speedup floors.  ``full_scan`` rides the columnar fast path
-#: end to end (zero-copy column vectors into the aggregate) and measures
-#: ~20x, so its floor is 6x: dropping below that means late
-#: materialization broke, not that the runner was busy.  The paper query
-#: used to be exempt (its correlated subquery fell back to a per-row
-#: loop); now that the planner decorrelates it into a grouped LEFT join
-#: it rides the vectorized path and gets its own floor.
+#: CI gate: per-query floors on the batch-over-row speedup, set below the
+#: measured ratios so a loaded CI runner does not flake.  ``full_scan``
+#: rides the columnar fast path end to end (zero-copy column vectors into
+#: the aggregate) and measures ~20x, so its floor is 6x: dropping below
+#: that means late materialization broke, not that the runner was busy.
+#: The paper query rides the vectorized path since the planner
+#: decorrelates it into a grouped LEFT join, and has its own floor.
 GATES = {
     "full_scan": 6.0,
     "join_aggregate": 3.0,
     "paper_query": 2.0,
 }
+
+#: A selective (~10 %) filter over the big table.  Ungated: it records the
+#: per-value ``compare_values`` kernel under ``Filter`` -- the largest
+#: piece of a cluster node's step loop once checkpoints stopped copying
+#: -- as the baseline for whoever vectorizes it.
+SELECTIVE_FILTER = "select partkey, quantity from lineitem where quantity > 45"
+
+#: The checkpoint bench's query: every row of the big table is output.
+HIGH_OUTPUT_SCAN = "select * from lineitem"
+
+#: ``ShardedCluster``'s default checkpoint cadence, in U's.
+CLUSTER_CHECKPOINT_INTERVAL = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +97,12 @@ def _run_mode(db, sql: str, mode: str):
 
 
 def test_throughput_row_vs_batch(dataset):
-    """Vectorization gate: batch >= 2x row, same rows, same work."""
+    """Vectorization gate: batch beats row by GATES, same rows and work."""
     db = dataset.db
     queries = {
         "full_scan": "SELECT count(*), sum(quantity) FROM lineitem",
         "join_aggregate": join_query(1),
-        "scan_filter": scan_query(1),
+        "selective_filter": SELECTIVE_FILTER,
         "paper_query": paper_query(1),
     }
     payload = {}
@@ -115,7 +126,7 @@ def test_throughput_row_vs_batch(dataset):
             "gated": name in GATES,
             "decorrelated": "#dc" in db.explain(sql),
         }
-    payload["min_speedup_gate"] = MIN_SPEEDUP
+    payload["speedup_gates"] = GATES
     merge_bench_json(BENCH_JSON, "engine_throughput", payload)
     for name, floor in GATES.items():
         assert payload[name]["speedup"] >= floor, (
@@ -194,15 +205,61 @@ def test_throughput_steppable_execution(benchmark, dataset):
     assert ex.work_done > 0
 
 
-def test_throughput_checkpointed_execution(benchmark, dataset):
-    """Cadence checkpointing must stay cheap (acceptance: within ~10%
-    of the uncheckpointed stepped run -- compare with the bench above)."""
-    def stepped():
-        ex = dataset.db.prepare(paper_query(1), checkpoint_interval=25.0)
-        while not ex.finished:
-            ex.step(10.0)
-        return ex
+def _stepped_scan(db, checkpoint_interval):
+    """Run the high-output scan to completion in 10 U steps."""
+    ex = db.prepare(HIGH_OUTPUT_SCAN, checkpoint_interval=checkpoint_interval)
+    while not ex.finished:
+        ex.step(10.0)
+    return ex
 
-    ex = benchmark(stepped)
-    assert ex.work_done > 0
-    assert ex.checkpoints_taken > 0
+
+def _checkpoint_counts(db) -> dict:
+    """Checkpoints, rows and row references stored, from the counters."""
+    with observed() as obs:
+        ex = _stepped_scan(db, CLUSTER_CHECKPOINT_INTERVAL)
+    return {
+        "checkpoints_taken": ex.checkpoints_taken,
+        "rows_emitted": len(ex.rows),
+        "rows_copied": int(
+            obs.metrics.counter_value("executor.checkpoint.rows_copied")
+        ),
+        "rows_at_last_checkpoint": ex.last_checkpoint.rows_emitted,
+    }
+
+
+def test_throughput_checkpointed_execution(benchmark, dataset):
+    """Times the high-output scan with a checkpoint every 2 U; compare
+    with ``test_checkpoint_cost_series``'s unchecked run of the same scan.
+    Asserted here: the checkpoints were taken and cover the output."""
+    ex = benchmark(_stepped_scan, dataset.db, CLUSTER_CHECKPOINT_INTERVAL)
+    assert len(ex.rows) == 12_000
+    assert ex.checkpoints_taken >= 100
+    assert ex.last_checkpoint.rows_emitted > 0.9 * len(ex.rows)
+
+
+def test_checkpoint_cost_series(dataset):
+    """Checkpoint gate: a cadence checkpoint costs the rows emitted since
+    the previous one.  Counts are gated and repeat exactly; host time is
+    recorded, not asserted (a copy per checkpoint shows as a checkpointed
+    run several times slower than the unchecked one)."""
+    db = dataset.db
+    counts = _checkpoint_counts(db)
+    assert counts == _checkpoint_counts(db), "counts must repeat exactly"
+    t_plain = _best_of(lambda: _stepped_scan(db, None), rounds=3)
+    t_checkpointed = _best_of(
+        lambda: _stepped_scan(db, CLUSTER_CHECKPOINT_INTERVAL), rounds=3
+    )
+    merge_bench_json(BENCH_JSON, "checkpoint", {
+        "sql": HIGH_OUTPUT_SCAN,
+        "checkpoint_interval": CLUSTER_CHECKPOINT_INTERVAL,
+        **counts,
+        "plain_ms": round(t_plain * 1000, 4),
+        "checkpointed_ms": round(t_checkpointed * 1000, 4),
+        "checkpointed_over_plain": round(t_checkpointed / t_plain, 3),
+    })
+    assert counts["checkpoints_taken"] >= 100
+    assert (
+        counts["rows_copied"]
+        == counts["rows_at_last_checkpoint"]
+        <= counts["rows_emitted"]
+    ), f"checkpoints copy their history; see {BENCH_JSON.name}"

@@ -28,7 +28,7 @@ global estimate is *always finite*:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class ShardEstimate(NamedTuple):
@@ -74,6 +74,35 @@ class GlobalQueryEstimate(NamedTuple):
         if not shards:
             return None
         return max(shards, key=lambda s: (shards[s].remaining_seconds, -s))
+
+
+def _roll_up(
+    queries: Iterable[tuple[str, dict[int, ShardEstimate]]], now: float
+) -> dict[str, GlobalQueryEstimate]:
+    """The one roll-up sweep: stored contributions -> global estimates.
+
+    Per query: copy the stored dict, take the max, and re-stamp
+    ``staleness`` on degraded contributions only.  Everything a refresh
+    of all queries runs per query is in this loop body -- no call, no
+    ``try`` -- because the body runs once per query per epoch.
+    """
+    out = {}
+    for query_id, stored in queries:
+        contributions = stored.copy()
+        remaining = 0.0
+        for c in contributions.values():
+            if c.remaining_seconds > remaining:
+                remaining = c.remaining_seconds
+            if c.degraded:
+                # Replacing the value of an existing key is safe mid-sweep.
+                contributions[c.shard] = ShardEstimate(
+                    c.shard, c.remaining_seconds, c.refreshed_at, True,
+                    max(now - c.refreshed_at, 0.0),
+                )
+        out[query_id] = GlobalQueryEstimate(
+            query_id, remaining, contributions, now
+        )
+    return out
 
 
 class GlobalProgressAggregator:
@@ -175,22 +204,11 @@ class GlobalProgressAggregator:
         Always finite: every contribution is either a fresh measurement
         or a carried-back finite value with its staleness exposed.
         """
-        contributions = dict(self._shards(query_id))
-        remaining = 0.0
-        for c in contributions.values():
-            if c.remaining_seconds > remaining:
-                remaining = c.remaining_seconds
-            if c.degraded:
-                # Replacing the value of an existing key is safe mid-sweep.
-                contributions[c.shard] = ShardEstimate(
-                    c.shard, c.remaining_seconds, c.refreshed_at, True,
-                    max(now - c.refreshed_at, 0.0),
-                )
-        return GlobalQueryEstimate(query_id, remaining, contributions, now)
+        return _roll_up(((query_id, self._shards(query_id)),), now)[query_id]
 
     def estimates(self, now: float) -> dict[str, GlobalQueryEstimate]:
         """Global estimates for every registered query."""
-        return {qid: self.estimate(qid, now) for qid in self._queries}
+        return _roll_up(self._queries.items(), now)
 
     def degraded_count(self) -> int:
         """Number of live (query, shard) contributions carried back.

@@ -13,7 +13,10 @@ Executions can also be made **work-preserving**: with a
 many U's of work (an :class:`ExecutionCheckpoint`), and a fresh execution
 of the same SQL can be :meth:`restored <QueryExecution.restore>` from such
 a snapshot -- it re-emits nothing, re-charges nothing, and its work counter
-is pre-credited with the preserved work.  A
+is pre-credited with the preserved work.  A checkpoint costs the rows
+emitted *since the previous one*: the execution appends its output to a
+private append-only row log, and a checkpoint is a length into that log,
+not a copy of it.  A
 :class:`~repro.engine.cancel.CancellationToken` threaded through the
 account aborts the pull loop promptly (checked on every charge and on
 every ``step``).
@@ -47,22 +50,41 @@ class ExecutionCheckpoint:
     simulated backend) that produced it is gone.  ``plan_state`` is the
     operator tree's recursive state as produced by
     :meth:`~repro.engine.operators.base.Operator.checkpoint`.
+
+    The output rows are not copied into the checkpoint: it holds the
+    producing execution's append-only row log and the length of its own
+    prefix, so every checkpoint of one execution shares one flat list and
+    taking one costs nothing per row already emitted.  The log only ever
+    grows past ``rows_emitted``; nothing rewrites the prefix.
     """
 
     sql: str
     work_done: float
-    rows: tuple[tuple, ...]
     plan_state: PlanState = field(repr=False)
     #: Charged-but-unpaid work at snapshot time.  Batch mode charges in
     #: spikes and repays from later budgets; preserving the debt keeps a
     #: restored run time-conserving (it still owes the scheduler what the
     #: crashed attempt had banked).
-    debt: float = 0.0
+    debt: float
+    #: Output rows already produced at checkpoint time.
+    rows_emitted: int
+    _log: list[tuple] = field(repr=False, compare=False)
 
     @property
-    def rows_emitted(self) -> int:
-        """Output rows already produced at checkpoint time."""
-        return len(self.rows)
+    def rows(self) -> tuple[tuple, ...]:
+        """The rows produced before the checkpoint, materialised on demand."""
+        return tuple(self._log[: self.rows_emitted])
+
+    def __eq__(self, other: object) -> bool:
+        # Two checkpoints are equal when their *prefixes* are, whatever
+        # the logs they share have grown to since.
+        if not isinstance(other, ExecutionCheckpoint):
+            return NotImplemented
+        return (
+            self.sql, self.work_done, self.plan_state, self.debt, self.rows
+        ) == (
+            other.sql, other.work_done, other.plan_state, other.debt, other.rows
+        )
 
 
 class QueryExecution:
@@ -98,10 +120,19 @@ class QueryExecution:
             outstanding_debt=lambda: self._debt,
         )
         self.rows: list[tuple] = []
+        #: Append-only log of every row emitted, shared with this
+        #: execution's checkpoints (each is a length into it).  Kept apart
+        #: from :attr:`rows`, which callers own and may reorder or clear.
+        self._log: list[tuple] = []
         #: Most recent checkpoint taken (by cadence or explicitly).
         self.last_checkpoint: Optional[ExecutionCheckpoint] = None
         #: The checkpoint this execution was restored from, if any.
         self.restored_from: Optional[ExecutionCheckpoint] = None
+        #: The restored plan state until the first pull consumes it: the
+        #: operators are primed, not yet resumed, so a checkpoint taken in
+        #: between (debt repayment comes first) must hand this on rather
+        #: than read their still-fresh run-time state.
+        self._primed_plan_state: Optional[PlanState] = None
         #: Number of checkpoints successfully taken.
         self.checkpoints_taken = 0
         self._iterator: Optional[Iterator[tuple]] = None
@@ -164,15 +195,19 @@ class QueryExecution:
         """
         if self._finished:
             return None
-        plan_state = self.root.checkpoint()
+        plan_state = self._primed_plan_state
+        if plan_state is None:
+            plan_state = self.root.checkpoint()
         if plan_state is None:
             return None
+        previous = self.last_checkpoint
         ckpt = ExecutionCheckpoint(
             sql=self.sql,
             work_done=self.account.total,
-            rows=tuple(self.rows),
             plan_state=plan_state,
             debt=self._debt,
+            rows_emitted=len(self._log),
+            _log=self._log,
         )
         self.last_checkpoint = ckpt
         self.checkpoints_taken += 1
@@ -180,11 +215,20 @@ class QueryExecution:
             self.paid_work + (self.checkpoint_interval or math.inf)
         )
         if self._obs is not None:
-            # Engine executions have no simulation clock: virtual_time=None.
+            # Rows the log gained since the previous checkpoint (or the
+            # one restored from): all a checkpoint adds to what is stored.
+            rows_new = ckpt.rows_emitted - (
+                previous.rows_emitted if previous is not None else 0
+            )
             self._obs.metrics.counter("executor.checkpoints").inc()
+            self._obs.metrics.counter("executor.checkpoint.rows_copied").inc(
+                rows_new
+            )
+            # Engine executions have no simulation clock: virtual_time=None.
             self._obs.tracer.emit(
                 "executor.checkpoint", None,
                 work_done=ckpt.work_done, rows=ckpt.rows_emitted,
+                rows_new=rows_new,
             )
         return ckpt
 
@@ -194,7 +238,10 @@ class QueryExecution:
         The execution must not have run yet: restore primes the operator
         tree, replays the already-produced rows into :attr:`rows`, and
         credits the account with the preserved work so conservation holds
-        (``work_done`` continues from the checkpoint, not from zero).
+        (``work_done`` continues from the checkpoint, not from zero).  The
+        checkpoint's prefix seeds this execution's *own* row log: the
+        attempt that took the checkpoint may still be appending to its
+        log, and must never write into its successor's.
         """
         if self._iterator is not None or self._finished or self.rows:
             raise ExecutionError("restore() requires a fresh execution")
@@ -204,9 +251,11 @@ class QueryExecution:
                 f"({ckpt.sql!r} != {self.sql!r})"
             )
         self.root.restore(ckpt.plan_state)
+        self._primed_plan_state = ckpt.plan_state
         self.account.credit(ckpt.work_done)
         self._debt = ckpt.debt
-        self.rows = list(ckpt.rows)
+        self._log = ckpt._log[: ckpt.rows_emitted]
+        self.rows = self._log.copy()
         self.restored_from = ckpt
         self.last_checkpoint = ckpt
         self.progress.note_restore(ckpt.work_done)
@@ -276,7 +325,8 @@ class QueryExecution:
             return budget
 
         debt_start = self._debt
-        effective = budget - debt_start
+        effective = budget - debt_start  # > 0: at least one pull follows
+        self._primed_plan_state = None
         start = self.account.total
         consumed_at_finish: Optional[float] = None
         # Inside the loop, none of this step's budget counts as paid yet:
@@ -296,7 +346,10 @@ class QueryExecution:
                 # Columnar chunks materialize to row tuples exactly here --
                 # the query output is the last pipeline breaker.
                 tuples = getattr(batch, "tuples", None)
-                self.rows.extend(tuples() if tuples is not None else batch)
+                if tuples is not None:
+                    batch = tuples()
+                self.rows.extend(batch)
+                self._log.extend(batch)
                 self._debt = debt_start + (self.account.total - start)
                 self._maybe_checkpoint()
         else:
@@ -308,6 +361,7 @@ class QueryExecution:
                     consumed_at_finish = self.account.total - start
                     break
                 self.rows.append(row)
+                self._log.append(row)
                 self._debt = debt_start + (self.account.total - start)
                 self._maybe_checkpoint()
 

@@ -218,9 +218,11 @@ class HashAggregate(Operator):
     def checkpoint(self) -> dict | None:
         if self._phase == "emit":
             # Child fully consumed: the result rows and cursor suffice.
+            # ``_pending`` is never mutated once built (a re-run rebinds
+            # it), so every emit-phase checkpoint shares it; restore copies.
             return {
                 "phase": "emit",
-                "pending": list(self._pending),
+                "pending": self._pending,
                 "emitted": self._emitted,
             }
         child_state = self.child.checkpoint()

@@ -161,9 +161,12 @@ class HashJoin(Operator):
             probe_state = self.probe_side.checkpoint()
             if probe_state is None:
                 return None
+            # The build table is frozen once the probe phase starts (only
+            # the build loop inserts; a re-run rebinds it), so probe-phase
+            # checkpoints share it and a probe-phase restore reads it.
             return {
                 "phase": "probe",
-                "table": self._table_copy(),
+                "table": self._table,
                 "count": self._build_count,
                 "degraded": self._degraded,
                 "probe": probe_state,

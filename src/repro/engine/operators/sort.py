@@ -100,9 +100,11 @@ class Sort(Operator):
     def checkpoint(self) -> dict | None:
         if self._phase == "emit":
             # Child fully consumed: the sorted output and cursor suffice.
+            # ``_sorted`` is never mutated once built (a re-run rebinds
+            # it), so every emit-phase checkpoint shares it; restore copies.
             return {
                 "phase": "emit",
-                "sorted": list(self._sorted),
+                "sorted": self._sorted,
                 "emitted": self._emitted,
             }
         child_state = self.child.checkpoint()

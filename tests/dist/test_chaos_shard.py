@@ -12,6 +12,8 @@ import math
 
 import pytest
 
+from repro.engine.executor import QueryExecution
+from repro.engine.operators.base import Operator
 from repro.dist import (
     ClusterFaultInjector,
     ShardedCluster,
@@ -149,3 +151,95 @@ class TestSeededPartitionChaos:
         single = generate(SMALL, part_sizes=PART_SIZES).db
         assert cluster.query("Q").finished
         assert cluster.result_rows("Q") == single.query(QUERIES["scan"])
+
+
+class TestTwoHopFailoverOnALongScan:
+    """A high-output scan crashes twice; checkpoints stay their prefix.
+
+    At the cluster's default cadence (2 U) a 6 000-row-per-shard scan takes
+    dozens of checkpoints per attempt.  The primary dies after three, the
+    replica that resumed dies after checkpointing again, and a third node
+    finishes from the second attempt's checkpoint.
+    """
+
+    CONFIG = TpcrConfig(scale=1 / 1000, seed=0)
+    SQL = "SELECT * FROM lineitem"
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cluster = ShardedCluster(
+            n_shards=4, replication=3, processing_rate=10.0,
+            checkpoint_interval=2.0,
+        )
+        load_tpcr(cluster, config=self.CONFIG, part_sizes=PART_SIZES)
+        dq = cluster.submit("Q", self.SQL)
+        sub = next(s for s in dq.subqueries.values() if s.shard == 0)
+        dead = []  # (execution, its last checkpoint when the node died)
+        t = 0.0
+        while not dq.terminal:
+            t += 0.5
+            assert t < 2000.0, "cluster failed to quiesce"
+            cluster.run_until(t)
+            ex = sub.execution
+            wanted = 3 if not dead else 1  # the replica: "checkpointed again"
+            if (
+                len(dead) < 2 and sub.status == "running"
+                and all(ex is not d for d, _ in dead)
+                and ex.checkpoints_taken >= wanted
+            ):
+                ClusterFaultInjector(cluster, FaultPlan.of(
+                    NodeCrash(sub.node_id, at=cluster.clock + 0.01)
+                )).arm()
+                cluster.run_until(cluster.clock + 0.02)
+                dead.append((ex, ex.last_checkpoint))
+        return cluster, sub, dead
+
+    def test_scan_is_long_and_both_hops_happened(self, run):
+        cluster, sub, dead = run
+        assert len(dead) == 2 and sub.attempts == 3
+        assert all(len(s.rows) >= 5000
+                   for s in cluster.query("Q").subqueries.values())
+
+    def test_result_byte_identical_to_single_node(self, run):
+        cluster, _, _ = run
+        single = generate(self.CONFIG, part_sizes=PART_SIZES).db
+        assert cluster.query("Q").finished, cluster.query("Q").error
+        assert cluster.result_rows("Q") == single.query(self.SQL)
+
+    def test_work_preserved_on_both_hops(self, run):
+        _, sub, dead = run
+        (_, first_ckpt), (second, second_ckpt) = dead
+        # Each successor resumed from its predecessor's last checkpoint.
+        assert second.restored_from is first_ckpt
+        assert sub.execution.restored_from is second_ckpt
+        assert 0 < first_ckpt.work_done < second_ckpt.work_done
+        assert 0 < first_ckpt.rows_emitted < second_ckpt.rows_emitted
+        # ...and each checkpoint still is the prefix it was taken at, after
+        # its own attempt and both successors appended past it.
+        final = tuple(sub.execution.rows)
+        for ckpt in (first_ckpt, second_ckpt):
+            assert ckpt.rows == final[: ckpt.rows_emitted]
+
+    def test_survivor_holds_row_data_not_dead_executions(self, run):
+        """What the survivor's checkpoints keep of the dead attempts is
+        their row log -- plain tuples -- never an execution or operator."""
+        _, sub, dead = run
+        survivor = sub.execution
+        stack = [survivor.restored_from, survivor.last_checkpoint]
+        seen = set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (str, int, float, type(None))):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (QueryExecution, Operator))
+            if isinstance(obj, dict):
+                stack.extend(obj.keys())
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                stack.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+        # One hop deep, not a chain: the survivor does not reach the first
+        # attempt's checkpoint through the second's.
+        assert id(dead[0][1]) not in seen

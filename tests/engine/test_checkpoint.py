@@ -6,15 +6,21 @@ restored from it produces exactly the rows the original would have -- at
 the cost of only the work done since the checkpoint.
 """
 
+import copy
+import json
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Database, ExecutionCheckpoint
 from repro.engine.errors import ExecutionError
+from repro.obs.runtime import observed
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def db():
     d = Database(page_capacity=10)
     rng = random.Random(3)
@@ -54,6 +60,22 @@ SHAPES = {
         "(SELECT sum(l.w) / count(*) FROM lookup l WHERE l.k = b.k % 80)"
     ),
 }
+
+
+def _operator_phase(plan_state):
+    """Phase of the one phase-bearing operator in a recursive plan state.
+
+    Operator states nest as plain dicts; Sort, HashAggregate and HashJoin
+    tag theirs with ``"phase"``.
+    """
+    stack = [plan_state]
+    while stack:
+        state = stack.pop()
+        if isinstance(state, dict):
+            if "phase" in state:
+                return state["phase"]
+            stack.extend(state.values())
+    return None
 
 
 def run_until(ex, target_work, budget=1.0):
@@ -119,6 +141,48 @@ class TestResumeEquivalence:
             resumed.run_to_completion()
             assert resumed.rows == reference.rows
 
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("shape, phases", [
+        ("sort", ("idle", "emit")),
+        ("hash_agg", ("idle", "emit")),
+        ("hash_join", ("idle", "probe")),
+    ])
+    def test_frozen_operator_state_is_shared_safely(
+        self, db, shape, phases, mode
+    ):
+        """Per operator and phase: checkpoint, let the original finish,
+        then restore the same checkpoint twice.  (A blocking build runs
+        inside one root pull, so between pulls an operator is either
+        untouched or past its phase flip.)
+
+        Post-flip checkpoints share the operator's frozen structure
+        (sorted output, result rows, build table) instead of copying it,
+        so the original running on -- and a first restored run -- must
+        leave the snapshot exactly as taken.
+        """
+        sql = SHAPES[shape]
+        reference = db.prepare(sql, execution_mode=mode, batch_size=7)
+        reference.run_to_completion()
+
+        ex = db.prepare(sql, execution_mode=mode, batch_size=7)
+        by_phase = {}
+        while not ex.finished:
+            ckpt = ex.checkpoint()
+            assert ckpt is not None
+            phase = _operator_phase(ckpt.plan_state)
+            by_phase.setdefault(phase, ckpt)
+            ex.step(0.5)
+        assert ex.rows == reference.rows
+        assert set(phases) <= set(by_phase), sorted(by_phase, key=str)
+
+        for phase in phases:
+            for _ in range(2):
+                resumed = db.prepare(sql, execution_mode=mode, batch_size=7)
+                resumed.restore(by_phase[phase])
+                resumed.run_to_completion()
+                assert resumed.rows == reference.rows, phase
+                assert resumed.work_done == pytest.approx(reference.work_done)
+
     def test_checkpoint_carries_emitted_rows(self, db):
         sql = SHAPES["seq_scan"]
         ex = db.prepare(sql)
@@ -127,6 +191,184 @@ class TestResumeEquivalence:
         assert ckpt.rows_emitted == len(ex.rows)
         assert list(ckpt.rows) == ex.rows
         assert ckpt.work_done == ex.work_done
+
+
+#: (execution_mode, batch_size): row mode plus batch widths 1 / 7 / 1024.
+MODES = [("row", None), ("batch", 1), ("batch", 7), ("batch", 1024)]
+
+
+def row_references_held(checkpoints):
+    """Row references the checkpoints keep alive, each container once."""
+    containers = {}
+    for ckpt in checkpoints:
+        for value in vars(ckpt).values():
+            if isinstance(value, (list, tuple)):
+                containers[id(value)] = len(value)
+    return sum(containers.values())
+
+
+class TestRowLog:
+    """Checkpoints share the execution's append-only row log.
+
+    A checkpoint is a length into the log, so it must stay exactly the
+    prefix it was taken at whatever happens afterwards: the original
+    running on, the caller reordering or clearing ``ex.rows``, a restored
+    successor running beside a still-appending predecessor.
+    """
+
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        mode=st.sampled_from(MODES),
+        interval=st.sampled_from([None, 0.5, 2.0, 7.0]),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.05, max_value=6.0),
+                st.booleans(),  # explicit checkpoint() after the step
+                st.sampled_from([None, None, None, "sort", "clear", "append"]),
+            ),
+            min_size=1, max_size=25,
+        ),
+        pick=st.integers(min_value=0),
+        hop_budget=st.floats(min_value=0.05, max_value=20.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_checkpoints_stay_their_prefix(
+        self, db, shape, mode, interval, steps, pick, hop_budget
+    ):
+        sql = SHAPES[shape]
+        execution_mode, width = mode
+
+        def prepare(checkpoint_interval=None):
+            return db.prepare(
+                sql, checkpoint_interval=checkpoint_interval,
+                execution_mode=execution_mode, batch_size=width,
+            )
+
+        reference = prepare()
+        reference_rows = list(reference.run_to_completion())
+
+        with observed() as obs:
+            ex = prepare(interval)
+        retained = []
+        for budget, explicit, mutation in steps:
+            if ex.finished:
+                break
+            ex.step(budget)
+            last = ex.last_checkpoint
+            if last is not None and not (retained and retained[-1] is last):
+                retained.append(last)
+            if explicit:
+                ckpt = ex.checkpoint()
+                if ckpt is not None:
+                    retained.append(ckpt)
+            # The caller owns ex.rows; nothing it does there may reach
+            # the log -- not for retained checkpoints, not for later ones.
+            if mutation == "sort":
+                ex.rows.sort(key=repr, reverse=True)
+            elif mutation == "clear":
+                ex.rows.clear()
+            elif mutation == "append":
+                ex.rows.append(("not", "a", "row"))
+        if not retained:
+            return
+
+        # Hop 1 starts while the original is still alive and appending.
+        first = retained[pick % len(retained)]
+        hop1 = prepare(interval)
+        hop1.restore(first)
+        ex.run_to_completion()
+        ex.rows.clear()
+
+        def assert_prefix(ckpt):
+            assert ckpt.rows == tuple(reference_rows[: ckpt.rows_emitted])
+
+        for ckpt in retained:
+            assert_prefix(ckpt)
+
+        # Count gates: the checkpoints of one execution hold each emitted
+        # row reference at most once, and report exactly that.
+        assert row_references_held(retained) <= len(reference_rows)
+        copied = obs.metrics.counter_value("executor.checkpoint.rows_copied")
+        assert copied == ex.last_checkpoint.rows_emitted <= len(reference_rows)
+
+        # Two-hop chain: restore -> run -> checkpoint -> restore -> finish.
+        hop1.step(hop_budget)
+        second = hop1.checkpoint()
+        if second is None:
+            assert hop1.finished
+            final = hop1
+        else:
+            final = prepare()
+            final.restore(second)
+            hop1.run_to_completion()  # the dead attempt keeps appending
+            assert_prefix(second)
+            final.run_to_completion()
+        assert_prefix(first)
+        assert final.rows == reference_rows
+        assert final.work_done == pytest.approx(reference.work_done)
+
+    def test_checkpoint_is_flat_plain_data(self):
+        """Thousands of cadence checkpoints add no depth: the last one
+        compares, prints, deep-copies and pickles like the first."""
+        big = Database(page_capacity=4)
+        big.execute("CREATE TABLE t (k INT)")
+        big.insert_rows("t", [(i,) for i in range(12_000)])
+        ex = big.prepare("SELECT k FROM t", checkpoint_interval=1.0)
+        ex.step(50.0)
+        early = ex.last_checkpoint
+        while ex.checkpoints_taken < 2_500:
+            ex.step(50.0)
+        ckpt = ex.last_checkpoint
+        rows_then = ckpt.rows
+        ex.run_to_completion()
+
+        assert len(repr(ckpt)) < 200
+        for clone in (copy.deepcopy(ckpt), pickle.loads(pickle.dumps(ckpt))):
+            assert clone == ckpt
+            assert clone.rows == rows_then == ckpt.rows
+        assert early != ckpt and early.rows == ckpt.rows[: early.rows_emitted]
+        resumed = big.prepare("SELECT k FROM t")
+        resumed.restore(pickle.loads(pickle.dumps(ckpt)))
+        assert resumed.run_to_completion() == ex.rows
+
+    def test_checkpoint_events_report_the_delta(self, db, tmp_path):
+        """``rows_new`` sums to the counter and to the rows covered -- across
+        a restore too -- and the trace passes the schema check."""
+        from repro.obs.tracer import validate_trace_file
+
+        path = tmp_path / "trace.jsonl"
+        with observed(trace_path=path) as obs:
+            ex = db.prepare(SHAPES["seq_scan"], checkpoint_interval=2.0)
+            run_until(ex, 15.0)
+            resumed = db.prepare(SHAPES["seq_scan"], checkpoint_interval=2.0)
+            resumed.restore(ex.last_checkpoint)
+            resumed.run_to_completion()
+        assert validate_trace_file(path) > 0
+        events = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        taken = [e for e in events if e["event"] == "executor.checkpoint"]
+        assert len(taken) == ex.checkpoints_taken + resumed.checkpoints_taken
+        assert all(0 <= e["rows_new"] <= e["rows"] for e in taken)
+        # The two attempts cover every row up to the last checkpoint once.
+        assert (
+            sum(e["rows_new"] for e in taken)
+            == obs.metrics.counter_value("executor.checkpoint.rows_copied")
+            == resumed.last_checkpoint.rows_emitted
+        )
+
+    def test_log_is_not_reachable_through_public_names(self, db):
+        ex = db.prepare(SHAPES["seq_scan"], checkpoint_interval=2.0)
+        run_until(ex, 10.0)
+        ckpt = ex.last_checkpoint
+        public = [
+            getattr(obj, name)
+            for obj in (ex, ckpt)
+            for name in dir(obj)
+            if not name.startswith("_")
+        ]
+        assert not any(value is ckpt._log for value in public)
+        assert isinstance(ckpt.rows, tuple)  # a fresh, immutable prefix
 
 
 class TestCadence:
