@@ -18,12 +18,14 @@ bench-smoke:
 	timeout 300 pytest benchmarks -q -k "fig1_ or engine_throughput" --benchmark-only
 
 # Row-vs-batch engine throughput gate: times both execution modes,
-# asserts batch >= 2x row on the gated queries (including the paper's
-# correlated-subquery query, which the planner now decorrelates into a
-# grouped LEFT join) with identical rows and work totals, checks the
-# decorrelation pass actually fired on the paper query (plan shape, not
-# just timing), and writes BENCH_engine.json.  Runs without
-# --benchmark-only so the gate tests (plain assertions) execute.
+# asserts the per-query batch-over-row floors (full scan 6x, join
+# aggregate 3x, the paper's correlated-subquery query -- decorrelated
+# into a grouped LEFT join -- 4x, and the grouping-kernel series: a
+# clustered GROUP BY 4.5x, a scattered one 2x) with identical rows and
+# work totals, checks the decorrelation pass actually fired on the paper
+# query (plan shape, not just timing), and writes BENCH_engine.json.
+# Runs without --benchmark-only so the gate tests (plain assertions)
+# execute.
 bench-engine:
 	timeout 300 pytest benchmarks/test_bench_engine_throughput.py -q
 

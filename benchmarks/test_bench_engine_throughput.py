@@ -13,11 +13,19 @@ byte-identical rows and identical charged-work totals, and persists the
 measured numbers to ``BENCH_engine.json`` (atomically, one section per
 bench module -- same scheme as ``BENCH_scale.json``).
 
+``test_throughput_grouped_kernel`` is the grouping-kernel gate: a
+``GROUP BY`` over a 120 k-row table whose key arrives clustered (``lineitem``
+by ``partkey``) and one whose low-cardinality key arrives scattered, with
+the same checks and its own floors.  It runs with and without numpy
+(``-k grouped``).
+
 ``test_checkpoint_cost_series`` is the checkpoint gate: a high-output scan
 at the cluster's default cadence (one checkpoint per 2 U) must store, over
 all its checkpoints, no more row references than the rows it emitted.
 """
 
+import json
+import random
 import time
 from pathlib import Path
 
@@ -36,11 +44,30 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 #: the aggregate) and measures ~20x, so its floor is 6x: dropping below
 #: that means late materialization broke, not that the runner was busy.
 #: The paper query rides the vectorized path since the planner
-#: decorrelates it into a grouped LEFT join, and has its own floor.
+#: decorrelates it into a grouped LEFT join, whose aggregate folds runs of
+#: equal ``partkey`` (~7x; 3.4x when it bucketed every row).
 GATES = {
     "full_scan": 6.0,
     "join_aggregate": 3.0,
-    "paper_query": 2.0,
+    "paper_query": 4.0,
+}
+
+#: Floors of the grouping-kernel series.  A clustered key folds run by run
+#: (~6.5x over row mode; 3.2x when every row was bucketed); a scattered
+#: one is bucketed, as it always was (~3x), and must stay so.
+GROUPED_GATES = {
+    "grouped_clustered": 4.5,
+    "grouped_unclustered": 2.0,
+}
+
+GROUPED_QUERIES = {
+    "grouped_clustered": (
+        "select partkey, sum(extendedprice), sum(quantity), count(*) "
+        "from lineitem group by partkey"
+    ),
+    "grouped_unclustered": (
+        "select k, sum(v), count(*) from scatter group by k"
+    ),
 }
 
 #: A selective (~10 %) filter over the big table.  Ungated: it records the
@@ -59,6 +86,34 @@ CLUSTER_CHECKPOINT_INTERVAL = 2.0
 @pytest.fixture(scope="module")
 def dataset():
     return generate(TpcrConfig(scale=1 / 2000, seed=1), part_sizes={1: 5})
+
+
+@pytest.fixture(scope="module")
+def grouped_db():
+    """120 k ``lineitem`` rows, stored in ``partkey`` order, beside a
+    120 k-row ``scatter`` table whose key takes 7 values in random order."""
+    db = generate(TpcrConfig(scale=1 / 200, seed=1), part_sizes={}).db
+    rng = random.Random(7)
+    db.execute("CREATE TABLE scatter (k INT, v FLOAT)")
+    db.insert_rows(
+        "scatter",
+        [(rng.randrange(7), rng.uniform(1.0, 50.0)) for _ in range(120_000)],
+    )
+    return db
+
+
+def _update_throughput(entries: dict, gates: dict) -> None:
+    """Merge *entries* and their *gates* into the ``engine_throughput``
+    section, keeping what the other throughput test recorded there."""
+    try:
+        section = json.loads(BENCH_JSON.read_text())["engine_throughput"]
+    except (OSError, ValueError, KeyError, TypeError):
+        section = {}
+    if not isinstance(section, dict):
+        section = {}
+    section.update(entries)
+    section["speedup_gates"] = dict(section.get("speedup_gates", {}), **gates)
+    merge_bench_json(BENCH_JSON, "engine_throughput", section)
 
 
 def test_throughput_paper_query(benchmark, dataset):
@@ -96,26 +151,21 @@ def _run_mode(db, sql: str, mode: str):
     return rows, ex.work_done
 
 
-def test_throughput_row_vs_batch(dataset):
-    """Vectorization gate: batch beats row by GATES, same rows and work."""
-    db = dataset.db
-    queries = {
-        "full_scan": "SELECT count(*), sum(quantity) FROM lineitem",
-        "join_aggregate": join_query(1),
-        "selective_filter": SELECTIVE_FILTER,
-        "paper_query": paper_query(1),
-    }
+def _row_vs_batch(db, queries: dict, gates: dict, rounds: dict) -> dict:
+    """Time each query in both modes (same rows and work required), record
+    the entries in ``engine_throughput`` and assert the floors in *gates*."""
     payload = {}
     for name, sql in queries.items():
         batch_rows, batch_work = _run_mode(db, sql, "batch")
         row_rows, row_work = _run_mode(db, sql, "row")
         assert batch_rows == row_rows, f"{name}: modes disagree on rows"
         assert batch_work == row_work, f"{name}: modes disagree on work"
-        rounds = 5 if name == "paper_query" else 10
         t_batch = _best_of(
-            lambda: db.query(sql, execution_mode="batch"), rounds
+            lambda: db.query(sql, execution_mode="batch"), rounds.get(name, 10)
         )
-        t_row = _best_of(lambda: db.query(sql, execution_mode="row"), rounds)
+        t_row = _best_of(
+            lambda: db.query(sql, execution_mode="row"), rounds.get(name, 10)
+        )
         payload[name] = {
             "sql": sql,
             "row_ms": round(t_row * 1000, 4),
@@ -123,16 +173,36 @@ def test_throughput_row_vs_batch(dataset):
             "speedup": round(t_row / t_batch, 3),
             "rows": len(batch_rows),
             "work_units": batch_work,
-            "gated": name in GATES,
+            "gated": name in gates,
             "decorrelated": "#dc" in db.explain(sql),
         }
-    payload["speedup_gates"] = GATES
-    merge_bench_json(BENCH_JSON, "engine_throughput", payload)
-    for name, floor in GATES.items():
+    _update_throughput(payload, gates)
+    for name, floor in gates.items():
         assert payload[name]["speedup"] >= floor, (
             f"{name}: batch only {payload[name]['speedup']}x faster than "
             f"row (gate {floor}x); see {BENCH_JSON.name}"
         )
+    return payload
+
+
+def test_throughput_row_vs_batch(dataset):
+    """Vectorization gate: batch beats row by GATES, same rows and work."""
+    queries = {
+        "full_scan": "SELECT count(*), sum(quantity) FROM lineitem",
+        "join_aggregate": join_query(1),
+        "selective_filter": SELECTIVE_FILTER,
+        "paper_query": paper_query(1),
+    }
+    _row_vs_batch(dataset.db, queries, GATES, rounds={"paper_query": 5})
+
+
+def test_throughput_grouped_kernel(grouped_db):
+    """Grouping-kernel gate: a clustered key folds run by run, a scattered
+    one is bucketed; both keep rows and work identical to row mode."""
+    _row_vs_batch(
+        grouped_db, GROUPED_QUERIES, GROUPED_GATES,
+        rounds=dict.fromkeys(GROUPED_QUERIES, 2),
+    )
 
 
 def test_throughput_scan_rows_per_sec():

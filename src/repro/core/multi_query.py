@@ -161,8 +161,9 @@ class MultiQueryProgressIndicator:
             extra_arrivals=(),
             backend=self._backend,
         )
-        remaining = result.remaining_times
-        waits = {qid: p.queue_wait for qid, p in result.queries.items()}
+        # The projection is this call's own: its dicts are handed on.
+        remaining = result.finish_times
+        waits = result.queue_waits
 
         if not self._consider_queue and snapshot.queued:
             # Queue-blind estimator: pretend each queued query will start

@@ -31,8 +31,10 @@ Two interchangeable *backends* drive the active set:
   known arrivals are used up, the forecast has run out -- the rest *is*
   the standard case, and one sort plus one sweep of the flat kernel
   (:func:`~repro.core.standard_case.solve_stages`) finishes it in place of
-  one treap pop per query.  With an empty queue and no forecast that is
-  the whole projection: no treap is built.  A projection is
+  one treap pop per query.  When that holds from the start -- no
+  forecast, no known arrivals, a queue that fits under the
+  multiprogramming limit -- the projection is that one solve and builds
+  no engine at all.  A projection is
   ``O((n + arrivals) log n)``.
 * ``"reference"`` is the direct event loop matching the paper's
   derivation step for step -- ``O(n)`` per event, every completion popped
@@ -49,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.forecast import WorkloadForecast
@@ -172,8 +175,8 @@ class _IncrementalEngine:
     """Active set as a shared schedule: ``O(log n)`` per event.
 
     Admissions are buffered and enter the treap only when the event loop
-    next asks for a completion time.  A projection whose tail rule (see
-    :meth:`finish_rest`) fires before that never builds a treap at all.
+    next asks for a completion time, so the tail rule (see
+    :meth:`finish_rest`) takes whatever is still buffered as it is.
     """
 
     def __init__(self, processing_rate: float) -> None:
@@ -213,11 +216,9 @@ class _IncrementalEngine:
     def finish_rest(self, clock: float) -> list[tuple[str, bool, float]]:
         """Finish every active job in one kernel sweep starting at *clock*.
 
-        Only valid once nothing can arrive or be admitted any more: from
-        then on the projection *is* the Section 2.2 standard case over
-        the active set, so one sort and one sweep replace one treap pop
-        per query.  Returns ``(query_id, virtual, finish_time)`` in
-        finish order.
+        Only valid once nothing can arrive or be admitted any more (see
+        :func:`_solve_rest`).  Returns ``(query_id, virtual, finish_time)``
+        in finish order.
         """
         active = [
             (q.query_id, q.remaining_cost, q.weight)
@@ -225,16 +226,32 @@ class _IncrementalEngine:
         ] + self._fresh
         if not active:
             return []
-        ids, costs, weights = zip(*active)
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for qid in ids:
-                if qid in seen:
-                    raise ValueError(f"duplicate query id {qid!r}")
-                seen.add(qid)
-        order, times = solve_stages(ids, costs, weights, self._rate, start=clock)
+        order, times = _solve_rest(*zip(*active), self._rate, clock)
         virtual_ids = self._virtual_ids
         return [(qid, qid in virtual_ids, t) for qid, t in zip(order, times)]
+
+
+def _solve_rest(
+    ids: Sequence[str],
+    costs: Sequence[float],
+    weights: Sequence[float],
+    processing_rate: float,
+    clock: float,
+) -> tuple[list[str], list[float]]:
+    """The tail rule: finish an active set that nothing joins any more.
+
+    From the moment nothing can arrive or be admitted, the projection
+    *is* the Section 2.2 standard case over the active set, so one sort
+    and one sweep of the flat kernel replace one event per completion.
+    Returns ``(finish_order, finish_times)``, the times offset by *clock*.
+    """
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for qid in ids:
+            if qid in seen:
+                raise ValueError(f"duplicate query id {qid!r}")
+            seen.add(qid)
+    return solve_stages(ids, costs, weights, processing_rate, start=clock)
 
 
 _ENGINES = {
@@ -258,23 +275,42 @@ class ProjectedQuery:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Output of :func:`project`."""
+    """Output of :func:`project`.
 
-    queries: dict[str, ProjectedQuery]
+    The per-query :class:`ProjectedQuery` records of :attr:`queries` are
+    assembled from :attr:`finish_times` and :attr:`queue_waits` on first
+    access, so a caller that only reads times (a PI refresh) never builds
+    them.
+    """
+
+    #: Predicted time until each real query finishes, seconds from the
+    #: snapshot, in finish order.
+    finish_times: dict[str, float]
+    #: Predicted time each real query waits in the admission queue.
+    queue_waits: dict[str, float]
     #: Time at which the last real query finishes.
     quiescent_time: float
+
+    @cached_property
+    def queries(self) -> dict[str, ProjectedQuery]:
+        """Per-query projection records, in finish order."""
+        waits = self.queue_waits
+        return {
+            qid: ProjectedQuery(qid, t_fin, waits[qid])
+            for qid, t_fin in self.finish_times.items()
+        }
 
     def remaining_time(self, query_id: str) -> float:
         """Predicted remaining execution time of *query_id*, in seconds."""
         try:
-            return self.queries[query_id].finish_time
+            return self.finish_times[query_id]
         except KeyError:
             raise KeyError(f"query {query_id!r} not in projection") from None
 
     @property
     def remaining_times(self) -> dict[str, float]:
-        """Mapping of query id to predicted remaining time, in seconds."""
-        return {qid: p.finish_time for qid, p in self.queries.items()}
+        """A fresh mapping of query id to predicted remaining time, seconds."""
+        return dict(self.finish_times)
 
 
 def _forecast_arrivals(
@@ -378,12 +414,10 @@ def project_validated(
     mpl = multiprogramming_limit
     if backend is None:
         backend = _default_backend
-    try:
-        engine = _ENGINES[backend](processing_rate)
-    except KeyError:
+    if backend not in _ENGINES:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        ) from None
+        )
 
     from repro.obs.runtime import current as _current_obs
 
@@ -391,6 +425,68 @@ def project_validated(
     if obs is not None:
         obs.metrics.counter(f"projection.backend.{backend}").inc()
 
+    virtual_stream = _forecast_arrivals(forecast, start=0.0)
+    next_virtual = next(virtual_stream, None)
+    if (
+        backend == "incremental"
+        and next_virtual is None
+        and not extra_arrivals
+        and (not queued or mpl is None or len(running) + len(queued) <= mpl)
+    ):
+        # The tail rule from the first event: the whole queue is admitted
+        # at t = 0 and nothing else can arrive, so the projection is one
+        # solve -- no engine, no per-query bookkeeping.
+        active = (*running, *queued) if queued else running
+        order, times = _solve_rest(
+            [q.query_id for q in active],
+            [q.remaining_cost for q in active],
+            [q.weight for q in active],
+            processing_rate,
+            0.0,
+        )
+        finish_times = dict(zip(order, times))
+        queue_waits = dict.fromkeys(finish_times, 0.0)
+        events = len(order)
+    else:
+        finish_times, queue_waits, events = _run_events(
+            _ENGINES[backend](processing_rate), running, queued, mpl,
+            extra_arrivals, virtual_stream, next_virtual,
+            tail_rule=backend == "incremental",
+        )
+
+    quiescent = max(finish_times.values(), default=0.0)
+    if obs is not None:
+        # virtual_time is None: a projection is a pure algorithm call with
+        # no simulation clock of its own (it starts at a relative t=0).
+        obs.metrics.histogram("projection.events").observe(events)
+        obs.tracer.emit(
+            "projection.run",
+            None,
+            backend=backend,
+            events=events,
+            queries=len(finish_times),
+            quiescent_time=quiescent,
+        )
+    return ProjectionResult(finish_times, queue_waits, quiescent)
+
+
+def _run_events(
+    engine: _ReferenceEngine | _IncrementalEngine,
+    running: Sequence[QuerySnapshot],
+    queued: Sequence[QuerySnapshot],
+    mpl: int | None,
+    extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
+    virtual_stream: Iterator[tuple[float, float, float]],
+    next_virtual: tuple[float, float, float] | None,
+    tail_rule: bool,
+) -> tuple[dict[str, float], dict[str, float], int]:
+    """The event loop: completions, arrivals and admissions in time order.
+
+    Returns ``(finish_times, queue_waits, events)`` of the real queries.
+    With *tail_rule* the loop hands over to :func:`_solve_rest` as soon
+    as nothing can arrive or be admitted any more; the reference engine
+    pops every completion, as the oracle must.
+    """
     for q in running:
         engine.add(q.query_id, q.remaining_cost, q.weight, virtual=False)
     waiting: deque[_Waiting] = deque(
@@ -403,8 +499,6 @@ def project_validated(
         key=lambda item: item[0],
     )
     pending_idx = 0
-    virtual_stream = _forecast_arrivals(forecast, start=0.0)
-    next_virtual = next(virtual_stream, None)
     virtual_seq = 0
 
     real_outstanding = len(running) + len(waiting) + len(pending)
@@ -425,10 +519,6 @@ def project_validated(
                 started_at[w.query_id] = clock
 
     admit()
-
-    # The tail rule is the default backend's; the reference engine pops
-    # every completion, as the oracle must.
-    tail_rule = backend == "incremental"
 
     while real_outstanding > 0:
         if (
@@ -463,7 +553,11 @@ def project_validated(
             arrival_t = pending[pending_idx][0]
         if next_virtual is not None:
             arrival_t = min(arrival_t, next_virtual[0])
-        arrival_dt = arrival_t - clock if arrival_t < float("inf") else float("inf")
+        # Clamped: after one of several arrivals at the same instant the
+        # clock can sit an ulp past the next one's time.
+        arrival_dt = (
+            max(arrival_t - clock, 0.0) if arrival_t < float("inf") else float("inf")
+        )
 
         if finish_dt == float("inf") and arrival_dt == float("inf"):
             raise ProjectionError("projection stalled: outstanding work cannot run")
@@ -495,25 +589,8 @@ def project_validated(
                 next_virtual = next(virtual_stream, None)
         admit()
 
-    projected = {
-        qid: ProjectedQuery(
-            query_id=qid,
-            finish_time=t_fin,
-            queue_wait=max(started_at.get(qid, 0.0) - arrived_at.get(qid, 0.0), 0.0),
-        )
-        for qid, t_fin in finish_times.items()
+    queue_waits = {
+        qid: max(started_at.get(qid, 0.0) - arrived_at.get(qid, 0.0), 0.0)
+        for qid in finish_times
     }
-    quiescent = max(finish_times.values(), default=0.0)
-    if obs is not None:
-        # virtual_time is None: a projection is a pure algorithm call with
-        # no simulation clock of its own (it starts at a relative t=0).
-        obs.metrics.histogram("projection.events").observe(events)
-        obs.tracer.emit(
-            "projection.run",
-            None,
-            backend=backend,
-            events=events,
-            queries=len(projected),
-            quiescent_time=quiescent,
-        )
-    return ProjectionResult(queries=projected, quiescent_time=quiescent)
+    return finish_times, queue_waits, events

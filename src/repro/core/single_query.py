@@ -10,8 +10,11 @@ PI fixes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro.core.validation import validate_finite
 
 
 class SpeedMonitor:
@@ -32,19 +35,26 @@ class SpeedMonitor:
 
     def observe(self, time: float, completed_work: float) -> None:
         """Record cumulative *completed_work* (U's) at *time* (seconds)."""
-        from repro.core.validation import validate_finite
-
-        validate_finite(time, "observation time")
-        validate_finite(completed_work, "completed_work", minimum=0.0)
-        if self._samples and time < self._samples[-1][0]:
-            raise ValueError("observation times must be non-decreasing")
-        if self._samples and completed_work < self._samples[-1][1] - 1e-9:
-            raise ValueError("completed_work must be non-decreasing")
-        self._samples.append((time, completed_work))
+        if not (
+            math.isfinite(time)
+            and math.isfinite(completed_work)
+            and completed_work >= 0.0
+        ):
+            # The checks (and their messages) only once one has failed.
+            validate_finite(time, "observation time")
+            validate_finite(completed_work, "completed_work", minimum=0.0)
+        samples = self._samples
+        if samples:
+            last_time, last_work = samples[-1]
+            if time < last_time:
+                raise ValueError("observation times must be non-decreasing")
+            if completed_work < last_work - 1e-9:
+                raise ValueError("completed_work must be non-decreasing")
+        samples.append((time, completed_work))
         cutoff = time - self._window
         # Keep one sample at or before the cutoff so the window stays full.
-        while len(self._samples) > 2 and self._samples[1][0] <= cutoff:
-            self._samples.popleft()
+        while len(samples) > 2 and samples[1][0] <= cutoff:
+            samples.popleft()
 
     def speed(self) -> float | None:
         """Average speed over the window, U/s, or ``None`` if undetermined."""
@@ -57,8 +67,7 @@ class SpeedMonitor:
         return (w1 - w0) / (t1 - t0)
 
 
-@dataclass(frozen=True)
-class SingleQueryEstimate:
+class SingleQueryEstimate(NamedTuple):
     """One output of the single-query PI."""
 
     time: float
@@ -97,9 +106,8 @@ class SingleQueryProgressIndicator:
         ``remaining_cost`` -- a corrupted cost input must not silently
         become an estimate.
         """
-        from repro.core.validation import validate_finite
-
-        validate_finite(remaining_cost, "remaining_cost", minimum=0.0)
+        if not (math.isfinite(remaining_cost) and remaining_cost >= 0.0):
+            validate_finite(remaining_cost, "remaining_cost", minimum=0.0)
         speed = self._monitor.speed()
         if speed is None:
             return None

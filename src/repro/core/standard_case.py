@@ -102,22 +102,29 @@ def solve_stages(
     stage ``k`` is summed right to left exactly as the staged loop of
     :func:`standard_case` sums it, so the two agree bit for bit.
     """
-    # The position breaks a tie on (ratio, id), so equal keys keep input
-    # order as the staged path's stable sort does and weights never compare.
-    keyed = sorted(zip(map(truediv, costs, weights), ids, range(len(ids))))
+    # Positions sorted by ratio alone (a float-keyed C sort, no key tuple
+    # per query) unless two ratios tie: then by id first and stably by
+    # ratio, which orders ties by (id, position) as the staged path's
+    # stable sort does.
+    ratios = list(map(truediv, costs, weights))
+    positions = range(len(ratios))
+    if len(set(ratios)) == len(ratios):
+        order = sorted(positions, key=ratios.__getitem__)
+    else:
+        order = sorted(positions, key=ids.__getitem__)
+        order.sort(key=ratios.__getitem__)
     live_weight = list(
-        accumulate((weights[i] for _, _, i in reversed(keyed)), initial=0.0)
+        accumulate(map(weights.__getitem__, reversed(order)), initial=0.0)
     )
-    finish_order: list[str] = []
     finish_times: list[float] = []
     clock = start
     prev_ratio = 0.0
-    for ratio, query_id, _ in keyed:
+    for i in order:
+        ratio = ratios[i]
         clock += (ratio - prev_ratio) * live_weight.pop() / processing_rate
-        finish_order.append(query_id)
         finish_times.append(clock)
         prev_ratio = ratio
-    return finish_order, finish_times
+    return list(map(ids.__getitem__, order)), finish_times
 
 
 def standard_case(

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.engine.errors import PlanError, SqlTypeError
-from repro.engine.expr import BoundExpr, Env, Layout
+from repro.engine.expr import BoundExpr, Env, Layout, batch_eval
 from repro.engine.operators.base import Operator
 from repro.engine.types import compare_values, is_numeric
 from repro.engine.vector import ColumnVector, take_values
@@ -156,15 +157,24 @@ class _AggState:
             return None if self.count == 0 else self.total / self.count
         return self.extreme
 
-    def copy(self) -> "_AggState":
-        """Detached copy for checkpoints (shares the immutable spec)."""
-        dup = _AggState.__new__(_AggState)
-        dup.spec = self.spec
-        dup.count = self.count
-        dup.total = self.total
-        dup.extreme = self.extreme
-        dup.seen = set(self.seen) if self.seen is not None else None
-        return dup
+
+def _key_runs(keys: Sequence, limit: int) -> list[tuple[Any, int, int]] | None:
+    """``(first key, start, stop)`` per run of equal adjacent *keys*.
+
+    ``None`` as soon as a run past the *limit*-th begins: keys that
+    scattered are cheaper to bucket.  ``groupby`` joins only keys that
+    ``==`` (or identity) says are equal, and those already share one dict
+    group, so a run never merges what grouping would keep apart.
+    """
+    runs = []
+    start = 0
+    for key, run in groupby(keys):
+        if len(runs) == limit:
+            return None
+        stop = start + len(list(run))
+        runs.append((key, start, stop))
+        start = stop
+    return runs
 
 
 class HashAggregate(Operator):
@@ -173,11 +183,12 @@ class HashAggregate(Operator):
     Output rows are ``group values + aggregate values`` in declaration
     order; *layout* must match.
 
-    Group partials live on the instance, which makes the aggregate
-    checkpointable: mid-build the partial states plus the child's position
-    form the snapshot, mid-emit the computed result rows and the emit
-    cursor do.  Under memory pressure the partials are treated as spilled
-    and the extra re-aggregation passes are charged as work at build end.
+    The build (consume the child, fold every group) runs inside one root
+    pull, so between pulls the aggregate is either untouched -- the
+    child's position is its checkpoint -- or emitting, where the result
+    rows and the emit cursor are.  Under memory pressure the partials are
+    treated as spilled and the extra re-aggregation passes are charged as
+    work at build end.
     """
 
     def __init__(
@@ -197,8 +208,8 @@ class HashAggregate(Operator):
         self.rows_per_page = rows_per_page
         #: ``"idle"`` / ``"build"`` / ``"emit"`` -- the current phase.
         self._phase = "idle"
+        #: Group key -> partials, in creation order; only while building.
         self._groups: dict[tuple, list[_AggState]] = {}
-        self._order: list[tuple] = []
         self._pending: list[tuple] = []
         self._emitted = 0
         self._reserved = 0
@@ -212,9 +223,6 @@ class HashAggregate(Operator):
     # Checkpoint/restore
     # ------------------------------------------------------------------
 
-    def _groups_copy(self) -> dict[tuple, list[_AggState]]:
-        return {k: [s.copy() for s in v] for k, v in self._groups.items()}
-
     def checkpoint(self) -> dict | None:
         if self._phase == "emit":
             # Child fully consumed: the result rows and cursor suffice.
@@ -225,83 +233,64 @@ class HashAggregate(Operator):
                 "pending": self._pending,
                 "emitted": self._emitted,
             }
+        if self._phase == "build":
+            # Only seen from inside a pull, or after one raised.
+            return None
         child_state = self.child.checkpoint()
         if child_state is None:
             return None
-        if self._phase == "idle":
-            return {"phase": "idle", "child": child_state}
-        return {
-            "phase": "build",
-            "groups": self._groups_copy(),
-            "order": list(self._order),
-            "degraded": self._degraded,
-            "child": child_state,
-        }
+        return {"phase": "idle", "child": child_state}
 
     def restore(self, state: dict) -> None:
         self._resume = state
-        if state["phase"] in ("idle", "build"):
+        if state["phase"] == "idle":
             self.child.restore(state["child"])
 
     # ------------------------------------------------------------------
-    # Execution
+    # Build
     # ------------------------------------------------------------------
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def _resume_emit(self) -> bool:
+        """Take a pending restore; ``True`` if it resumes the emit phase."""
         resume = self._resume
         self._resume = None
-        gov = self.account.memory
+        if resume is None or resume["phase"] != "emit":
+            return False
+        self._phase = "emit"
+        self._pending = list(resume["pending"])
+        self._emitted = resume["emitted"]
+        return True
 
-        if resume is not None and resume["phase"] == "emit":
-            self._phase = "emit"
-            self._pending = list(resume["pending"])
-            self._emitted = resume["emitted"]
-            for row in self._pending[self._emitted:]:
-                self._emitted += 1
-                yield row
-            return
-
+    def _begin_build(self) -> None:
         self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            # Copy so restoring the same checkpoint twice stays safe.
-            self._groups = {
-                k: [s.copy() for s in v] for k, v in resume["groups"].items()
-            }
-            self._order = list(resume["order"])
-            self._degraded = resume["degraded"]
-        else:
-            self._groups = {}
-            self._order = []
-            self._degraded = False
+        self._groups = {}
+        self._degraded = False
         self._reserved = 0
 
-        for row in self.child.rows(outer_env):
-            env = Env(row, outer_env)
-            key = tuple(g(env) for g in self.group_exprs)
-            states = self._groups.get(key)
-            if states is None:
-                states = [_AggState(spec) for spec in self.aggregates]
-                self._groups[key] = states
-                self._order.append(key)
-                if gov is not None and not self._degraded:
-                    self._reserved += 1
-                    if not gov.reserve("HashAggregate"):
-                        # Degrade: treat the partials as spilled from here
-                        # on; the re-aggregation passes are charged at
-                        # build end.
-                        self._degraded = True
-                        gov.release(self._reserved)
-                        self._reserved = 0
-                        gov.record(
-                            "HashAggregate", "degrade",
-                            "group partials over budget: spill fallback",
-                        )
-            for state in states:
-                value = state.spec.arg(env) if state.spec.arg is not None else 1
-                state.update(value)
+    def _new_group(self, key: tuple) -> list[_AggState]:
+        """Create group *key*'s partials, reserving them with the governor."""
+        states = [_AggState(spec) for spec in self.aggregates]
+        self._groups[key] = states
+        gov = self.account.memory
+        if gov is not None and not self._degraded:
+            self._reserved += 1
+            if not gov.reserve("HashAggregate"):
+                # Degrade: treat the partials as spilled from here on; the
+                # re-aggregation passes are charged at build end.
+                self._degraded = True
+                gov.release(self._reserved)
+                self._reserved = 0
+                gov.record(
+                    "HashAggregate", "degrade",
+                    "group partials over budget: spill fallback",
+                )
+        return states
 
+    def _finish_build(self) -> None:
+        """Charge any spill passes, compute the result rows, start emitting."""
+        gov = self.account.memory
         if self._degraded and gov is not None:
-            group_count = len(self._order)
+            group_count = len(self._groups)
             passes = math.ceil(group_count / gov.budget_rows)
             extra = (passes - 1) * 2.0 * math.ceil(
                 group_count / self.rows_per_page
@@ -321,16 +310,36 @@ class HashAggregate(Operator):
             ]
         else:
             self._pending = [
-                key + tuple(state.result() for state in self._groups[key])
-                for key in self._order
+                key + tuple(state.result() for state in states)
+                for key, states in self._groups.items()
             ]
+        # The partials die with the build, not with the operator.
+        self._groups = {}
         if gov is not None and self._reserved:
             gov.release(self._reserved)
             self._reserved = 0
-
         self._phase = "emit"
         self._emitted = 0
-        for row in self._pending:
+
+    # ------------------------------------------------------------------
+    # Row execution
+    # ------------------------------------------------------------------
+
+    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+        if not self._resume_emit():
+            self._begin_build()
+            groups = self._groups
+            for row in self.child.rows(outer_env):
+                env = Env(row, outer_env)
+                key = tuple(g(env) for g in self.group_exprs)
+                states = groups.get(key)
+                if states is None:
+                    states = self._new_group(key)
+                for state in states:
+                    value = state.spec.arg(env) if state.spec.arg is not None else 1
+                    state.update(value)
+            self._finish_build()
+        for row in self._pending[self._emitted:]:
             self._emitted += 1
             yield row
 
@@ -339,140 +348,114 @@ class HashAggregate(Operator):
     # ------------------------------------------------------------------
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        from repro.engine.expr import batch_eval
+        if not self._resume_emit():
+            self._begin_build()
+            fold = self._fold_grouped if self.group_exprs else self._fold_global
+            for batch in self.child.batches(outer_env):
+                arg_columns = [
+                    batch_eval(spec.arg, batch, outer_env)
+                    if spec.arg is not None else None
+                    for spec in self.aggregates
+                ]
+                fold(batch, arg_columns, outer_env)
+            self._finish_build()
+        yield from self._emit_batches(self._emitted)
 
-        resume = self._resume
-        self._resume = None
-        gov = self.account.memory
-
-        if resume is not None and resume["phase"] == "emit":
-            self._phase = "emit"
-            self._pending = list(resume["pending"])
-            self._emitted = resume["emitted"]
-            yield from self._emit_batches(self._emitted)
-            return
-
-        self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            self._groups = {
-                k: [s.copy() for s in v] for k, v in resume["groups"].items()
-            }
-            self._order = list(resume["order"])
-            self._degraded = resume["degraded"]
-        else:
-            self._groups = {}
-            self._order = []
-            self._degraded = False
-        self._reserved = 0
-
-        group_exprs = self.group_exprs
-        aggregates = self.aggregates
-        groups = self._groups
-        global_agg = not group_exprs
-        for batch in self.child.batches(outer_env):
-            n = len(batch)
-            arg_columns = [
-                batch_eval(spec.arg, batch, outer_env)
-                if spec.arg is not None else None
-                for spec in aggregates
-            ]
-            if global_agg:
-                states = groups.get(())
-                if states is None:
-                    states = [_AggState(spec) for spec in aggregates]
-                    groups[()] = states
-                    self._order.append(())
-                    if gov is not None and not self._degraded:
-                        self._reserved += 1
-                        if not gov.reserve("HashAggregate"):
-                            self._degraded = True
-                            gov.release(self._reserved)
-                            self._reserved = 0
-                            gov.record(
-                                "HashAggregate", "degrade",
-                                "group partials over budget: spill fallback",
-                            )
-                for state, column in zip(states, arg_columns):
-                    if column is None:
-                        state.update_count_star(n)
-                    else:
-                        state.update_batch(column)
-                continue
-            key_columns = [
-                batch_eval(g, batch, outer_env) for g in group_exprs
-            ]
-            if len(key_columns) == 1:
-                keys = [(v,) for v in key_columns[0]]
+    def _fold_global(self, batch: list, arg_columns: list, outer_env) -> None:
+        states = self._groups.get(())
+        if states is None:
+            states = self._new_group(())
+        for state, column in zip(states, arg_columns):
+            if column is None:
+                state.update_count_star(len(batch))
             else:
-                keys = list(zip(*key_columns))
-            # Bucket row indices by key first (insertion order = first
-            # appearance, matching row mode's group creation order), then
-            # fold each group's slice in one update_batch call.  Within a
-            # group the stream order is preserved, so float totals stay
-            # identical to per-row accumulation.
-            buckets: dict[tuple, list[int]] = {}
-            for i, key in enumerate(keys):
-                idxs = buckets.get(key)
-                if idxs is None:
-                    buckets[key] = [i]
-                else:
-                    idxs.append(i)
-            for key, idxs in buckets.items():
-                states = groups.get(key)
-                if states is None:
-                    states = [_AggState(spec) for spec in aggregates]
-                    groups[key] = states
-                    self._order.append(key)
-                    if gov is not None and not self._degraded:
-                        self._reserved += 1
-                        if not gov.reserve("HashAggregate"):
-                            self._degraded = True
-                            gov.release(self._reserved)
-                            self._reserved = 0
-                            gov.record(
-                                "HashAggregate", "degrade",
-                                "group partials over budget: spill fallback",
-                            )
-                for state, column in zip(states, arg_columns):
-                    if column is None:
-                        state.update_count_star(len(idxs))
-                    elif len(idxs) == len(keys):
-                        state.update_batch(column)
+                state.update_batch(column)
+
+    def _fold_grouped(self, batch: list, arg_columns: list, outer_env) -> None:
+        """Fold one batch into its groups, a run of equal keys at a time.
+
+        Input that arrives clustered on the key (a table stored in key
+        order, a sorted or merged stream) holds a few long runs per batch:
+        each costs one group lookup and, per aggregate, one fold of a
+        contiguous slice.  A clean SUM/AVG folds as ``sum(col[s+1:e],
+        col[s])`` or ``sum(col[s:e], total)`` -- the left-to-right chain
+        of row mode -- and anything else goes through
+        :meth:`_AggState.update_batch` on the slice.  Groups are created in
+        order of first appearance and each group's rows fold in stream
+        order, so results, group order and governor reservations are those
+        of row mode.  A batch whose keys change more often than every
+        eighth row is bucketed by key instead (:meth:`_fold_buckets`).
+        """
+        key_columns = [batch_eval(g, batch, outer_env) for g in self.group_exprs]
+        single = len(key_columns) == 1
+        keys = key_columns[0] if single else list(zip(*key_columns))
+        n = len(keys)
+        runs = _key_runs(keys, max(n >> 3, 1))
+        if runs is None:
+            self._fold_buckets(keys, single, arg_columns)
+            return
+        clean_sums = [
+            column is not None
+            and type(column) is ColumnVector
+            and column.is_clean_numeric
+            and spec.func in ("SUM", "AVG")
+            and not spec.distinct
+            for spec, column in zip(self.aggregates, arg_columns)
+        ]
+        groups = self._groups
+        for key, start, stop in runs:
+            if single:
+                key = (key,)
+            states = groups.get(key)
+            if states is None:
+                states = self._new_group(key)
+            for state, column, clean_sum in zip(states, arg_columns, clean_sums):
+                if column is None:
+                    state.update_count_star(stop - start)
+                elif clean_sum:
+                    state.count += stop - start
+                    total = state.total
+                    if total is None:
+                        state.total = sum(column[start + 1:stop], column[start])
                     else:
-                        # Gather the group's slice; ColumnVector metadata
-                        # carries over so the fast paths stay live.
-                        state.update_batch(take_values(column, idxs))
+                        state.total = sum(column[start:stop], total)
+                elif stop - start == n:
+                    state.update_batch(column)
+                else:
+                    state.update_batch(take_values(column, range(start, stop)))
 
-        if self._degraded and gov is not None:
-            group_count = len(self._order)
-            passes = math.ceil(group_count / gov.budget_rows)
-            extra = (passes - 1) * 2.0 * math.ceil(
-                group_count / self.rows_per_page
-            )
-            if extra > 0:
-                self.account.charge(extra)
-                gov.record(
-                    "HashAggregate", "spill",
-                    f"{passes} re-aggregation passes over {group_count} "
-                    f"groups (+{extra:g} U)",
-                )
-
-        if not self._groups and not self.group_exprs:
-            self._pending = [
-                tuple(_AggState(spec).result() for spec in self.aggregates)
-            ]
-        else:
-            self._pending = [
-                key + tuple(state.result() for state in self._groups[key])
-                for key in self._order
-            ]
-        if gov is not None and self._reserved:
-            gov.release(self._reserved)
-            self._reserved = 0
-
-        self._phase = "emit"
-        self._emitted = 0
-        yield from self._emit_batches(0)
+    def _fold_buckets(self, keys: list, single: bool, arg_columns: list) -> None:
+        """Fold a batch with scattered keys: bucket row indices by key first
+        (insertion order = first appearance, matching row mode's group
+        creation order), then fold each group's rows in one
+        ``update_batch`` call.  Within a group the stream order is
+        preserved, so float totals stay identical to per-row accumulation.
+        A single key column is bucketed by its bare values, which a dict
+        tells apart exactly as it does their 1-tuples.
+        """
+        buckets: dict[Any, list[int]] = {}
+        for i, key in enumerate(keys):
+            idxs = buckets.get(key)
+            if idxs is None:
+                buckets[key] = [i]
+            else:
+                idxs.append(i)
+        groups = self._groups
+        for key, idxs in buckets.items():
+            if single:
+                key = (key,)
+            states = groups.get(key)
+            if states is None:
+                states = self._new_group(key)
+            for state, column in zip(states, arg_columns):
+                if column is None:
+                    state.update_count_star(len(idxs))
+                elif len(idxs) == len(keys):
+                    state.update_batch(column)
+                else:
+                    # Gather the group's slice; ColumnVector metadata
+                    # carries over so the fast paths stay live.
+                    state.update_batch(take_values(column, idxs))
 
     def _emit_batches(self, start: int) -> Iterator[list]:
         cap = max(self.batch_size, 1)

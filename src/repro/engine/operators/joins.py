@@ -104,14 +104,14 @@ class HashJoin(Operator):
     the join in a Filter.
 
     Run-time state (the build table, the in-flight probe row) lives on the
-    instance, which makes the join checkpointable in both phases: mid-build
-    the partial table plus the build child's position is the snapshot;
-    mid-probe the finished table, the probe child's position and the
-    current probe row (with how many of its matches were already emitted)
-    are.  Under memory pressure the join degrades to a modeled
-    block-partitioned join: the build table is treated as spilled (its rows
-    stop counting against the budget) and the extra partition passes are
-    charged as work at build end.
+    instance, which makes the join checkpointable: the build runs inside
+    one root pull, so between pulls the join is either untouched (the build
+    child's position is the snapshot) or probing, where the finished
+    table, the probe child's position and the current probe row (with how
+    many of its matches were already emitted) are.  Under memory pressure
+    the join degrades to a modeled block-partitioned join: the build table
+    is treated as spilled (its rows stop counting against the budget) and
+    the extra partition passes are charged as work at build end.
     """
 
     def __init__(
@@ -153,9 +153,6 @@ class HashJoin(Operator):
     # Checkpoint/restore
     # ------------------------------------------------------------------
 
-    def _table_copy(self) -> dict:
-        return {k: list(v) for k, v in self._table.items()}
-
     def checkpoint(self) -> dict | None:
         if self._phase == "probe":
             probe_state = self.probe_side.checkpoint()
@@ -175,18 +172,13 @@ class HashJoin(Operator):
                 "current_matched": self._current_matched,
                 "current_padded": self._current_padded,
             }
+        if self._phase == "build":
+            # Only seen from inside a pull, or after one raised.
+            return None
         build_state = self.build_side.checkpoint()
         if build_state is None:
             return None
-        if self._phase == "idle":
-            return {"phase": "idle", "build": build_state}
-        return {
-            "phase": "build",
-            "table": self._table_copy(),
-            "count": self._build_count,
-            "degraded": self._degraded,
-            "build": build_state,
-        }
+        return {"phase": "idle", "build": build_state}
 
     def restore(self, state: dict) -> None:
         self._resume = state
@@ -198,6 +190,33 @@ class HashJoin(Operator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _begin_build(self) -> None:
+        self._phase = "build"
+        self._table = {}
+        self._build_count = 0
+        self._degraded = False
+        self._reserved = 0
+
+    def _finish_build(self) -> None:
+        """Charge the build side's partition passes and start probing."""
+        gov = self.account.memory
+        self.account.charge(2.0 * math.ceil(self._build_count / self.rows_per_page))
+        if self._degraded and gov is not None:
+            # (passes - 1) extra write+read sweeps over the spilled build
+            # partitions, the block-nested-loop cost of not fitting.
+            passes = math.ceil(self._build_count / gov.budget_rows)
+            extra = (passes - 1) * 2.0 * math.ceil(
+                self._build_count / self.rows_per_page
+            )
+            if extra > 0:
+                self.account.charge(extra)
+                gov.record(
+                    "HashJoin", "spill",
+                    f"{passes} partition passes over {self._build_count} "
+                    f"build rows (+{extra:g} U)",
+                )
+        self._phase = "probe"
 
     def _matches(self, left: tuple, outer_env, skip: int = 0) -> Iterator[tuple]:
         """Matches of probe row *left*, skipping the first *skip* emits."""
@@ -264,18 +283,7 @@ class HashJoin(Operator):
                 yield from self._probe_one(left, outer_env)
             return
 
-        self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            # Copy so restoring the same checkpoint twice stays safe.
-            self._table = {k: list(v) for k, v in resume["table"].items()}
-            self._build_count = resume["count"]
-            self._degraded = resume["degraded"]
-            self._reserved = 0
-        else:
-            self._table = {}
-            self._build_count = 0
-            self._degraded = False
-            self._reserved = 0
+        self._begin_build()
 
         for row in self.build_side.rows(outer_env):
             key = self.build_key(Env(row, outer_env))
@@ -298,23 +306,7 @@ class HashJoin(Operator):
                         "build side over budget: block-partitioned fallback",
                     )
 
-        self.account.charge(2.0 * math.ceil(self._build_count / self.rows_per_page))
-        if self._degraded and gov is not None:
-            # (passes - 1) extra write+read sweeps over the spilled build
-            # partitions, the block-nested-loop cost of not fitting.
-            passes = math.ceil(self._build_count / gov.budget_rows)
-            extra = (passes - 1) * 2.0 * math.ceil(
-                self._build_count / self.rows_per_page
-            )
-            if extra > 0:
-                self.account.charge(extra)
-                gov.record(
-                    "HashJoin", "spill",
-                    f"{passes} partition passes over {self._build_count} "
-                    f"build rows (+{extra:g} U)",
-                )
-
-        self._phase = "probe"
+        self._finish_build()
         for left in self.probe_side.rows(outer_env):
             yield from self._probe_one(left, outer_env)
         if gov is not None and self._reserved:
@@ -366,17 +358,7 @@ class HashJoin(Operator):
                 self._reserved = 0
             return
 
-        self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            self._table = {k: list(v) for k, v in resume["table"].items()}
-            self._build_count = resume["count"]
-            self._degraded = resume["degraded"]
-            self._reserved = 0
-        else:
-            self._table = {}
-            self._build_count = 0
-            self._degraded = False
-            self._reserved = 0
+        self._begin_build()
 
         build_key = self.build_key
         key_slot = getattr(build_key, "slot", None)
@@ -434,21 +416,7 @@ class HashJoin(Operator):
                             "build side over budget: block-partitioned fallback",
                         )
 
-        self.account.charge(2.0 * math.ceil(self._build_count / self.rows_per_page))
-        if self._degraded and gov is not None:
-            passes = math.ceil(self._build_count / gov.budget_rows)
-            extra = (passes - 1) * 2.0 * math.ceil(
-                self._build_count / self.rows_per_page
-            )
-            if extra > 0:
-                self.account.charge(extra)
-                gov.record(
-                    "HashJoin", "spill",
-                    f"{passes} partition passes over {self._build_count} "
-                    f"build rows (+{extra:g} U)",
-                )
-
-        self._phase = "probe"
+        self._finish_build()
         yield from self._probe_batches(outer_env)
         if gov is not None and self._reserved:
             gov.release(self._reserved)

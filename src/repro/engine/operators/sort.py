@@ -4,10 +4,11 @@ The sort keeps its run-time state (input buffer, spilled runs, sorted
 output, emit position) on the instance rather than in generator locals,
 which buys two capabilities:
 
-* **Checkpoint/resume** -- mid-build the buffered rows plus the child's
-  position form a consistent snapshot; mid-emit the sorted output and the
-  emit cursor do.  A restored sort re-emits exactly the rows a crashed
-  attempt had not produced yet, without re-sorting.
+* **Checkpoint/resume** -- the build runs inside one root pull, so
+  between pulls the sort is either untouched (the child's position is the
+  snapshot) or emitting (the sorted output and the emit cursor are).  A
+  restored sort re-emits exactly the rows a crashed attempt had not
+  produced yet, without re-sorting.
 * **Memory governance** -- when a :class:`~repro.engine.memory.MemoryGovernor`
   is attached and the buffer crosses the budget, the sort degrades to
   bounded external-merge behaviour: budget-sized sorted runs are spilled
@@ -107,28 +108,58 @@ class Sort(Operator):
                 "sorted": self._sorted,
                 "emitted": self._emitted,
             }
+        if self._phase == "build":
+            # Only seen from inside a pull, or after one raised.
+            return None
         child_state = self.child.checkpoint()
         if child_state is None:
             return None
-        if self._phase == "idle":
-            return {"phase": "idle", "child": child_state}
-        return {
-            "phase": "build",
-            "buffer": list(self._buffer),
-            "runs": [list(r) for r in self._runs],
-            "seq": self._seq,
-            "degraded": self._degraded,
-            "child": child_state,
-        }
+        return {"phase": "idle", "child": child_state}
 
     def restore(self, state: dict) -> None:
         self._resume = state
-        if state["phase"] in ("idle", "build"):
+        if state["phase"] == "idle":
             self.child.restore(state["child"])
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _resume_emit(self) -> bool:
+        """Take a pending restore; ``True`` if it resumes the emit phase."""
+        resume = self._resume
+        self._resume = None
+        if resume is None or resume["phase"] != "emit":
+            return False
+        self._phase = "emit"
+        self._sorted = list(resume["sorted"])
+        self._emitted = resume["emitted"]
+        return True
+
+    def _begin_build(self) -> None:
+        self._phase = "build"
+        self._buffer = []
+        self._runs = []
+        self._seq = 0
+        self._degraded = False
+        self._sorted = []
+        self._emitted = 0
+
+    def _finish_build(self) -> None:
+        """Charge the sort's passes, produce the sorted output, start emitting."""
+        gov = self.account.memory
+        self.account.charge(2.0 * math.ceil(self._seq / self.rows_per_page))
+        if self._runs:
+            if self._buffer:
+                self._spill_current_buffer()
+            self._sorted = [row for _, row in heapq.merge(*self._runs)]
+            self._runs = []
+        else:
+            self._sorted = [row for _, row in sorted(self._buffer)]
+            if gov is not None:
+                gov.release(len(self._buffer))
+            self._buffer = []
+        self._phase = "emit"
 
     def _spill_current_buffer(self) -> None:
         """Degrade: sort the buffer into a run and shed its memory."""
@@ -146,34 +177,14 @@ class Sort(Operator):
         self._buffer = []
 
     def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        resume = self._resume
-        self._resume = None
-        gov = self.account.memory
-
-        if resume is not None and resume["phase"] == "emit":
-            self._phase = "emit"
-            self._sorted = list(resume["sorted"])
-            self._emitted = resume["emitted"]
+        if self._resume_emit():
             for row in self._sorted[self._emitted:]:
                 self._emitted += 1
                 yield row
             return
 
-        # Build phase (possibly resumed mid-build).
-        self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            self._buffer = list(resume["buffer"])
-            self._runs = [list(r) for r in resume["runs"]]
-            self._seq = resume["seq"]
-            self._degraded = resume["degraded"]
-        else:
-            self._buffer = []
-            self._runs = []
-            self._seq = 0
-            self._degraded = False
-        self._sorted = []
-        self._emitted = 0
-
+        gov = self.account.memory
+        self._begin_build()
         for row in self.child.rows(outer_env):
             self._buffer.append(self._entry(row, outer_env))
             if gov is not None and not gov.reserve("Sort"):
@@ -185,21 +196,7 @@ class Sort(Operator):
                     )
                 self._spill_current_buffer()
 
-        total_rows = self._seq
-        self.account.charge(2.0 * math.ceil(total_rows / self.rows_per_page))
-
-        if self._runs:
-            if self._buffer:
-                self._spill_current_buffer()
-            self._sorted = [row for _, row in heapq.merge(*self._runs)]
-            self._runs = []
-        else:
-            self._sorted = [row for _, row in sorted(self._buffer)]
-            if gov is not None:
-                gov.release(len(self._buffer))
-            self._buffer = []
-
-        self._phase = "emit"
+        self._finish_build()
         for row in self._sorted:
             self._emitted += 1
             yield row
@@ -233,31 +230,12 @@ class Sort(Operator):
         return entries
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        resume = self._resume
-        self._resume = None
-        gov = self.account.memory
-
-        if resume is not None and resume["phase"] == "emit":
-            self._phase = "emit"
-            self._sorted = list(resume["sorted"])
-            self._emitted = resume["emitted"]
+        if self._resume_emit():
             yield from self._emit_batches(self._emitted)
             return
 
-        self._phase = "build"
-        if resume is not None and resume["phase"] == "build":
-            self._buffer = list(resume["buffer"])
-            self._runs = [list(r) for r in resume["runs"]]
-            self._seq = resume["seq"]
-            self._degraded = resume["degraded"]
-        else:
-            self._buffer = []
-            self._runs = []
-            self._seq = 0
-            self._degraded = False
-        self._sorted = []
-        self._emitted = 0
-
+        gov = self.account.memory
+        self._begin_build()
         for batch in self.child.batches(outer_env):
             entries = self._entries_batch(batch, outer_env)
             if gov is None:
@@ -275,21 +253,7 @@ class Sort(Operator):
                         )
                     self._spill_current_buffer()
 
-        total_rows = self._seq
-        self.account.charge(2.0 * math.ceil(total_rows / self.rows_per_page))
-
-        if self._runs:
-            if self._buffer:
-                self._spill_current_buffer()
-            self._sorted = [row for _, row in heapq.merge(*self._runs)]
-            self._runs = []
-        else:
-            self._sorted = [row for _, row in sorted(self._buffer)]
-            if gov is not None:
-                gov.release(len(self._buffer))
-            self._buffer = []
-
-        self._phase = "emit"
+        self._finish_build()
         yield from self._emit_batches(0)
 
     def _emit_batches(self, start: int) -> Iterator[list]:

@@ -146,19 +146,19 @@ def pool(data, prefix, min_n, max_n, cost=costs):
 
 @contextmanager
 def spy_on_tail_rule():
-    """Yields the clock of every ``finish_rest`` call (the rule firing)."""
+    """Yields the clock of every ``_solve_rest`` call (the rule firing)."""
     clocks = []
-    real = projection._IncrementalEngine.finish_rest
+    real = projection._solve_rest
 
-    def spy(self, clock):
+    def spy(ids, costs, weights, processing_rate, clock):
         clocks.append(clock)
-        return real(self, clock)
+        return real(ids, costs, weights, processing_rate, clock)
 
-    projection._IncrementalEngine.finish_rest = spy
+    projection._solve_rest = spy
     try:
         yield clocks
     finally:
-        projection._IncrementalEngine.finish_rest = real
+        projection._solve_rest = real
 
 
 def assert_backends_agree(

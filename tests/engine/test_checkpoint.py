@@ -371,6 +371,96 @@ class TestRowLog:
         assert isinstance(ckpt.rows, tuple)  # a fresh, immutable prefix
 
 
+def plan_operators(op):
+    """Every operator of a plan tree, root first."""
+    yield op
+    for child in op.children():
+        yield from plan_operators(child)
+
+
+def plan_phases(plan_state):
+    """Every ``"phase"`` recorded anywhere in a recursive plan state."""
+    phases, stack = set(), [plan_state]
+    while stack:
+        state = stack.pop()
+        if isinstance(state, dict):
+            if "phase" in state:
+                phases.add(state["phase"])
+            stack.extend(state.values())
+    return phases
+
+
+class TestNoBuildPhaseBetweenSteps:
+    """A blocking build runs inside one root pull, so between two steps a
+    ``Sort``, ``HashAggregate`` or ``HashJoin`` is never mid-build: every
+    checkpoint -- explicit or on the cadence -- holds an operator that is
+    untouched or past its phase flip."""
+
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        mode=st.sampled_from(MODES),
+        interval=st.sampled_from([None, 0.5, 3.0]),
+        budgets=st.lists(
+            st.floats(min_value=0.05, max_value=30.0), min_size=1, max_size=40
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_checkpoint_holds_a_build_phase(
+        self, db, shape, mode, interval, budgets
+    ):
+        execution_mode, width = mode
+        ex = db.prepare(
+            SHAPES[shape], checkpoint_interval=interval,
+            execution_mode=execution_mode, batch_size=width,
+        )
+        taken = []
+        for budget in budgets:
+            if ex.finished:
+                break
+            ex.step(budget)
+            assert all(
+                getattr(op, "_phase", None) != "build"
+                for op in plan_operators(ex.root)
+            )
+            taken.extend(c for c in (ex.last_checkpoint, ex.checkpoint()) if c)
+        for ckpt in taken:
+            assert plan_phases(ckpt.plan_state) <= {"idle", "emit", "probe"}
+
+    @pytest.mark.parametrize("shape", ["sort", "hash_agg", "hash_join"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
+    def test_a_build_cut_short_has_no_checkpoint(self, db, shape, mode):
+        """Only a pull that raised leaves a build half done; a checkpoint
+        then has no consistent cut to offer and declines."""
+        from repro.engine import CancellationToken, QueryCancelled
+
+        class FiresOnFifthCharge(CancellationToken):
+            """Fires a few pages into the first pull, i.e. mid-build."""
+
+            __slots__ = ("checks",)
+
+            def __init__(self):
+                super().__init__()
+                self.checks = 0
+
+            def raise_if_cancelled(self):
+                self.checks += 1
+                if self.checks == 5:
+                    self.cancel("mid-build")
+                super().raise_if_cancelled()
+
+        ex = db.prepare(
+            SHAPES[shape], cancel_token=FiresOnFifthCharge(),
+            execution_mode=mode,
+        )
+        with pytest.raises(QueryCancelled):
+            ex.step(1.0)
+        assert any(
+            getattr(op, "_phase", None) == "build"
+            for op in plan_operators(ex.root)
+        )
+        assert ex.checkpoint() is None
+
+
 class TestCadence:
     """Automatic checkpointing on a work-interval cadence."""
 
