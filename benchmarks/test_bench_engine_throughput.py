@@ -6,18 +6,20 @@ rounds; they guard against performance regressions in the executor and
 confirm the engine is fast enough for the experiment suite (the other
 benches run whole simulations on top of it).
 
-``test_throughput_row_vs_batch`` is the vectorization gate: it times each
-query in both execution modes, requires the batch mode to beat the row
-mode by the per-query floors in :data:`GATES` while producing
-byte-identical rows and identical charged-work totals, and persists the
-measured numbers to ``BENCH_engine.json`` (atomically, one section per
-bench module -- same scheme as ``BENCH_scale.json``).
+``test_throughput_per_query`` records, per query, the best-of-N host
+milliseconds and the work units charged per millisecond, and persists them
+to ``BENCH_engine.json`` (atomically, one section per bench module -- same
+scheme as ``BENCH_scale.json``).  Absolute times vary by machine, so these
+are recorded, not gated.
 
 ``test_throughput_grouped_kernel`` is the grouping-kernel gate: a
 ``GROUP BY`` over a 120 k-row table whose key arrives clustered (``lineitem``
-by ``partkey``) and one whose low-cardinality key arrives scattered, with
-the same checks and its own floors.  It runs with and without numpy
-(``-k grouped``).
+by ``partkey``) and one whose low-cardinality key arrives scattered, each
+timed with the run fold and with the bucketing fold it replaced
+(``BucketingAggregate``, the tests' oracle) on the same rows.  Rows and
+work must be identical; the run fold must beat bucketing on the clustered
+key by :data:`GROUPED_GATES` and cost no more on the scattered one.  It
+runs with and without numpy (``-k grouped``).
 
 ``test_checkpoint_cost_series`` is the checkpoint gate: a high-output scan
 at the cluster's default cadence (one checkpoint per 2 U) must store, over
@@ -31,33 +33,25 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.operators.agg import HashAggregate
 from repro.obs.runtime import observed
 from repro.sim.scale import merge_bench_json
 from repro.workload.queries import join_query, paper_query
 from repro.workload.tpcr import TpcrConfig, generate
 
+from tests.engine.helpers import BucketingAggregate
+
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
-#: CI gate: per-query floors on the batch-over-row speedup, set below the
-#: measured ratios so a loaded CI runner does not flake.  ``full_scan``
-#: rides the columnar fast path end to end (zero-copy column vectors into
-#: the aggregate) and measures ~20x, so its floor is 6x: dropping below
-#: that means late materialization broke, not that the runner was busy.
-#: The paper query rides the vectorized path since the planner
-#: decorrelates it into a grouped LEFT join, whose aggregate folds runs of
-#: equal ``partkey`` (~7x; 3.4x when it bucketed every row).
-GATES = {
-    "full_scan": 6.0,
-    "join_aggregate": 3.0,
-    "paper_query": 4.0,
-}
-
-#: Floors of the grouping-kernel series.  A clustered key folds run by run
-#: (~6.5x over row mode; 3.2x when every row was bucketed); a scattered
-#: one is bucketed, as it always was (~3x), and must stay so.
+#: Floors on the run fold's speedup over the bucketing fold, same rows.
+#: Measured at 120 k rows (Linux x86-64, CPython 3.11.7, five runs): a
+#: clustered key folds run by run at 2.10-2.15x bucketing, with numpy or
+#: without; a scattered one is bucketed by both (1.01-1.03x).  The floors
+#: sit below those so a loaded runner does not flake: under 1.5x means run
+#: detection stopped firing, under 0.8x means the fallback got dearer.
 GROUPED_GATES = {
-    "grouped_clustered": 4.5,
-    "grouped_unclustered": 2.0,
+    "grouped_clustered": 1.5,
+    "grouped_unclustered": 0.8,
 }
 
 GROUPED_QUERIES = {
@@ -102,9 +96,9 @@ def grouped_db():
     return db
 
 
-def _update_throughput(entries: dict, gates: dict) -> None:
-    """Merge *entries* and their *gates* into the ``engine_throughput``
-    section, keeping what the other throughput test recorded there."""
+def _update_throughput(entries: dict) -> None:
+    """Merge *entries* into the ``engine_throughput`` section, keeping
+    what the other throughput test recorded there."""
     try:
         section = json.loads(BENCH_JSON.read_text())["engine_throughput"]
     except (OSError, ValueError, KeyError, TypeError):
@@ -112,7 +106,6 @@ def _update_throughput(entries: dict, gates: dict) -> None:
     if not isinstance(section, dict):
         section = {}
     section.update(entries)
-    section["speedup_gates"] = dict(section.get("speedup_gates", {}), **gates)
     merge_bench_json(BENCH_JSON, "engine_throughput", section)
 
 
@@ -144,72 +137,82 @@ def _best_of(fn, rounds: int, repeats: int = 3) -> float:
     return best
 
 
-def _run_mode(db, sql: str, mode: str):
-    """Execute *sql* once in *mode*; return (rows, charged work total)."""
-    ex = db.prepare(sql, execution_mode=mode)
+def _run(db, sql: str, fold=None):
+    """Execute *sql* once; return (rows, charged work total).
+
+    *fold* replaces the class of every ``HashAggregate`` in the plan, so
+    one plan can be timed with another grouped fold.
+    """
+    ex = db.prepare(sql)
+    if fold is not None:
+        stack = [ex.root]
+        while stack:
+            op = stack.pop()
+            if type(op) is HashAggregate:
+                op.__class__ = fold
+            stack.extend(op.children())
     rows = ex.run_to_completion()
     return rows, ex.work_done
 
 
-def _row_vs_batch(db, queries: dict, gates: dict, rounds: dict) -> dict:
-    """Time each query in both modes (same rows and work required), record
-    the entries in ``engine_throughput`` and assert the floors in *gates*."""
-    payload = {}
-    for name, sql in queries.items():
-        batch_rows, batch_work = _run_mode(db, sql, "batch")
-        row_rows, row_work = _run_mode(db, sql, "row")
-        assert batch_rows == row_rows, f"{name}: modes disagree on rows"
-        assert batch_work == row_work, f"{name}: modes disagree on work"
-        t_batch = _best_of(
-            lambda: db.query(sql, execution_mode="batch"), rounds.get(name, 10)
-        )
-        t_row = _best_of(
-            lambda: db.query(sql, execution_mode="row"), rounds.get(name, 10)
-        )
-        payload[name] = {
-            "sql": sql,
-            "row_ms": round(t_row * 1000, 4),
-            "batch_ms": round(t_batch * 1000, 4),
-            "speedup": round(t_row / t_batch, 3),
-            "rows": len(batch_rows),
-            "work_units": batch_work,
-            "gated": name in gates,
-            "decorrelated": "#dc" in db.explain(sql),
-        }
-    _update_throughput(payload, gates)
-    for name, floor in gates.items():
-        assert payload[name]["speedup"] >= floor, (
-            f"{name}: batch only {payload[name]['speedup']}x faster than "
-            f"row (gate {floor}x); see {BENCH_JSON.name}"
-        )
-    return payload
-
-
-def test_throughput_row_vs_batch(dataset):
-    """Vectorization gate: batch beats row by GATES, same rows and work."""
+def test_throughput_per_query(dataset):
+    """Records batch ms and U/ms per query; not gated."""
     queries = {
         "full_scan": "SELECT count(*), sum(quantity) FROM lineitem",
         "join_aggregate": join_query(1),
         "selective_filter": SELECTIVE_FILTER,
         "paper_query": paper_query(1),
     }
-    _row_vs_batch(dataset.db, queries, GATES, rounds={"paper_query": 5})
+    db = dataset.db
+    payload = {}
+    for name, sql in queries.items():
+        rows, work = _run(db, sql)
+        ms = _best_of(lambda: db.query(sql), 10) * 1000
+        payload[name] = {
+            "sql": sql,
+            "batch_ms": round(ms, 4),
+            "u_per_ms": round(work / ms, 2),
+            "rows": len(rows),
+            "work_units": work,
+            "decorrelated": "#dc" in db.explain(sql),
+        }
+    _update_throughput(payload)
 
 
 def test_throughput_grouped_kernel(grouped_db):
     """Grouping-kernel gate: a clustered key folds run by run, a scattered
-    one is bucketed; both keep rows and work identical to row mode."""
-    _row_vs_batch(
-        grouped_db, GROUPED_QUERIES, GROUPED_GATES,
-        rounds=dict.fromkeys(GROUPED_QUERIES, 2),
-    )
+    one is bucketed; rows and work match the bucketing fold's."""
+    payload = {}
+    for name, sql in GROUPED_QUERIES.items():
+        rows, work = _run(grouped_db, sql)
+        assert (rows, work) == _run(grouped_db, sql, BucketingAggregate), name
+        t_runs = _best_of(lambda: _run(grouped_db, sql), 2)
+        t_buckets = _best_of(
+            lambda: _run(grouped_db, sql, BucketingAggregate), 2
+        )
+        payload[name] = {
+            "sql": sql,
+            "batch_ms": round(t_runs * 1000, 4),
+            "bucketing_ms": round(t_buckets * 1000, 4),
+            "speedup_over_bucketing": round(t_buckets / t_runs, 3),
+            "u_per_ms": round(work / (t_runs * 1000), 2),
+            "rows": len(rows),
+            "work_units": work,
+            "floor": GROUPED_GATES[name],
+        }
+    _update_throughput(payload)
+    for name, floor in GROUPED_GATES.items():
+        assert payload[name]["speedup_over_bucketing"] >= floor, (
+            f"{name}: run fold only {payload[name]['speedup_over_bucketing']}x "
+            f"the bucketing fold (gate {floor}x); see {BENCH_JSON.name}"
+        )
 
 
 def test_throughput_scan_rows_per_sec():
     """Scan-rate series: rows/sec of a full columnar scan across page
     capacities (each point its own table via the per-table capacity
     override).  Persisted to ``BENCH_engine.json`` so the capacity/rate
-    curve is visible alongside the mode speedups."""
+    curve is visible alongside the per-query times."""
     from repro.engine import Database
 
     n_rows = 20_000
@@ -223,9 +226,8 @@ def test_throughput_scan_rows_per_sec():
         )
         db.insert_rows(name, rows)
         sql = f"SELECT count(*), sum(v) FROM {name}"
-        expected = db.query(sql, execution_mode="row")
-        assert db.query(sql, execution_mode="batch") == expected
-        t = _best_of(lambda: db.query(sql, execution_mode="batch"), rounds=5)
+        assert db.query(sql) == [(n_rows, sum(r[1] for r in rows))]
+        t = _best_of(lambda: db.query(sql), rounds=5)
         series.append(
             {
                 "page_capacity": cap,
@@ -245,8 +247,8 @@ def test_throughput_scan_rows_per_sec():
 
 def test_paper_query_decorrelation_fired(dataset):
     """Plan-shape gate: the decorrelation pass must fire on the paper
-    query.  Timing alone could mask a silent fallback to the row-loop
-    path (the speedup gate would flake instead of failing crisply)."""
+    query.  Timing alone could mask a silent fallback to the per-row
+    subquery path."""
     plan = dataset.db.explain(paper_query(1))
     assert "HashLeftJoin" in plan, plan
     assert "#dc" in plan, plan

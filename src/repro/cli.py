@@ -136,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-interval", type=float, default=25.0,
         help="checkpoint cadence in work units for the --engine demo",
     )
-    faults.add_argument(
-        "--execution-mode", choices=("batch", "row"), default=None,
-        help="engine execution mode for the --engine demo: vectorized "
-             "batches (default) or row-at-a-time",
-    )
 
     scale = sub.add_parser(
         "scale",
@@ -426,10 +421,7 @@ def cmd_faults_engine(args: argparse.Namespace) -> int:
 
     tpcr = TpcrConfig(scale=1 / 4000, seed=7)
     rng = random.Random(7)
-    db = Database(
-        page_capacity=tpcr.page_capacity,
-        execution_mode=getattr(args, "execution_mode", None),
-    )
+    db = Database(page_capacity=tpcr.page_capacity)
     build_lineitem(db, tpcr, rng)
     add_part_table(db, 1, 12, tpcr, rng)
     db.analyze()

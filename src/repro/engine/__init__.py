@@ -17,28 +17,20 @@ It is a real (if small) database engine:
 * :mod:`repro.engine.executor` -- cooperative execution: a query advances in
   work-unit budgets (``step(units)``), which is what lets the simulator
   timeshare many queries and what gives progress indicators their counters.
+  Operators are vectorized: each pull yields a batch of up to
+  ``DEFAULT_BATCH_SIZE`` rows.
 * :mod:`repro.engine.progress` -- the per-query progress tracker (refined
   remaining cost), the single-query machinery of [11, 12] both PIs build on.
 * :mod:`repro.engine.database` -- the user-facing :class:`Database` facade.
-* :mod:`repro.engine.mode` -- the execution-mode switch: ``"batch"``
-  (vectorized, the default: operators process ~1024-row vectors) or
-  ``"row"`` (tuple-at-a-time Volcano iteration, kept as the differential
-  oracle).  Both modes produce identical rows and identical work totals.
 * :mod:`repro.engine.decorrelate` -- the plan-time subquery-decorrelation
   rewrite (correlated scalar/EXISTS/IN subqueries become grouped LEFT
-  joins so they ride the vectorized path), with its own on/off switch.
+  joins so they ride the vectorized path); ``Database(decorrelate=False)``
+  turns it off.
 """
 
 from repro.engine.cancel import CancellationToken
 from repro.engine.database import Database
-from repro.engine.decorrelate import (
-    decorrelate_select,
-    decorrelate_statement,
-    default_decorrelation,
-    resolve_decorrelation,
-    set_default_decorrelation,
-    use_decorrelation,
-)
+from repro.engine.decorrelate import decorrelate_select, decorrelate_statement
 from repro.engine.errors import (
     CatalogError,
     EngineError,
@@ -49,16 +41,12 @@ from repro.engine.errors import (
     QueryCancelled,
     SqlTypeError,
 )
-from repro.engine.executor import ExecutionCheckpoint, QueryExecution
-from repro.engine.memory import MemoryGovernor, MemoryPressureEvent
-from repro.engine.mode import (
+from repro.engine.executor import (
     DEFAULT_BATCH_SIZE,
-    EXECUTION_MODES,
-    default_execution_mode,
-    resolve_execution_mode,
-    set_default_execution_mode,
-    use_execution_mode,
+    ExecutionCheckpoint,
+    QueryExecution,
 )
+from repro.engine.memory import MemoryGovernor, MemoryPressureEvent
 from repro.engine.schema import Column, TableSchema
 
 __all__ = [
@@ -67,7 +55,6 @@ __all__ = [
     "Column",
     "DEFAULT_BATCH_SIZE",
     "Database",
-    "EXECUTION_MODES",
     "EngineError",
     "ExecutionCheckpoint",
     "ExecutionError",
@@ -82,12 +69,4 @@ __all__ = [
     "TableSchema",
     "decorrelate_select",
     "decorrelate_statement",
-    "default_decorrelation",
-    "default_execution_mode",
-    "resolve_decorrelation",
-    "resolve_execution_mode",
-    "set_default_decorrelation",
-    "set_default_execution_mode",
-    "use_decorrelation",
-    "use_execution_mode",
 ]

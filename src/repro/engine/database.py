@@ -15,13 +15,13 @@ DDL and DML run eagerly; ``prepare`` returns a steppable
 
 Repeated statements are cheap: parsed ASTs are memoized by SQL text, and
 for subquery-free statements :meth:`Database.query` also pools the bound
-physical plan, keyed on ``(sql, execution mode, decorrelation)`` and
-validated against the catalog's ``stats_epoch`` -- any DDL, DML, or
-ANALYZE bumps the epoch and invalidates stale plans.  "Subquery-free" is
-judged on the statement *after* the decorrelation rewrite, so a correlated
-query the pass turns into joins pools like any other join query.  Pooled plans are reset before reuse (work
-account zeroed, materialized caches dropped) so a cache hit is
-work-for-work identical to a fresh plan.
+physical plan, keyed on the SQL text and validated against the catalog's
+``stats_epoch`` -- any DDL, DML, or ANALYZE bumps the epoch and
+invalidates stale plans.  "Subquery-free" is judged on the statement
+*after* the decorrelation rewrite, so a correlated query the pass turns
+into joins pools like any other join query.  Pooled plans are reset
+before reuse (work account zeroed, materialized caches dropped) so a
+cache hit is work-for-work identical to a fresh plan.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from typing import Any, Optional, Sequence
 
 from repro.engine.cancel import CancellationToken
 from repro.engine.catalog import Catalog, Table
-from repro.engine.decorrelate import decorrelate_statement, resolve_decorrelation
+from repro.engine.decorrelate import decorrelate_statement
 from repro.engine.errors import PlanError
 from repro.engine.executor import QueryExecution
 from repro.engine.memory import MemoryGovernor
 from repro.engine.expr import Env, bind_expr, expr_contains_subquery, BindContext, Layout
-from repro.engine.mode import resolve_execution_mode
 from repro.engine.operators.base import Operator, WorkAccount
 from repro.engine.operators.transforms import Materialize
 from repro.engine.planner import Planner
@@ -102,27 +101,18 @@ class Database:
     def __init__(
         self,
         page_capacity: int = DEFAULT_PAGE_CAPACITY,
-        execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
-        decorrelate: Optional[bool] = None,
+        decorrelate: bool = True,
     ) -> None:
-        if execution_mode is not None:
-            resolve_execution_mode(execution_mode)  # validate eagerly
         self.catalog = Catalog(page_capacity=page_capacity)
-        #: Subquery-decorrelation override for this database (``None``
-        #: defers to the module default at call time).
-        self.decorrelate = decorrelate
+        #: *decorrelate* (whether top-level plans run the subquery
+        #: decorrelation rewrite) is fixed for the database's life: pooled
+        #: plans, keyed on SQL text alone, depend on it.
         self.planner = Planner(self.catalog, decorrelate=decorrelate)
-        #: Default execution mode for this database's queries (``None``
-        #: defers to the module-level default at call time).
-        self.execution_mode = execution_mode
-        #: Default vector width for batch-mode executions (``None`` =
-        #: engine default).
+        #: Default vector width for executions (``None`` = engine default).
         self.batch_size = batch_size
         self._statement_cache: dict[str, ast.Select | ast.Union] = {}
-        self._plan_pool: dict[
-            tuple[str, str, bool], tuple[int, Operator, WorkAccount]
-        ] = {}
+        self._plan_pool: dict[str, tuple[int, Operator, WorkAccount]] = {}
         #: Plan-pool hits/misses (``query()`` only; ``prepare`` always replans).
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -132,11 +122,6 @@ class Database:
     # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
-
-    def _resolve_mode(self, execution_mode: Optional[str]) -> str:
-        return resolve_execution_mode(
-            execution_mode if execution_mode is not None else self.execution_mode
-        )
 
     def _parse_query(self, sql: str) -> ast.Select | ast.Union:
         """Parse a SELECT/UNION through the statement cache."""
@@ -202,18 +187,10 @@ class Database:
             self.analyze(statement.table)
             return None
         if isinstance(statement, ast.Explain):
-            account = WorkAccount()
-            inner = statement.statement
-            if isinstance(inner, ast.Union):
-                root = self.planner.plan_union(inner, account)
-            else:
-                root = self.planner.plan_select(inner, account)
-            return root.explain()
+            return self._plan(statement.statement, WorkAccount()).explain()
         raise PlanError(f"unsupported statement {type(statement).__name__}")
 
-    def query(
-        self, sql: str, execution_mode: Optional[str] = None
-    ) -> list[tuple]:
+    def query(self, sql: str) -> list[tuple]:
         """Run a SELECT (or UNION) to completion and return its rows.
 
         Synchronous queries go through the plan pool: a repeated
@@ -221,11 +198,8 @@ class Database:
         bound plan instead of re-parsing and re-planning.
         """
         statement = self._parse_query(sql)
-        mode = self._resolve_mode(execution_mode)
-        deco = resolve_decorrelation(self.decorrelate)
-        key = (sql, mode, deco)
         epoch = self.catalog.stats_epoch
-        entry = self._plan_pool.get(key)
+        entry = self._plan_pool.get(sql)
         if entry is not None and entry[0] == epoch:
             self._note_plan_cache(hit=True)
             _, root, account = entry
@@ -235,7 +209,6 @@ class Database:
                 root=root,
                 account=account,
                 sql=sql,
-                execution_mode=mode,
                 batch_size=self.batch_size,
             )
             return execution.run_to_completion()
@@ -247,24 +220,20 @@ class Database:
         # the pass internally; on an already-rewritten statement it is a
         # no-op, so this costs one extra walk, not a second rewrite.)
         planned = statement
-        if deco:
+        if self.planner.decorrelate:
             planned, _ = decorrelate_statement(statement, self.catalog)
-        if isinstance(planned, ast.Union):
-            root = self.planner.plan_union(planned, account)
-        else:
-            root = self.planner.plan_select(planned, account)
+        root = self._plan(planned, account)
         execution = QueryExecution(
             root=root,
             account=account,
             sql=sql,
-            execution_mode=mode,
             batch_size=self.batch_size,
         )
         rows = execution.run_to_completion()
         if _statement_is_poolable(planned):
             if len(self._plan_pool) >= _PLAN_POOL_LIMIT:
                 self._plan_pool.clear()
-            self._plan_pool[key] = (epoch, root, account)
+            self._plan_pool[sql] = (epoch, root, account)
         return rows
 
     def prepare(
@@ -273,7 +242,6 @@ class Database:
         checkpoint_interval: Optional[float] = None,
         cancel_token: Optional["CancellationToken"] = None,
         memory_budget: Optional[int] = None,
-        execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
     ) -> QueryExecution:
         """Plan a SELECT (or UNION) and return a steppable execution handle.
@@ -290,25 +258,17 @@ class Database:
         memory_budget:
             Soft per-query buffered-row budget; buffering operators
             degrade gracefully past it (see :mod:`repro.engine.memory`).
-        execution_mode:
-            ``"batch"`` (vectorized) or ``"row"``; defaults to the
-            database's mode, then the engine-wide default.
         batch_size:
-            Vector width for batch mode.
+            Rows per operator output batch; defaults to the database's.
         """
         statement = self._parse_query(sql)
         memory = MemoryGovernor(memory_budget) if memory_budget is not None else None
         account = WorkAccount(cancel_token=cancel_token, memory=memory)
-        if isinstance(statement, ast.Union):
-            root = self.planner.plan_union(statement, account)
-        else:
-            root = self.planner.plan_select(statement, account)
         return QueryExecution(
-            root=root,
+            root=self._plan(statement, account),
             account=account,
             sql=sql,
             checkpoint_interval=checkpoint_interval,
-            execution_mode=self._resolve_mode(execution_mode),
             batch_size=batch_size if batch_size is not None else self.batch_size,
         )
 
@@ -324,17 +284,19 @@ class Database:
     # Helpers
     # ------------------------------------------------------------------
 
+    def _plan(
+        self, statement: ast.Select | ast.Union, account: WorkAccount
+    ) -> Operator:
+        if isinstance(statement, ast.Union):
+            return self.planner.plan_union(statement, account)
+        return self.planner.plan_select(statement, account)
+
     def _run_query(self, statement, sql: str) -> list[tuple]:
         account = WorkAccount()
-        if isinstance(statement, ast.Union):
-            root = self.planner.plan_union(statement, account)
-        else:
-            root = self.planner.plan_select(statement, account)
         execution = QueryExecution(
-            root=root,
+            root=self._plan(statement, account),
             account=account,
             sql=sql,
-            execution_mode=self._resolve_mode(None),
             batch_size=self.batch_size,
         )
         return execution.run_to_completion()

@@ -24,7 +24,8 @@ vectorized scan/hash-join/aggregate path:
   keys *and* ``value = x``) and the per-key ``COUNT(*)`` / ``COUNT(value)``
   pair (the emptiness/NULL-presence flags) -- feed a CASE expression that
   reproduces the engine's three-valued IN semantics exactly, including
-  ``NULL IN (anything)`` -> NULL and ``x NOT IN (.. NULL ..)`` -> NULL.
+  ``NULL IN (empty)`` -> FALSE, ``NULL IN (non-empty)`` -> NULL and
+  ``x NOT IN (.. NULL ..)`` -> NULL.
 
 Safety first: the rewrite only fires when it can *prove* equivalence from
 the catalog -- all FROM leaves are known base tables, every inner
@@ -32,8 +33,9 @@ predicate is either purely inner or an ``inner_col = outer_col`` equality
 whose sides share a comparison type family (hash equality must agree with
 ``compare_values``), and the subquery body has no nesting, grouping,
 ordering or limits beyond what each rule tolerates.  Anything unprovable
-falls back to the original row-loop path unchanged, and the row engine
-remains the byte-identical differential oracle for the rewritten plans.
+falls back to the original per-row subplan path unchanged.  The
+differential tests check both plan shapes against each other and against
+stdlib ``sqlite3``.
 
 Known (accepted) deviation: the decorrelated form computes the inner
 aggregates for *all* key groups, while the naive path only evaluates
@@ -42,21 +44,12 @@ never-probed group can surface under decorrelation that the row-loop
 would miss.  This matches how production optimizers behave and is
 documented in docs/ALGORITHMS.md.
 
-The pass is switchable (differential tests build the naive oracle with
-``use_decorrelation(False)``), mirroring :mod:`repro.engine.mode`:
-
->>> from repro.engine.decorrelate import use_decorrelation, default_decorrelation
->>> default_decorrelation()
-True
->>> with use_decorrelation(False):
-...     default_decorrelation()
-False
+The pass runs unless a database is built with ``Database(decorrelate=False)``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import EngineError
@@ -79,40 +72,6 @@ _TYPE_FAMILY = {
     SqlType.TEXT: "str",
     SqlType.BOOLEAN: "bool",
 }
-
-_default_enabled = True
-
-
-# ---------------------------------------------------------------------------
-# The switch (mirrors repro.engine.mode)
-# ---------------------------------------------------------------------------
-
-
-def default_decorrelation() -> bool:
-    """Whether the decorrelation pass runs when not overridden per call."""
-    return _default_enabled
-
-
-def set_default_decorrelation(enabled: bool) -> None:
-    """Set the process-wide default for the decorrelation pass."""
-    global _default_enabled
-    _default_enabled = bool(enabled)
-
-
-@contextmanager
-def use_decorrelation(enabled: bool) -> Iterator[None]:
-    """Temporarily enable/disable the decorrelation pass."""
-    previous = default_decorrelation()
-    set_default_decorrelation(enabled)
-    try:
-        yield
-    finally:
-        set_default_decorrelation(previous)
-
-
-def resolve_decorrelation(enabled: Optional[bool]) -> bool:
-    """An explicit setting, or the module default when ``None``."""
-    return _default_enabled if enabled is None else bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +533,9 @@ class _SelectRewriter:
             whens=(
                 # Matched: x joined some inner value.
                 (ast.IsNull(marker, negated=True), ast.Literal(True)),
-                # The engine's NULL probe is NULL even over an empty inner.
-                (ast.IsNull(operand), ast.Literal(None)),
-                # Empty group: IN is FALSE, NOT IN is TRUE.
+                # Empty group: IN is FALSE, NOT IN is TRUE, even for NULL.
                 (ast.BinaryOp("=", total, ast.Literal(0)), ast.Literal(False)),
+                (ast.IsNull(operand), ast.Literal(None)),
                 # No match but the group contains NULLs: unknown.
                 (
                     ast.BinaryOp(

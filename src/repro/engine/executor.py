@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.engine.errors import ExecutionError
-from repro.engine.mode import DEFAULT_BATCH_SIZE, resolve_execution_mode
 from repro.engine.operators.base import (
     Operator,
     PlanState,
@@ -37,9 +36,13 @@ from repro.engine.operators.base import (
     configure_batch_size,
 )
 from repro.engine.progress import ProgressTracker
+from repro.engine.vector import Chunk
 from repro.obs.runtime import Observability, resolve
 
 _SENTINEL = object()
+
+#: Rows per operator output batch, unless an execution asks for another.
+DEFAULT_BATCH_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class ExecutionCheckpoint:
     sql: str
     work_done: float
     plan_state: PlanState = field(repr=False)
-    #: Charged-but-unpaid work at snapshot time.  Batch mode charges in
+    #: Charged-but-unpaid work at snapshot time.  Execution charges in
     #: spikes and repays from later budgets; preserving the debt keeps a
     #: restored run time-conserving (it still owes the scheduler what the
     #: crashed attempt had banked).
@@ -97,18 +100,14 @@ class QueryExecution:
         sql: str = "",
         checkpoint_interval: Optional[float] = None,
         obs: Optional[Observability] = None,
-        execution_mode: Optional[str] = None,
         batch_size: Optional[int] = None,
     ) -> None:
         if checkpoint_interval is not None and not (
             math.isfinite(checkpoint_interval) and checkpoint_interval > 0
         ):
             raise ExecutionError("checkpoint_interval must be finite and > 0")
-        #: ``"batch"`` or ``"row"`` (module default when not passed).
-        self.execution_mode = resolve_execution_mode(execution_mode)
         self.batch_size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
-        if self.execution_mode == "batch":
-            configure_batch_size(root, self.batch_size)
+        configure_batch_size(root, self.batch_size)
         self.root = root
         self.account = account
         self.sql = sql
@@ -135,15 +134,15 @@ class QueryExecution:
         self._primed_plan_state: Optional[PlanState] = None
         #: Number of checkpoints successfully taken.
         self.checkpoints_taken = 0
-        self._iterator: Optional[Iterator[tuple]] = None
+        self._iterator: Optional[Iterator[list]] = None
         self._finished = False
         self._debt = 0.0
         self._next_checkpoint_at = (
             checkpoint_interval if checkpoint_interval is not None else math.inf
         )
-        #: Paid-work cadence mark: keeps checkpoints flowing while a
-        #: batch-mode execution is repaying banked debt (charged work --
-        #: the other cadence -- stands still during repayment).
+        #: Paid-work cadence mark: keeps checkpoints flowing while the
+        #: execution is repaying banked debt (charged work -- the other
+        #: cadence -- stands still during repayment).
         self._next_paid_checkpoint_at = (
             checkpoint_interval if checkpoint_interval is not None else math.inf
         )
@@ -164,8 +163,7 @@ class QueryExecution:
     def paid_work(self) -> float:
         """Work the scheduler has actually paid for, in U's.
 
-        Charged work minus the banked overshoot debt.  In row mode the
-        two are nearly equal; in batch mode this is the smooth,
+        Charged work minus the banked overshoot debt: the smooth,
         budget-conserving counter schedulers and speed monitors should
         read (charged work moves in batch-sized spikes).
         """
@@ -310,10 +308,7 @@ class QueryExecution:
             # Charges also check the token; this catches zero-work pulls.
             self.account.cancel_token.raise_if_cancelled()
         if self._iterator is None:
-            if self.execution_mode == "batch":
-                self._iterator = self.root.batches(None)
-            else:
-                self._iterator = self.root.rows(None)
+            self._iterator = self.root.batches(None)
 
         if self._debt >= budget:
             # Still paying off a previous overshoot.  Refresh the stored
@@ -332,38 +327,23 @@ class QueryExecution:
         # Inside the loop, none of this step's budget counts as paid yet:
         # keep the banked-debt view current so a cadence checkpoint taken
         # mid-spike records the full outstanding debt (a restore must not
-        # forgive work the scheduler never paid for).
-        if self.execution_mode == "batch":
-            # Same loop, batch-granular: rows land in bulk and cadence
-            # checkpoints are taken at batch boundaries.
-            while self.account.total - start < effective:
-                batch = next(self._iterator, _SENTINEL)
-                if batch is _SENTINEL:
-                    self._finished = True
-                    self.progress.mark_finished()
-                    consumed_at_finish = self.account.total - start
-                    break
-                # Columnar chunks materialize to row tuples exactly here --
-                # the query output is the last pipeline breaker.
-                tuples = getattr(batch, "tuples", None)
-                if tuples is not None:
-                    batch = tuples()
-                self.rows.extend(batch)
-                self._log.extend(batch)
-                self._debt = debt_start + (self.account.total - start)
-                self._maybe_checkpoint()
-        else:
-            while self.account.total - start < effective:
-                row = next(self._iterator, _SENTINEL)
-                if row is _SENTINEL:
-                    self._finished = True
-                    self.progress.mark_finished()
-                    consumed_at_finish = self.account.total - start
-                    break
-                self.rows.append(row)
-                self._log.append(row)
-                self._debt = debt_start + (self.account.total - start)
-                self._maybe_checkpoint()
+        # forgive work the scheduler never paid for).  Cadence checkpoints
+        # are taken at batch boundaries.
+        while self.account.total - start < effective:
+            batch = next(self._iterator, _SENTINEL)
+            if batch is _SENTINEL:
+                self._finished = True
+                self.progress.mark_finished()
+                consumed_at_finish = self.account.total - start
+                break
+            # Columnar chunks materialize to row tuples exactly here --
+            # the query output is the last pipeline breaker.
+            if type(batch) is Chunk:
+                batch = batch.tuples()
+            self.rows.extend(batch)
+            self._log.extend(batch)
+            self._debt = debt_start + (self.account.total - start)
+            self._maybe_checkpoint()
 
         actual = self.account.total - start
         if self._obs is not None:

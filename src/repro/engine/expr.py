@@ -14,9 +14,9 @@ over a whole list of row tuples at once, with slot indices resolved at
 bind time and no per-row :class:`Env` allocation.  The batch form is
 compiled once alongside the row form and preserves SQL semantics exactly,
 including *selective* evaluation: AND/OR right-hand sides, CASE branches
-and IN-list items are only evaluated on the subset of rows where row mode
-would have evaluated them, so data-dependent errors (e.g. a division by
-zero in a dead branch) surface identically in both modes.  Expressions
+and IN-list items are only evaluated on the subset of rows where the row
+form would have evaluated them, so data-dependent errors (e.g. a division
+by zero in a dead branch) surface identically in both forms.  Expressions
 containing subqueries fall back to a row-at-a-time loop over the *same*
 bound closure, which keeps subquery compilation (and its cost accounting)
 single-shot.
@@ -565,9 +565,11 @@ def _bind_row(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
 
         def _in_subquery(env):
             v = operand(env)
-            if v is None:
-                return None
             rows = runner(env)
+            if v is None:
+                # Over an empty set IN is FALSE (NOT IN TRUE) whatever the
+                # operand; otherwise a NULL operand is unknown.
+                return negated if not rows else None
             if getattr(runner, "correlated", True):
                 return _scan(v, rows)
             probe = probe_holder[0]
@@ -768,8 +770,8 @@ def _bind_binary(expr: ast.BinaryOp, ctx: BindContext) -> BoundExpr:
 # The batch compiler mirrors _bind_row case by case.  It is only invoked on
 # subquery-free expressions (bind_expr guards), so it never touches the
 # subquery compiler.  Selective evaluation keeps error semantics aligned
-# with row mode: a sub-expression is evaluated exactly on the rows where
-# the row form would have evaluated it.
+# with the row form: a sub-expression is evaluated exactly on the rows
+# where the row form would have evaluated it.
 
 _CMP_TESTS: dict[str, Callable[[int], bool]] = {
     "=": lambda c: c == 0,

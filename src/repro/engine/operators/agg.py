@@ -8,8 +8,11 @@ empty input (``COUNT`` = 0, other aggregates = NULL), matching SQL.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import add
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.engine.errors import PlanError, SqlTypeError
@@ -17,6 +20,17 @@ from repro.engine.expr import BoundExpr, Env, Layout, batch_eval
 from repro.engine.operators.base import Operator
 from repro.engine.types import compare_values, is_numeric
 from repro.engine.vector import ColumnVector, take_values
+
+if sys.version_info >= (3, 12):
+    def _chain_sum(values: Sequence, start: Any) -> Any:
+        """``start + values[0] + values[1] + ...``, left to right, in C.
+
+        CPython 3.12+ compensates float rounding inside ``sum()``, which
+        would part the clean fast paths from a per-value fold.
+        """
+        return reduce(add, values, start)
+else:
+    _chain_sum = sum
 
 
 @dataclass
@@ -75,11 +89,11 @@ class _AggState:
         :class:`ColumnVector` metadata proves them clean:
 
         * COUNT of a no-null column is just ``len``.
-        * SUM/AVG of a clean numeric column use ``sum(values[1:],
+        * SUM/AVG of a clean numeric column use ``_chain_sum(values[1:],
           values[0])`` -- the *same* left-to-right chain of additions as
           the scalar path (never starting from ``0.0``, which would turn
           a leading ``-0.0`` into ``+0.0``), so float totals stay
-          bit-identical to row mode.  A per-batch ``sum()`` folded into
+          bit-identical to a per-value fold.  A per-batch sum folded into
           the running total afterwards would re-associate the additions
           and drift in the last ulps.
         * MIN/MAX use the builtins only on pure-int columns, where ``<``
@@ -122,9 +136,12 @@ class _AggState:
             self.count += len(values)
             total = self.total
             if total is None:
-                self.total = sum(values[1:], values[0]) if len(values) > 1 else values[0]
+                self.total = (
+                    _chain_sum(values[1:], values[0])
+                    if len(values) > 1 else values[0]
+                )
             else:
-                self.total = sum(values, total)
+                self.total = _chain_sum(values, total)
             return
         # Generic path: same accumulation order, per-value checks.
         count = self.count
@@ -322,29 +339,7 @@ class HashAggregate(Operator):
         self._emitted = 0
 
     # ------------------------------------------------------------------
-    # Row execution
-    # ------------------------------------------------------------------
-
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        if not self._resume_emit():
-            self._begin_build()
-            groups = self._groups
-            for row in self.child.rows(outer_env):
-                env = Env(row, outer_env)
-                key = tuple(g(env) for g in self.group_exprs)
-                states = groups.get(key)
-                if states is None:
-                    states = self._new_group(key)
-                for state in states:
-                    value = state.spec.arg(env) if state.spec.arg is not None else 1
-                    state.update(value)
-            self._finish_build()
-        for row in self._pending[self._emitted:]:
-            self._emitted += 1
-            yield row
-
-    # ------------------------------------------------------------------
-    # Batch execution
+    # Execution
     # ------------------------------------------------------------------
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
@@ -377,13 +372,13 @@ class HashAggregate(Operator):
         Input that arrives clustered on the key (a table stored in key
         order, a sorted or merged stream) holds a few long runs per batch:
         each costs one group lookup and, per aggregate, one fold of a
-        contiguous slice.  A clean SUM/AVG folds as ``sum(col[s+1:e],
-        col[s])`` or ``sum(col[s:e], total)`` -- the left-to-right chain
-        of row mode -- and anything else goes through
+        contiguous slice.  A clean SUM/AVG folds as ``_chain_sum(col[s+1:e],
+        col[s])`` or ``_chain_sum(col[s:e], total)`` -- the left-to-right chain
+        of a per-row fold -- and anything else goes through
         :meth:`_AggState.update_batch` on the slice.  Groups are created in
         order of first appearance and each group's rows fold in stream
-        order, so results, group order and governor reservations are those
-        of row mode.  A batch whose keys change more often than every
+        order, so results, group order and governor reservations do not
+        depend on the batch width.  A batch whose keys change more often than every
         eighth row is bucketed by key instead (:meth:`_fold_buckets`).
         """
         key_columns = [batch_eval(g, batch, outer_env) for g in self.group_exprs]
@@ -416,9 +411,11 @@ class HashAggregate(Operator):
                     state.count += stop - start
                     total = state.total
                     if total is None:
-                        state.total = sum(column[start + 1:stop], column[start])
+                        state.total = _chain_sum(
+                            column[start + 1:stop], column[start]
+                        )
                     else:
-                        state.total = sum(column[start:stop], total)
+                        state.total = _chain_sum(column[start:stop], total)
                 elif stop - start == n:
                     state.update_batch(column)
                 else:
@@ -426,8 +423,8 @@ class HashAggregate(Operator):
 
     def _fold_buckets(self, keys: list, single: bool, arg_columns: list) -> None:
         """Fold a batch with scattered keys: bucket row indices by key first
-        (insertion order = first appearance, matching row mode's group
-        creation order), then fold each group's rows in one
+        (insertion order = first appearance, the group creation order of
+        a per-row fold), then fold each group's rows in one
         ``update_batch`` call.  Within a group the stream order is
         preserved, so float totals stay identical to per-row accumulation.
         A single key column is bucketed by its bare values, which a dict

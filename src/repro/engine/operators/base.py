@@ -1,11 +1,13 @@
 """Operator base class and the work account.
 
-Every operator produces an iterator of row tuples via :meth:`Operator.rows`.
+Every operator produces an iterator of row batches via
+:meth:`Operator.batches`: each batch is a list of row tuples or a columnar
+:class:`~repro.engine.vector.Chunk` (which iterates as row tuples).
 Operators that touch storage charge the shared :class:`WorkAccount` as they
 go -- **one page of I/O = one U** -- which is what makes executions steppable
 in work units and gives progress indicators their counters.
 
-``rows(outer_env)`` takes the evaluation environment of the *enclosing*
+``batches(outer_env)`` takes the evaluation environment of the *enclosing*
 query (or ``None`` at the top level) so the same operator tree can serve as
 a correlated subplan, re-executed per outer row.
 
@@ -33,6 +35,7 @@ import abc
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from repro.engine.expr import Env, Layout
+from repro.engine.vector import Chunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cancel import CancellationToken
@@ -92,21 +95,12 @@ class Operator(abc.ABC):
     batch_size: int = 1024
 
     @abc.abstractmethod
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        """Iterate output rows, charging work as pages are touched."""
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        """Iterate output rows in batches (lists of row tuples).
+        """Iterate output rows in batches, charging work as pages are touched.
 
-        Operators with a vectorized path override this.  The base
-        implementation wraps :meth:`rows` one row per batch, which keeps
-        *exact* work-charge parity with row mode for operators whose
-        charges are interleaved with their yields (index scans): a
-        consumer that stops early never triggers charges row mode would
-        not have made.
+        A batch is a list of row tuples or a :class:`Chunk`; either
+        iterates as row tuples.  Empty batches are never yielded.
         """
-        for row in self.rows(outer_env):
-            yield [row]
 
     def children(self) -> tuple["Operator", ...]:
         """Child operators (for plan inspection and explain output)."""
@@ -130,7 +124,7 @@ class Operator(abc.ABC):
         return None
 
     def restore(self, state: PlanState) -> None:
-        """Prime a fresh operator with *state* before its first ``rows()``.
+        """Prime a fresh operator with *state* before its first ``batches()``.
 
         Only meaningful on operators whose :meth:`checkpoint` can return a
         state; the base implementation rejects the call to fail loudly on
@@ -162,6 +156,14 @@ def checkpoint_child(child: Operator) -> Optional[dict[str, Any]]:
     if state is None:
         return None
     return {"child": state}
+
+
+def drain(root: Operator, outer_env: Optional[Env] = None) -> list[tuple]:
+    """Run *root* to exhaustion and return its output as row tuples."""
+    out: list[tuple] = []
+    for batch in root.batches(outer_env):
+        out.extend(batch.tuples() if type(batch) is Chunk else batch)
+    return out
 
 
 def configure_batch_size(root: Operator, batch_size: int) -> None:

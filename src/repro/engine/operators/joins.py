@@ -35,30 +35,10 @@ class NestedLoopJoin(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.outer, self.inner)
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        condition = self.condition
-        pad = (None,) * len(self.inner.layout)
-        for left in self.outer.rows(outer_env):
-            matched = False
-            for right in self.inner.rows(outer_env):
-                combined = left + right
-                if condition is None:
-                    matched = True
-                    yield combined
-                    continue
-                verdict = condition(Env(combined, outer_env))
-                if verdict is True:
-                    matched = True
-                    yield combined
-                elif verdict is not False and verdict is not None:
-                    raise SqlTypeError("join condition must be boolean")
-            if self.left_outer and not matched:
-                yield left + pad
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         # One output batch per *outer* input batch.  The inner side is
-        # rescanned per outer row exactly as in row mode (its materialized
-        # cache makes the rescans free after the first).
+        # rescanned per outer row (its materialized cache makes the
+        # rescans free after the first).
         condition = self.condition
         pad = (None,) * len(self.inner.layout)
         for outer_batch in self.outer.batches(outer_env):
@@ -103,15 +83,16 @@ class HashJoin(Operator):
     partitions.  Residual (non-equi) predicates can be attached by wrapping
     the join in a Filter.
 
-    Run-time state (the build table, the in-flight probe row) lives on the
-    instance, which makes the join checkpointable: the build runs inside
-    one root pull, so between pulls the join is either untouched (the build
-    child's position is the snapshot) or probing, where the finished
-    table, the probe child's position and the current probe row (with how
-    many of its matches were already emitted) are.  Under memory pressure
-    the join degrades to a modeled block-partitioned join: the build table
-    is treated as spilled (its rows stop counting against the budget) and
-    the extra partition passes are charged as work at build end.
+    Run-time state (the build table) lives on the instance, which makes the
+    join checkpointable: the build runs inside one root pull, so between
+    pulls the join is either untouched (the build child's position is the
+    snapshot) or probing, where the finished table and the probe child's
+    position are.  Every probe batch is fully joined before its output
+    batch is yielded, so no probe row is ever in flight at a checkpoint.
+    Under memory pressure the join degrades to a modeled block-partitioned
+    join: the build table is treated as spilled (its rows stop counting
+    against the budget) and the extra partition passes are charged as work
+    at build end.
     """
 
     def __init__(
@@ -140,10 +121,6 @@ class HashJoin(Operator):
         self._build_count = 0
         self._reserved = 0
         self._degraded = False
-        self._current: tuple | None = None
-        self._current_emitted = 0
-        self._current_matched = False
-        self._current_padded = False
         self._resume: dict | None = None
 
     def children(self) -> tuple[Operator, ...]:
@@ -167,10 +144,6 @@ class HashJoin(Operator):
                 "count": self._build_count,
                 "degraded": self._degraded,
                 "probe": probe_state,
-                "current": self._current,
-                "current_emitted": self._current_emitted,
-                "current_matched": self._current_matched,
-                "current_padded": self._current_padded,
             }
         if self._phase == "build":
             # Only seen from inside a pull, or after one raised.
@@ -218,117 +191,6 @@ class HashJoin(Operator):
                 )
         self._phase = "probe"
 
-    def _matches(self, left: tuple, outer_env, skip: int = 0) -> Iterator[tuple]:
-        """Matches of probe row *left*, skipping the first *skip* emits."""
-        key = self.probe_key(Env(left, outer_env))
-        if key is None:
-            return
-        for right in self._table.get(key, ()):
-            combined = left + right
-            if self.residual is not None:
-                verdict = self.residual(Env(combined, outer_env))
-                if verdict is not True:
-                    if verdict not in (False, None):
-                        raise SqlTypeError("join condition must be boolean")
-                    continue
-            self._current_matched = True
-            if skip > 0:
-                skip -= 1
-                continue
-            self._current_emitted += 1
-            yield combined
-
-    def _probe_one(
-        self, left: tuple, outer_env, skip: int = 0, resuming: bool = False
-    ) -> Iterator[tuple]:
-        """Process one probe row: its matches, then the outer pad if due.
-
-        State flags are flipped *before* the corresponding yield: a
-        checkpoint is only ever taken after a yielded row was delivered,
-        so flipped-flag state always means "this row reached the output".
-        """
-        self._current = left
-        if not resuming:
-            self._current_emitted = 0
-            self._current_matched = False
-            self._current_padded = False
-        yield from self._matches(left, outer_env, skip)
-        if self.left_outer and not self._current_matched and not self._current_padded:
-            self._current_padded = True
-            yield left + (None,) * len(self.build_side.layout)
-
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        resume = self._resume
-        self._resume = None
-        gov = self.account.memory
-
-        if resume is not None and resume["phase"] == "probe":
-            self._phase = "probe"
-            self._table = resume["table"]
-            self._build_count = resume["count"]
-            self._degraded = resume["degraded"]
-            self._reserved = 0
-            if resume["current"] is not None:
-                # Finish the in-flight probe row: its child-side position is
-                # already past it, so replay from the stored row, skipping
-                # the matches the crashed attempt had emitted.
-                self._current_emitted = resume["current_emitted"]
-                self._current_matched = resume["current_matched"]
-                self._current_padded = resume["current_padded"]
-                yield from self._probe_one(
-                    resume["current"], outer_env,
-                    skip=resume["current_emitted"], resuming=True,
-                )
-            for left in self.probe_side.rows(outer_env):
-                yield from self._probe_one(left, outer_env)
-            return
-
-        self._begin_build()
-
-        for row in self.build_side.rows(outer_env):
-            key = self.build_key(Env(row, outer_env))
-            if key is None:
-                continue  # NULL never joins
-            self._table.setdefault(key, []).append(row)
-            self._build_count += 1
-            if gov is not None and not self._degraded:
-                self._reserved += 1
-                if not gov.reserve("HashJoin"):
-                    # Degrade to a block-partitioned join: the build side is
-                    # treated as spilled from here on -- its rows stop
-                    # counting against the budget and the extra partition
-                    # passes are charged at build end.
-                    self._degraded = True
-                    gov.release(self._reserved)
-                    self._reserved = 0
-                    gov.record(
-                        "HashJoin", "degrade",
-                        "build side over budget: block-partitioned fallback",
-                    )
-
-        self._finish_build()
-        for left in self.probe_side.rows(outer_env):
-            yield from self._probe_one(left, outer_env)
-        if gov is not None and self._reserved:
-            gov.release(self._reserved)
-            self._reserved = 0
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-
-    def _clear_current(self) -> None:
-        """Reset in-flight-probe-row state at a batch boundary.
-
-        In batch mode every probe input batch is fully processed before
-        its output batch is yielded, so a checkpoint between batches has
-        no current row -- the shape row-mode restore already handles.
-        """
-        self._current = None
-        self._current_emitted = 0
-        self._current_matched = False
-        self._current_padded = False
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
@@ -340,22 +202,7 @@ class HashJoin(Operator):
             self._build_count = resume["count"]
             self._degraded = resume["degraded"]
             self._reserved = 0
-            if resume["current"] is not None:
-                # Finish the in-flight probe row of a row-mode checkpoint.
-                self._current_emitted = resume["current_emitted"]
-                self._current_matched = resume["current_matched"]
-                self._current_padded = resume["current_padded"]
-                pending = list(self._probe_one(
-                    resume["current"], outer_env,
-                    skip=resume["current_emitted"], resuming=True,
-                ))
-                self._clear_current()
-                if pending:
-                    yield pending
             yield from self._probe_batches(outer_env)
-            if gov is not None and self._reserved:
-                gov.release(self._reserved)
-                self._reserved = 0
             return
 
         self._begin_build()
@@ -458,7 +305,6 @@ class HashJoin(Operator):
                                     )
                     if left_outer and not matched:
                         out.append(left + pad)
-            self._clear_current()
             if out:
                 yield out
 

@@ -42,7 +42,7 @@ class SeqScan(Operator):
         self._page_size = 0
         #: Rows handed out during the current iteration.
         self._rows_out = 0
-        #: Restore state, consumed by the first ``rows()`` call after it.
+        #: Restore state, consumed by the first ``batches()`` call after it.
         self._resume: dict | None = None
 
     @property
@@ -75,41 +75,13 @@ class SeqScan(Operator):
             "pages_paid": int(state["pages_paid"]),
         }
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        resume = self._resume
-        self._resume = None
-        skip = resume["rows_out"] if resume else 0
-        paid = resume["pages_paid"] if resume else 0
-        self.pages_read = 0
-        self._rows_out = skip
-        for _, page in self.table.heap.scan_pages():
-            if paid > 0:
-                # A page the checkpointed attempt already paid for.
-                paid -= 1
-            else:
-                self.account.charge(1.0)
-            self.pages_read += 1
-            self._rows_in_page = 0
-            self._page_size = max(len(page.rows), 1)
-            for row in page.rows:
-                # Count the row as it is handed out: downstream per-row work
-                # (e.g. a correlated probe) is charged while the row is
-                # "current", so attributing it to this row keeps the driver
-                # fraction aligned with the work counter.
-                self._rows_in_page += 1
-                if skip > 0:
-                    skip -= 1
-                    continue
-                self._rows_out += 1
-                yield row
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         """Page-aligned columnar batch scan.
 
         Batches never span pages: a page is charged exactly when its first
         row enters a batch, so a consumer that stops early (LIMIT) charges
-        the same pages row mode would have.  ``batch_size`` only splits
-        pages that are larger than it.
+        only the pages it reached, whatever the width.  ``batch_size`` only
+        splits pages that are larger than it.
 
         Each batch is a :class:`Chunk` sharing the page's column vectors
         (zero copy for a whole page; a ``range`` selection for partial
@@ -189,7 +161,10 @@ class IndexScan(Operator):
         #: Completed probes (one per execution of this scan).
         self.probes_done = 0
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
+        # One row per batch: each heap-page charge lands just before the
+        # row that needs it, so a consumer that stops early (LIMIT, EXISTS)
+        # is never charged for a page it did not reach.
         env = outer_env if outer_env is not None else Env(())
         key = self.probe(env)
         rids = self.index.search(key)
@@ -199,7 +174,7 @@ class IndexScan(Operator):
             if rid.page_no not in pages_seen:
                 pages_seen.add(rid.page_no)
                 self.account.charge(1.0)
-            yield self.table.heap.fetch(rid)
+            yield [self.table.heap.fetch(rid)]
         self.probes_done += 1
 
     def describe(self) -> str:
@@ -241,7 +216,8 @@ class RangeIndexScan(Operator):
         self.high_inclusive = high_inclusive
         self.bounds_description = bounds_description
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
+        # One row per batch, for the reason given in IndexScan.batches.
         env = outer_env if outer_env is not None else Env(())
         low = self.low(env) if self.low is not None else None
         high = self.high(env) if self.high is not None else None
@@ -258,7 +234,7 @@ class RangeIndexScan(Operator):
                 if rid.page_no not in pages_seen:
                     pages_seen.add(rid.page_no)
                     self.account.charge(1.0)
-                yield self.table.heap.fetch(rid)
+                yield [self.table.heap.fetch(rid)]
 
     def describe(self) -> str:
         return (

@@ -84,16 +84,6 @@ class Sort(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def _entry(self, row: tuple, outer_env) -> _Entry:
-        """Decorate *row* with its composite, stable, total-order key."""
-        env = Env(row, outer_env)
-        key = tuple(
-            _Desc(sort_key(expr(env))) if descending else sort_key(expr(env))
-            for expr, descending in self.keys
-        ) + (self._seq,)
-        self._seq += 1
-        return (key, row)
-
     # ------------------------------------------------------------------
     # Checkpoint/restore
     # ------------------------------------------------------------------
@@ -176,35 +166,6 @@ class Sort(Operator):
             )
         self._buffer = []
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        if self._resume_emit():
-            for row in self._sorted[self._emitted:]:
-                self._emitted += 1
-                yield row
-            return
-
-        gov = self.account.memory
-        self._begin_build()
-        for row in self.child.rows(outer_env):
-            self._buffer.append(self._entry(row, outer_env))
-            if gov is not None and not gov.reserve("Sort"):
-                if not self._degraded:
-                    self._degraded = True
-                    gov.record(
-                        "Sort", "degrade",
-                        "buffer over budget: external-merge fallback",
-                    )
-                self._spill_current_buffer()
-
-        self._finish_build()
-        for row in self._sorted:
-            self._emitted += 1
-            yield row
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-
     def _entries_batch(self, batch: list, outer_env) -> list[_Entry]:
         """Decorate a whole batch of rows with their sort keys."""
         key_columns = []
@@ -241,7 +202,8 @@ class Sort(Operator):
             if gov is None:
                 self._buffer.extend(entries)
                 continue
-            # Same per-row reserve/spill cadence as row mode.
+            # Reserve and spill per row, so the spill points do not
+            # depend on the batch width.
             for entry in entries:
                 self._buffer.append(entry)
                 if not gov.reserve("Sort"):

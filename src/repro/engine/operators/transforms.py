@@ -43,14 +43,6 @@ class SingleRow(Operator):
     def restore(self, state: dict) -> None:
         self._resume = dict(state)
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        resume = self._resume
-        self._resume = None
-        if resume is not None and resume["done"]:
-            return
-        self._done = True
-        yield ()
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
@@ -82,22 +74,10 @@ class Filter(Operator):
     def restore(self, state: dict) -> None:
         self.child.restore(state["child"])
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        predicate = self.predicate
-        for row in self.child.rows(outer_env):
-            verdict = predicate(Env(row, outer_env))
-            if verdict is True:
-                yield row
-            elif verdict is not False and verdict is not None:
-                raise SqlTypeError(
-                    f"WHERE/ON predicate returned {type(verdict).__name__}, "
-                    "expected boolean"
-                )
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         # One output batch per input batch, never coalescing across input
-        # batches: this operator never pulls input row mode would not have
-        # touched, so charge totals match under early exit (LIMIT).
+        # batches: this operator never pulls input ahead of demand, so a
+        # consumer that stops early (LIMIT) is charged alike at any width.
         predicate = self.predicate
         for batch in self.child.batches(outer_env):
             verdicts = batch_eval(predicate, batch, outer_env)
@@ -162,12 +142,6 @@ class Project(Operator):
     def restore(self, state: dict) -> None:
         self.child.restore(state["child"])
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        exprs = self.exprs
-        for row in self.child.rows(outer_env):
-            env = Env(row, outer_env)
-            yield tuple(e(env) for e in exprs)
-
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         exprs = self.exprs
         for batch in self.child.batches(outer_env):
@@ -219,7 +193,9 @@ class Limit(Operator):
         self._resume = state
         self.child.restore(state["child"])
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
+        # The stop check follows each yield, so a satisfied LIMIT never
+        # pulls (or charges) another batch; LIMIT 0 pulls exactly one.
         resume = self._resume
         self._resume = None
         self._produced = int(resume["produced"]) if resume else 0
@@ -232,29 +208,6 @@ class Limit(Operator):
             # Checkpointed with the limit already satisfied: pulling the
             # child again could charge a page the uninterrupted run never
             # touched.
-            return
-        for row in self.child.rows(outer_env):
-            if self._skipped < self.offset:
-                self._skipped += 1
-                continue
-            if self.limit is not None and self._produced >= self.limit:
-                return
-            self._produced += 1
-            yield row
-
-    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        # Mirrors rows(): the stop check runs after pulling a batch, so a
-        # LIMIT that is already satisfied still touches exactly the input
-        # (and charges exactly the pages) the row loop would have.
-        resume = self._resume
-        self._resume = None
-        self._produced = int(resume["produced"]) if resume else 0
-        self._skipped = int(resume["skipped"]) if resume else 0
-        if (
-            resume is not None
-            and self.limit is not None
-            and self._produced >= self.limit
-        ):
             return
         for batch in self.child.batches(outer_env):
             out = batch
@@ -300,7 +253,7 @@ class Distinct(Operator):
         self._resume = state
         self.child.restore(state["child"])
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
         gov = self.account.memory
@@ -309,30 +262,13 @@ class Distinct(Operator):
         self._seen = set(resume["seen"]) if resume else set()
         seen = self._seen
         reserved = 0
-        for row in self.child.rows(outer_env):
-            if row not in seen:
-                if gov is not None:
-                    # No graceful fallback: ignore the soft budget and let
-                    # the hard limit be the backstop.
-                    gov.reserve("Distinct")
-                    reserved += 1
-                seen.add(row)
-                yield row
-        if gov is not None and reserved:
-            gov.release(reserved)
-
-    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        resume = self._resume
-        self._resume = None
-        gov = self.account.memory
-        self._seen = set(resume["seen"]) if resume else set()
-        seen = self._seen
-        reserved = 0
         for batch in self.child.batches(outer_env):
             out = []
             for row in batch:
                 if row not in seen:
                     if gov is not None:
+                        # No graceful fallback: ignore the soft budget and
+                        # let the hard limit be the backstop.
                         gov.reserve("Distinct")
                         reserved += 1
                     seen.add(row)
@@ -382,14 +318,6 @@ class Concat(Operator):
     def restore(self, state: dict) -> None:
         self._resume = state
         self._children[state["active"]].restore(state["child"])
-
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
-        resume = self._resume
-        self._resume = None
-        start = resume["active"] if resume else 0
-        for i in range(start, len(self._children)):
-            self._active = i
-            yield from self._children[i].rows(outer_env)
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
@@ -443,7 +371,7 @@ class Materialize(Operator):
     def restore(self, state: dict) -> None:
         self._resume = state
 
-    def rows(self, outer_env: Optional[Env] = None) -> Iterator[tuple]:
+    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
         start = 0
@@ -452,7 +380,9 @@ class Materialize(Operator):
             self._cache = list(resume["cache"])
             start = int(resume["handed"])
         if self._cache is None:
-            cache = list(self.child.rows(outer_env))
+            cache: list[tuple] = []
+            for batch in self.child.batches(outer_env):
+                cache.extend(batch)
             # Write + one read of the spill file.
             self.account.charge(2.0 * self.spill_pages(len(cache)))
             gov = self.account.memory
@@ -460,27 +390,6 @@ class Materialize(Operator):
                 # The cache is pinned for the query's lifetime and has no
                 # graceful fallback, so this is the path that can reach
                 # the hard memory limit.
-                gov.reserve("Materialize", len(cache))
-            self._cache = cache
-        self._handed = start
-        for row in self._cache[start:]:
-            self._handed += 1
-            yield row
-
-    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        resume = self._resume
-        self._resume = None
-        start = 0
-        if resume is not None and resume["cache"] is not None:
-            self._cache = list(resume["cache"])
-            start = int(resume["handed"])
-        if self._cache is None:
-            cache: list[tuple] = []
-            for batch in self.child.batches(outer_env):
-                cache.extend(batch)
-            self.account.charge(2.0 * self.spill_pages(len(cache)))
-            gov = self.account.memory
-            if gov is not None and cache:
                 gov.reserve("Materialize", len(cache))
             self._cache = cache
         self._handed = start

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.engine import cost as costmodel
 from repro.engine.catalog import Catalog, Table
-from repro.engine.decorrelate import decorrelate_select, resolve_decorrelation
+from repro.engine.decorrelate import decorrelate_select
 from repro.engine.errors import PlanError
 from repro.engine.expr import (
     BindContext,
@@ -43,7 +43,7 @@ from repro.engine.expr import (
     slot_expr,
 )
 from repro.engine.operators.agg import AggSpec, HashAggregate
-from repro.engine.operators.base import Operator, WorkAccount
+from repro.engine.operators.base import Operator, WorkAccount, drain
 from repro.engine.operators.joins import HashJoin, NestedLoopJoin
 from repro.engine.operators.scans import IndexScan, SeqScan
 from repro.engine.operators.sort import Sort
@@ -82,12 +82,9 @@ class _SubqueryRecord:
 class Planner:
     """Plans SELECT statements against a catalog."""
 
-    def __init__(
-        self, catalog: Catalog, decorrelate: Optional[bool] = None
-    ) -> None:
+    def __init__(self, catalog: Catalog, decorrelate: bool = True) -> None:
         self.catalog = catalog
-        #: Per-planner override for the subquery-decorrelation rewrite
-        #: pass (``None`` defers to the module default at plan time).
+        #: Whether top-level plans run the subquery-decorrelation rewrite.
         self.decorrelate = decorrelate
 
     # ------------------------------------------------------------------
@@ -110,7 +107,7 @@ class Planner:
         # Top-level plans (and the subquery-free SELECTs the rewrite
         # emits) run the decorrelation pass first; correlated subquery
         # bodies arrive with an enclosing context and are planned as-is.
-        if outer_ctx is None and resolve_decorrelation(self.decorrelate):
+        if outer_ctx is None and self.decorrelate:
             select, _ = decorrelate_select(select, self.catalog)
 
         subqueries: list[_SubqueryRecord] = []
@@ -136,14 +133,14 @@ class Planner:
 
             if correlated:
                 def runner(env: Env) -> list:
-                    return list(root.rows(env))
+                    return drain(root, env)
             else:
                 cache: list | None = None
 
                 def runner(env: Env) -> list:
                     nonlocal cache
                     if cache is None:
-                        cache = list(root.rows(None))
+                        cache = drain(root, None)
                     return cache
 
             # Execution-time hooks (e.g. the uncorrelated IN membership

@@ -17,17 +17,14 @@ extrapolation are blended linearly to avoid wild small-sample swings.
 Plans without a sequential scan (pure index lookups) fall back to the
 optimizer estimate, floored at the work already done.
 
-**Batch (vectorized) execution.**  In batch mode work is charged in
-batch-sized spikes: a single root pull can consume many driver pages at
-once, and the executor banks the overshoot as *debt* that later budgets
-repay.  Charged-but-unpaid work is still remaining work from the
+**Batch-granular charges.**  Work is charged in batch-sized spikes: a
+single root pull can consume many driver pages at once, and the executor
+banks the overshoot as *debt* that later budgets repay.  Charged-but-unpaid work is still remaining work from the
 scheduler's point of view, so the tracker accepts an
 ``outstanding_debt`` supplier and adds it to the remaining-cost
-estimate (and subtracts it from the completed fraction).  Row-mode
-executions carry near-zero debt, so their estimates are unchanged;
-batch-mode estimates stay accurate to within one batch of the driver
-scan instead of collapsing to zero the moment the driver's pages have
-been pre-charged.
+estimate (and subtracts it from the completed fraction).  Estimates stay
+accurate to within one batch of the driver scan instead of collapsing to
+zero the moment the driver's pages have been pre-charged.
 """
 
 from __future__ import annotations
@@ -137,9 +134,9 @@ class ProgressTracker:
     def estimated_remaining_cost(self) -> float:
         """Refined remaining cost in U's (the PI's ``c``).
 
-        Includes the executor's outstanding work debt: in batch mode a
-        pull can pre-charge a whole batch of work that the scheduler has
-        not yet paid for, and that work is still ahead of the query.
+        Includes the executor's outstanding work debt: a pull can
+        pre-charge a whole batch of work that the scheduler has not yet
+        paid for, and that work is still ahead of the query.
         """
         if self._finished:
             return 0.0

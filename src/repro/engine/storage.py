@@ -9,8 +9,8 @@ Pages are **columnar**: each page keeps one :class:`ColumnVector` per column
 (arity inferred from the first row appended), so the vectorized batch path
 can hand whole column vectors to expression evaluation and aggregation
 without building row tuples.  The row-tuple view (:attr:`Page.rows`) is a
-lazily-built, cached materialization used by row mode -- the differential
-oracle -- and by whole-row consumers such as ``scan_rows``; sparse RID
+lazily-built, cached materialization used by whole-row consumers such as
+``scan_rows`` and whole-page ``Chunk.tuples()``; sparse RID
 fetches build a single tuple via :meth:`Page.row` without materializing the
 page.  The layout changes how bytes are read, never what a page *is*: every
 work charge lands at exactly the same point as under the row-tuple layout.

@@ -214,7 +214,7 @@ class Chunk:
         self._tuples: Optional[list] = None
         #: For whole-page chunks: the storage page, whose lazily-cached
         #: ``rows`` materialization is shared instead of re-zipping the
-        #: columns on every scan (row mode shares the same cache).
+        #: columns on every scan.
         self.source = source
 
     def __len__(self) -> int:

@@ -49,11 +49,7 @@ def make_job(db: Database, query_id: str, i: int, config: "EngineMCQConfig") -> 
         return engine_job(db, query_id, i, checkpoint_interval=interval)
 
     def prepare():
-        return db.prepare(
-            sql,
-            checkpoint_interval=interval,
-            execution_mode=config.execution_mode,
-        )
+        return db.prepare(sql, checkpoint_interval=interval)
 
     return EngineJob(query_id, prepare(), prepare=prepare)
 
@@ -79,10 +75,6 @@ class EngineMCQConfig:
     #: Work-preserving checkpoint cadence (U's) for every engine execution,
     #: or None to run without checkpoints.
     checkpoint_interval: float | None = None
-    #: ``"batch"`` / ``"row"`` engine execution, or None for the engine
-    #: default.  Both modes are work-identical; this switches the
-    #: vectorized fast path on or off for the whole run.
-    execution_mode: str | None = None
     seed: int = 11
 
 
@@ -122,11 +114,7 @@ def build_database(config: EngineMCQConfig) -> tuple[Database, list[int]]:
     # with per-row correlated subplans, and the characteristic optimizer
     # estimation error the experiment measures comes from exactly that
     # plan shape.  (The decorrelated plans estimate near-perfectly.)
-    db = Database(
-        page_capacity=tpcr.page_capacity,
-        execution_mode=config.execution_mode,
-        decorrelate=False,
-    )
+    db = Database(page_capacity=tpcr.page_capacity, decorrelate=False)
     build_lineitem(db, tpcr, rng)
     sampler = ZipfSampler.over_range(config.zipf_a, config.max_size, rng)
     sizes = [int(sampler.sample()) for _ in range(config.n_queries)]

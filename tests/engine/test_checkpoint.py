@@ -19,6 +19,9 @@ from repro.engine import Database, ExecutionCheckpoint
 from repro.engine.errors import ExecutionError
 from repro.obs.runtime import observed
 
+#: Vector widths every checkpoint property must hold at.
+WIDTHS = (1, 7, 1024)
+
 
 @pytest.fixture(scope="module")
 def db():
@@ -141,14 +144,14 @@ class TestResumeEquivalence:
             resumed.run_to_completion()
             assert resumed.rows == reference.rows
 
-    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("shape, phases", [
         ("sort", ("idle", "emit")),
         ("hash_agg", ("idle", "emit")),
         ("hash_join", ("idle", "probe")),
     ])
     def test_frozen_operator_state_is_shared_safely(
-        self, db, shape, phases, mode
+        self, db, shape, phases, width
     ):
         """Per operator and phase: checkpoint, let the original finish,
         then restore the same checkpoint twice.  (A blocking build runs
@@ -161,10 +164,10 @@ class TestResumeEquivalence:
         leave the snapshot exactly as taken.
         """
         sql = SHAPES[shape]
-        reference = db.prepare(sql, execution_mode=mode, batch_size=7)
+        reference = db.prepare(sql, batch_size=width)
         reference.run_to_completion()
 
-        ex = db.prepare(sql, execution_mode=mode, batch_size=7)
+        ex = db.prepare(sql, batch_size=width)
         by_phase = {}
         while not ex.finished:
             ckpt = ex.checkpoint()
@@ -177,7 +180,7 @@ class TestResumeEquivalence:
 
         for phase in phases:
             for _ in range(2):
-                resumed = db.prepare(sql, execution_mode=mode, batch_size=7)
+                resumed = db.prepare(sql, batch_size=width)
                 resumed.restore(by_phase[phase])
                 resumed.run_to_completion()
                 assert resumed.rows == reference.rows, phase
@@ -193,8 +196,6 @@ class TestResumeEquivalence:
         assert ckpt.work_done == ex.work_done
 
 
-#: (execution_mode, batch_size): row mode plus batch widths 1 / 7 / 1024.
-MODES = [("row", None), ("batch", 1), ("batch", 7), ("batch", 1024)]
 
 
 def row_references_held(checkpoints):
@@ -218,7 +219,7 @@ class TestRowLog:
 
     @given(
         shape=st.sampled_from(sorted(SHAPES)),
-        mode=st.sampled_from(MODES),
+        width=st.sampled_from(WIDTHS),
         interval=st.sampled_from([None, 0.5, 2.0, 7.0]),
         steps=st.lists(
             st.tuples(
@@ -233,15 +234,13 @@ class TestRowLog:
     )
     @settings(max_examples=150, deadline=None)
     def test_checkpoints_stay_their_prefix(
-        self, db, shape, mode, interval, steps, pick, hop_budget
+        self, db, shape, width, interval, steps, pick, hop_budget
     ):
         sql = SHAPES[shape]
-        execution_mode, width = mode
 
         def prepare(checkpoint_interval=None):
             return db.prepare(
-                sql, checkpoint_interval=checkpoint_interval,
-                execution_mode=execution_mode, batch_size=width,
+                sql, checkpoint_interval=checkpoint_interval, batch_size=width,
             )
 
         reference = prepare()
@@ -398,7 +397,7 @@ class TestNoBuildPhaseBetweenSteps:
 
     @given(
         shape=st.sampled_from(sorted(SHAPES)),
-        mode=st.sampled_from(MODES),
+        width=st.sampled_from(WIDTHS),
         interval=st.sampled_from([None, 0.5, 3.0]),
         budgets=st.lists(
             st.floats(min_value=0.05, max_value=30.0), min_size=1, max_size=40
@@ -406,12 +405,10 @@ class TestNoBuildPhaseBetweenSteps:
     )
     @settings(max_examples=150, deadline=None)
     def test_no_checkpoint_holds_a_build_phase(
-        self, db, shape, mode, interval, budgets
+        self, db, shape, width, interval, budgets
     ):
-        execution_mode, width = mode
         ex = db.prepare(
-            SHAPES[shape], checkpoint_interval=interval,
-            execution_mode=execution_mode, batch_size=width,
+            SHAPES[shape], checkpoint_interval=interval, batch_size=width
         )
         taken = []
         for budget in budgets:
@@ -427,8 +424,8 @@ class TestNoBuildPhaseBetweenSteps:
             assert plan_phases(ckpt.plan_state) <= {"idle", "emit", "probe"}
 
     @pytest.mark.parametrize("shape", ["sort", "hash_agg", "hash_join"])
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    def test_a_build_cut_short_has_no_checkpoint(self, db, shape, mode):
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_a_build_cut_short_has_no_checkpoint(self, db, shape, width):
         """Only a pull that raised leaves a build half done; a checkpoint
         then has no consistent cut to offer and declines."""
         from repro.engine import CancellationToken, QueryCancelled
@@ -449,8 +446,7 @@ class TestNoBuildPhaseBetweenSteps:
                 super().raise_if_cancelled()
 
         ex = db.prepare(
-            SHAPES[shape], cancel_token=FiresOnFifthCharge(),
-            execution_mode=mode,
+            SHAPES[shape], cancel_token=FiresOnFifthCharge(), batch_size=width
         )
         with pytest.raises(QueryCancelled):
             ex.step(1.0)

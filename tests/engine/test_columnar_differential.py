@@ -1,17 +1,17 @@
-"""Differential suite for the columnar page layout (row mode = oracle).
+"""Differential suite for the columnar page layout (sqlite3 = row oracle).
 
-The columnar refactor changed *how* pages are stored and read (column
-vectors + selection vectors, late materialization) but must not change
-*anything* observable: for every workload template, a hypothesis corpus of
-generated SQL, the awkward vector widths (1, 7, 1024) and several page
-capacities, the batch engine must produce byte-identical rows and charge
-the identical work total -- including mid-chunk checkpoint/restores,
-cancellation, memory pressure, and with the optional numpy acceleration
-disabled (the soft dependency may speed gathers up, never change them).
+The columnar layout (column vectors + selection vectors, late
+materialization) must not change *anything* observable: for every
+workload template, a hypothesis corpus of generated SQL, the awkward
+vector widths (1, 7, 1024) and several page capacities, the engine's rows
+must match stdlib ``sqlite3`` (see :mod:`tests.engine.sqlite_oracle`), and
+every width must produce byte-identical rows and charge the identical work
+total -- including mid-chunk checkpoint/restores, cancellation, memory
+pressure, and with the optional numpy acceleration disabled (the soft
+dependency may speed gathers up, never change them).
 
 Also pins the RID-probe invariant: index probes charge 1 U per *page*
-touched under the columnar layout, exactly as under the row layout and
-exactly as in row mode.
+touched, whatever the vector width.
 """
 
 import pytest
@@ -24,6 +24,9 @@ from repro.engine.vector import Chunk, ColumnVector
 from repro.workload.queries import join_query, paper_query, scan_query
 from repro.workload.tpcr import TpcrConfig, generate
 
+from tests.engine.helpers import undecorrelated
+from tests.engine.sqlite_oracle import assert_matches_sqlite, sqlite_copy
+
 BATCH_SIZES = (1, 7, 1024)
 PAGE_CAPACITIES = (1, 3, 50)
 
@@ -33,8 +36,8 @@ def dataset():
     return generate(TpcrConfig(scale=1 / 4000, seed=5), part_sizes={1: 4})
 
 
-def run(db, sql, mode, batch_size=None, **kw):
-    ex = db.prepare(sql, execution_mode=mode, batch_size=batch_size, **kw)
+def run(db, sql, batch_size=None, **kw):
+    ex = db.prepare(sql, batch_size=batch_size, **kw)
     rows = ex.run_to_completion()
     return rows, ex.work_done, ex
 
@@ -118,11 +121,12 @@ class TestWorkloadTemplates:
     )
     def test_rows_and_work_identical(self, dataset, sql, numpy_mode):
         db = dataset.db
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
+        ref_rows, ref_work, _ = run(db, sql)
+        assert_matches_sqlite(db, sql, ref_rows)
         for width in BATCH_SIZES:
-            rows, work, _ = run(db, sql, "batch", batch_size=width)
-            assert rows == oracle_rows, f"width={width}"
-            assert work == oracle_work, f"width={width}"
+            rows, work, _ = run(db, sql, batch_size=width)
+            assert rows == ref_rows, f"width={width}"
+            assert work == ref_work, f"width={width}"
 
 
 SQL_CORPUS = [
@@ -167,7 +171,7 @@ class TestHypothesisCorpus:
         use_numpy=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_columnar_batch_matches_row_oracle(
+    def test_columnar_batch_matches_sqlite_oracle(
         self, rows, sql, width, page, use_numpy
     ):
         saved_np = vector_mod._np
@@ -177,15 +181,16 @@ class TestHypothesisCorpus:
             db = Database(page_capacity=page)
             db.execute("CREATE TABLE t (k INT, v FLOAT)")
             db.insert_rows("t", rows)
-            oracle_rows, oracle_work, _ = run(db, sql, "row")
-            got_rows, got_work, _ = run(db, sql, "batch", batch_size=width)
-            assert got_rows == oracle_rows
-            # Byte-identical, not merely equal: 1 == 1.0 in Python, but the
-            # layout must also preserve every value's type.
+            got_rows, got_work, _ = run(db, sql, batch_size=width)
+            assert_matches_sqlite(db, sql, got_rows)
+            ref_rows, ref_work, _ = run(db, sql)
+            assert got_rows == ref_rows
+            # Byte-identical, not merely equal: 1 == 1.0 in Python, but
+            # every width must also preserve every value's type.
             assert [tuple(map(type, r)) for r in got_rows] == [
-                tuple(map(type, r)) for r in oracle_rows
+                tuple(map(type, r)) for r in ref_rows
             ]
-            assert got_work == oracle_work
+            assert got_work == ref_work
         finally:
             vector_mod._np = saved_np
 
@@ -199,48 +204,28 @@ class TestCheckpointMidChunk:
         db.execute("CREATE TABLE t (k INT, v FLOAT)")
         db.insert_rows("t", [(i % 5, float(i)) for i in range(173)])
         sql = "SELECT k, sum(v) FROM t WHERE k <> 3 GROUP BY k ORDER BY k"
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
+        oracle_rows, oracle_work, _ = run(db, sql, batch_size=width)
+        assert_matches_sqlite(db, sql, oracle_rows)
 
-        ex = db.prepare(
-            sql, checkpoint_interval=1.0, execution_mode="batch",
-            batch_size=width,
-        )
+        ex = db.prepare(sql, checkpoint_interval=1.0, batch_size=width)
         ex.step(1.0)
         ckpt = ex.last_checkpoint
         assert ckpt is not None
-        resumed = db.prepare(
-            sql, checkpoint_interval=1.0, execution_mode="batch",
-            batch_size=width,
-        )
+        resumed = db.prepare(sql, checkpoint_interval=1.0, batch_size=width)
         resumed.restore(ckpt)
         rows = resumed.run_to_completion()
         assert rows == oracle_rows
-        assert resumed.work_done == oracle_work
-
-    def test_cross_mode_restore_columnar(self, dataset):
-        db = dataset.db
-        sql = scan_query(1)
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
-        ex = db.prepare(sql, checkpoint_interval=1.0, execution_mode="batch",
-                        batch_size=7)
-        ex.step(1.0)
-        ckpt = ex.last_checkpoint
-        assert ckpt is not None
-        resumed = db.prepare(sql, execution_mode="row")
-        resumed.restore(ckpt)
-        assert resumed.run_to_completion() == oracle_rows
         assert resumed.work_done == oracle_work
 
 
 class TestCancelAndMemoryEquivalence:
     @pytest.mark.parametrize("width", BATCH_SIZES)
     def test_cancel_fires_in_both_modes(self, dataset, width):
-        db = dataset.db
-        sql = join_query(1)
-        for mode, bs in (("row", None), ("batch", width)):
+        """Both plan modes of the paper query: the decorrelated join and
+        the per-outer-row subplan."""
+        for db in (dataset.db, undecorrelated(dataset.db)):
             tok = CancellationToken()
-            ex = db.prepare(sql, cancel_token=tok, execution_mode=mode,
-                            batch_size=bs)
+            ex = db.prepare(paper_query(1), cancel_token=tok, batch_size=width)
             ex.step(5.0)
             tok.cancel("test")
             with pytest.raises(QueryCancelled):
@@ -251,22 +236,21 @@ class TestCancelAndMemoryEquivalence:
     def test_memory_pressure_equivalence(self, dataset, width, numpy_mode):
         db = dataset.db
         sql = join_query(1)
-        row_rows, row_work, row_ex = run(db, sql, "row", memory_budget=64)
-        rows, work, ex = run(
-            db, sql, "batch", batch_size=width, memory_budget=64
-        )
+        ref_rows, ref_work, ref_ex = run(db, sql, memory_budget=64)
+        rows, work, ex = run(db, sql, batch_size=width, memory_budget=64)
         assert ex.progress.memory_pressure_events() > 0
         assert (
             ex.progress.memory_pressure_events()
-            == row_ex.progress.memory_pressure_events()
+            == ref_ex.progress.memory_pressure_events()
         )
-        assert rows == row_rows
-        assert work == row_work
+        assert rows == ref_rows
+        assert work == ref_work
+        assert_matches_sqlite(db, sql, rows, sqlite_copy(db))
 
 
 class TestRidProbeInvariant:
-    """Satellite: fetch-by-RID charges 1 U per page touched, both layouts
-    of the batch dimension (row mode vs columnar batch mode) agreeing."""
+    """Fetch-by-RID charges 1 U per page touched, every vector width
+    agreeing with the closed form."""
 
     def _db(self, page_capacity=10):
         db = Database(page_capacity=page_capacity)
@@ -282,11 +266,12 @@ class TestRidProbeInvariant:
         sql = "SELECT v FROM t WHERE k = 3"
         plan = db.explain(sql)
         assert "IndexScan" in plan, plan
-        row_rows, row_work, _ = run(db, sql, "row")
+        ref_rows, ref_work, _ = run(db, sql)
+        assert_matches_sqlite(db, sql, ref_rows)
         for width in BATCH_SIZES:
-            rows, work, _ = run(db, sql, "batch", batch_size=width)
-            assert rows == row_rows
-            assert work == row_work
+            rows, work, _ = run(db, sql, batch_size=width)
+            assert rows == ref_rows
+            assert work == ref_work
 
     def test_probe_charges_one_u_per_distinct_page(self):
         db = self._db()
@@ -295,7 +280,7 @@ class TestRidProbeInvariant:
         rids = index.search(3)
         distinct_pages = len({rid.page_no for rid in rids})
         assert distinct_pages > 1  # the key genuinely spans pages
-        _, work, _ = run(db, "SELECT v FROM t WHERE k = 3", "batch")
+        _, work, _ = run(db, "SELECT v FROM t WHERE k = 3")
         assert work == index.lookup_cost(len(rids)) + distinct_pages
 
     def test_range_probe_work_parity(self):
@@ -303,11 +288,12 @@ class TestRidProbeInvariant:
         sql = "SELECT v FROM t WHERE k BETWEEN 1 AND 2"
         plan = db.explain(sql)
         assert "RangeIndexScan" in plan, plan
-        row_rows, row_work, _ = run(db, sql, "row")
+        ref_rows, ref_work, _ = run(db, sql)
+        assert_matches_sqlite(db, sql, ref_rows)
         for width in BATCH_SIZES:
-            rows, work, _ = run(db, sql, "batch", batch_size=width)
-            assert rows == row_rows
-            assert work == row_work
+            rows, work, _ = run(db, sql, batch_size=width)
+            assert rows == ref_rows
+            assert work == ref_work
 
     def test_fetch_builds_identical_tuples(self):
         db = self._db(page_capacity=3)
@@ -361,7 +347,7 @@ class TestPageCapacityPlumbing:
             db.execute("CREATE TABLE t (k INT, v FLOAT)")
             db.insert_rows("t", [(i % 3, float(i)) for i in range(100)])
             rows, work, _ = run(
-                db, "SELECT k, sum(v) FROM t GROUP BY k ORDER BY k", "batch"
+                db, "SELECT k, sum(v) FROM t GROUP BY k ORDER BY k"
             )
             results.append(rows)
             works.append(work)

@@ -8,23 +8,16 @@ statements, and the uncorrelated IN membership probe.
 
 import pytest
 
-from repro.engine import (
-    Database,
-    default_decorrelation,
-    set_default_decorrelation,
-    use_decorrelation,
-)
-from repro.engine.decorrelate import (
-    decorrelate_select,
-    decorrelate_statement,
-    resolve_decorrelation,
-)
+from repro.engine import Database
+from repro.engine.decorrelate import decorrelate_select, decorrelate_statement
 from repro.engine.errors import SqlTypeError
 from repro.engine.sql import parse_statement
 
+from tests.engine.sqlite_oracle import assert_matches_sqlite
 
-def fresh_db():
-    db = Database(page_capacity=8)
+
+def fresh_db(decorrelate=True):
+    db = Database(page_capacity=8, decorrelate=decorrelate)
     db.execute("CREATE TABLE t (k INT, v FLOAT)")
     db.execute("CREATE TABLE s (k INT, v FLOAT)")
     db.insert_rows(
@@ -42,28 +35,18 @@ def tags_for(db, sql):
 
 
 def oracle(db, sql):
-    with use_decorrelation(False):
-        return db.prepare(sql, execution_mode="row").run_to_completion()
+    """*sql* on a copy of *db* that keeps the per-outer-row subplans."""
+    naive = fresh_db(decorrelate=False)
+    for table in ("t", "s"):
+        naive.execute(f"DELETE FROM {table}")
+        naive.insert_rows(table, db.query(f"SELECT * FROM {table}"))
+    return naive.query(sql)
 
 
 class TestSwitch:
     def test_default_is_on(self):
-        assert default_decorrelation() is True
-
-    def test_context_manager_restores(self):
-        with use_decorrelation(False):
-            assert default_decorrelation() is False
-        assert default_decorrelation() is True
-
-    def test_set_and_resolve(self):
-        set_default_decorrelation(False)
-        try:
-            assert resolve_decorrelation(None) is False
-            assert resolve_decorrelation(True) is True
-        finally:
-            set_default_decorrelation(True)
-        assert resolve_decorrelation(None) is True
-        assert resolve_decorrelation(False) is False
+        assert Database().planner.decorrelate is True
+        assert Database(decorrelate=False).planner.decorrelate is False
 
 
 class TestRuleFiring:
@@ -192,6 +175,21 @@ class TestSemanticCorners:
         )
         assert db.query(sql) == oracle(db, sql)
 
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_null_operand_over_empty_group_is_decided(self, negated):
+        # IN over an empty set is FALSE (NOT IN TRUE) even for a NULL
+        # operand; stdlib sqlite3 agrees.
+        db = fresh_db()
+        db.execute("INSERT INTO t VALUES (7, NULL)")  # no s row has k = 7
+        sql = (
+            f"SELECT t.k FROM t WHERE t.v {'NOT IN' if negated else 'IN'} "
+            "(SELECT s.v FROM s WHERE s.k = t.k)"
+        )
+        rows = db.query(sql)
+        assert ((7,) in rows) is negated
+        assert rows == oracle(db, sql)
+        assert_matches_sqlite(db, sql, rows)
+
     def test_select_list_and_order_by_share_one_join(self):
         db = fresh_db()
         sql = (
@@ -295,18 +293,18 @@ class TestPlanPoolEligibility:
         assert db.plan_cache_hits == hits
 
     def test_decorrelation_settings_pool_separately(self):
-        db = fresh_db()
         sql = (
             "SELECT t.k FROM t WHERE t.v > "
             "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
         )
-        rows = db.query(sql)
-        with use_decorrelation(False):
-            # Different pool key; the subquery-bearing plan is not pooled.
-            assert db.query(sql) == rows
-            hits = db.plan_cache_hits
-            assert db.query(sql) == rows
-            assert db.plan_cache_hits == hits
+        on, off = fresh_db(), fresh_db(decorrelate=False)
+        rows = on.query(sql)
+        assert on.query(sql) == rows
+        assert on.plan_cache_hits == 1
+        # Decorrelation off keeps the subquery, so the plan is not pooled.
+        assert off.query(sql) == rows
+        assert off.query(sql) == rows
+        assert off.plan_cache_hits == 0
 
     def test_database_decorrelate_off_keeps_row_loop_plan(self):
         db = Database(page_capacity=8, decorrelate=False)
@@ -344,9 +342,9 @@ class TestUncorrelatedInProbe:
 
         db = self._db([(3.0,), (7.0,), (None,)])
         sql = "SELECT id FROM big WHERE v IN (SELECT v FROM small)"
-        expected = db.prepare(sql, execution_mode="row").run_to_completion()
+        expected = db.query(sql)
         monkeypatch.setattr(expr_mod, "compare_values", counting)
-        rows = db.prepare(sql, execution_mode="row").run_to_completion()
+        rows = db.query(sql)
         assert rows == expected
         # The naive scan would do O(outer x inner) comparisons (several
         # hundred here); the probe needs none for clean hits/misses.
@@ -356,7 +354,7 @@ class TestUncorrelatedInProbe:
         """The inner query charges its scan once, not once per outer row."""
         db = self._db([(3.0,), (7.0,)])
         sql = "SELECT id FROM big WHERE v IN (SELECT v FROM small)"
-        ex = db.prepare(sql, execution_mode="row")
+        ex = db.prepare(sql)
         ex.run_to_completion()
         big_pages = db.catalog.table("big").heap.page_count
         small_pages = db.catalog.table("small").heap.page_count
@@ -370,13 +368,13 @@ class TestUncorrelatedInProbe:
         # Comparing float with str must raise exactly as the ordered
         # scan does (the clash precedes any possible match).
         with pytest.raises(SqlTypeError):
-            db.prepare(sql, execution_mode="row").run_to_completion()
+            db.query(sql)
 
     def test_probe_falls_back_on_nan(self):
         nan = float("nan")
         db = self._db([(nan,)])
         sql = "SELECT id FROM big WHERE v IN (SELECT v FROM small)"
-        rows = db.prepare(sql, execution_mode="row").run_to_completion()
+        rows = db.query(sql)
         # compare_values treats NaN as equal to every number (engine
         # quirk), so every big row matches; the probe must agree.
         assert len(rows) == 300
@@ -392,5 +390,5 @@ class TestUncorrelatedInProbe:
             "SELECT t.k FROM t WHERE t.v IN "
             "(SELECT s.v FROM s WHERE s.k = t.k)"
         )
-        rows = db.prepare(sql, execution_mode="row").run_to_completion()
+        rows = db.query(sql)
         assert rows == [(1,)]

@@ -1,17 +1,20 @@
-"""Differential corpus: decorrelated batch plans vs. the naive row oracle.
+"""Differential corpus: decorrelated plans vs. the naive plan and sqlite3.
 
-The row engine with decorrelation disabled executes correlated subqueries
-the pre-rewrite way (per-outer-row subplans) and is the semantics oracle.
-Every query in the corpus runs both ways over hypothesis-generated data --
-including empty inner tables, NULL correlation keys, NULL values inside
-IN groups, and duplicate outer keys -- and the rows must be identical.
+A ``Database(decorrelate=False)`` executes correlated subqueries the
+pre-rewrite way (per-outer-row subplans); stdlib ``sqlite3`` is the outside
+oracle (see :mod:`tests.engine.sqlite_oracle`).  Every query in the corpus
+runs all three ways over hypothesis-generated data -- including empty
+inner tables, NULL correlation keys, NULL values inside IN groups, and
+duplicate outer keys -- and the rows must agree.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Database, use_decorrelation
+from repro.engine import Database
+
+from tests.engine.sqlite_oracle import assert_matches_sqlite
 
 #: Queries the rewrite provably fires on (asserted below).
 REWRITTEN_CORPUS = [
@@ -21,7 +24,8 @@ REWRITTEN_CORPUS = [
     "SELECT t.k, (SELECT count(s.v) FROM s WHERE s.k = t.k) FROM t",
     "SELECT t.k, (SELECT sum(s.v) FROM s WHERE s.k = t.k) FROM t",
     "SELECT t.k, (SELECT min(s.v) FROM s WHERE s.k = t.k AND s.v > 0) FROM t",
-    "SELECT t.v, (SELECT max(s.v) FROM s WHERE s.k = t.k) m FROM t ORDER BY t.v",
+    "SELECT t.v, (SELECT max(s.v) FROM s WHERE s.k = t.k) m FROM t "
+    "ORDER BY t.v, t.k",
     "SELECT t.k FROM t WHERE t.v > "
     "(SELECT sum(s.v) / count(s.v) FROM s WHERE s.k = t.k)",
     "SELECT t.k FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.k = t.k)",
@@ -67,8 +71,8 @@ def key_value_rows(draw):
     ]
 
 
-def build(rows_t, rows_s, page):
-    db = Database(page_capacity=page)
+def build(rows_t, rows_s, page, decorrelate=True):
+    db = Database(page_capacity=page, decorrelate=decorrelate)
     db.execute("CREATE TABLE t (k INT, v FLOAT)")
     db.execute("CREATE TABLE s (k INT, v FLOAT)")
     db.insert_rows("t", rows_t)
@@ -94,12 +98,10 @@ class TestRewrittenCorpus:
         self, rows_t, rows_s, sql, width, page
     ):
         db = build(rows_t, rows_s, page)
-        got = db.prepare(
-            sql, execution_mode="batch", batch_size=width
-        ).run_to_completion()
-        with use_decorrelation(False):
-            want = db.prepare(sql, execution_mode="row").run_to_completion()
-        assert got == want
+        got = db.prepare(sql, batch_size=width).run_to_completion()
+        naive = build(rows_t, rows_s, page, decorrelate=False)
+        assert got == naive.query(sql)
+        assert_matches_sqlite(db, sql, got)
 
     @given(
         rows_t=key_value_rows(),
@@ -107,16 +109,16 @@ class TestRewrittenCorpus:
         sql=st.sampled_from(REWRITTEN_CORPUS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_decorrelated_modes_agree_on_work(self, rows_t, rows_s, sql):
-        """Row and batch execution of the *same* rewritten plan stay
-        work-identical -- the engine's core mode invariant."""
+    def test_decorrelated_widths_agree_on_work(self, rows_t, rows_s, sql):
+        """Every vector width of the *same* rewritten plan stays
+        work-identical -- the engine's core width invariant."""
         db = build(rows_t, rows_s, 4)
-        ex_b = db.prepare(sql, execution_mode="batch")
-        rows_b = ex_b.run_to_completion()
-        ex_r = db.prepare(sql, execution_mode="row")
-        rows_r = ex_r.run_to_completion()
-        assert rows_b == rows_r
-        assert ex_b.work_done == ex_r.work_done
+        ref = db.prepare(sql)
+        ref_rows = ref.run_to_completion()
+        for width in BATCH_SIZES:
+            ex = db.prepare(sql, batch_size=width)
+            assert ex.run_to_completion() == ref_rows
+            assert ex.work_done == ref.work_done
 
 
 class TestFallbackCorpus:
@@ -134,9 +136,7 @@ class TestFallbackCorpus:
     @settings(max_examples=40, deadline=None)
     def test_fallback_matches_oracle(self, rows_t, rows_s, sql, width):
         db = build(rows_t, rows_s, 8)
-        got = db.prepare(
-            sql, execution_mode="batch", batch_size=width
-        ).run_to_completion()
-        with use_decorrelation(False):
-            want = db.prepare(sql, execution_mode="row").run_to_completion()
-        assert got == want
+        got = db.prepare(sql, batch_size=width).run_to_completion()
+        naive = build(rows_t, rows_s, 8, decorrelate=False)
+        assert got == naive.query(sql)
+        assert_matches_sqlite(db, sql, got)

@@ -1,11 +1,22 @@
-"""Differential suite: vectorized (batch) vs. row-at-a-time execution.
+"""Differential suite: the engine vs. stdlib ``sqlite3``, and work parity.
 
-The row engine is the oracle.  For every workload template, a hypothesis
-corpus of generated SQL, and the awkward vector widths (1, 7, 1024) the
-batch engine must produce byte-identical rows and charge the identical
-work total -- including under checkpoints/restores, cancellation and
-memory pressure.  Also covers the plan cache (satellite of the same PR):
-hit/miss counters, stats-epoch invalidation, and work parity on reuse.
+sqlite3 is the outside oracle for rows (see :mod:`tests.engine.sqlite_oracle`
+for the comparison rules and the documented dialect normalisers).  For
+every workload template and a hypothesis corpus of generated SQL the
+engine's rows must match sqlite3's.
+
+Work has no outside oracle, so it is pinned three ways:
+
+* the awkward vector widths (1, 7, 1024) must agree with each other on
+  rows (types included) and on the work total -- also under
+  checkpoints/restores, cancellation and memory pressure;
+* independent closed forms where they exist: a full ``SeqScan`` charges
+  ``heap.page_count`` and an index probe charges its descent plus 1 U per
+  distinct heap page;
+* the bit-exact end-to-end benchmark signatures.
+
+Also covers the plan cache: hit/miss counters, stats-epoch invalidation,
+and work parity on reuse.
 """
 
 import pytest
@@ -16,6 +27,9 @@ from repro.engine import CancellationToken, Database, QueryCancelled
 from repro.workload.queries import join_query, paper_query, scan_query
 from repro.workload.tpcr import TpcrConfig, generate
 
+from tests.engine.helpers import undecorrelated
+from tests.engine.sqlite_oracle import assert_matches_sqlite
+
 BATCH_SIZES = (1, 7, 1024)
 
 
@@ -24,14 +38,27 @@ def dataset():
     return generate(TpcrConfig(scale=1 / 4000, seed=3), part_sizes={1: 4})
 
 
-def run(db, sql, mode, batch_size=None, **kw):
-    ex = db.prepare(sql, execution_mode=mode, batch_size=batch_size, **kw)
+def run(db, sql, batch_size=None, **kw):
+    ex = db.prepare(sql, batch_size=batch_size, **kw)
     rows = ex.run_to_completion()
     return rows, ex.work_done, ex
 
 
+def assert_width_parity(db, sql, **kw):
+    """Rows (types included) and work agree at every vector width."""
+    ref_rows, ref_work, _ = run(db, sql, batch_size=BATCH_SIZES[-1], **kw)
+    for width in BATCH_SIZES[:-1]:
+        rows, work, _ = run(db, sql, batch_size=width, **kw)
+        assert rows == ref_rows, f"width={width}"
+        assert [tuple(map(type, r)) for r in rows] == [
+            tuple(map(type, r)) for r in ref_rows
+        ], f"width={width}"
+        assert work == ref_work, f"width={width}"
+    return ref_rows, ref_work
+
+
 class TestWorkloadTemplates:
-    """Every workload query template, both modes, three vector widths."""
+    """Every workload query template against sqlite3, three vector widths."""
 
     @pytest.mark.parametrize(
         "sql",
@@ -40,11 +67,37 @@ class TestWorkloadTemplates:
     )
     def test_rows_and_work_identical(self, dataset, sql):
         db = dataset.db
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
+        rows, _ = assert_width_parity(db, sql)
+        assert_matches_sqlite(db, sql, rows)
+        # The per-outer-row subplan shape of the same SQL agrees too.
+        assert_matches_sqlite(db, sql, undecorrelated(db).query(sql))
+
+
+class TestClosedForms:
+    """Work totals derived without running the engine."""
+
+    def test_full_scan_charges_page_count(self, dataset):
+        db = dataset.db
+        heap = db.catalog.table("lineitem").heap
         for width in BATCH_SIZES:
-            rows, work, _ = run(db, sql, "batch", batch_size=width)
-            assert rows == oracle_rows, f"width={width}"
-            assert work == oracle_work, f"width={width}"
+            _, work, _ = run(db, "SELECT * FROM lineitem", batch_size=width)
+            assert work == heap.page_count
+
+    def test_index_probe_charges_distinct_pages(self):
+        db = Database(page_capacity=10)
+        db.execute("CREATE TABLE t (k INT, v FLOAT)")
+        # k repeats every 7 rows, so one key's RIDs spread across pages.
+        db.insert_rows("t", [(i % 7, float(i)) for i in range(210)])
+        db.execute("CREATE INDEX t_k ON t (k)")
+        db.analyze()
+        index = db.catalog.table("t").indexes["t_k"]
+        rids = index.search(3)
+        pages = len({rid.page_no for rid in rids})
+        sql = "SELECT v FROM t WHERE k = 3"
+        assert "IndexScan" in db.explain(sql)
+        for width in BATCH_SIZES:
+            _, work, _ = run(db, sql, batch_size=width)
+            assert work == index.lookup_cost(len(rids)) + pages
 
 
 SQL_CORPUS = [
@@ -55,7 +108,7 @@ SQL_CORPUS = [
     "SELECT k, sum(v) s FROM t GROUP BY k HAVING count(*) > 1",
     "SELECT DISTINCT k FROM t ORDER BY k",
     "SELECT k, v FROM t ORDER BY v DESC, k LIMIT 5",
-    "SELECT k, v FROM t ORDER BY v LIMIT 3 OFFSET 2",
+    "SELECT k, v FROM t ORDER BY v, k LIMIT 3 OFFSET 2",
     "SELECT a.k, b.v FROM t a JOIN t b ON a.k = b.k WHERE a.v > b.v",
     "SELECT k FROM t WHERE k IN (1, 2, 3)",
     "SELECT k FROM t WHERE v IS NULL",
@@ -94,54 +147,61 @@ class TestHypothesisCorpus:
         page=st.sampled_from([1, 3, 50]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_batch_matches_row_oracle(self, rows, sql, width, page):
+    def test_batch_matches_sqlite_oracle(self, rows, sql, width, page):
         db = Database(page_capacity=page)
         db.execute("CREATE TABLE t (k INT, v FLOAT)")
         db.insert_rows("t", rows)
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
-        got_rows, got_work, _ = run(db, sql, "batch", batch_size=width)
-        assert got_rows == oracle_rows
-        assert got_work == oracle_work
+        got_rows, got_work, _ = run(db, sql, batch_size=width)
+        assert_matches_sqlite(db, sql, got_rows)
+        ref_rows, ref_work, _ = run(db, sql)
+        assert got_rows == ref_rows
+        assert got_work == ref_work
+
+
+class TestDialectNormalisers:
+    """Each documented sqlite3 normaliser meets a query that needs it."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        db = Database(page_capacity=3)
+        db.execute("CREATE TABLE w (s TEXT, n INT, b BOOLEAN)")
+        db.insert_rows("w", [
+            ("apple", 1, True), ("Apple", 2, False), ("APPLE", None, None),
+            (None, 4, True), ("banana", 7, False), ("cherry", None, True),
+        ])
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        # NULL sort position, both directions.
+        "SELECT s, n FROM w ORDER BY n, s",
+        "SELECT s, n FROM w ORDER BY n DESC, s DESC",
+        # LIKE case folding.
+        "SELECT s FROM w WHERE s LIKE 'a%'",
+        "SELECT s FROM w WHERE s NOT LIKE '%E'",
+        # int/float affinity (BOOLEAN is 0/1 in sqlite3).
+        "SELECT b, n * 1.0 FROM w WHERE b IS NOT NULL",
+        # avg of ints.
+        "SELECT avg(n), sum(n) FROM w",
+    ])
+    def test_engine_matches_sqlite(self, db, sql):
+        assert_matches_sqlite(db, sql, db.query(sql))
 
 
 class TestCheckpointEquivalence:
     @pytest.mark.parametrize("width", BATCH_SIZES)
     def test_crash_restore_matches_uninterrupted_row(self, dataset, width):
-        """Restore mid-flight in batch mode; final rows/work match row mode."""
+        """Restore mid-flight; final rows/work match an uninterrupted run."""
         db = dataset.db
         sql = join_query(1)
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
+        oracle_rows, oracle_work, _ = run(db, sql)
 
-        ex = db.prepare(
-            sql, checkpoint_interval=20.0,
-            execution_mode="batch", batch_size=width,
-        )
+        ex = db.prepare(sql, checkpoint_interval=20.0, batch_size=width)
         while not ex.finished and ex.last_checkpoint is None:
             ex.step(10.0)
         ckpt = ex.last_checkpoint
         assert ckpt is not None
 
-        resumed = db.prepare(
-            sql, checkpoint_interval=20.0,
-            execution_mode="batch", batch_size=width,
-        )
-        resumed.restore(ckpt)
-        rows = resumed.run_to_completion()
-        assert rows == oracle_rows
-        assert resumed.work_done == oracle_work
-
-    def test_cross_mode_restore(self, dataset):
-        """A batch-mode checkpoint resumes under the row engine (and back)."""
-        db = dataset.db
-        sql = scan_query(1)
-        oracle_rows, oracle_work, _ = run(db, sql, "row")
-
-        ex = db.prepare(sql, checkpoint_interval=1.0, execution_mode="batch",
-                        batch_size=7)
-        ex.step(1.0)
-        ckpt = ex.last_checkpoint
-        assert ckpt is not None
-        resumed = db.prepare(sql, execution_mode="row")
+        resumed = db.prepare(sql, checkpoint_interval=20.0, batch_size=width)
         resumed.restore(ckpt)
         rows = resumed.run_to_completion()
         assert rows == oracle_rows
@@ -151,12 +211,11 @@ class TestCheckpointEquivalence:
 class TestCancelAndMemoryEquivalence:
     @pytest.mark.parametrize("width", BATCH_SIZES)
     def test_cancel_fires_in_both_modes(self, dataset, width):
-        db = dataset.db
-        sql = join_query(1)
-        for mode, bs in (("row", None), ("batch", width)):
+        """Cancellation lands under both plan modes of the paper query:
+        the decorrelated join and the per-outer-row subplan."""
+        for db in (dataset.db, undecorrelated(dataset.db)):
             tok = CancellationToken()
-            ex = db.prepare(sql, cancel_token=tok, execution_mode=mode,
-                            batch_size=bs)
+            ex = db.prepare(paper_query(1), cancel_token=tok, batch_size=width)
             ex.step(5.0)
             tok.cancel("test")
             with pytest.raises(QueryCancelled):
@@ -168,17 +227,16 @@ class TestCancelAndMemoryEquivalence:
         """Same degradations, same extra work, same rows under a tiny budget."""
         db = dataset.db
         sql = join_query(1)
-        row_rows, row_work, row_ex = run(db, sql, "row", memory_budget=64)
-        rows, work, ex = run(
-            db, sql, "batch", batch_size=width, memory_budget=64
-        )
+        ref_rows, ref_work, ref_ex = run(db, sql, memory_budget=64)
+        rows, work, ex = run(db, sql, batch_size=width, memory_budget=64)
         assert ex.progress.memory_pressure_events() > 0
         assert (
             ex.progress.memory_pressure_events()
-            == row_ex.progress.memory_pressure_events()
+            == ref_ex.progress.memory_pressure_events()
         )
-        assert rows == row_rows
-        assert work == row_work
+        assert rows == ref_rows
+        assert work == ref_work
+        assert_matches_sqlite(db, sql, rows)
 
 
 class TestPlanCache:
@@ -219,14 +277,6 @@ class TestPlanCache:
         db.insert_rows("t", [(9, 9.0)])  # bumps the stats epoch
         assert db.query(sql) == [(21,)]
         assert db.plan_cache_hits == hits  # stale plan was not reused
-
-    def test_modes_pooled_separately(self):
-        db = self._db()
-        sql = "SELECT k FROM t WHERE k = 1"
-        rows_b = db.query(sql, execution_mode="batch")
-        rows_r = db.query(sql, execution_mode="row")
-        assert rows_b == rows_r
-        assert db.query(sql, execution_mode="batch") == rows_b
 
     def test_explicit_invalidate(self):
         db = self._db()

@@ -7,30 +7,43 @@ every layout of keys -- clustered, sorted, reversed, scattered, all
 equal, NULL, NaN (one shared object and distinct ones), ``1`` / ``1.0`` /
 ``True``, several key columns -- is run through
 
-* row mode (the per-row oracle),
 * the bucketing fold the kernel replaced, kept here as
-  :class:`BucketingAggregate`, and
+  :class:`BucketingAggregate` (the oracle for every aggregate, the work
+  charged, the memory governor's decisions and the emit-phase
+  checkpoint),
+* an explicit left-to-right ``functools.reduce(operator.add, ...)`` per
+  group (:func:`reduce_reference`, the oracle for SUM and AVG that shares
+  no code with the engine), and
 * the kernel itself,
 
 at batch widths 1 / 7 / 1024 and page capacities 1 / 3 / 50, with and
 without the numpy gather.  Rows must match in value *and* type (compared
-by ``repr``, which tells ``-0.0`` from ``0.0`` and ``1`` from ``1.0``),
-as must the work charged, the memory governor's decisions and the
-emit-phase checkpoint.
+by ``repr``, which tells ``-0.0`` from ``0.0`` and ``1`` from ``1.0``).
+
+The reduce reference pins the kernel's clean fast path,
+``_chain_sum(col[s+1:e], col[s])``, to the plain left-to-right chain bit
+for bit.  CPython 3.12's ``sum()`` compensates float rounding, so there
+``_chain_sum`` is ``reduce(add, ...)`` (still a C loop); should the two
+ever part ways, :class:`TestLeftToRightReference` fails loudly instead
+of letting results drift.
 """
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import vector as vector_mod
-from repro.engine.expr import ColumnSlot, Layout, batch_eval, slot_expr
+from repro.engine.expr import ColumnSlot, Layout, slot_expr
 from repro.engine.memory import MemoryGovernor
 from repro.engine.operators.agg import AggSpec, HashAggregate
 from repro.engine.operators.base import Operator, WorkAccount
-from repro.engine.vector import Chunk, ColumnVector, take_values
+from repro.engine.vector import Chunk, ColumnVector
+
+from tests.engine.helpers import BucketingAggregate
 
 BATCH_SIZES = (1, 7, 1024)
 PAGE_CAPACITIES = (1, 3, 50)
@@ -39,10 +52,9 @@ PAGE_CAPACITIES = (1, 3, 50)
 class PageSource(Operator):
     """Rows stored in pages of *capacity*, scanned like ``SeqScan``.
 
-    One U per page in both modes; batch mode yields one columnar
-    :class:`Chunk` per page, split by ``batch_size`` with range
-    selections.  Both modes hand out the very same value objects, so NaN
-    identity survives into the keys.
+    One U per page; each page is one columnar :class:`Chunk`, split by
+    ``batch_size`` with range selections.  The chunks hold the very same
+    value objects, so NaN identity survives into the keys.
     """
 
     def __init__(self, rows, arity, capacity, account):
@@ -53,11 +65,6 @@ class PageSource(Operator):
             rows[start:start + capacity] for start in range(0, len(rows), capacity)
         ]
         self.arity = arity
-
-    def rows(self, outer_env=None):
-        for page in self.pages:
-            self.account.charge(1.0)
-            yield from page
 
     def batches(self, outer_env=None):
         cap = max(self.batch_size, 1)
@@ -72,36 +79,6 @@ class PageSource(Operator):
                     yield Chunk(columns)
                 else:
                     yield Chunk(columns, range(start, end))
-
-
-class BucketingAggregate(HashAggregate):
-    """The grouped batch fold before run folding: bucket every row by its
-    key tuple, then fold each group's gathered rows in one call."""
-
-    def _fold_grouped(self, batch, arg_columns, outer_env):
-        key_columns = [batch_eval(g, batch, outer_env) for g in self.group_exprs]
-        if len(key_columns) == 1:
-            keys = [(v,) for v in key_columns[0]]
-        else:
-            keys = list(zip(*key_columns))
-        buckets = {}
-        for i, key in enumerate(keys):
-            idxs = buckets.get(key)
-            if idxs is None:
-                buckets[key] = [i]
-            else:
-                idxs.append(i)
-        for key, idxs in buckets.items():
-            states = self._groups.get(key)
-            if states is None:
-                states = self._new_group(key)
-            for state, column in zip(states, arg_columns):
-                if column is None:
-                    state.update_count_star(len(idxs))
-                elif len(idxs) == len(keys):
-                    state.update_batch(column)
-                else:
-                    state.update_batch(take_values(column, idxs))
 
 
 class SpyGovernor(MemoryGovernor):
@@ -134,7 +111,7 @@ AGGREGATES = [
 ]
 
 
-def build(cls, rows, n_keys, aggregates, capacity, mode, width, budget=None):
+def build(cls, rows, n_keys, aggregates, capacity, width, budget=None):
     """A fresh ``cls`` aggregate over *rows*: ``n_keys`` key slots, then
     the clean and the dirty value slot."""
     gov = SpyGovernor(budget) if budget is not None else None
@@ -151,15 +128,36 @@ def build(cls, rows, n_keys, aggregates, capacity, mode, width, budget=None):
         specs,
         Layout([ColumnSlot(None, f"o{i}") for i in range(n_keys + len(specs))]),
     )
-    if mode == "batch":
-        agg.batch_size = source.batch_size = width
+    agg.batch_size = source.batch_size = width
     return agg, account, gov
 
 
-def run(agg, mode):
-    if mode == "row":
-        return list(agg.rows())
+def run(agg):
     return [row for batch in agg.batches() for row in batch]
+
+
+def reduce_reference(rows, n_keys, aggregates):
+    """SUM / AVG per group as an explicit left-to-right ``reduce``.
+
+    Groups come out in first-appearance order and are keyed by a dict on
+    the key tuple, exactly the grouping ``HashAggregate`` promises.
+    """
+    groups = {}
+    value_slot = {"clean": n_keys, "dirty": n_keys + 1}
+    for row in rows:
+        groups.setdefault(row[:n_keys], []).append(row)
+    out = []
+    for key, members in groups.items():
+        cells = []
+        for func, arg, _ in aggregates:
+            values = [r[value_slot[arg]] for r in members]
+            values = [v for v in values if v is not None]
+            total = functools.reduce(operator.add, values) if values else None
+            if func == "AVG" and total is not None:
+                total = total / len(values)
+            cells.append(total)
+        out.append(key + tuple(cells))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -296,19 +294,16 @@ class TestRunFoldMatchesOracles:
             vector_mod._np = None
         try:
             results = {}
-            for name, cls, mode in (
-                ("row", HashAggregate, "row"),
-                ("buckets", BucketingAggregate, "batch"),
-                ("runs", HashAggregate, "batch"),
+            for name, cls in (
+                ("buckets", BucketingAggregate),
+                ("runs", HashAggregate),
             ):
                 agg, account, _ = build(
-                    cls, rows, n_keys, aggregates, capacity, mode, width
+                    cls, rows, n_keys, aggregates, capacity, width
                 )
-                out = run(agg, mode)
-                results[name] = (repr(out), account.total)
+                results[name] = (repr(run(agg)), account.total)
         finally:
             vector_mod._np = saved_np
-        assert results["runs"] == results["row"], layout
         assert results["runs"] == results["buckets"], layout
 
     @given(
@@ -322,41 +317,36 @@ class TestRunFoldMatchesOracles:
                                                  capacity, budget):
         layout, n_keys, rows = table
         seen = []
-        for cls, mode in (
-            (HashAggregate, "row"),
-            (BucketingAggregate, "batch"),
-            (HashAggregate, "batch"),
-        ):
+        for cls in (BucketingAggregate, HashAggregate):
             agg, account, gov = build(
-                cls, rows, n_keys, [("SUM", "clean", False)], capacity, mode,
-                width, budget=budget,
+                cls, rows, n_keys, [("SUM", "clean", False)], capacity, width,
+                budget=budget,
             )
-            out = run(agg, mode)
+            out = run(agg)
             seen.append((
                 repr(out), account.total, gov.log, gov.events, agg.describe(),
             ))
-        assert seen[2] == seen[0], layout
-        assert seen[2] == seen[1], layout
+        assert seen[1] == seen[0], layout
 
     @given(
         table=tables(),
         width=st.sampled_from((1, 7)),
         capacity=st.sampled_from(PAGE_CAPACITIES),
-        resume_mode=st.sampled_from(["row", "batch"]),
+        resume_width=st.sampled_from(BATCH_SIZES),
         taken=st.integers(1, 4),
     )
     @settings(max_examples=100, deadline=None)
     def test_emit_checkpoint_round_trips(self, table, width, capacity,
-                                         resume_mode, taken):
+                                         resume_width, taken):
         _, n_keys, rows = table
         aggregates = [("SUM", "dirty", False), ("COUNT", None, False)]
         full, _, _ = build(
-            HashAggregate, rows, n_keys, aggregates, capacity, "batch", width
+            HashAggregate, rows, n_keys, aggregates, capacity, width
         )
-        expected = run(full, "batch")
+        expected = run(full)
 
         agg, _, _ = build(
-            HashAggregate, rows, n_keys, aggregates, capacity, "batch", width
+            HashAggregate, rows, n_keys, aggregates, capacity, width
         )
         batches = agg.batches()
         head = []
@@ -371,11 +361,10 @@ class TestRunFoldMatchesOracles:
         assert state["phase"] == "emit" and state["emitted"] == len(head)
 
         resumed, account, _ = build(
-            HashAggregate, rows, n_keys, aggregates, capacity, resume_mode,
-            width,
+            HashAggregate, rows, n_keys, aggregates, capacity, resume_width
         )
         resumed.restore(state)
-        tail = run(resumed, resume_mode)
+        tail = run(resumed)
         assert repr(head + tail) == repr(expected)
         assert account.total == 0.0  # the child is never touched again
         list(batches)  # the original finishing leaves the snapshot intact
@@ -389,13 +378,12 @@ class TestAdaptiveFold:
         """Sizes of the batches that took the bucketing fold."""
         rows = [(k, 1.0, 1.0) for k in keys]
         agg, _, _ = build(
-            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, "batch",
-            1024,
+            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, 1024
         )
         bucketed = []
         real = agg._fold_buckets
         agg._fold_buckets = lambda *a: (bucketed.append(len(a[0])), real(*a))
-        run(agg, "batch")
+        run(agg)
         return bucketed
 
     def test_clustered_pages_fold_runs(self):
@@ -416,27 +404,27 @@ class TestAdaptiveFold:
 class TestKeySemantics:
     """Run detection is a shortcut: grouping is whatever the dict says."""
 
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    def test_distinct_nan_objects_stay_apart(self, mode, numpy_mode):
+    @pytest.mark.parametrize("width", [1, 1024])
+    def test_distinct_nan_objects_stay_apart(self, width, numpy_mode):
         a, b = float("nan"), float("nan")
         rows = [(a, 1, 1.0), (a, 2, 1.0), (b, 4, 1.0), (b, 8, 1.0)]
         agg, _, _ = build(
-            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, mode, 1024
+            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, width
         )
-        out = run(agg, mode)
+        out = run(agg)
         assert [r[1] for r in out] == [3, 12]
         assert out[0][0] is a and out[1][0] is b
 
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    def test_one_and_true_share_a_group_keyed_by_the_first(self, mode):
+    @pytest.mark.parametrize("width", [1, 1024])
+    def test_one_and_true_share_a_group_keyed_by_the_first(self, width):
         # 35 rows in three runs (1.0 = 1 = True, then 0 = False, then 1):
         # the batch folds run by run.
         keys = [1.0] * 10 + [1] * 5 + [True] * 5 + [0] * 5 + [False] * 5 + [1] * 5
         rows = [(k, 1, 1.0) for k in keys]
         agg, _, _ = build(
-            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, mode, 1024
+            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, width
         )
-        out = run(agg, mode)
+        out = run(agg)
         assert repr(out) == repr([(1.0, 25), (0, 10)])
 
     def test_leading_negative_zero_survives_a_run(self):
@@ -444,10 +432,46 @@ class TestKeySemantics:
         rows = [(1, -0.0, -0.0)] * 8 + [(2, 0.0, -0.0)] + [(2, -0.0, -0.0)] * 7
         agg, _, _ = build(
             HashAggregate, rows, 1,
-            [("SUM", "clean", False), ("SUM", "dirty", False)], 50, "batch",
-            1024,
+            [("SUM", "clean", False), ("SUM", "dirty", False)], 50, 1024,
         )
-        out = run(agg, "batch")
+        out = run(agg)
         assert [tuple(math.copysign(1.0, v) for v in r[1:]) for r in out] == [
             (-1.0, -1.0), (1.0, -1.0),
         ]
+
+
+class TestLeftToRightReference:
+    """SUM / AVG equal an explicit left-to-right ``reduce``, bit for bit."""
+
+    @given(
+        table=tables(),
+        aggregates=st.lists(
+            st.sampled_from([a for a in AGGREGATES
+                             if a[0] in ("SUM", "AVG") and not a[2]]),
+            min_size=1, max_size=4,
+        ),
+        width=st.sampled_from(BATCH_SIZES),
+        capacity=st.sampled_from(PAGE_CAPACITIES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sum_and_avg_fold_left_to_right(self, table, aggregates, width,
+                                            capacity):
+        layout, n_keys, rows = table
+        agg, _, _ = build(
+            HashAggregate, rows, n_keys, aggregates, capacity, width
+        )
+        assert repr(run(agg)) == repr(
+            reduce_reference(rows, n_keys, aggregates)
+        ), layout
+
+    def test_clean_run_is_the_plain_chain(self):
+        # Values whose compensated sum differs from the left-to-right
+        # chain: 1e16 + 1.0 + 1.0 rounds to 1e16 twice when folded in order.
+        values = [1e16, 1.0, 1.0, -1e16]
+        rows = [(0, v, v) for v in values]
+        agg, _, _ = build(
+            HashAggregate, rows, 1, [("SUM", "clean", False)], 50, 1024
+        )
+        out = run(agg)
+        assert out == [(0, functools.reduce(operator.add, values))]
+        assert out[0][1] == 0.0

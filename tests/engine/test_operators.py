@@ -21,6 +21,8 @@ from repro.engine.operators.transforms import (
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 
+from tests.engine.helpers import rows_of
+
 
 def make_table(rows, page_capacity=4, name="t", columns=("k", "v")):
     catalog = Catalog(page_capacity=page_capacity)
@@ -40,7 +42,7 @@ class TestSeqScan:
         _, table = make_table([(i, float(i)) for i in range(10)], page_capacity=3)
         account = WorkAccount()
         scan = SeqScan(table, "t", account)
-        rows = list(scan.rows())
+        rows = list(rows_of(scan))
         assert len(rows) == 10
         assert account.total == 4.0  # ceil(10/3) pages
 
@@ -48,7 +50,7 @@ class TestSeqScan:
         _, table = make_table([(i, float(i)) for i in range(8)], page_capacity=4)
         account = WorkAccount()
         scan = SeqScan(table, "t", account)
-        it = scan.rows()
+        it = rows_of(scan)
         assert scan.progress_fraction() <= 0.0 or scan.total_pages == 0
         next(it)
         f1 = scan.progress_fraction()
@@ -62,7 +64,7 @@ class TestSeqScan:
     def test_empty_table(self):
         _, table = make_table([])
         scan = SeqScan(table, "t", WorkAccount())
-        assert list(scan.rows()) == []
+        assert list(rows_of(scan)) == []
         assert scan.progress_fraction() == 1.0
 
 
@@ -78,7 +80,7 @@ class TestIndexScan:
 
     def test_matching_rows(self):
         scan, account = self._scan(3)
-        rows = list(scan.rows())
+        rows = list(rows_of(scan))
         assert len(rows) == 10
         assert all(r[0] == 3 for r in rows)
         assert account.total > 0
@@ -86,14 +88,14 @@ class TestIndexScan:
 
     def test_no_match_still_charges_descent(self):
         scan, account = self._scan(99)
-        assert list(scan.rows()) == []
+        assert list(rows_of(scan)) == []
         assert account.total >= 1.0
 
     def test_distinct_page_charging(self):
         # All matches on one value spread over 10 pages of 5 rows:
         # k cycles 0..4 so k=3 hits every page exactly twice.
         scan, account = self._scan(3)
-        list(scan.rows())
+        list(rows_of(scan))
         # descent (height) + 10 heap pages, NOT 10 rows + descent each.
         assert account.total == pytest.approx(scan.index.height() + 10)
 
@@ -106,12 +108,12 @@ class TestTransforms:
     def test_filter(self):
         scan = self._base()
         op = Filter(scan, lambda env: env.row[0] >= 7)
-        assert [r[0] for r in op.rows()] == [7, 8, 9]
+        assert [r[0] for r in rows_of(op)] == [7, 8, 9]
 
     def test_filter_null_is_dropped(self):
         scan = self._base()
         op = Filter(scan, lambda env: None if env.row[0] == 0 else env.row[0] > 5)
-        assert [r[0] for r in op.rows()] == [6, 7, 8, 9]
+        assert [r[0] for r in rows_of(op)] == [6, 7, 8, 9]
 
     def test_project(self):
         scan = self._base()
@@ -120,7 +122,7 @@ class TestTransforms:
             [lambda env: env.row[0] * 10],
             Layout([ColumnSlot(None, "x")]),
         )
-        assert [r for r in op.rows()][:3] == [(0,), (10,), (20,)]
+        assert [r for r in rows_of(op)][:3] == [(0,), (10,), (20,)]
 
     def test_project_arity_checked(self):
         scan = self._base()
@@ -129,41 +131,41 @@ class TestTransforms:
 
     def test_limit_offset(self):
         op = Limit(self._base(), limit=3, offset=2)
-        assert [r[0] for r in op.rows()] == [2, 3, 4]
+        assert [r[0] for r in rows_of(op)] == [2, 3, 4]
         op = Limit(self._base(), limit=None, offset=8)
-        assert [r[0] for r in op.rows()] == [8, 9]
+        assert [r[0] for r in rows_of(op)] == [8, 9]
 
     def test_limit_stops_pulling(self):
         scan = self._base()
         op = Limit(scan, limit=1)
-        assert len(list(op.rows())) == 1
+        assert len(list(rows_of(op))) == 1
         # Only the first page was read.
         assert scan.account.total == 1.0
 
     def test_distinct(self):
         _, table = make_table([(1, 1.0), (1, 1.0), (2, 1.0)])
         scan = SeqScan(table, "t", WorkAccount())
-        assert len(list(Distinct(scan).rows())) == 2
+        assert len(list(rows_of(Distinct(scan)))) == 2
 
     def test_materialize_replays_free(self):
         scan = self._base()
         mat = Materialize(scan, rows_per_page=5)
-        first = list(mat.rows())
+        first = list(rows_of(mat))
         charged = scan.account.total
-        second = list(mat.rows())
+        second = list(rows_of(mat))
         assert first == second
         assert scan.account.total == charged  # no extra work
 
     def test_materialize_spill_charge(self):
         scan = self._base()
         mat = Materialize(scan, rows_per_page=5)
-        list(mat.rows())
+        list(rows_of(mat))
         # 2 scan pages + 2*2 spill pages.
         assert scan.account.total == pytest.approx(2 + 4)
 
     def test_single_row(self):
         op = SingleRow(WorkAccount())
-        assert list(op.rows()) == [()]
+        assert list(rows_of(op)) == [()]
 
 
 class TestJoins:
@@ -185,7 +187,7 @@ class TestJoins:
             probe_key=lambda env: env.row[0],
             build_key=lambda env: env.row[0],
         )
-        rows = list(join.rows())
+        rows = list(rows_of(join))
         # keys 0,1,2 each match twice; keys 3..5 never.
         assert len(rows) == 6
         assert all(r[0] == r[2] for r in rows)
@@ -200,12 +202,12 @@ class TestJoins:
             probe_key=lambda env: env.row[0],
             build_key=lambda env: env.row[0],
         )
-        assert len(list(join.rows())) == 1
+        assert len(list(rows_of(join))) == 1
 
     def test_nested_loop_cross(self):
         lscan, rscan = self._tables()
         join = NestedLoopJoin(lscan, Materialize(rscan), None)
-        assert len(list(join.rows())) == 36
+        assert len(list(rows_of(join))) == 36
 
     def test_nested_loop_with_condition(self):
         lscan, rscan = self._tables()
@@ -214,7 +216,7 @@ class TestJoins:
             Materialize(rscan),
             condition=lambda env: env.row[0] == env.row[2],
         )
-        assert len(list(join.rows())) == 6
+        assert len(list(rows_of(join))) == 6
 
     def test_layout_merged(self):
         lscan, rscan = self._tables()
@@ -243,7 +245,7 @@ class TestAggregateAndSort:
                 [ColumnSlot(None, "k"), ColumnSlot(None, "n"), ColumnSlot(None, "s")]
             ),
         )
-        rows = sorted(agg.rows())
+        rows = sorted(rows_of(agg))
         assert rows == [(0, 3, 9.0), (1, 3, 12.0), (2, 3, 15.0)]
 
     def test_global_aggregate_empty_input(self):
@@ -255,7 +257,7 @@ class TestAggregateAndSort:
             aggregates=[AggSpec("COUNT", None), AggSpec("MAX", lambda env: env.row[0])],
             layout=Layout([ColumnSlot(None, "n"), ColumnSlot(None, "m")]),
         )
-        assert list(agg.rows()) == [(0, None)]
+        assert list(rows_of(agg)) == [(0, None)]
 
     def test_distinct_aggregate(self):
         scan = self._scan()
@@ -265,7 +267,7 @@ class TestAggregateAndSort:
             aggregates=[AggSpec("COUNT", lambda env: env.row[0], distinct=True)],
             layout=Layout([ColumnSlot(None, "n")]),
         )
-        assert list(agg.rows()) == [(3,)]
+        assert list(rows_of(agg)) == [(3,)]
 
     def test_agg_spec_validation(self):
         with pytest.raises(Exception):
@@ -283,14 +285,14 @@ class TestAggregateAndSort:
             ],
             rows_per_page=5,
         )
-        rows = list(op.rows())
+        rows = list(rows_of(op))
         assert [r[0] for r in rows] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert rows[0][1] > rows[1][1] > rows[2][1]
 
     def test_sort_charges_spill(self):
         scan = self._scan()
         op = Sort(scan, keys=[(lambda env: env.row[0], False)], rows_per_page=5)
-        list(op.rows())
+        list(rows_of(op))
         # 2 scan pages + 2 * ceil(9/5) sort pages.
         assert scan.account.total == pytest.approx(2 + 4)
 

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.engine import Database, use_decorrelation
+from repro.engine import Database
 from repro.engine.errors import PlanError
 from repro.engine.operators.joins import HashJoin, NestedLoopJoin
 from repro.engine.operators.scans import IndexScan, SeqScan
 from repro.engine.operators.sort import Sort
 from repro.engine.operators.transforms import Distinct, Filter, Limit
+
+from tests.engine.helpers import undecorrelated
 
 
 @pytest.fixture()
@@ -66,11 +68,10 @@ class TestAccessPaths:
         # The row-loop fallback path (decorrelation off) costs the
         # subquery per outer row; this stays as the fallback for queries
         # the rewrite cannot prove safe.
-        with use_decorrelation(False):
-            root = db.prepare(
-                "SELECT * FROM a WHERE a.v > "
-                "(SELECT sum(b.w) FROM b WHERE b.k = a.k)"
-            ).root
+        root = undecorrelated(db).prepare(
+            "SELECT * FROM a WHERE a.v > "
+            "(SELECT sum(b.w) FROM b WHERE b.k = a.k)"
+        ).root
         # The subquery plan is held by the filter closure; check the
         # estimated cost reflects per-row subquery work instead.
         filters = find_ops(root, Filter)
@@ -88,13 +89,10 @@ class TestAccessPaths:
         # hash join, far cheaper than the per-row replan...
         joins = find_ops(root, HashJoin)
         assert joins and joins[0].left_outer
-        with use_decorrelation(False):
-            fallback = db.prepare(sql).root
-        assert root.est_cost < fallback.est_cost
+        fallback = undecorrelated(db).prepare(sql)
+        assert root.est_cost < fallback.root.est_cost
         # ...and both shapes return the same rows.
-        with use_decorrelation(False):
-            oracle = db.prepare(sql, execution_mode="row").run_to_completion()
-        assert db.query(sql) == oracle
+        assert db.query(sql) == fallback.run_to_completion()
 
 
 class TestJoinStrategies:

@@ -10,6 +10,8 @@ from repro.engine.progress import ProgressTracker, find_driver_scan
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 
+from tests.engine.helpers import rows_of
+
 
 def make_scan(rows=100, page_capacity=10):
     catalog = Catalog(page_capacity=page_capacity)
@@ -43,7 +45,7 @@ class TestTracker:
     def test_extrapolation_converges_on_uniform_work(self):
         scan, account = make_scan(rows=100, page_capacity=10)
         tracker = ProgressTracker(scan, account, optimizer_estimate=5.0)
-        it = scan.rows()
+        it = rows_of(scan)
         for _ in range(60):  # 6 pages
             next(it)
         # True total is 10 pages; the optimizer lowballed at 5.
@@ -52,7 +54,7 @@ class TestTracker:
     def test_estimate_floor_is_work_done(self):
         scan, account = make_scan(rows=100, page_capacity=10)
         tracker = ProgressTracker(scan, account, optimizer_estimate=1.0)
-        list(scan.rows())
+        list(rows_of(scan))
         assert tracker.estimated_total_cost() >= tracker.work_done
 
     def test_mark_finished_zeroes_remaining(self):
@@ -84,7 +86,7 @@ class TestTracker:
         tracker = ProgressTracker(
             scan, account, optimizer_estimate=100.0, blend_until=0.5
         )
-        it = scan.rows()
+        it = rows_of(scan)
         next(it)  # tiny fraction: optimizer estimate dominates
         assert tracker.estimated_total_cost() > 50.0
 

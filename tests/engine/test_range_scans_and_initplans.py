@@ -5,6 +5,8 @@ import pytest
 from repro.engine import Database
 from repro.engine.operators.scans import RangeIndexScan, SeqScan
 
+from tests.engine.helpers import rows_of
+
 
 @pytest.fixture()
 def db():
@@ -85,7 +87,7 @@ class TestRangeIndexScan:
         scan = RangeIndexScan(
             table, "t", index, account, low=lambda env: 997, high=None
         )
-        rows = list(scan.rows())
+        rows = list(rows_of(scan))
         assert [r[0] for r in rows] == [997, 998, 999]
         assert account.total >= index.height()
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import use_decorrelation
 from repro.sim.rdbms import SimulatedRDBMS
 from repro.workload.queries import (
     engine_job,
@@ -12,6 +11,8 @@ from repro.workload.queries import (
     scan_query,
 )
 from repro.workload.tpcr import TpcrConfig, generate
+
+from tests.engine.helpers import undecorrelated
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,7 @@ class TestPaperQueries:
         plan = dataset.db.explain(paper_query(1))
         assert "HashLeftJoin" in plan
         assert "HashAggregate" in plan
-        with use_decorrelation(False):
-            fallback = dataset.db.explain(paper_query(1))
+        fallback = undecorrelated(dataset.db).explain(paper_query(1))
         assert "HashLeftJoin" not in fallback
 
     def test_paper_query_selects_some_parts(self, dataset):
@@ -112,9 +112,9 @@ class TestPaperQueries:
         assert c1 >= c2
         # The per-row fallback path keeps the strict scaling the PI
         # experiments rely on.
-        with use_decorrelation(False):
-            f1 = dataset.db.estimated_cost(paper_query(1))
-            f2 = dataset.db.estimated_cost(paper_query(2))
+        naive = undecorrelated(dataset.db)
+        f1 = naive.estimated_cost(paper_query(1))
+        f2 = naive.estimated_cost(paper_query(2))
         assert f1 > f2
 
 
