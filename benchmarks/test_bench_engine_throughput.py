@@ -39,7 +39,7 @@ from repro.sim.scale import merge_bench_json
 from repro.workload.queries import join_query, paper_query
 from repro.workload.tpcr import TpcrConfig, generate
 
-from tests.engine.helpers import BucketingAggregate
+from tests.engine.helpers import BucketingAggregate, undecorrelated
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
@@ -156,16 +156,20 @@ def _run(db, sql: str, fold=None):
 
 
 def test_throughput_per_query(dataset):
-    """Records batch ms and U/ms per query; not gated."""
+    """Records batch ms and U/ms per query; not gated.  ``paper_query_per_row``
+    is the paper query without the decorrelation rewrite: its subquery
+    stays an expression node running one index-probe subplan per part row
+    (the plan shape of Figs 8-10)."""
+    db, per_row = dataset.db, undecorrelated(dataset.db)
     queries = {
-        "full_scan": "SELECT count(*), sum(quantity) FROM lineitem",
-        "join_aggregate": join_query(1),
-        "selective_filter": SELECTIVE_FILTER,
-        "paper_query": paper_query(1),
+        "full_scan": (db, "SELECT count(*), sum(quantity) FROM lineitem"),
+        "join_aggregate": (db, join_query(1)),
+        "selective_filter": (db, SELECTIVE_FILTER),
+        "paper_query": (db, paper_query(1)),
+        "paper_query_per_row": (per_row, paper_query(1)),
     }
-    db = dataset.db
     payload = {}
-    for name, sql in queries.items():
+    for name, (db, sql) in queries.items():
         rows, work = _run(db, sql)
         ms = _best_of(lambda: db.query(sql), 10) * 1000
         payload[name] = {

@@ -34,7 +34,7 @@ from repro.engine.decorrelate import decorrelate_statement
 from repro.engine.errors import PlanError
 from repro.engine.executor import QueryExecution
 from repro.engine.memory import MemoryGovernor
-from repro.engine.expr import Env, bind_expr, expr_contains_subquery, BindContext, Layout
+from repro.engine.expr import bind_expr, eval_row, expr_contains_subquery, BindContext, Layout
 from repro.engine.operators.base import Operator, WorkAccount
 from repro.engine.operators.transforms import Materialize
 from repro.engine.planner import Planner
@@ -85,6 +85,13 @@ def _statement_is_poolable(statement: ast.Select | ast.Union) -> bool:
     if any(expr_contains_subquery(e) for e in exprs):
         return False
     return all(from_item_ok(item) for item in statement.from_items)
+
+
+def _matching(predicate, rows: list[tuple]) -> list[int]:
+    """Positions of the *rows* a DML ``WHERE`` selects (all without one)."""
+    if predicate is None:
+        return list(range(len(rows)))
+    return [i for i, v in enumerate(predicate(rows, None)) if v is True]
 
 
 def _clear_materialized(root: Operator) -> None:
@@ -320,21 +327,17 @@ class Database:
             for col, expr in statement.assignments
         ]
 
-        new_rows: list[tuple] = []
-        updated = 0
-        for _, row in table.heap.scan_rows():
-            env = Env(row)
-            keep = predicate is None or predicate(env) is True
-            if keep:
-                values = list(row)
-                for pos, compute in assignments:
-                    values[pos] = compute(env)
-                new_rows.append(schema.validate_row(values))
-                updated += 1
-            else:
-                new_rows.append(row)
-        self._rewrite_table(table, new_rows)
-        return updated
+        rows = [row for _, row in table.heap.scan_rows()]
+        hits = _matching(predicate, rows)
+        matched = [rows[i] for i in hits]
+        columns = [(pos, compute(matched, None)) for pos, compute in assignments]
+        for j, i in enumerate(hits):
+            values = list(rows[i])
+            for pos, column in columns:
+                values[pos] = column[j]
+            rows[i] = schema.validate_row(values)
+        self._rewrite_table(table, rows)
+        return len(hits)
 
     def _run_delete(self, statement: ast.Delete) -> int:
         """DELETE: drop matching rows, rewrite the table.
@@ -347,15 +350,12 @@ class Database:
         predicate = (
             bind_expr(statement.where, ctx) if statement.where is not None else None
         )
-        survivors: list[tuple] = []
-        deleted = 0
-        for _, row in table.heap.scan_rows():
-            if predicate is None or predicate(Env(row)) is True:
-                deleted += 1
-            else:
-                survivors.append(row)
-        self._rewrite_table(table, survivors)
-        return deleted
+        rows = [row for _, row in table.heap.scan_rows()]
+        doomed = set(_matching(predicate, rows))
+        self._rewrite_table(
+            table, [row for i, row in enumerate(rows) if i not in doomed]
+        )
+        return len(doomed)
 
     def _rewrite_table(self, table: Table, rows: list[tuple]) -> None:
         """Replace a table's heap contents and rebuild its indexes."""
@@ -391,7 +391,6 @@ class Database:
         table = self.catalog.table(statement.table)
         schema = table.schema
         empty_ctx = BindContext(Layout([]))
-        env = Env(())
 
         if statement.columns:
             positions = [schema.column_position(c) for c in statement.columns]
@@ -406,7 +405,7 @@ class Database:
                 )
             full: list[Any] = [None] * len(schema.columns)
             for pos, expr in zip(positions, value_row):
-                full[pos] = bind_expr(expr, empty_ctx)(env)
+                full[pos] = eval_row(bind_expr(expr, empty_ctx), None)
             table.insert(full)
             count += 1
         return count

@@ -1,12 +1,12 @@
 """Plan-time subquery decorrelation: correlated subqueries become joins.
 
-Correlated subquery expressions are the one thing the vectorized engine
-cannot batch: ``bind_expr`` gives any subquery-containing expression a
-row-loop ``.batch`` fallback, so the paper's own workload query (a
-correlated scalar aggregate over ``lineitem``) sees no batch speedup at
-all.  This pass rewrites the three correlated forms into plain joins at
-the AST level -- before planning -- so the result rides the ordinary
-vectorized scan/hash-join/aggregate path:
+A correlated subquery is the one expression node the vectorized engine
+cannot batch: ``bind_expr`` runs its subplan once per input row, so the
+paper's own workload query (a correlated scalar aggregate over
+``lineitem``) pays a whole index probe per outer row.  This pass rewrites
+the three correlated forms into plain joins at the AST level -- before
+planning -- so the result rides the ordinary vectorized
+scan/hash-join/aggregate path:
 
 * **Scalar aggregate subquery** (``expr OP (SELECT agg(..) FROM i WHERE
   i.k = o.k AND ..)``): the inner query becomes a derived table grouped
@@ -40,8 +40,8 @@ stdlib ``sqlite3``.
 Known (accepted) deviation: the decorrelated form computes the inner
 aggregates for *all* key groups, while the naive path only evaluates
 groups that are actually probed -- so a data-dependent error inside a
-never-probed group can surface under decorrelation that the row-loop
-would miss.  This matches how production optimizers behave and is
+never-probed group can surface under decorrelation that the per-row
+subplans would miss.  This matches how production optimizers behave and is
 documented in docs/ALGORITHMS.md.
 
 The pass runs unless a database is built with ``Database(decorrelate=False)``.

@@ -1,25 +1,28 @@
 """Expression binding and evaluation.
 
 The planner *binds* AST expressions against a row :class:`Layout`, producing
-fast closures that take an :class:`Env` (the current row plus any outer rows
-for correlated subqueries) and return a Python value.
+batch closures: ``fn(rows, outer_env) -> list`` evaluates the expression
+over a whole batch -- a list of row tuples or a columnar :class:`Chunk` --
+and returns one value per row.  Slot indices are resolved at bind time;
+``outer_env`` is the :class:`Env` chain of enclosing rows that correlated
+references read (``None`` at the top level).  :func:`eval_row` evaluates a
+closure on a single row.
 
 Semantics follow SQL: three-valued logic for AND/OR/NOT, NULL propagation
 through arithmetic and comparisons, ``LIKE`` with ``%``/``_`` wildcards,
 and integer/float arithmetic with true division yielding floats.
 
-Every bound closure also carries a **batch form** as a ``.batch``
-attribute: ``fn.batch(rows, outer_env) -> list`` evaluates the expression
-over a whole list of row tuples at once, with slot indices resolved at
-bind time and no per-row :class:`Env` allocation.  The batch form is
-compiled once alongside the row form and preserves SQL semantics exactly,
-including *selective* evaluation: AND/OR right-hand sides, CASE branches
-and IN-list items are only evaluated on the subset of rows where the row
-form would have evaluated them, so data-dependent errors (e.g. a division
-by zero in a dead branch) surface identically in both forms.  Expressions
-containing subqueries fall back to a row-at-a-time loop over the *same*
-bound closure, which keeps subquery compilation (and its cost accounting)
-single-shot.
+Evaluation is *selective*: AND/OR right-hand sides, CASE branches and
+IN-list items are only evaluated on the rows whose result they can still
+decide, so a data-dependent error in a dead branch (a division by zero, a
+scalar subquery returning two rows) never surfaces, and a subquery in a
+dead branch never runs.  Subqueries are batch nodes like any other: a
+scalar, EXISTS or IN subquery runs once per row that reaches it, in row
+order, with that row as the innermost outer scope of its run.  That is
+exactly the set of runs -- and so exactly the work -- of evaluating the
+expression one row at a time; only the order of charges inside one batch
+differs, as each subquery node finishes its rows before the next node
+starts.
 """
 
 from __future__ import annotations
@@ -124,56 +127,41 @@ class Env:
         return env
 
 
-#: A bound expression: Env -> value.  Carries a ``.batch`` attribute with
-#: the vectorized form (see :func:`batch_eval`).
-BoundExpr = Callable[[Env], Any]
-
-#: The batch form of a bound expression: (rows, outer_env) -> list of values,
-#: one per input row.
-BatchExpr = Callable[[Sequence[tuple], Optional[Env]], list]
+#: A bound expression: ``(rows, outer_env) -> list`` of values, one per
+#: input row.  Bare current-row column references also carry their slot
+#: index as a ``.slot`` attribute.
+BoundExpr = Callable[[Sequence[tuple], Optional[Env]], list]
 
 
-def batch_eval(fn: BoundExpr, rows: Sequence[tuple], outer_env: Optional[Env] = None) -> list:
-    """Evaluate *fn* over a batch of rows.
+def eval_row(fn: BoundExpr, env: Optional[Env]) -> Any:
+    """Evaluate *fn* on the single row of *env*.
 
-    Uses the compiled batch form when present; hand-built closures (plain
-    lambdas without a ``.batch`` attribute) fall back to a row loop.
+    *env*'s row is the current row and its parent the outer scope; with no
+    *env* the current row is empty (a constant, or an expression bound in
+    an empty layout).
     """
-    batch = getattr(fn, "batch", None)
-    if batch is not None:
-        return batch(rows, outer_env)
-    return [fn(Env(row, outer_env)) for row in rows]
+    if env is None:
+        return fn([()], None)[0]
+    return fn([env.row], env.parent)[0]
 
 
 def slot_expr(idx: int) -> BoundExpr:
-    """A dual-form closure reading row slot *idx*.
+    """A closure reading current-row slot *idx*, tagged ``.slot = idx``.
 
-    The planner uses this for hidden sort/projection slots so they
-    vectorize like ordinary bound column references.
+    On a columnar :class:`Chunk` the values are the stored column itself
+    (zero copy when the chunk carries no selection); on a plain list of
+    row tuples the slot is gathered per row.  Operators with tight per-row
+    loops (hash join build, grouped aggregation) read ``.slot`` to index
+    the tuple directly instead of materialising a key column.
     """
 
-    def fn(env: Env) -> Any:
-        return env.row[idx]
-
-    fn.batch = _column_batch(idx)
-    fn.slot = idx
-    return fn
-
-
-def _column_batch(idx: int) -> BatchExpr:
-    """The batch form of a bare current-row column reference.
-
-    On a columnar :class:`Chunk` this is the stored column itself (zero
-    copy when the chunk carries no selection); on a plain list of row
-    tuples it gathers the slot per row.
-    """
-
-    def _col(rows, outer_env, idx=idx):
+    def fn(rows, outer_env):
         if type(rows) is Chunk:
             return rows.column(idx)
         return [row[idx] for row in rows]
 
-    return _col
+    fn.slot = idx
+    return fn
 
 
 def _subset(rows, idxs: list):
@@ -330,78 +318,73 @@ SCALAR_FUNCTIONS: dict[str, Callable] = {
 # Binding
 # ---------------------------------------------------------------------------
 
+_CMP_TESTS: dict[str, Callable[[int], bool]] = {
+    "=": lambda c: c == 0,
+    "<>": lambda c: c != 0,
+    "<": lambda c: c < 0,
+    "<=": lambda c: c <= 0,
+    ">": lambda c: c > 0,
+    ">=": lambda c: c >= 0,
+}
+
 
 def bind_expr(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
-    """Compile *expr* into a closure over :class:`Env`.
+    """Compile *expr* into a batch closure (see module docstring).
 
-    The returned closure also carries the compiled batch form as a
-    ``.batch`` attribute (see module docstring).  Subquery-containing
-    expressions get a row-loop batch form over the *same* closure so the
-    subquery is compiled (and its cost registered) exactly once.
+    Sub-expressions are bound left to right, so each nested subquery is
+    compiled -- and its cost registered with the planner -- exactly once,
+    in source order.
 
     Raises
     ------
     PlanError
         On unknown columns/functions or aggregates in a scalar context.
     """
-    fn = _bind_row(expr, ctx)
-    if expr_contains_subquery(expr):
-        fn.batch = _row_loop_batch(fn)
-    else:
-        fn.batch = _bind_batch(expr, ctx)
-    if isinstance(expr, ast.ColumnRef):
-        depth, idx = ctx.resolve(expr.name, expr.qualifier)
-        if depth == 0:
-            # Bare current-row column: operators with tight per-row loops
-            # (hash join build/probe, grouped aggregation) index the tuple
-            # directly instead of materialising a key column.
-            fn.slot = idx
-    return fn
-
-
-def _row_loop_batch(fn: BoundExpr) -> BatchExpr:
-    """Batch form that loops the row closure (subquery fallback)."""
-
-    def _loop(rows: Sequence[tuple], outer_env: Optional[Env]) -> list:
-        return [fn(Env(row, outer_env)) for row in rows]
-
-    return _loop
-
-
-def _bind_row(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
-    """Compile the row-at-a-time form of *expr*."""
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda env: value
+        return lambda rows, outer_env: [value] * len(rows)
 
     if isinstance(expr, ast.ColumnRef):
         depth, idx = ctx.resolve(expr.name, expr.qualifier)
         if depth == 0:
-            return lambda env: env.row[idx]
-        return lambda env: env.ancestor(depth).row[idx]
+            return slot_expr(idx)
+
+        def _outer_col(rows, outer_env, depth=depth, idx=idx):
+            if outer_env is None:
+                raise ExecutionError("correlated reference escaped its scope")
+            value = outer_env.ancestor(depth - 1).row[idx]
+            return [value] * len(rows)
+
+        return _outer_col
 
     if isinstance(expr, ast.BinaryOp):
         return _bind_binary(expr, ctx)
 
     if isinstance(expr, ast.UnaryOp):
-        operand = _bind_row(expr.operand, ctx)
+        operand = bind_expr(expr.operand, ctx)
         if expr.op == "NOT":
-            def _not(env, operand=operand):
-                v = operand(env)
-                if v is None:
-                    return None
-                _require_bool(v, "NOT")
-                return not v
+            def _not(rows, outer_env):
+                out = []
+                for v in operand(rows, outer_env):
+                    if v is None:
+                        out.append(None)
+                    else:
+                        _require_bool(v, "NOT")
+                        out.append(not v)
+                return out
 
             return _not
         if expr.op == "-":
-            def _neg(env, operand=operand):
-                v = operand(env)
-                if v is None:
-                    return None
-                if not is_numeric(v):
-                    raise SqlTypeError(f"cannot negate {type(v).__name__}")
-                return -v
+            def _neg(rows, outer_env):
+                out = []
+                for v in operand(rows, outer_env):
+                    if v is None:
+                        out.append(None)
+                    elif not is_numeric(v):
+                        raise SqlTypeError(f"cannot negate {type(v).__name__}")
+                    else:
+                        out.append(-v)
+                return out
 
             return _neg
         raise PlanError(f"unknown unary operator {expr.op!r}")
@@ -409,182 +392,236 @@ def _bind_row(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
     if isinstance(expr, ast.FunctionCall):
         name = expr.name.upper()
         if name in ast.AGGREGATE_FUNCTIONS:
-            raise PlanError(
-                f"aggregate {name} is not allowed in this context"
-            )
+            raise PlanError(f"aggregate {name} is not allowed in this context")
         fn = SCALAR_FUNCTIONS.get(name)
         if fn is None:
             raise PlanError(f"unknown function {name!r}")
-        args = [_bind_row(a, ctx) for a in expr.args]
+        args = [bind_expr(a, ctx) for a in expr.args]
 
-        def _call(env, fn=fn, args=args):
+        def _call(rows, outer_env, fn=fn, args=args, name=name):
+            cols = [a(rows, outer_env) for a in args]
             try:
-                return fn(*[a(env) for a in args])
+                if not cols:
+                    return [fn() for _ in range(len(rows))]
+                return [fn(*vals) for vals in zip(*cols)]
             except (TypeError, AttributeError) as exc:
                 raise SqlTypeError(f"bad arguments to {name}: {exc}") from exc
 
         return _call
 
     if isinstance(expr, ast.IsNull):
-        operand = _bind_row(expr.operand, ctx)
+        operand = bind_expr(expr.operand, ctx)
         if expr.negated:
-            return lambda env: operand(env) is not None
-        return lambda env: operand(env) is None
+            return lambda rows, outer_env: [
+                v is not None for v in operand(rows, outer_env)
+            ]
+        return lambda rows, outer_env: [v is None for v in operand(rows, outer_env)]
 
     if isinstance(expr, ast.InList):
-        operand = _bind_row(expr.operand, ctx)
-        items = [_bind_row(i, ctx) for i in expr.items]
+        operand = bind_expr(expr.operand, ctx)
+        items = [bind_expr(i, ctx) for i in expr.items]
         negated = expr.negated
 
-        def _in(env, operand=operand, items=items, negated=negated):
-            v = operand(env)
-            if v is None:
-                return None
-            saw_null = False
+        def _in(rows, outer_env):
+            values = operand(rows, outer_env)
+            n = len(values)
+            out: list = [None] * n
+            # NULL operands decide to NULL without evaluating any item.
+            pending = [i for i in range(n) if values[i] is not None]
+            saw_null = [False] * n
             for item in items:
-                w = item(env)
-                if w is None:
-                    saw_null = True
-                    continue
-                if compare_values(v, w) == 0:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+                if not pending:
+                    break
+                matches = item(_subset(rows, pending), outer_env)
+                still = []
+                for w, i in zip(matches, pending):
+                    if w is None:
+                        saw_null[i] = True
+                        still.append(i)
+                    elif compare_values(values[i], w) == 0:
+                        out[i] = not negated
+                    else:
+                        still.append(i)
+                pending = still
+            for i in pending:
+                out[i] = None if saw_null[i] else negated
+            return out
 
         return _in
 
     if isinstance(expr, ast.Between):
-        operand = _bind_row(expr.operand, ctx)
-        low = _bind_row(expr.low, ctx)
-        high = _bind_row(expr.high, ctx)
+        operand = bind_expr(expr.operand, ctx)
+        low = bind_expr(expr.low, ctx)
+        high = bind_expr(expr.high, ctx)
         negated = expr.negated
 
-        def _between(env):
-            v = operand(env)
-            lo = low(env)
-            hi = high(env)
-            c1 = compare_values(v, lo)
-            c2 = compare_values(v, hi)
-            if c1 is None or c2 is None:
-                return None
-            result = c1 >= 0 and c2 <= 0
-            return (not result) if negated else result
+        def _between(rows, outer_env):
+            values = operand(rows, outer_env)
+            lows = low(rows, outer_env)
+            highs = high(rows, outer_env)
+            out = []
+            for v, lo, hi in zip(values, lows, highs):
+                c1 = compare_values(v, lo)
+                c2 = compare_values(v, hi)
+                if c1 is None or c2 is None:
+                    out.append(None)
+                else:
+                    result = c1 >= 0 and c2 <= 0
+                    out.append((not result) if negated else result)
+            return out
 
         return _between
 
     if isinstance(expr, ast.Like):
-        operand = _bind_row(expr.operand, ctx)
-        pattern = _bind_row(expr.pattern, ctx)
+        operand = bind_expr(expr.operand, ctx)
+        pattern = bind_expr(expr.pattern, ctx)
         negated = expr.negated
         cache: dict[str, re.Pattern] = {}
 
-        def _like(env):
-            v = operand(env)
-            p = pattern(env)
-            if v is None or p is None:
-                return None
-            if not isinstance(v, str) or not isinstance(p, str):
-                raise SqlTypeError("LIKE requires text operands")
-            rx = cache.get(p)
-            if rx is None:
-                rx = re.compile(_like_to_regex(p), re.DOTALL)
-                cache[p] = rx
-            result = rx.fullmatch(v) is not None
-            return (not result) if negated else result
+        def _like(rows, outer_env):
+            values = operand(rows, outer_env)
+            patterns = pattern(rows, outer_env)
+            out = []
+            for v, p in zip(values, patterns):
+                if v is None or p is None:
+                    out.append(None)
+                    continue
+                if not isinstance(v, str) or not isinstance(p, str):
+                    raise SqlTypeError("LIKE requires text operands")
+                rx = cache.get(p)
+                if rx is None:
+                    rx = re.compile(_like_to_regex(p), re.DOTALL)
+                    cache[p] = rx
+                result = rx.fullmatch(v) is not None
+                out.append((not result) if negated else result)
+            return out
 
         return _like
 
     if isinstance(expr, ast.Case):
-        whens = [(_bind_row(c, ctx), _bind_row(v, ctx)) for c, v in expr.whens]
-        else_ = _bind_row(expr.else_, ctx) if expr.else_ is not None else None
+        whens = [
+            (bind_expr(c, ctx), bind_expr(v, ctx)) for c, v in expr.whens
+        ]
+        else_ = bind_expr(expr.else_, ctx) if expr.else_ is not None else None
 
-        def _case(env):
+        def _case(rows, outer_env):
+            n = len(rows)
+            out: list = [None] * n
+            pending = list(range(n))
             for cond, value in whens:
-                if cond(env) is True:
-                    return value(env)
-            return else_(env) if else_ is not None else None
+                if not pending:
+                    break
+                verdicts = cond(_subset(rows, pending), outer_env)
+                hits = [i for i, c in zip(pending, verdicts) if c is True]
+                if hits:
+                    results = value(_subset(rows, hits), outer_env)
+                    for i, v in zip(hits, results):
+                        out[i] = v
+                pending = [i for i, c in zip(pending, verdicts) if c is not True]
+            if else_ is not None and pending:
+                results = else_(_subset(rows, pending), outer_env)
+                for i, v in zip(pending, results):
+                    out[i] = v
+            return out
 
         return _case
 
-    if isinstance(expr, ast.ScalarSubquery):
-        if ctx.subquery_compiler is None:
-            raise PlanError("subqueries are not allowed in this context")
-        runner = ctx.subquery_compiler(expr.select, ctx)
-
-        def _scalar(env):
-            rows = runner(env)
-            if not rows:
-                return None
-            if len(rows) > 1:
-                raise ExecutionError("scalar subquery returned more than one row")
-            if len(rows[0]) != 1:
-                raise ExecutionError(
-                    "scalar subquery must return exactly one column"
-                )
-            return rows[0][0]
-
-        return _scalar
-
-    if isinstance(expr, ast.ExistsSubquery):
-        if ctx.subquery_compiler is None:
-            raise PlanError("subqueries are not allowed in this context")
-        runner = ctx.subquery_compiler(expr.select, ctx)
-        negated = expr.negated
-
-        def _exists(env):
-            rows = runner(env)
-            return (not rows) if negated else bool(rows)
-
-        return _exists
-
-    if isinstance(expr, ast.InSubquery):
-        if ctx.subquery_compiler is None:
-            raise PlanError("subqueries are not allowed in this context")
-        operand = _bind_row(expr.operand, ctx)
-        runner = ctx.subquery_compiler(expr.select, ctx)
-        negated = expr.negated
-        # For an uncorrelated subquery the row list is computed once per
-        # execution (init-plan), so the O(n)-per-outer-row membership
-        # scan can be replaced by a hashed probe built once.
-        probe_holder: list = [None]
-
-        def _scan(v, rows):
-            saw_null = False
-            for row in rows:
-                if len(row) != 1:
-                    raise ExecutionError("IN subquery must return one column")
-                w = row[0]
-                if w is None:
-                    saw_null = True
-                elif compare_values(v, w) == 0:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        def _in_subquery(env):
-            v = operand(env)
-            rows = runner(env)
-            if v is None:
-                # Over an empty set IN is FALSE (NOT IN TRUE) whatever the
-                # operand; otherwise a NULL operand is unknown.
-                return negated if not rows else None
-            if getattr(runner, "correlated", True):
-                return _scan(v, rows)
-            probe = probe_holder[0]
-            if probe is None:
-                probe = probe_holder[0] = _build_in_probe(
-                    rows, negated, _scan
-                )
-            return probe(v)
-
-        return _in_subquery
+    if isinstance(expr, _SUBQUERY_NODES):
+        return _bind_subquery(expr, ctx)
 
     if isinstance(expr, ast.Star):
         raise PlanError("'*' is only allowed at the top of a select list")
 
     raise PlanError(f"cannot bind expression {expr!r}")
+
+
+def _bind_subquery(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
+    """Compile a scalar, EXISTS or IN subquery node.
+
+    The planner's runner executes the subquery once per call, with the
+    given :class:`Env` as its outer scope; here it is called once per
+    input row, in row order.
+    """
+    if ctx.subquery_compiler is None:
+        raise PlanError("subqueries are not allowed in this context")
+
+    if isinstance(expr, ast.ScalarSubquery):
+        runner = ctx.subquery_compiler(expr.select, ctx)
+
+        def _scalar(rows, outer_env):
+            out = []
+            for row in rows:
+                result = runner(Env(row, outer_env))
+                if not result:
+                    out.append(None)
+                    continue
+                if len(result) > 1:
+                    raise ExecutionError(
+                        "scalar subquery returned more than one row"
+                    )
+                if len(result[0]) != 1:
+                    raise ExecutionError(
+                        "scalar subquery must return exactly one column"
+                    )
+                out.append(result[0][0])
+            return out
+
+        return _scalar
+
+    if isinstance(expr, ast.ExistsSubquery):
+        runner = ctx.subquery_compiler(expr.select, ctx)
+        negated = expr.negated
+
+        def _exists(rows, outer_env):
+            found = [bool(runner(Env(row, outer_env))) for row in rows]
+            return [not f for f in found] if negated else found
+
+        return _exists
+
+    operand = bind_expr(expr.operand, ctx)
+    runner = ctx.subquery_compiler(expr.select, ctx)
+    negated = expr.negated
+    # For an uncorrelated subquery the row list is computed once per
+    # execution (init-plan), so the O(n)-per-outer-row membership scan can
+    # be replaced by a hashed probe built once.
+    correlated = getattr(runner, "correlated", True)
+    probe_holder: list = [None]
+
+    def _scan(v, rows):
+        saw_null = False
+        for row in rows:
+            if len(row) != 1:
+                raise ExecutionError("IN subquery must return one column")
+            w = row[0]
+            if w is None:
+                saw_null = True
+            elif compare_values(v, w) == 0:
+                return not negated
+        if saw_null:
+            return None
+        return negated
+
+    def _in_subquery(rows, outer_env):
+        values = operand(rows, outer_env)
+        out = []
+        for v, row in zip(values, rows):
+            result = runner(Env(row, outer_env))
+            if v is None:
+                # Over an empty set IN is FALSE (NOT IN TRUE) whatever the
+                # operand; otherwise a NULL operand is unknown.
+                out.append(negated if not result else None)
+            elif correlated:
+                out.append(_scan(v, result))
+            else:
+                probe = probe_holder[0]
+                if probe is None:
+                    probe = probe_holder[0] = _build_in_probe(
+                        result, negated, _scan
+                    )
+                out.append(probe(v))
+        return out
+
+    return _in_subquery
 
 
 def _value_family(value: Any) -> Optional[str]:
@@ -669,317 +706,8 @@ def _require_bool(value: Any, where: str) -> None:
 
 def _bind_binary(expr: ast.BinaryOp, ctx: BindContext) -> BoundExpr:
     op = expr.op
-    left = _bind_row(expr.left, ctx)
-    right = _bind_row(expr.right, ctx)
-
-    if op == "AND":
-        def _and(env):
-            l = left(env)
-            if l is False:
-                return False
-            r = right(env)
-            if r is False:
-                return False
-            if l is None or r is None:
-                return None
-            _require_bool(l, "AND")
-            _require_bool(r, "AND")
-            return True
-
-        return _and
-
-    if op == "OR":
-        def _or(env):
-            l = left(env)
-            if l is True:
-                return True
-            r = right(env)
-            if r is True:
-                return True
-            if l is None or r is None:
-                return None
-            _require_bool(l, "OR")
-            _require_bool(r, "OR")
-            return False
-
-        return _or
-
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        def _cmp(env, op=op):
-            c = compare_values(left(env), right(env))
-            if c is None:
-                return None
-            if op == "=":
-                return c == 0
-            if op == "<>":
-                return c != 0
-            if op == "<":
-                return c < 0
-            if op == "<=":
-                return c <= 0
-            if op == ">":
-                return c > 0
-            return c >= 0
-
-        return _cmp
-
-    if op == "||":
-        def _concat(env):
-            l, r = left(env), right(env)
-            if l is None or r is None:
-                return None
-            if not isinstance(l, str) or not isinstance(r, str):
-                raise SqlTypeError("|| requires text operands")
-            return l + r
-
-        return _concat
-
-    if op in ("+", "-", "*", "/", "%"):
-        def _arith(env, op=op):
-            l, r = left(env), right(env)
-            if l is None or r is None:
-                return None
-            if not is_numeric(l) or not is_numeric(r):
-                raise SqlTypeError(
-                    f"operator {op} requires numeric operands, got "
-                    f"{type(l).__name__} and {type(r).__name__}"
-                )
-            if op == "+":
-                return l + r
-            if op == "-":
-                return l - r
-            if op == "*":
-                return l * r
-            if op == "/":
-                if r == 0:
-                    raise ExecutionError("division by zero")
-                return l / r
-            if r == 0:
-                raise ExecutionError("modulo by zero")
-            return l % r
-
-        return _arith
-
-    raise PlanError(f"unknown binary operator {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# Batch compilation
-# ---------------------------------------------------------------------------
-#
-# The batch compiler mirrors _bind_row case by case.  It is only invoked on
-# subquery-free expressions (bind_expr guards), so it never touches the
-# subquery compiler.  Selective evaluation keeps error semantics aligned
-# with the row form: a sub-expression is evaluated exactly on the rows
-# where the row form would have evaluated it.
-
-_CMP_TESTS: dict[str, Callable[[int], bool]] = {
-    "=": lambda c: c == 0,
-    "<>": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-}
-
-
-def _bind_batch(expr: ast.Expr, ctx: BindContext) -> BatchExpr:
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda rows, outer_env: [value] * len(rows)
-
-    if isinstance(expr, ast.ColumnRef):
-        depth, idx = ctx.resolve(expr.name, expr.qualifier)
-        if depth == 0:
-            return _column_batch(idx)
-
-        def _outer_col(rows, outer_env, depth=depth, idx=idx):
-            if outer_env is None:
-                raise ExecutionError("correlated reference escaped its scope")
-            value = outer_env.ancestor(depth - 1).row[idx]
-            return [value] * len(rows)
-
-        return _outer_col
-
-    if isinstance(expr, ast.BinaryOp):
-        return _bind_batch_binary(expr, ctx)
-
-    if isinstance(expr, ast.UnaryOp):
-        operand = _bind_batch(expr.operand, ctx)
-        if expr.op == "NOT":
-            def _not(rows, outer_env):
-                out = []
-                for v in operand(rows, outer_env):
-                    if v is None:
-                        out.append(None)
-                    else:
-                        _require_bool(v, "NOT")
-                        out.append(not v)
-                return out
-
-            return _not
-        if expr.op == "-":
-            def _neg(rows, outer_env):
-                out = []
-                for v in operand(rows, outer_env):
-                    if v is None:
-                        out.append(None)
-                    elif not is_numeric(v):
-                        raise SqlTypeError(f"cannot negate {type(v).__name__}")
-                    else:
-                        out.append(-v)
-                return out
-
-            return _neg
-        raise PlanError(f"unknown unary operator {expr.op!r}")
-
-    if isinstance(expr, ast.FunctionCall):
-        name = expr.name.upper()
-        if name in ast.AGGREGATE_FUNCTIONS:
-            raise PlanError(f"aggregate {name} is not allowed in this context")
-        fn = SCALAR_FUNCTIONS.get(name)
-        if fn is None:
-            raise PlanError(f"unknown function {name!r}")
-        args = [_bind_batch(a, ctx) for a in expr.args]
-
-        def _call(rows, outer_env, fn=fn, args=args, name=name):
-            cols = [a(rows, outer_env) for a in args]
-            try:
-                if not cols:
-                    return [fn() for _ in range(len(rows))]
-                return [fn(*vals) for vals in zip(*cols)]
-            except (TypeError, AttributeError) as exc:
-                raise SqlTypeError(f"bad arguments to {name}: {exc}") from exc
-
-        return _call
-
-    if isinstance(expr, ast.IsNull):
-        operand = _bind_batch(expr.operand, ctx)
-        if expr.negated:
-            return lambda rows, outer_env: [
-                v is not None for v in operand(rows, outer_env)
-            ]
-        return lambda rows, outer_env: [v is None for v in operand(rows, outer_env)]
-
-    if isinstance(expr, ast.InList):
-        operand = _bind_batch(expr.operand, ctx)
-        items = [_bind_batch(i, ctx) for i in expr.items]
-        negated = expr.negated
-
-        def _in(rows, outer_env):
-            values = operand(rows, outer_env)
-            n = len(values)
-            out: list = [None] * n
-            # NULL operands decide to NULL without evaluating any item.
-            pending = [i for i in range(n) if values[i] is not None]
-            saw_null = [False] * n
-            for item in items:
-                if not pending:
-                    break
-                matches = item(_subset(rows, pending), outer_env)
-                still = []
-                for w, i in zip(matches, pending):
-                    if w is None:
-                        saw_null[i] = True
-                        still.append(i)
-                    elif compare_values(values[i], w) == 0:
-                        out[i] = not negated
-                    else:
-                        still.append(i)
-                pending = still
-            for i in pending:
-                out[i] = None if saw_null[i] else negated
-            return out
-
-        return _in
-
-    if isinstance(expr, ast.Between):
-        operand = _bind_batch(expr.operand, ctx)
-        low = _bind_batch(expr.low, ctx)
-        high = _bind_batch(expr.high, ctx)
-        negated = expr.negated
-
-        def _between(rows, outer_env):
-            values = operand(rows, outer_env)
-            lows = low(rows, outer_env)
-            highs = high(rows, outer_env)
-            out = []
-            for v, lo, hi in zip(values, lows, highs):
-                c1 = compare_values(v, lo)
-                c2 = compare_values(v, hi)
-                if c1 is None or c2 is None:
-                    out.append(None)
-                else:
-                    result = c1 >= 0 and c2 <= 0
-                    out.append((not result) if negated else result)
-            return out
-
-        return _between
-
-    if isinstance(expr, ast.Like):
-        operand = _bind_batch(expr.operand, ctx)
-        pattern = _bind_batch(expr.pattern, ctx)
-        negated = expr.negated
-        cache: dict[str, re.Pattern] = {}
-
-        def _like(rows, outer_env):
-            values = operand(rows, outer_env)
-            patterns = pattern(rows, outer_env)
-            out = []
-            for v, p in zip(values, patterns):
-                if v is None or p is None:
-                    out.append(None)
-                    continue
-                if not isinstance(v, str) or not isinstance(p, str):
-                    raise SqlTypeError("LIKE requires text operands")
-                rx = cache.get(p)
-                if rx is None:
-                    rx = re.compile(_like_to_regex(p), re.DOTALL)
-                    cache[p] = rx
-                result = rx.fullmatch(v) is not None
-                out.append((not result) if negated else result)
-            return out
-
-        return _like
-
-    if isinstance(expr, ast.Case):
-        whens = [
-            (_bind_batch(c, ctx), _bind_batch(v, ctx)) for c, v in expr.whens
-        ]
-        else_ = _bind_batch(expr.else_, ctx) if expr.else_ is not None else None
-
-        def _case(rows, outer_env):
-            n = len(rows)
-            out: list = [None] * n
-            pending = list(range(n))
-            for cond, value in whens:
-                if not pending:
-                    break
-                verdicts = cond(_subset(rows, pending), outer_env)
-                hits = [i for i, c in zip(pending, verdicts) if c is True]
-                if hits:
-                    results = value(_subset(rows, hits), outer_env)
-                    for i, v in zip(hits, results):
-                        out[i] = v
-                pending = [i for i, c in zip(pending, verdicts) if c is not True]
-            if else_ is not None and pending:
-                results = else_(_subset(rows, pending), outer_env)
-                for i, v in zip(pending, results):
-                    out[i] = v
-            return out
-
-        return _case
-
-    if isinstance(expr, ast.Star):
-        raise PlanError("'*' is only allowed at the top of a select list")
-
-    raise PlanError(f"cannot bind expression {expr!r}")
-
-
-def _bind_batch_binary(expr: ast.BinaryOp, ctx: BindContext) -> BatchExpr:
-    op = expr.op
-    left = _bind_batch(expr.left, ctx)
-    right = _bind_batch(expr.right, ctx)
+    left = bind_expr(expr.left, ctx)
+    right = bind_expr(expr.right, ctx)
 
     if op == "AND":
         def _and(rows, outer_env):

@@ -16,7 +16,7 @@ from operator import add
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.engine.errors import PlanError, SqlTypeError
-from repro.engine.expr import BoundExpr, Env, Layout, batch_eval
+from repro.engine.expr import BoundExpr, Env, Layout
 from repro.engine.operators.base import Operator
 from repro.engine.types import compare_values, is_numeric
 from repro.engine.vector import ColumnVector, take_values
@@ -348,7 +348,7 @@ class HashAggregate(Operator):
             fold = self._fold_grouped if self.group_exprs else self._fold_global
             for batch in self.child.batches(outer_env):
                 arg_columns = [
-                    batch_eval(spec.arg, batch, outer_env)
+                    spec.arg(batch, outer_env)
                     if spec.arg is not None else None
                     for spec in self.aggregates
                 ]
@@ -381,7 +381,7 @@ class HashAggregate(Operator):
         depend on the batch width.  A batch whose keys change more often than every
         eighth row is bucketed by key instead (:meth:`_fold_buckets`).
         """
-        key_columns = [batch_eval(g, batch, outer_env) for g in self.group_exprs]
+        key_columns = [g(batch, outer_env) for g in self.group_exprs]
         single = len(key_columns) == 1
         keys = key_columns[0] if single else list(zip(*key_columns))
         n = len(keys)

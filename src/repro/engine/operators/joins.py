@@ -6,7 +6,7 @@ import math
 from typing import Iterator, Optional
 
 from repro.engine.errors import SqlTypeError
-from repro.engine.expr import BoundExpr, Env, batch_eval
+from repro.engine.expr import BoundExpr, Env
 from repro.engine.operators.base import Operator
 
 
@@ -52,7 +52,7 @@ class NestedLoopJoin(Operator):
                             matched = True
                             out.extend(combined)
                         continue
-                    verdicts = batch_eval(condition, combined, outer_env)
+                    verdicts = condition(combined, outer_env)
                     for row, verdict in zip(combined, verdicts):
                         if verdict is True:
                             matched = True
@@ -229,7 +229,7 @@ class HashJoin(Operator):
                     inserted += 1
                 self._build_count += inserted
                 continue
-            keys = batch_eval(build_key, batch, outer_env)
+            keys = build_key(batch, outer_env)
             if gov is None:
                 inserted = 0
                 for key, row in zip(keys, batch):
@@ -277,7 +277,7 @@ class HashJoin(Operator):
         left_outer = self.left_outer
         pad = (None,) * len(self.build_side.layout)
         for batch in self.probe_side.batches(outer_env):
-            keys = batch_eval(probe_key, batch, outer_env)
+            keys = probe_key(batch, outer_env)
             out = []
             if residual is None:
                 emit = out.append
@@ -294,7 +294,7 @@ class HashJoin(Operator):
                     if key is not None:
                         combined = [left + right for right in table.get(key, ())]
                         if combined:
-                            verdicts = batch_eval(residual, combined, outer_env)
+                            verdicts = residual(combined, outer_env)
                             for row, verdict in zip(combined, verdicts):
                                 if verdict is True:
                                     matched = True

@@ -7,10 +7,10 @@ progress tracker can extrapolate remaining work from the *driver* scan.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.engine.catalog import Table
-from repro.engine.expr import BoundExpr, Env, Layout
+from repro.engine.expr import BoundExpr, Env, Layout, eval_row
 from repro.engine.index import BTreeIndex
 from repro.engine.operators.base import Operator, WorkAccount
 from repro.engine.vector import Chunk
@@ -165,8 +165,7 @@ class IndexScan(Operator):
         # One row per batch: each heap-page charge lands just before the
         # row that needs it, so a consumer that stops early (LIMIT, EXISTS)
         # is never charged for a page it did not reach.
-        env = outer_env if outer_env is not None else Env(())
-        key = self.probe(env)
+        key = eval_row(self.probe, outer_env)
         rids = self.index.search(key)
         self.account.charge(self.index.lookup_cost(len(rids)))
         pages_seen: set[int] = set()
@@ -187,10 +186,9 @@ class IndexScan(Operator):
 class RangeIndexScan(Operator):
     """Range scan over a B-tree index: ``low <op> col <op> high``.
 
-    Bounds are bound expressions evaluated in the enclosing environment
-    (``None`` for an open end).  Charges the descent, one leaf page per
-    ``leaf_capacity`` keys traversed, and one U per distinct heap page
-    fetched.  Rows come out in index-key order.
+    Bounds are constants (``None`` for an open end).  Charges the
+    descent, one leaf page per ``leaf_capacity`` keys traversed, and one U
+    per distinct heap page fetched.  Rows come out in index-key order.
     """
 
     def __init__(
@@ -199,8 +197,8 @@ class RangeIndexScan(Operator):
         binding: str,
         index: BTreeIndex,
         account: WorkAccount,
-        low: Optional[BoundExpr] = None,
-        high: Optional[BoundExpr] = None,
+        low: Any = None,
+        high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
         bounds_description: str = "?",
@@ -218,14 +216,11 @@ class RangeIndexScan(Operator):
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         # One row per batch, for the reason given in IndexScan.batches.
-        env = outer_env if outer_env is not None else Env(())
-        low = self.low(env) if self.low is not None else None
-        high = self.high(env) if self.high is not None else None
         self.account.charge(float(self.index.height()))
         keys_seen = 0
         pages_seen: set[int] = set()
         for _, rids in self.index.search_range(
-            low, high, self.low_inclusive, self.high_inclusive
+            self.low, self.high, self.low_inclusive, self.high_inclusive
         ):
             keys_seen += 1
             if keys_seen % self.index.leaf_capacity == 1 and keys_seen > 1:

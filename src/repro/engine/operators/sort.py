@@ -25,7 +25,7 @@ import heapq
 import math
 from typing import Any, Iterator, Optional, Sequence
 
-from repro.engine.expr import BoundExpr, Env, batch_eval
+from repro.engine.expr import BoundExpr, Env
 from repro.engine.operators.base import Operator
 from repro.engine.types import sort_key
 
@@ -170,7 +170,7 @@ class Sort(Operator):
         """Decorate a whole batch of rows with their sort keys."""
         key_columns = []
         for expr, descending in self.keys:
-            values = batch_eval(expr, batch, outer_env)
+            values = expr(batch, outer_env)
             if descending:
                 key_columns.append([_Desc(sort_key(v)) for v in values])
             else:

@@ -14,7 +14,7 @@ import math
 from typing import Iterator, Optional, Sequence
 
 from repro.engine.errors import SqlTypeError
-from repro.engine.expr import BoundExpr, Env, Layout, batch_eval
+from repro.engine.expr import BoundExpr, Env, Layout
 from repro.engine.operators.base import Operator, WorkAccount, checkpoint_child
 from repro.engine.vector import Chunk
 
@@ -80,7 +80,7 @@ class Filter(Operator):
         # consumer that stops early (LIMIT) is charged alike at any width.
         predicate = self.predicate
         for batch in self.child.batches(outer_env):
-            verdicts = batch_eval(predicate, batch, outer_env)
+            verdicts = predicate(batch, outer_env)
             if type(batch) is Chunk:
                 # Late materialization: keep the batch columnar and only
                 # narrow its selection -- no row tuples are built here.
@@ -151,7 +151,7 @@ class Project(Operator):
             # Stay columnar: downstream operators (aggregates, sorts,
             # joins, the output collector) materialize tuples only where
             # they genuinely need whole rows.
-            yield Chunk([batch_eval(e, batch, outer_env) for e in exprs])
+            yield Chunk([e(batch, outer_env) for e in exprs])
 
     def describe(self) -> str:
         names = ", ".join(s.name for s in self.layout.slots)

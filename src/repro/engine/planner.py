@@ -40,6 +40,7 @@ from repro.engine.expr import (
     Env,
     Layout,
     bind_expr,
+    expr_contains_subquery,
     slot_expr,
 )
 from repro.engine.operators.agg import AggSpec, HashAggregate
@@ -73,7 +74,6 @@ class _SubqueryRecord:
     """A subquery compiled while binding one expression."""
 
     root: Operator
-    runner: Callable[[Env], list]
     #: Correlated subqueries cost their plan per outer row; uncorrelated
     #: ones (init-plans) run once regardless of outer cardinality.
     correlated: bool = True
@@ -143,12 +143,10 @@ class Planner:
                         cache = drain(root, None)
                     return cache
 
-            # Execution-time hooks (e.g. the uncorrelated IN membership
-            # probe in expr.py) key off this tag.
+            # The uncorrelated IN membership probe in expr.py keys off
+            # this tag.
             runner.correlated = correlated
-            subqueries.append(
-                _SubqueryRecord(root=root, runner=runner, correlated=correlated)
-            )
+            subqueries.append(_SubqueryRecord(root=root, correlated=correlated))
             return runner
 
         # ---- FROM --------------------------------------------------------
@@ -226,9 +224,7 @@ class Planner:
                 "when DISTINCT is used"
             )
 
-        bound = [
-            self._bind_checked(e, current_ctx, subqueries) for e in proj_exprs
-        ]
+        bound = [bind_expr(e, current_ctx) for e in proj_exprs]
         slots = [
             ColumnSlot(None, output_names[i])
             if i < len(output_names)
@@ -456,9 +452,9 @@ class Planner:
         # Find pushable conjuncts: subquery-free, local columns only.
         pushable: list[tuple[int, ast.Expr]] = []
         for i, conj in enumerate(conjuncts):
-            if _contains_subquery(conj):
+            if expr_contains_subquery(conj):
                 continue
-            refs = _collect_column_refs(conj)
+            refs = ast.collect_column_refs(conj)
             local = [r for r in refs if layout.try_resolve(r.name, r.qualifier) is not None]
             if not local:
                 continue
@@ -557,7 +553,7 @@ class Planner:
             index = table.index_on(col_side.name)
             if index is None:
                 continue
-            other_refs = _collect_column_refs(other)
+            other_refs = ast.collect_column_refs(other)
             if any(
                 layout.try_resolve(r.name, r.qualifier) is not None
                 for r in other_refs
@@ -685,8 +681,8 @@ class Planner:
             binding,
             index,
             account,
-            low=(lambda env, v=low: v) if low is not None else None,
-            high=(lambda env, v=high: v) if high is not None else None,
+            low=low,
+            high=high,
             low_inclusive=low_inc,
             high_inclusive=high_inc,
             bounds_description=" and ".join(desc_parts),
@@ -771,9 +767,9 @@ class Planner:
                 candidates.append(part)
         if join_kind != "LEFT":
             for i, conj in enumerate(conjuncts):
-                if i in consumed or _contains_subquery(conj):
+                if i in consumed or expr_contains_subquery(conj):
                     continue
-                refs = _collect_column_refs(conj)
+                refs = ast.collect_column_refs(conj)
                 if not refs:
                     continue
                 sides = {
@@ -867,14 +863,6 @@ class Planner:
     # ------------------------------------------------------------------
     # Filters with subquery-aware costing
     # ------------------------------------------------------------------
-
-    def _bind_checked(
-        self,
-        expr: ast.Expr,
-        ctx: BindContext,
-        subqueries: list[_SubqueryRecord],
-    ) -> BoundExpr:
-        return bind_expr(expr, ctx)
 
     def _drain_subquery_cost(
         self, subqueries: list[_SubqueryRecord]
@@ -1040,40 +1028,6 @@ def _flatten_from_item(item) -> list[tuple[object, Optional[ast.Expr], str]]:
     raise PlanError(f"unsupported FROM item {item!r}")
 
 
-def _collect_column_refs(expr: ast.Expr) -> list[ast.ColumnRef]:
-    """All column references in *expr*, not descending into subqueries."""
-    return ast.collect_column_refs(expr)
-
-
-def _contains_subquery(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.ScalarSubquery, ast.ExistsSubquery, ast.InSubquery)):
-        return True
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_subquery(expr.left) or _contains_subquery(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_subquery(expr.operand)
-    if isinstance(expr, ast.FunctionCall):
-        return any(_contains_subquery(a) for a in expr.args)
-    if isinstance(expr, ast.IsNull):
-        return _contains_subquery(expr.operand)
-    if isinstance(expr, ast.InList):
-        return _contains_subquery(expr.operand) or any(
-            _contains_subquery(i) for i in expr.items
-        )
-    if isinstance(expr, ast.Between):
-        return any(
-            _contains_subquery(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, ast.Like):
-        return _contains_subquery(expr.operand)
-    if isinstance(expr, ast.Case):
-        parts = [e for pair in expr.whens for e in pair]
-        if expr.else_ is not None:
-            parts.append(expr.else_)
-        return any(_contains_subquery(p) for p in parts)
-    return False
-
-
 def _resolves_in_outer(
     ref: ast.ColumnRef, outer_ctx: Optional[BindContext]
 ) -> bool:
@@ -1092,8 +1046,8 @@ def _match_equi_join(
     if not isinstance(cond, ast.BinaryOp) or cond.op != "=":
         return None
     a, b = cond.left, cond.right
-    refs_a = _collect_column_refs(a)
-    refs_b = _collect_column_refs(b)
+    refs_a = ast.collect_column_refs(a)
+    refs_b = ast.collect_column_refs(b)
     if not refs_a or not refs_b:
         return None
 

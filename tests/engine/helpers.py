@@ -3,7 +3,6 @@
 from typing import Iterator
 
 from repro.engine import Database
-from repro.engine.expr import batch_eval
 from repro.engine.operators.agg import HashAggregate
 from repro.engine.operators.base import Operator, configure_batch_size
 from repro.engine.vector import take_values
@@ -20,6 +19,11 @@ def rows_of(op: Operator, width: int = 1, outer_env=None) -> Iterator[tuple]:
         yield from batch
 
 
+def per_row(fn):
+    """A bound-expression closure from a function of one row tuple."""
+    return lambda rows, outer_env: [fn(row) for row in rows]
+
+
 def undecorrelated(db: Database) -> Database:
     """A ``Database(decorrelate=False)`` over *db*'s tables (shared, not
     copied): correlated subqueries keep their per-outer-row subplans."""
@@ -33,7 +37,7 @@ class BucketingAggregate(HashAggregate):
     key tuple, then fold each group's gathered rows in one call."""
 
     def _fold_grouped(self, batch, arg_columns, outer_env):
-        key_columns = [batch_eval(g, batch, outer_env) for g in self.group_exprs]
+        key_columns = [g(batch, outer_env) for g in self.group_exprs]
         if len(key_columns) == 1:
             keys = [(v,) for v in key_columns[0]]
         else:

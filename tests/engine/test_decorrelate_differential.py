@@ -39,7 +39,7 @@ REWRITTEN_CORPUS = [
     "SELECT t.k FROM t WHERE 0 IN (SELECT s.v FROM s WHERE s.k = t.k)",
 ]
 
-#: Queries the safety conditions must leave on the row-loop path; they
+#: Queries the safety conditions must leave on per-row subplans; they
 #: still have to match the oracle (trivially -- same plan -- but they
 #: guard against the rewrite firing where it must not).
 FALLBACK_CORPUS = [

@@ -15,6 +15,13 @@ Work has no outside oracle, so it is pinned three ways:
   distinct heap page;
 * the bit-exact end-to-end benchmark signatures.
 
+The corpus runs with and without the decorrelation rewrite; without it,
+every subquery stays an expression node with a per-outer-row subplan, and
+the corpus puts one in every selectively evaluated position (AND/OR right
+sides, CASE branches, IN-list items).  A correlated subplan charges its
+whole plan once per row that reaches its node -- never for a row a
+short-circuit or a dead branch kept away (a closed form below).
+
 Also covers the plan cache: hit/miss counters, stats-epoch invalidation,
 and work parity on reuse.
 """
@@ -23,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CancellationToken, Database, QueryCancelled
+from repro.engine import CancellationToken, Database, ExecutionError, QueryCancelled
 from repro.workload.queries import join_query, paper_query, scan_query
 from repro.workload.tpcr import TpcrConfig, generate
 
@@ -99,6 +106,40 @@ class TestClosedForms:
             _, work, _ = run(db, sql, batch_size=width)
             assert work == index.lookup_cost(len(rids)) + pages
 
+    @staticmethod
+    def _per_row_db():
+        db = Database(page_capacity=4, decorrelate=False)
+        db.execute("CREATE TABLE t (k INT, v FLOAT)")
+        db.insert_rows("t", [(i % 5, float(i)) for i in range(22)])
+        return db, db.catalog.table("t").heap.page_count
+
+    def test_subplan_charges_once_per_reaching_row(self):
+        # No index: every run of the EXISTS subplan is a full scan of t.
+        db, pages = self._per_row_db()
+        reaching = sum(1 for i in range(22) if i % 5 > 2)  # OR's left is False
+        sql = (
+            "SELECT k FROM t p WHERE k <= 2 OR EXISTS "
+            "(SELECT 1 FROM t i WHERE i.k = p.k AND i.v > p.v)"
+        )
+        for width in BATCH_SIZES:
+            _, work, _ = run(db, sql, batch_size=width)
+            assert work == pages * (1 + reaching)
+
+    def test_dead_branch_subquery_never_runs(self):
+        db, pages = self._per_row_db()
+        dead = (
+            "SELECT CASE WHEN k > 100 THEN "
+            "(SELECT count(*) FROM t i WHERE i.k = p.k) ELSE 0 END FROM t p"
+        )
+        # A multi-row scalar subquery is an error only where it runs.
+        dead_error = "SELECT CASE WHEN k > 100 THEN (SELECT v FROM t) END FROM t"
+        for width in BATCH_SIZES:
+            for sql in (dead, dead_error):
+                _, work, _ = run(db, sql, batch_size=width)
+                assert work == pages
+            with pytest.raises(ExecutionError, match="more than one row"):
+                run(db, dead_error.replace("k > 100", "k >= 0"), batch_size=width)
+
 
 SQL_CORPUS = [
     "SELECT k, v FROM t WHERE k > 0",
@@ -118,6 +159,22 @@ SQL_CORPUS = [
     "SELECT * FROM t p WHERE p.v > (SELECT avg(v) FROM t WHERE k = p.k)",
     "SELECT k FROM t p WHERE EXISTS "
     "(SELECT 1 FROM t i WHERE i.k = p.k AND i.v < 0)",
+    # A subquery in every position the binder evaluates selectively, two
+    # subquery nodes in one expression, and an uncorrelated IN (the hashed
+    # membership probe).
+    "SELECT k, CASE WHEN k > 0 THEN (SELECT count(*) FROM t i WHERE i.k = p.k) "
+    "ELSE -1 END FROM t p",
+    "SELECT k FROM t p WHERE k > 0 AND v > "
+    "(SELECT min(i.v) FROM t i WHERE i.k = p.k)",
+    "SELECT k FROM t p WHERE k IS NULL OR EXISTS "
+    "(SELECT 1 FROM t i WHERE i.k = p.k AND i.v > p.v)",
+    "SELECT k FROM t p WHERE k IN (0, (SELECT max(i.k) FROM t i WHERE i.v < p.v))",
+    "SELECT coalesce((SELECT max(i.v) FROM t i WHERE i.k = p.k), 0) FROM t p",
+    "SELECT k FROM t p WHERE v NOT IN "
+    "(SELECT i.v FROM t i WHERE i.k = p.k AND i.v > 0)",
+    "SELECT (SELECT count(*) FROM t i WHERE i.k < p.k) + "
+    "(SELECT count(*) FROM t i WHERE i.k > p.k) FROM t p",
+    "SELECT k FROM t WHERE k IN (SELECT k FROM t WHERE v > 0)",
 ]
 
 
@@ -145,10 +202,11 @@ class TestHypothesisCorpus:
         sql=st.sampled_from(SQL_CORPUS),
         width=st.sampled_from(BATCH_SIZES),
         page=st.sampled_from([1, 3, 50]),
+        decorrelate=st.booleans(),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_batch_matches_sqlite_oracle(self, rows, sql, width, page):
-        db = Database(page_capacity=page)
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_sqlite_oracle(self, rows, sql, width, page, decorrelate):
+        db = Database(page_capacity=page, decorrelate=decorrelate)
         db.execute("CREATE TABLE t (k INT, v FLOAT)")
         db.insert_rows("t", rows)
         got_rows, got_work, _ = run(db, sql, batch_size=width)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.catalog import Catalog
-from repro.engine.expr import BindContext, ColumnSlot, Env, Layout
+from repro.engine.expr import ColumnSlot, Layout, slot_expr
 from repro.engine.operators.agg import AggSpec, HashAggregate
 from repro.engine.operators.base import WorkAccount
 from repro.engine.operators.joins import HashJoin, NestedLoopJoin
@@ -21,7 +21,7 @@ from repro.engine.operators.transforms import (
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 
-from tests.engine.helpers import rows_of
+from tests.engine.helpers import per_row, rows_of
 
 
 def make_table(rows, page_capacity=4, name="t", columns=("k", "v")):
@@ -75,7 +75,7 @@ class TestIndexScan:
         )
         index = catalog.create_index("idx", "t", "k")
         account = WorkAccount()
-        probe = lambda env: probe_value
+        probe = per_row(lambda row: probe_value)
         return IndexScan(table, "t", index, probe, account), account
 
     def test_matching_rows(self):
@@ -107,19 +107,21 @@ class TestTransforms:
 
     def test_filter(self):
         scan = self._base()
-        op = Filter(scan, lambda env: env.row[0] >= 7)
+        op = Filter(scan, per_row(lambda row: row[0] >= 7))
         assert [r[0] for r in rows_of(op)] == [7, 8, 9]
 
     def test_filter_null_is_dropped(self):
         scan = self._base()
-        op = Filter(scan, lambda env: None if env.row[0] == 0 else env.row[0] > 5)
+        op = Filter(
+            scan, per_row(lambda row: None if row[0] == 0 else row[0] > 5)
+        )
         assert [r[0] for r in rows_of(op)] == [6, 7, 8, 9]
 
     def test_project(self):
         scan = self._base()
         op = Project(
             scan,
-            [lambda env: env.row[0] * 10],
+            [per_row(lambda row: row[0] * 10)],
             Layout([ColumnSlot(None, "x")]),
         )
         assert [r for r in rows_of(op)][:3] == [(0,), (10,), (20,)]
@@ -184,8 +186,8 @@ class TestJoins:
         lscan, rscan = self._tables()
         join = HashJoin(
             lscan, rscan,
-            probe_key=lambda env: env.row[0],
-            build_key=lambda env: env.row[0],
+            probe_key=slot_expr(0),
+            build_key=slot_expr(0),
         )
         rows = list(rows_of(join))
         # keys 0,1,2 each match twice; keys 3..5 never.
@@ -199,8 +201,8 @@ class TestJoins:
         join = HashJoin(
             SeqScan(left, "l", account),
             SeqScan(right, "r", account),
-            probe_key=lambda env: env.row[0],
-            build_key=lambda env: env.row[0],
+            probe_key=slot_expr(0),
+            build_key=slot_expr(0),
         )
         assert len(list(rows_of(join))) == 1
 
@@ -214,7 +216,7 @@ class TestJoins:
         join = NestedLoopJoin(
             lscan,
             Materialize(rscan),
-            condition=lambda env: env.row[0] == env.row[2],
+            condition=per_row(lambda row: row[0] == row[2]),
         )
         assert len(list(rows_of(join))) == 6
 
@@ -236,10 +238,10 @@ class TestAggregateAndSort:
         scan = self._scan()
         agg = HashAggregate(
             scan,
-            group_exprs=[lambda env: env.row[0]],
+            group_exprs=[slot_expr(0)],
             aggregates=[
                 AggSpec("COUNT", arg=None),
-                AggSpec("SUM", arg=lambda env: env.row[1]),
+                AggSpec("SUM", arg=slot_expr(1)),
             ],
             layout=Layout(
                 [ColumnSlot(None, "k"), ColumnSlot(None, "n"), ColumnSlot(None, "s")]
@@ -254,7 +256,7 @@ class TestAggregateAndSort:
         agg = HashAggregate(
             scan,
             group_exprs=[],
-            aggregates=[AggSpec("COUNT", None), AggSpec("MAX", lambda env: env.row[0])],
+            aggregates=[AggSpec("COUNT", None), AggSpec("MAX", slot_expr(0))],
             layout=Layout([ColumnSlot(None, "n"), ColumnSlot(None, "m")]),
         )
         assert list(rows_of(agg)) == [(0, None)]
@@ -264,14 +266,14 @@ class TestAggregateAndSort:
         agg = HashAggregate(
             scan,
             group_exprs=[],
-            aggregates=[AggSpec("COUNT", lambda env: env.row[0], distinct=True)],
+            aggregates=[AggSpec("COUNT", slot_expr(0), distinct=True)],
             layout=Layout([ColumnSlot(None, "n")]),
         )
         assert list(rows_of(agg)) == [(3,)]
 
     def test_agg_spec_validation(self):
         with pytest.raises(Exception):
-            AggSpec("MEDIAN", lambda env: 1)
+            AggSpec("MEDIAN", slot_expr(0))
         with pytest.raises(Exception):
             AggSpec("SUM", None)
 
@@ -280,8 +282,8 @@ class TestAggregateAndSort:
         op = Sort(
             scan,
             keys=[
-                (lambda env: env.row[0], False),
-                (lambda env: env.row[1], True),
+                (slot_expr(0), False),
+                (slot_expr(1), True),
             ],
             rows_per_page=5,
         )
@@ -291,7 +293,7 @@ class TestAggregateAndSort:
 
     def test_sort_charges_spill(self):
         scan = self._scan()
-        op = Sort(scan, keys=[(lambda env: env.row[0], False)], rows_per_page=5)
+        op = Sort(scan, keys=[(slot_expr(0), False)], rows_per_page=5)
         list(rows_of(op))
         # 2 scan pages + 2 * ceil(9/5) sort pages.
         assert scan.account.total == pytest.approx(2 + 4)

@@ -65,7 +65,7 @@ class TestAccessPaths:
         assert filters, "single-table predicate should be pushed below the join"
 
     def test_index_scan_in_correlated_subquery(self, db):
-        # The row-loop fallback path (decorrelation off) costs the
+        # The per-row subplan path (decorrelation off) costs the
         # subquery per outer row; this stays as the fallback for queries
         # the rewrite cannot prove safe.
         root = undecorrelated(db).prepare(

@@ -10,7 +10,7 @@ from repro.engine.progress import ProgressTracker, find_driver_scan
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import SqlType
 
-from tests.engine.helpers import rows_of
+from tests.engine.helpers import per_row, rows_of
 
 
 def make_scan(rows=100, page_capacity=10):
@@ -26,7 +26,7 @@ def make_scan(rows=100, page_capacity=10):
 class TestDriverDiscovery:
     def test_finds_scan_through_wrappers(self):
         scan, _ = make_scan()
-        wrapped = Filter(scan, lambda env: True)
+        wrapped = Filter(scan, per_row(lambda row: True))
         assert find_driver_scan(wrapped) is scan
 
     def test_none_without_scan(self):

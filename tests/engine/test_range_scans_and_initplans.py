@@ -85,7 +85,7 @@ class TestRangeIndexScan:
 
         account = WorkAccount()
         scan = RangeIndexScan(
-            table, "t", index, account, low=lambda env: 997, high=None
+            table, "t", index, account, low=997, high=None
         )
         rows = list(rows_of(scan))
         assert [r[0] for r in rows] == [997, 998, 999]

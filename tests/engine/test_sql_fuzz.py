@@ -4,7 +4,9 @@ Starting from every workload template and the differential SQL corpus,
 hypothesis deletes, duplicates and swaps tokens and truncates the text.
 Whatever the result, ``Database.query`` may only return rows or raise a
 subclass of :class:`~repro.engine.errors.EngineError` -- never a bare
-``TypeError``, ``IndexError``, ``KeyError`` or the like.  Boundary inputs
+``TypeError``, ``IndexError``, ``KeyError`` or the like -- with the
+decorrelation rewrite and without it, where every subquery stays an
+expression node with a per-row subplan.  Boundary inputs
 (empty text, a cut inside a string literal or a subquery, a dangling
 operator) are pinned as explicit examples.
 """
@@ -20,6 +22,7 @@ from repro.engine.errors import EngineError
 from repro.workload.queries import join_query, paper_query, scan_query
 from repro.workload.tpcr import LINEITEM_DDL, part_table_ddl
 
+from tests.engine.helpers import undecorrelated
 from tests.engine.test_decorrelate_differential import (
     FALLBACK_CORPUS,
     REWRITTEN_CORPUS,
@@ -90,16 +93,18 @@ def assert_rows_or_engine_error(db, sql):
 
 
 class TestGrammarMutations:
-    @given(sql=mutated_sql())
-    @example(sql="")
-    @example(sql="SELECT")
-    @example(sql="SELECT abs(v), upper('x")
-    @example(sql=paper_query(1)[:-30])
-    @example(sql="SELECT k FROM t WHERE k IN (1, 2,)")
-    @example(sql="SELECT k, v FROM t ORDER BY v LIMIT")
+    @given(sql=mutated_sql(), per_row=st.booleans())
+    @example(sql="", per_row=False)
+    @example(sql="SELECT", per_row=False)
+    @example(sql="SELECT abs(v), upper('x", per_row=False)
+    @example(sql=paper_query(1)[:-30], per_row=False)
+    @example(sql=paper_query(1)[:-30], per_row=True)
+    @example(sql="SELECT k FROM t WHERE k IN (1, 2,)", per_row=False)
+    @example(sql="SELECT k, v FROM t ORDER BY v LIMIT", per_row=False)
     @settings(max_examples=400, deadline=None)
-    def test_rows_or_engine_error(self, db, sql):
-        assert_rows_or_engine_error(db, sql)
+    def test_rows_or_engine_error(self, db, sql, per_row):
+        # Without the rewrite every subquery stays an expression node.
+        assert_rows_or_engine_error(undecorrelated(db) if per_row else db, sql)
 
     @pytest.mark.parametrize("sql", SEEDS)
     def test_every_seed_runs(self, db, sql):
