@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction package.
 
-.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples all
+.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples loc all
 
 install:
 	pip install -e . || python setup.py develop
@@ -81,5 +81,11 @@ observe:
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+
+# Non-blank Python line counts of src/ and of tests/ + benchmarks/ (the
+# net line count ROADMAP tracks).
+loc:
+	@printf 'src               %s\n' "$$(find src -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"
+	@printf 'tests+benchmarks  %s\n' "$$(find tests benchmarks -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"
 
 all: test bench examples

@@ -19,7 +19,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.core.incremental import incremental_schedule_of
+from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot
 from repro.core.standard_case import standard_case
 from repro.experiments.reporting import format_table
@@ -70,7 +70,7 @@ def test_algorithm_scaling(once):
             t_std = _time(standard_case, queries, 1.0, False)
             t_victim = _time(choose_victim, queries, "q0", 1.0)
             t_multi = _time(choose_victim_for_all, queries, 1.0)
-            schedule = incremental_schedule_of(queries, 1.0)
+            schedule = IncrementalSchedule(1.0, queries)
             reads = random.Random(1).sample(
                 [q.query_id for q in queries], min(READS, n)
             )

@@ -39,7 +39,7 @@ from repro.core.forecast import AdaptiveForecaster, WorkloadForecast
 from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot, SystemSnapshot
 from repro.core.multi_query import MultiQueryProgressIndicator
-from repro.core.projection import project, set_default_backend, use_backend
+from repro.core.projection import project
 from repro.core.single_query import SingleQueryProgressIndicator
 from repro.core.standard_case import standard_case
 from repro.dist import (
@@ -160,7 +160,5 @@ __all__ = [
     "plan_maintenance",
     "project",
     "random_fault_plan",
-    "set_default_backend",
     "standard_case",
-    "use_backend",
 ]

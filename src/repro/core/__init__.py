@@ -11,8 +11,7 @@ substrate-independent form:
   from one structure (see ``docs/PERFORMANCE.md``).
 * :mod:`repro.core.projection` -- an event-driven forward projection that
   generalises the standard case to non-empty admission queues (Section 2.3)
-  and predicted future arrivals (Section 2.4), with interchangeable
-  incremental / reference backends.
+  and predicted future arrivals (Section 2.4).
 * :mod:`repro.core.single_query` -- the single-query baseline PI
   (``t = c / s``) the paper compares against.
 * :mod:`repro.core.multi_query` -- the multi-query progress indicator.
@@ -29,17 +28,14 @@ from repro.core.forecast import (
     OnlineMeanEstimator,
     WorkloadForecast,
 )
-from repro.core.incremental import IncrementalSchedule, incremental_schedule_of
+from repro.core.incremental import IncrementalSchedule
 from repro.core.metrics import relative_error
 from repro.core.model import QuerySnapshot, SystemSnapshot
 from repro.core.multi_query import MultiQueryEstimate, MultiQueryProgressIndicator
 from repro.core.projection import (
     ProjectedQuery,
     ProjectionResult,
-    default_backend,
     project,
-    set_default_backend,
-    use_backend,
 )
 from repro.core.single_query import SingleQueryProgressIndicator, SpeedMonitor
 from repro.core.standard_case import Stage, StandardCaseResult, standard_case
@@ -61,14 +57,10 @@ __all__ = [
     "StandardCaseResult",
     "SystemSnapshot",
     "WorkloadForecast",
-    "default_backend",
     "finite_snapshots",
-    "incremental_schedule_of",
     "project",
     "relative_error",
-    "set_default_backend",
     "standard_case",
-    "use_backend",
     "validate_finite",
     "validate_snapshots",
 ]

@@ -10,8 +10,8 @@ that one schedule computation can serve *all* running queries at once.
 *alive between refreshes* so that every PI reads from one shared
 structure:
 
-* ``add(query)``, ``remove(query_id)``, ``reweight(query_id, w)`` and
-  ``set_remaining(query_id, c)`` are amortized ``O(log n)``;
+* ``add(query)``, ``remove(query_id)`` and ``reweight(query_id, w)``
+  are amortized ``O(log n)``;
 * ``advance(dt)`` moves virtual time forward in ``O((1 + finished)
   log n)`` -- each query is popped exactly once over its lifetime;
 * ``remaining_time_of(query_id)`` answers one PI in ``O(log n)``;
@@ -50,9 +50,8 @@ for the amortized-complexity argument and the scalability benchmarks.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.core.model import QuerySnapshot
 from repro.core.validation import validate_finite, validate_snapshots
@@ -410,13 +409,6 @@ class IncrementalSchedule:
         self.remove(query_id)
         self.add(QuerySnapshot(query_id, cost, weight=weight))
 
-    def set_remaining(self, query_id: str, remaining_cost: float) -> None:
-        """Re-pin *query_id*'s remaining cost (estimate revisions)."""
-        validate_finite(remaining_cost, "remaining_cost", minimum=0.0)
-        weight = self.weight_of(query_id)
-        self.remove(query_id)
-        self.add(QuerySnapshot(query_id, remaining_cost, weight=weight))
-
     # ------------------------------------------------------------------
     # Time advancement
     # ------------------------------------------------------------------
@@ -512,9 +504,3 @@ class IncrementalSchedule:
             f"V={self._virtual:g} t={self._time:g}>"
         )
 
-
-def incremental_schedule_of(
-    queries: Sequence[QuerySnapshot], processing_rate: float
-) -> IncrementalSchedule:
-    """Build a schedule over *queries* (convenience constructor)."""
-    return IncrementalSchedule(processing_rate, queries)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core import projection
 from repro.core.forecast import AdaptiveForecaster, WorkloadForecast
 from repro.core.model import SystemSnapshot
 from repro.core.projection import ProjectionResult, project_validated
@@ -69,11 +68,6 @@ class MultiQueryProgressIndicator:
         on its continuous re-estimation rather than speculation (the
         behaviour the paper's Figures 8-10 exhibit).  ``None`` forecasts
         arrivals indefinitely.
-    backend:
-        Projection backend: ``"incremental"`` (shared-schedule engine),
-        ``"reference"`` (the original full-recompute loop), or ``None``
-        to follow the process default
-        (:func:`repro.core.projection.set_default_backend`).
     """
 
     name = "multi-query"
@@ -84,33 +78,21 @@ class MultiQueryProgressIndicator:
         forecast: WorkloadForecast | None = None,
         forecaster: AdaptiveForecaster | None = None,
         horizon_drain_factor: float | None = 3.0,
-        backend: str | None = None,
     ) -> None:
         if horizon_drain_factor is not None:
             validate_finite(
                 horizon_drain_factor, "horizon_drain_factor",
                 minimum=0.0, exclusive=True,
             )
-        if backend is not None and backend not in projection.BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; "
-                f"expected one of {projection.BACKENDS}"
-            )
         self._consider_queue = consider_queue
         self._forecast = forecast
         self._forecaster = forecaster
         self._horizon_drain_factor = horizon_drain_factor
-        self._backend = backend
 
     @property
     def consider_queue(self) -> bool:
         """Whether admission-queue contents are modelled."""
         return self._consider_queue
-
-    @property
-    def backend(self) -> str:
-        """The projection backend this indicator estimates with."""
-        return self._backend or projection.default_backend()
 
     def current_forecast(self) -> WorkloadForecast | None:
         """The forecast the next :meth:`estimate` call will use."""
@@ -159,7 +141,6 @@ class MultiQueryProgressIndicator:
             multiprogramming_limit=snapshot.multiprogramming_limit,
             forecast=forecast,
             extra_arrivals=(),
-            backend=self._backend,
         )
         # The projection is this call's own: its dicts are handed on.
         remaining = result.finish_times

@@ -17,41 +17,32 @@ weight) and records the predicted finish time of every *real* query.  It
 terminates once all real queries have finished; virtual queries beyond that
 point are irrelevant.
 
-With an empty queue and no forecast the projection is equivalent to
-:func:`repro.core.standard_case.standard_case` (a property the test suite
-verifies).
+The projection has one engine.  While arrivals or admissions can still
+change the active set, the running queries live in an
+:class:`~repro.core.incremental.IncrementalSchedule`, so each event costs
+``O(log n)``.  As soon as nothing can arrive or be admitted any more --
+the queue is empty, the known arrivals are used up, the forecast has run
+out -- the rest *is* the Section 2.2 standard case, and one sort plus one
+sweep of the flat kernel (:func:`~repro.core.standard_case.solve_stages`)
+finishes it in place of one treap pop per query (the *tail rule*).  When
+that holds from the start -- no forecast, no known arrivals, a queue that
+fits under the multiprogramming limit -- the projection is that one solve
+and builds no schedule at all.  A projection is ``O((n + arrivals) log n)``
+and deterministic: same inputs, bit-identical outputs.
 
-Two interchangeable *backends* drive the active set:
-
-* ``"incremental"`` (the default) keeps the running queries in a shared
-  :class:`~repro.core.incremental.IncrementalSchedule` while arrivals or
-  admissions can still change the active set: each event costs
-  ``O(log n)`` instead of the reference engine's ``O(n)``.  As soon as
-  nothing can arrive or be admitted any more -- the queue is empty, the
-  known arrivals are used up, the forecast has run out -- the rest *is*
-  the standard case, and one sort plus one sweep of the flat kernel
-  (:func:`~repro.core.standard_case.solve_stages`) finishes it in place of
-  one treap pop per query.  When that holds from the start -- no
-  forecast, no known arrivals, a queue that fits under the
-  multiprogramming limit -- the projection is that one solve and builds
-  no engine at all.  A projection is
-  ``O((n + arrivals) log n)``.
-* ``"reference"`` is the direct event loop matching the paper's
-  derivation step for step -- ``O(n)`` per event, every completion popped
-  one by one.  It is kept verbatim as the oracle for the differential
-  test suite.
-
-Both produce the same estimates (within floating-point slack; the
-differential suite asserts agreement to 1e-9) and each is individually
-deterministic: same inputs, same backend, bit-identical outputs.
+With an empty queue and no forecast the projection therefore equals
+:func:`repro.core.standard_case.standard_case` exactly.  The paper's
+step-by-step event loop -- ``O(n)`` per event, every completion popped one
+by one -- lives in the test suite as the oracle the differential tests
+hold this engine to (1e-9).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.forecast import WorkloadForecast
@@ -59,43 +50,6 @@ from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot
 from repro.core.standard_case import solve_stages
 from repro.core.validation import validate_finite, validate_snapshots
-
-#: Recognised projection backends.
-BACKENDS = ("incremental", "reference")
-
-_default_backend = "incremental"
-
-
-def default_backend() -> str:
-    """The backend used when :func:`project` is called without one."""
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide default projection backend.
-
-    The incremental backend is the default; switching to ``"reference"``
-    routes every PI in the process through the original full-recompute
-    event loop (useful for differential debugging and A/B timing).
-    """
-    global _default_backend
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    _default_backend = backend
-
-
-@contextmanager
-def use_backend(backend: str):
-    """Context manager form of :func:`set_default_backend`."""
-    previous = _default_backend
-    set_default_backend(backend)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-#: Numerical slack used when comparing event times.
-_EPS = 1e-12
 
 #: Hard caps protecting against unstable forecasts (``lambda * c̄ > C``):
 #: beyond this many concurrently active virtual queries, further virtual
@@ -110,14 +64,6 @@ class ProjectionError(RuntimeError):
 
 
 @dataclass
-class _Job:
-    query_id: str
-    remaining: float
-    weight: float
-    virtual: bool
-
-
-@dataclass
 class _Waiting:
     query_id: str
     cost: float
@@ -126,53 +72,8 @@ class _Waiting:
     arrived_at: float
 
 
-class _ReferenceEngine:
-    """Active set as a flat job list: ``O(n)`` per event (the oracle).
-
-    This is the paper-faithful loop kept verbatim for differential
-    testing: every event recomputes the minimum ``c/w`` ratio and charges
-    work to every active job individually.
-    """
-
-    def __init__(self, processing_rate: float) -> None:
-        self._rate = processing_rate
-        self._jobs: list[_Job] = []
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    def virtual_count(self) -> int:
-        return sum(1 for j in self._jobs if j.virtual)
-
-    def add(self, query_id: str, cost: float, weight: float, virtual: bool) -> None:
-        self._jobs.append(_Job(query_id, cost, weight, virtual))
-
-    def finish_dt(self) -> float:
-        """Time until the earliest active completion, or ``inf``."""
-        if not self._jobs:
-            return float("inf")
-        total = sum(j.weight for j in self._jobs)
-        if total <= 0:  # pragma: no cover - weights are validated > 0
-            return float("inf")
-        min_ratio = min(j.remaining / j.weight for j in self._jobs)
-        return max(min_ratio * total / self._rate, 0.0)
-
-    def advance(self, dt: float, clock_after: float) -> list[tuple[str, bool]]:
-        """Charge *dt* seconds of work; retire and return finished jobs."""
-        total = sum(j.weight for j in self._jobs)
-        if dt > 0 and self._jobs and total > 0:
-            for j in self._jobs:
-                j.remaining -= self._rate * (j.weight / total) * dt
-        slack = _EPS * max(1.0, clock_after)
-        done = [j for j in self._jobs if j.remaining <= slack]
-        if done:
-            done_ids = {id(j) for j in done}
-            self._jobs = [j for j in self._jobs if id(j) not in done_ids]
-        return [(j.query_id, j.virtual) for j in done]
-
-
-class _IncrementalEngine:
-    """Active set as a shared schedule: ``O(log n)`` per event.
+class _ActiveSet:
+    """The running queries of a projection, in an incremental schedule.
 
     Admissions are buffered and enter the treap only when the event loop
     next asks for a completion time, so the tail rule (see
@@ -198,14 +99,15 @@ class _IncrementalEngine:
             self._virtual_ids.add(query_id)
 
     def finish_dt(self) -> float:
+        """Time until the earliest active completion, or ``inf``."""
         for entry in self._fresh:
             self._schedule.add_validated(*entry)
         self._fresh.clear()
         head = self._schedule.next_finish()
         return head[0] if head is not None else float("inf")
 
-    def advance(self, dt: float, clock_after: float) -> list[tuple[str, bool]]:
-        del clock_after  # completion slack is the schedule's concern
+    def advance(self, dt: float) -> list[tuple[str, bool]]:
+        """Run *dt* seconds; retire and return ``(query_id, virtual)``."""
         out = []
         for _, qid in self._schedule.advance(dt):
             virtual = qid in self._virtual_ids
@@ -245,19 +147,7 @@ def _solve_rest(
     and one sweep of the flat kernel replace one event per completion.
     Returns ``(finish_order, finish_times)``, the times offset by *clock*.
     """
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for qid in ids:
-            if qid in seen:
-                raise ValueError(f"duplicate query id {qid!r}")
-            seen.add(qid)
     return solve_stages(ids, costs, weights, processing_rate, start=clock)
-
-
-_ENGINES = {
-    "incremental": _IncrementalEngine,
-    "reference": _ReferenceEngine,
-}
 
 
 @dataclass(frozen=True)
@@ -338,7 +228,6 @@ def project(
     multiprogramming_limit: int | None = None,
     forecast: WorkloadForecast | None = None,
     extra_arrivals: Iterable[tuple[float, QuerySnapshot]] = (),
-    backend: str | None = None,
 ) -> ProjectionResult:
     """Project the execution of the current workload forward in time.
 
@@ -359,12 +248,6 @@ def project(
     extra_arrivals:
         Known one-off future arrivals as ``(time, snapshot)`` pairs -- used
         by workload-management what-if analyses.
-    backend:
-        ``"incremental"`` (shared-schedule engine, ``O(log n)`` per
-        event while the active set can still grow, then one flat-kernel
-        sweep over what is left), ``"reference"`` (the original
-        ``O(n)``-per-event loop), or ``None`` to use the process default
-        (see :func:`set_default_backend`).
 
     Returns
     -------
@@ -375,9 +258,10 @@ def project(
     Raises
     ------
     ValueError
-        If ``processing_rate`` is not a positive finite number, or any
-        query (running, queued or in ``extra_arrivals``) carries a NaN /
-        infinite / negative cost or weight.
+        If ``processing_rate`` is not a positive finite number, any query
+        (running, queued or in ``extra_arrivals``) carries a NaN /
+        infinite / negative cost or weight, or one query id appears twice
+        across the three inputs.
     """
     validate_finite(processing_rate, "processing_rate", minimum=0.0, exclusive=True)
     validate_snapshots(running, where="running")
@@ -389,9 +273,14 @@ def project(
             minimum=0.0,
         )
     validate_snapshots((q for _, q in extra_arrivals), where="extra_arrivals")
+    seen: set[str] = set()
+    for q in chain(running, queued, (q for _, q in extra_arrivals)):
+        if q.query_id in seen:
+            raise ValueError(f"duplicate query id {q.query_id!r}")
+        seen.add(q.query_id)
     return project_validated(
         running, queued, processing_rate, multiprogramming_limit, forecast,
-        extra_arrivals, backend,
+        extra_arrivals,
     )
 
 
@@ -402,40 +291,27 @@ def project_validated(
     multiprogramming_limit: int | None,
     forecast: WorkloadForecast | None,
     extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
-    backend: str | None,
 ) -> ProjectionResult:
     """The body of :func:`project`, which checks nothing.
 
     For an entry point that has itself validated the rate and every
-    snapshot (:meth:`MultiQueryProgressIndicator.estimate
-    <repro.core.multi_query.MultiQueryProgressIndicator.estimate>`),
-    so that each query is validated once per refresh, not once per layer.
+    snapshot, and whose query ids are unique by construction
+    (:meth:`MultiQueryProgressIndicator.estimate
+    <repro.core.multi_query.MultiQueryProgressIndicator.estimate>` reads a
+    :class:`~repro.core.model.SystemSnapshot`), so that each query is
+    checked once per refresh, not once per layer.
     """
     mpl = multiprogramming_limit
-    if backend is None:
-        backend = _default_backend
-    if backend not in _ENGINES:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-
-    from repro.obs.runtime import current as _current_obs
-
-    obs = _current_obs()
-    if obs is not None:
-        obs.metrics.counter(f"projection.backend.{backend}").inc()
-
     virtual_stream = _forecast_arrivals(forecast, start=0.0)
     next_virtual = next(virtual_stream, None)
     if (
-        backend == "incremental"
-        and next_virtual is None
+        next_virtual is None
         and not extra_arrivals
         and (not queued or mpl is None or len(running) + len(queued) <= mpl)
     ):
         # The tail rule from the first event: the whole queue is admitted
         # at t = 0 and nothing else can arrive, so the projection is one
-        # solve -- no engine, no per-query bookkeeping.
+        # solve -- no schedule, no per-query bookkeeping.
         active = (*running, *queued) if queued else running
         order, times = _solve_rest(
             [q.query_id for q in active],
@@ -449,12 +325,14 @@ def project_validated(
         events = len(order)
     else:
         finish_times, queue_waits, events = _run_events(
-            _ENGINES[backend](processing_rate), running, queued, mpl,
-            extra_arrivals, virtual_stream, next_virtual,
-            tail_rule=backend == "incremental",
+            processing_rate, running, queued, mpl, extra_arrivals,
+            virtual_stream, next_virtual,
         )
 
     quiescent = max(finish_times.values(), default=0.0)
+    from repro.obs.runtime import current as _current_obs
+
+    obs = _current_obs()
     if obs is not None:
         # virtual_time is None: a projection is a pure algorithm call with
         # no simulation clock of its own (it starts at a relative t=0).
@@ -462,7 +340,6 @@ def project_validated(
         obs.tracer.emit(
             "projection.run",
             None,
-            backend=backend,
             events=events,
             queries=len(finish_times),
             quiescent_time=quiescent,
@@ -471,24 +348,23 @@ def project_validated(
 
 
 def _run_events(
-    engine: _ReferenceEngine | _IncrementalEngine,
+    processing_rate: float,
     running: Sequence[QuerySnapshot],
     queued: Sequence[QuerySnapshot],
     mpl: int | None,
     extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
     virtual_stream: Iterator[tuple[float, float, float]],
     next_virtual: tuple[float, float, float] | None,
-    tail_rule: bool,
 ) -> tuple[dict[str, float], dict[str, float], int]:
     """The event loop: completions, arrivals and admissions in time order.
 
     Returns ``(finish_times, queue_waits, events)`` of the real queries.
-    With *tail_rule* the loop hands over to :func:`_solve_rest` as soon
-    as nothing can arrive or be admitted any more; the reference engine
-    pops every completion, as the oracle must.
+    The loop hands over to :func:`_solve_rest` as soon as nothing can
+    arrive or be admitted any more.
     """
+    active = _ActiveSet(processing_rate)
     for q in running:
-        engine.add(q.query_id, q.remaining_cost, q.weight, virtual=False)
+        active.add(q.query_id, q.remaining_cost, q.weight, virtual=False)
     waiting: deque[_Waiting] = deque(
         _Waiting(q.query_id, q.remaining_cost, q.weight, virtual=False, arrived_at=0.0)
         for q in queued
@@ -512,24 +388,19 @@ def _run_events(
 
     def admit() -> None:
         """Move queued jobs into the active set while slots are available."""
-        while waiting and (mpl is None or len(engine) < mpl):
+        while waiting and (mpl is None or len(active) < mpl):
             w = waiting.popleft()
-            engine.add(w.query_id, w.cost, w.weight, w.virtual)
+            active.add(w.query_id, w.cost, w.weight, w.virtual)
             if not w.virtual:
                 started_at[w.query_id] = clock
 
     admit()
 
     while real_outstanding > 0:
-        if (
-            tail_rule
-            and not waiting
-            and pending_idx >= len(pending)
-            and next_virtual is None
-        ):
+        if not waiting and pending_idx >= len(pending) and next_virtual is None:
             # Nothing can arrive or be admitted any more: what is left is
             # the standard case, one event per completion.
-            for qid, virtual, t_fin in engine.finish_rest(clock):
+            for qid, virtual, t_fin in active.finish_rest(clock):
                 events += 1
                 if not virtual:
                     finish_times[qid] = t_fin
@@ -545,7 +416,7 @@ def _run_events(
             )
 
         # Earliest completion among active jobs.
-        finish_dt = engine.finish_dt()
+        finish_dt = active.finish_dt()
 
         # Next arrival (known one-off or virtual forecast).
         arrival_t = float("inf")
@@ -564,7 +435,7 @@ def _run_events(
 
         dt = min(finish_dt, arrival_dt)
         clock += dt
-        for qid, virtual in engine.advance(dt, clock):
+        for qid, virtual in active.advance(dt):
             if not virtual:
                 finish_times[qid] = clock
                 real_outstanding -= 1
@@ -578,7 +449,7 @@ def _run_events(
                 arrived_at[qid] = clock
             elif next_virtual is not None:
                 _, cost, weight = next_virtual
-                n_virtual = engine.virtual_count() + sum(
+                n_virtual = active.virtual_count() + sum(
                     1 for w in waiting if w.virtual
                 )
                 if n_virtual < _MAX_VIRTUAL_ACTIVE:

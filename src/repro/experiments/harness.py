@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.multi_query import MultiQueryProgressIndicator
-from repro.core.projection import BACKENDS
 from repro.core.single_query import SingleQueryProgressIndicator
 from repro.sim.rdbms import SimulatedRDBMS
 
@@ -28,9 +27,6 @@ from repro.sim.rdbms import SimulatedRDBMS
 SINGLE_QUERY = "single-query"
 MULTI_QUERY = "multi-query"
 MULTI_QUERY_NO_QUEUE = "multi-query-no-queue"
-#: Estimates served from the RDBMS's shared incremental schedule (one
-#: structure answering every concurrent PI; see ``docs/PERFORMANCE.md``).
-SHARED_SCHEDULE = "shared-schedule"
 
 
 class PIHarness:
@@ -50,18 +46,6 @@ class PIHarness:
         ``multi-query`` indicator (queue-aware, no forecast).
     with_single:
         Whether to run a per-query single-query PI alongside.
-    with_shared_schedule:
-        Whether to also record the ``shared-schedule`` series: per-query
-        remaining times served directly from the RDBMS's shared
-        incremental schedule (:meth:`SimulatedRDBMS.remaining_times`).
-        One amortized ``O(log n)``-maintained structure answers every
-        running query's PI, instead of each indicator re-solving the
-        whole system per sample.
-    with_backend_agreement:
-        Whether to additionally sample one multi-query PI per projection
-        backend (``backend:incremental`` / ``backend:reference`` series),
-        feeding the observability layer's backend-agreement telemetry.
-        Only meaningful when the RDBMS carries an observability bundle.
     """
 
     def __init__(
@@ -71,24 +55,15 @@ class PIHarness:
         speed_window: float = 10.0,
         multi_indicators: dict[str, MultiQueryProgressIndicator] | None = None,
         with_single: bool = True,
-        with_shared_schedule: bool = False,
-        with_backend_agreement: bool = False,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be > 0")
         self.rdbms = rdbms
         self.speed_window = speed_window
         self.with_single = with_single
-        self.with_shared_schedule = with_shared_schedule
         if multi_indicators is None:
             multi_indicators = {MULTI_QUERY: MultiQueryProgressIndicator()}
         self.multi_indicators = dict(multi_indicators)
-        self._backend_indicators: dict[str, MultiQueryProgressIndicator] = {}
-        if with_backend_agreement:
-            self._backend_indicators = {
-                f"backend:{b}": MultiQueryProgressIndicator(backend=b)
-                for b in BACKENDS
-            }
         self._single: dict[str, SingleQueryProgressIndicator] = {}
         self._single_attempts: dict[str, int] = {}
         rdbms.add_sampler(interval, self._sample)
@@ -135,17 +110,12 @@ class PIHarness:
                         rdbms, job.query_id, SINGLE_QUERY, t,
                         est.remaining_seconds,
                     )
-        indicators = dict(self.multi_indicators)
-        indicators.update(self._backend_indicators)
-        if indicators:
+        if self.multi_indicators:
             snapshot = rdbms.snapshot()
-            for name, indicator in indicators.items():
+            for name, indicator in self.multi_indicators.items():
                 estimate = indicator.estimate(snapshot)
                 for qid, seconds in estimate.remaining_seconds.items():
                     self._record(rdbms, qid, name, t, seconds)
-        if self.with_shared_schedule:
-            for qid, seconds in rdbms.remaining_times().items():
-                self._record(rdbms, qid, SHARED_SCHEDULE, t, seconds)
 
     def sample_now(self) -> None:
         """Take one sample immediately (e.g. at time 0 before running)."""

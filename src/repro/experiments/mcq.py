@@ -42,10 +42,6 @@ class MCQConfig:
     #: PI sampling interval, seconds.
     sample_interval: float = 2.0
     seed: int = 1
-    #: Also sample one multi-query PI per projection backend
-    #: (``backend:incremental`` / ``backend:reference``) so the
-    #: observability layer can report backend agreement.
-    with_backend_agreement: bool = False
 
 
 @dataclass
@@ -109,11 +105,7 @@ def run_mcq(config: MCQConfig = MCQConfig()) -> MCQResult:
     for job in jobs:
         rdbms.submit(job)
 
-    harness = PIHarness(
-        rdbms,
-        interval=config.sample_interval,
-        with_backend_agreement=config.with_backend_agreement,
-    )
+    harness = PIHarness(rdbms, interval=config.sample_interval)
 
     # Focus on the query with the largest remaining cost: it finishes last
     # and experiences the full speed-up as the others drain.

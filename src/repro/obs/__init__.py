@@ -8,7 +8,6 @@ methodology behind the disabled-path guarantee.
 from repro.obs.accuracy import (
     AccuracyReport,
     AccuracyTracker,
-    BackendAgreement,
     EstimatorAccuracy,
     QueryAccuracy,
     format_accuracy,
@@ -48,7 +47,6 @@ from repro.obs.tracer import (
 __all__ = [
     "AccuracyReport",
     "AccuracyTracker",
-    "BackendAgreement",
     "Counter",
     "DEFAULT_BOUNDARIES",
     "EVENT_FIELDS",

@@ -13,10 +13,8 @@ query of a simulated run:
 * the per-query summary reports the **relative-error profile** (error
   resampled at fixed fractions of the query's observed lifetime -- the
   carry-back resampling of :meth:`StepSeries.sample` handles estimators
-  that started late), the **forecast-correction lag** (how long until the
-  estimator's error dropped -- and stayed -- below a threshold), and the
-  **backend agreement** between the ``incremental`` and ``reference``
-  projection backends when both series were recorded.
+  that started late) and the **forecast-correction lag** (how long until
+  the estimator's error dropped -- and stayed -- below a threshold).
 
 Everything here is driven by virtual time only, so reports are
 deterministic for seeded runs.
@@ -28,11 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.metrics import StepSeries, mean_finite, relative_error
-
-#: Estimator-series names used for backend-agreement telemetry.
-BACKEND_SERIES_PREFIX = "backend:"
-BACKEND_INCREMENTAL = BACKEND_SERIES_PREFIX + "incremental"
-BACKEND_REFERENCE = BACKEND_SERIES_PREFIX + "reference"
 
 #: Default lifetime fractions of the relative-error profile.
 DEFAULT_PROFILE_FRACTIONS: tuple[float, ...] = (
@@ -64,17 +57,6 @@ class EstimatorAccuracy:
 
 
 @dataclass(frozen=True)
-class BackendAgreement:
-    """Agreement between the incremental and reference backends."""
-
-    #: Number of sample instants where both backends produced an estimate.
-    samples: int
-    max_abs_diff: float
-    #: ``max_abs_diff`` scaled by ``max(1, |reference estimate|)``.
-    max_rel_diff: float
-
-
-@dataclass(frozen=True)
 class QueryAccuracy:
     """Accuracy summary of one finished query."""
 
@@ -82,7 +64,6 @@ class QueryAccuracy:
     started_at: float
     finished_at: float
     estimators: dict[str, EstimatorAccuracy]
-    backend_agreement: BackendAgreement | None
 
     @property
     def lifetime(self) -> float:
@@ -105,17 +86,6 @@ class AccuracyReport:
             if q.query_id == query_id:
                 return q
         raise KeyError(f"no accuracy summary for query {query_id!r}")
-
-    def worst_backend_rel_diff(self) -> float:
-        """Largest backend disagreement across all queries (0 if untracked)."""
-        return max(
-            (
-                q.backend_agreement.max_rel_diff
-                for q in self.queries
-                if q.backend_agreement is not None
-            ),
-            default=0.0,
-        )
 
 
 @dataclass
@@ -242,13 +212,11 @@ class AccuracyTracker:
             summary = self._summarise_estimator(name, series, start, finish)
             if summary is not None:
                 estimators[name] = summary
-        agreement = self._backend_agreement(log, finish)
         return QueryAccuracy(
             query_id=log.query_id,
             started_at=start,
             finished_at=finish,
             estimators=estimators,
-            backend_agreement=agreement,
         )
 
     def _summarise_estimator(
@@ -301,30 +269,6 @@ class AccuracyTracker:
             correction_lag=lag,
         )
 
-    def _backend_agreement(
-        self, log: _QueryLog, finish: float
-    ) -> BackendAgreement | None:
-        inc = log.series.get(BACKEND_INCREMENTAL)
-        ref = log.series.get(BACKEND_REFERENCE)
-        if inc is None or ref is None or not len(inc) or not len(ref):
-            return None
-        inc_points = {t: v for t, v in inc if t < finish}
-        max_abs = 0.0
-        max_rel = 0.0
-        samples = 0
-        for t, ref_v in ref:
-            if t >= finish or t not in inc_points:
-                continue
-            samples += 1
-            diff = abs(inc_points[t] - ref_v)
-            max_abs = max(max_abs, diff)
-            max_rel = max(max_rel, diff / max(1.0, abs(ref_v)))
-        if samples == 0:
-            return None
-        return BackendAgreement(
-            samples=samples, max_abs_diff=max_abs, max_rel_diff=max_rel
-        )
-
 
 def format_accuracy(report: AccuracyReport) -> str:
     """Render an :class:`AccuracyReport` as deterministic text lines.
@@ -352,12 +296,6 @@ def format_accuracy(report: AccuracyReport) -> str:
             if e.profile:
                 prof = " ".join(f"{f:.0%}:{err:.3f}" for f, err in e.profile)
                 lines.append(f"      profile {prof}")
-        if q.backend_agreement is not None:
-            a = q.backend_agreement
-            lines.append(
-                f"    backends: n={a.samples} max_abs={a.max_abs_diff:.3e} "
-                f"max_rel={a.max_rel_diff:.3e}"
-            )
     if report.unfinished:
         lines.append("  unfinished: " + ", ".join(report.unfinished))
     return "\n".join(lines)

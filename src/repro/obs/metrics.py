@@ -11,7 +11,7 @@ resizing, no randomness, so two runs of the same seeded simulation produce
 byte-identical metric dumps.
 
 Metric names are dotted lowercase (``"rdbms.finished"``,
-``"projection.backend.incremental"``); the registry is the single flat
+``"projection.events"``); the registry is the single flat
 namespace for one observed run.
 """
 

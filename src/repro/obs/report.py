@@ -2,11 +2,11 @@
 
 This is the backing of ``repro report --observe`` (and the CI observability
 gate): one :func:`~repro.experiments.mcq.run_mcq` run with the process-global
-observability installed, tracing every simulator seam, sampling both
-projection backends for agreement, and rendering a **deterministic**
-summary -- every number in it derives from virtual time, so repeated runs
-with the same seed produce byte-identical output (wall-clock stamps exist
-only inside the trace file and are never printed).
+observability installed, tracing every simulator seam, and rendering a
+**deterministic** summary -- every number in it derives from virtual time,
+so repeated runs with the same seed produce byte-identical output
+(wall-clock stamps exist only inside the trace file and are never
+printed).
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ def run_observed_mcq(
     trace_path: str | Path | None = None,
     n_queries: int | None = None,
 ) -> ObservedRun:
-    """Run one seeded MCQ experiment with full observability.
-
-    The run samples the multi-query PI per projection backend, so the
-    accuracy report includes incremental-vs-reference agreement.
-    """
+    """Run one seeded MCQ experiment with full observability."""
     from repro.experiments.mcq import MCQConfig, run_mcq
 
-    kwargs = {"seed": seed, "with_backend_agreement": True}
+    kwargs = {"seed": seed}
     if n_queries is not None:
         kwargs["n_queries"] = n_queries
     config = MCQConfig(**kwargs)

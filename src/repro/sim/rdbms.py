@@ -982,9 +982,13 @@ class SimulatedRDBMS:
         if self._shared_schedule is not None:
             self._sync_schedule(dt, finished)
 
+        # A hook below may rebuild the schedule over jobs not yet retired,
+        # so each retirement leaves it too.
         for job, exc in failed:
             self._running = [j for j in self._running if j.query_id != job.query_id]
             self._invalidate_snapshots()
+            if self._shared_schedule is not None:
+                self._shared_schedule.discard(job.query_id)
             record = self._records[job.query_id]
             record.status = "failed"
             self._invalidate_deadline_cache()
@@ -1003,6 +1007,8 @@ class SimulatedRDBMS:
         for job in sorted(finished, key=lambda j: j.query_id):
             self._running = [j for j in self._running if j.query_id != job.query_id]
             self._invalidate_snapshots()
+            if self._shared_schedule is not None:
+                self._shared_schedule.discard(job.query_id)
             record = self._records[job.query_id]
             record.status = "finished"
             self._invalidate_deadline_cache()

@@ -80,16 +80,6 @@ class RunawayQueryWatchdog:
         aborted -- well before the RDBMS's hard deadline enforcement
         would kill it at expiry.  Purely predictive: with no usable PI
         estimate the hard enforcement remains the only backstop.
-    use_shared_schedule:
-        Serve estimates from the RDBMS's shared incremental schedule
-        (:meth:`SimulatedRDBMS.remaining_times`) when it is available,
-        instead of re-running the PI per check -- ``O(n)`` per tick off
-        one incrementally-maintained structure rather than a full
-        re-solve.  Off by default: the shared schedule reads the
-        engine-internal (uncorrupted) estimates, so with it on the
-        watchdog never sees corrupted statistics and the observed-work
-        fallback path is not exercised.  The PI remains the fallback
-        whenever the schedule is unsupported.
 
     Call :meth:`attach` once before running the simulation.
     """
@@ -102,7 +92,6 @@ class RunawayQueryWatchdog:
         pi: MultiQueryProgressIndicator | None = None,
         demote_priority: int = -2,
         enforce_deadlines: bool = False,
-        use_shared_schedule: bool = False,
     ) -> None:
         if budget_seconds is not None and (
             not math.isfinite(budget_seconds) or budget_seconds <= 0
@@ -122,7 +111,6 @@ class RunawayQueryWatchdog:
         self._pi = pi if pi is not None else MultiQueryProgressIndicator()
         self._demote_priority = demote_priority
         self._enforce_deadlines = enforce_deadlines
-        self._use_shared_schedule = use_shared_schedule
         self._demoted: set[str] = set()
         self._attached = False
         #: Last finite remaining-cost observed per live query, for
@@ -174,11 +162,6 @@ class RunawayQueryWatchdog:
         way.  ``(None, ...)`` -- the whole-tick fallback -- only remains
         for snapshots the PI rejects even after sanitizing.
         """
-        if (
-            self._use_shared_schedule
-            and self._rdbms.shared_schedule() is not None
-        ):
-            return self._rdbms.remaining_times(), frozenset()
         snapshot = self._rdbms.snapshot()
         live = snapshot.running + snapshot.queued
         # Refresh the carry-back memory (and drop departed queries).

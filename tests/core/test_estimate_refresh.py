@@ -5,7 +5,8 @@ multiprogramming limit, ``MultiQueryProgressIndicator.estimate()`` is the
 Section 2.2 standard case: it must cost one flat solve -- no
 ``IncrementalSchedule``, no ``random.Random`` for treap priorities -- and
 equal :func:`standard_case` bit for bit, ties included.  Everything else
-still runs the event loop and agrees with the reference backend.  Around
+still runs the event loop and agrees with the step-by-step oracle
+(``tests/core/reference_projection.py``).  Around
 both, the observable surface stays as it was: error messages, the
 ``projection.*`` telemetry, the result records and their attributes.
 """
@@ -13,6 +14,7 @@ both, the observable surface stays as it was: error messages, the
 import math
 import random
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.core.projection import ProjectedQuery, project
 from repro.core.single_query import SingleQueryProgressIndicator
 from repro.core.standard_case import standard_case
 from repro.obs import observed
+from tests.core.reference_projection import reference_project
 
 #: Few distinct costs and weights, so equal c/w ratios (ties) are common.
 tie_costs = st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0, 7.5])
@@ -135,12 +138,12 @@ class TestEventLoopAgreesWithReference:
             running=running, queued=queued, processing_rate=rate,
             multiprogramming_limit=mpl,
         )
-        assert_same_estimates(
-            MultiQueryProgressIndicator(forecast=forecast).estimate(snapshot),
-            MultiQueryProgressIndicator(
-                forecast=forecast, backend="reference"
-            ).estimate(snapshot),
-        )
+        pi = MultiQueryProgressIndicator(forecast=forecast)
+        got = pi.estimate(snapshot)
+        with mock.patch("repro.core.multi_query.project_validated",
+                        reference_project):
+            ref = pi.estimate(snapshot)
+        assert_same_estimates(got, ref)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), rate=rates)
@@ -151,9 +154,8 @@ class TestEventLoopAgreesWithReference:
             for i, q in enumerate(pool(data, "x", 1, 4))
         ]
         results = [
-            project(running, processing_rate=rate, extra_arrivals=arrivals,
-                    backend=backend)
-            for backend in ("incremental", "reference")
+            solve(running, processing_rate=rate, extra_arrivals=arrivals)
+            for solve in (project, reference_project)
         ]
         assert results[0].queries.keys() == results[1].queries.keys()
         for qid, p in results[1].queries.items():
@@ -173,9 +175,9 @@ class TestEventLoopAgreesWithReference:
         arrivals = [(rate, QuerySnapshot(f"x{i}", 0.0, weight=0.5))
                     for i in range(2)]
         results = [
-            project(running, processing_rate=rate, extra_arrivals=arrivals,
-                    backend=backend).remaining_times
-            for backend in ("incremental", "reference")
+            solve(running, processing_rate=rate,
+                  extra_arrivals=arrivals).remaining_times
+            for solve in (project, reference_project)
         ]
         assert results[0].keys() == results[1].keys()
         for qid, expected in results[1].items():
@@ -191,16 +193,17 @@ class TestObservableSurface:
             MultiQueryProgressIndicator().estimate(
                 SystemSnapshot.of(running=running, processing_rate=2.0)
             )
-        assert obs.metrics.counter_value("projection.backend.incremental") == 1
         histogram = obs.metrics.histogram("projection.events")
         assert (histogram.count, histogram.total) == (1, 3)
         (run,) = [e for e in obs.tracer.events if e["event"] == "projection.run"]
         assert {k: run[k] for k in (
-            "virtual_time", "backend", "events", "queries", "quiescent_time",
+            "virtual_time", "events", "queries", "quiescent_time",
         )} == {
-            "virtual_time": None, "backend": "incremental", "events": 3,
-            "queries": 3, "quiescent_time": 35.0,
+            "virtual_time": None, "events": 3, "queries": 3,
+            "quiescent_time": 35.0,
         }
+        assert "backend" not in run
+        assert obs.metrics.as_dict()["counters"] == {}
 
     @pytest.mark.parametrize("field, value, message", [
         ("remaining_cost", math.nan,

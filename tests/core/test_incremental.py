@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.incremental as incremental
-from repro.core.incremental import IncrementalSchedule, incremental_schedule_of
+from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot
 from repro.core.standard_case import standard_case
 
@@ -34,7 +34,8 @@ class TestConstruction:
         assert "a" in sched and "b" in sched
 
     def test_convenience_constructor(self):
-        sched = incremental_schedule_of([q("a", 5)], 1.0)
+        # The constructor takes the snapshots and the rate in one call.
+        sched = IncrementalSchedule(1.0, [q("a", 5)])
         assert sched.processing_rate == 1.0
         assert sched.remaining_time_of("a") == 5.0
 
@@ -88,13 +89,6 @@ class TestStructuralOps:
             sched.reweight("a", 0.0)
         with pytest.raises(KeyError):
             sched.reweight("ghost", 2.0)
-
-    def test_set_remaining_re_pins_cost(self):
-        sched = IncrementalSchedule(2.0, [q("a", 10)])
-        sched.advance(1.0)
-        sched.set_remaining("a", 100.0)
-        assert sched.remaining_cost_of("a") == pytest.approx(100.0)
-        assert sched.remaining_time_of("a") == pytest.approx(50.0)
 
 
 class TestReadPath:

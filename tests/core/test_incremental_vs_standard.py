@@ -1,15 +1,16 @@
 """Differential suite: IncrementalSchedule vs the standard-case oracle.
 
 Property-based randomized testing of the tentpole equivalence claim:
-after *any* sequence of add / remove / advance / reweight / set_remaining
+after *any* sequence of add / remove / advance / reweight / re-pin
 operations, :meth:`IncrementalSchedule.remaining_time_of` must equal a
 fresh :func:`standard_case` solve over the schedule's own live snapshots,
 for every live query, at every step -- to 1e-9 tolerance.
 
 A second set of properties runs the same differential through the
-:func:`project` entry points, covering the Section 2.3 (admission queue)
-and Section 2.4 (forecast arrivals) generalisations: the incremental and
-reference backends must agree on every projected finish time.
+:func:`project` entry point, covering the Section 2.3 (admission queue)
+and Section 2.4 (forecast arrivals) generalisations: it must agree with
+the step-by-step oracle (``tests/core/reference_projection.py``) on every
+projected finish time.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.core.incremental import IncrementalSchedule
 from repro.core.model import QuerySnapshot
 from repro.core.projection import project
 from repro.core.standard_case import standard_case
+from tests.core.reference_projection import reference_project
 
 TOL = 1e-9
 
@@ -65,7 +67,7 @@ def test_random_op_sequences_match_standard_case(data, rate):
         live = sorted(sched.query_ids())
         choices = ["add"]
         if live:
-            choices += ["remove", "advance", "reweight", "set_remaining"]
+            choices += ["remove", "advance", "reweight", "repin"]
         op = data.draw(st.sampled_from(choices), label=f"op{step}")
         if op == "add":
             sched.add(
@@ -88,10 +90,13 @@ def test_random_op_sequences_match_standard_case(data, rate):
                 data.draw(weights, label="new_weight"),
             )
         else:
-            sched.set_remaining(
-                data.draw(st.sampled_from(live), label="target"),
-                data.draw(costs, label="new_cost"),
-            )
+            # An estimate revision: the same id re-enters with a new cost.
+            target = data.draw(st.sampled_from(live), label="target")
+            weight = sched.weight_of(target)
+            sched.remove(target)
+            sched.add(QuerySnapshot(
+                target, data.draw(costs, label="new_cost"), weight=weight,
+            ))
         assert_matches_oracle(sched, f"after op {step} ({op})")
 
 
@@ -134,28 +139,25 @@ def _snapshot_pool(data, prefix, max_n, min_cost=0.0):
     ]
 
 
-def _assert_backends_agree(
+def assert_agrees_with_oracle(
     running, queued, rate, mpl, forecast, context,
     extra_arrivals=(), abs_tol=1e-6,
 ):
-    results = {
-        backend: project(
-            running=running,
-            queued=queued,
-            processing_rate=rate,
-            multiprogramming_limit=mpl,
-            forecast=forecast,
-            extra_arrivals=extra_arrivals,
-            backend=backend,
-        )
-        for backend in ("incremental", "reference")
-    }
-    inc, ref = results["incremental"], results["reference"]
+    """``project()`` and the oracle: finish times, waits, quiescent time."""
+    args = dict(
+        running=running,
+        queued=queued,
+        processing_rate=rate,
+        multiprogramming_limit=mpl,
+        forecast=forecast,
+        extra_arrivals=extra_arrivals,
+    )
+    inc, ref = project(**args), reference_project(**args)
     assert set(inc.remaining_times) == set(ref.remaining_times), context
     for qid, expected in ref.remaining_times.items():
         got = inc.remaining_times[qid]
         assert math.isclose(got, expected, rel_tol=TOL, abs_tol=abs_tol), (
-            f"{context}: {qid} incremental={got!r} reference={expected!r}"
+            f"{context}: {qid} project={got!r} oracle={expected!r}"
         )
     assert math.isclose(
         inc.quiescent_time, ref.quiescent_time, rel_tol=TOL, abs_tol=abs_tol
@@ -178,7 +180,7 @@ def test_projection_backends_agree_with_queue(data, rate):
     mpl = data.draw(
         st.one_of(st.none(), st.integers(1, 8)), label="mpl"
     )
-    _assert_backends_agree(
+    assert_agrees_with_oracle(
         running, queued, rate, mpl, None, f"mpl={mpl}"
     )
 
@@ -202,7 +204,7 @@ def test_projection_backends_agree_with_forecast(data, rate):
             st.floats(0.0, 200.0, allow_nan=False), label="horizon"
         ),
     )
-    _assert_backends_agree(
+    assert_agrees_with_oracle(
         running, queued, rate, mpl, forecast,
         f"mpl={mpl} forecast={forecast}",
     )

@@ -6,11 +6,12 @@ Two claims:
   :func:`solve_stages`) equals the staged loop *exactly* -- ties, zero
   costs and mixed weights included -- and rejects bad input with the same
   words.
-* :func:`project` on the default backend, which finishes a projection with
-  one kernel sweep as soon as nothing can arrive or be admitted any more,
-  agrees with the ``"reference"`` backend to 1e-9 (finish times *and*
-  queue waits) on inputs where that tail rule fires mid-projection, and
-  never fires it while a forecast can still produce arrivals.
+* :func:`project`, which finishes a projection with one kernel sweep as
+  soon as nothing can arrive or be admitted any more, agrees with the
+  step-by-step oracle (``tests/core/reference_projection.py``) to 1e-9
+  (finish times *and* queue waits) on inputs where that tail rule fires
+  mid-projection, and never fires it while a forecast can still produce
+  arrivals.
 """
 
 import math
@@ -25,7 +26,8 @@ from repro.core.forecast import WorkloadForecast
 from repro.core.model import QuerySnapshot
 from repro.core.projection import project
 from repro.core.standard_case import solve_stages, standard_case
-from tests.core.test_incremental_vs_standard import _assert_backends_agree
+from tests.core.reference_projection import reference_project
+from tests.core.test_incremental_vs_standard import assert_agrees_with_oracle
 
 TOL = 1e-9
 NAN = float("nan")
@@ -161,12 +163,12 @@ def spy_on_tail_rule():
         projection._solve_rest = real
 
 
-def assert_backends_agree(
+def assert_matches_oracle(
     context, running, processing_rate, queued=(), multiprogramming_limit=None,
     forecast=None, extra_arrivals=(),
 ):
     """Finish times, queue waits and quiescent time, all to 1e-9."""
-    _assert_backends_agree(
+    assert_agrees_with_oracle(
         running, queued, processing_rate, multiprogramming_limit, forecast,
         context, extra_arrivals=extra_arrivals, abs_tol=TOL,
     )
@@ -181,12 +183,12 @@ class TestTailRule:
         running = pool(data, "r", mpl, mpl, cost=busy_costs)
         queued = pool(data, "w", 1, 6)
         with spy_on_tail_rule() as tail_clocks:
-            assert_backends_agree(
+            assert_matches_oracle(
                 f"mpl={mpl}", running=running, queued=queued,
                 processing_rate=rate, multiprogramming_limit=mpl,
             )
-        # Once for the incremental backend, never for the reference one,
-        # and only after the first completion freed a slot.
+        # Exactly once (the oracle has no tail rule), and only after the
+        # first completion freed a slot.
         assert len(tail_clocks) == 1
         assert tail_clocks[0] > 0.0
 
@@ -203,7 +205,7 @@ class TestTailRule:
             horizon=data.draw(st.floats(0.0, 100.0), label="horizon"),
         )
         with spy_on_tail_rule() as tail_clocks:
-            assert_backends_agree(
+            assert_matches_oracle(
                 f"mpl={mpl} {forecast}", running=running, queued=queued,
                 processing_rate=rate, multiprogramming_limit=mpl,
                 forecast=forecast,
@@ -224,7 +226,7 @@ class TestTailRule:
             for i, q in enumerate(pool(data, "x", 1, 4))
         ]
         with spy_on_tail_rule() as tail_clocks:
-            assert_backends_agree(
+            assert_matches_oracle(
                 f"mpl={mpl} arrivals={arrivals}", running=running,
                 processing_rate=rate, multiprogramming_limit=mpl,
                 extra_arrivals=arrivals,
@@ -251,7 +253,7 @@ class TestTailRule:
             horizon=None,
         )
         with spy_on_tail_rule() as tail_clocks:
-            assert_backends_agree(
+            assert_matches_oracle(
                 f"mpl={mpl} {forecast}", running=running, queued=queued,
                 processing_rate=rate, multiprogramming_limit=mpl,
                 forecast=forecast,
@@ -285,19 +287,35 @@ class TestTailRule:
         # No two completions coincide, so an event is a completion.
         running = [QuerySnapshot(f"q{i}", 10.0 * (i + 1)) for i in range(6)]
         queued = [QuerySnapshot(f"w{i}", 3.7 + 1.3 * i) for i in range(3)]
-        events = {}
-        for backend in ("incremental", "reference"):
-            with observed() as obs:
-                project(running, queued, processing_rate=2.0,
-                        multiprogramming_limit=6, backend=backend)
-            (run,) = [
-                e for e in obs.tracer.events if e["event"] == "projection.run"
-            ]
-            events[backend] = run["events"]
-        assert events["incremental"] == events["reference"] == 9
+        with observed() as obs:
+            project(running, queued, processing_rate=2.0,
+                    multiprogramming_limit=6)
+        (run,) = [
+            e for e in obs.tracer.events if e["event"] == "projection.run"
+        ]
+        oracle = reference_project(running, queued, processing_rate=2.0,
+                                   multiprogramming_limit=6)
+        assert run["events"] == oracle.events == 9
 
 
 class TestDuplicateIdsStillRaise:
+    @pytest.mark.parametrize("queued, mpl, arrivals", [
+        # A queue over the limit: the treap path.
+        ([QuerySnapshot("a", 10.0)], 2, ()),
+        # An arrival after its running twin has finished, so the two are
+        # never live together.
+        ((), None, [(100.0, QuerySnapshot("a", 5.0))]),
+        # A queue under the limit: the engine-free path.
+        ([QuerySnapshot("a", 10.0)], None, ()),
+    ], ids=["queue_over_mpl", "late_arrival", "kernel_only"])
+    def test_checked_once_at_entry(self, queued, mpl, arrivals):
+        running = [QuerySnapshot("a", 10.0), QuerySnapshot("b", 20.0)]
+        with spy_on_tail_rule() as tail_clocks:
+            with pytest.raises(ValueError, match=r"^duplicate query id 'a'$"):
+                project(running, queued, processing_rate=1.0,
+                        multiprogramming_limit=mpl, extra_arrivals=arrivals)
+        assert tail_clocks == []
+
     def test_in_the_kernel_only_path(self):
         running = [QuerySnapshot("a", 1.0), QuerySnapshot("b", 2.0),
                    QuerySnapshot("a", 3.0)]

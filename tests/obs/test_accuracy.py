@@ -5,8 +5,6 @@ import math
 import pytest
 
 from repro.obs.accuracy import (
-    BACKEND_INCREMENTAL,
-    BACKEND_REFERENCE,
     AccuracyTracker,
     format_accuracy,
 )
@@ -83,27 +81,6 @@ class TestAccuracyTracker:
         assert math.isinf(e.max_rel_error)
         # Mean caps the infinite sample at 10.
         assert e.mean_rel_error == pytest.approx((10.0 + 0.0) / 2)
-
-    def test_backend_agreement(self):
-        tr = AccuracyTracker()
-        tr.mark_started("Q1", 0.0)
-        for t in (0.0, 2.0, 4.0):
-            tr.observe("Q1", BACKEND_INCREMENTAL, t, 10.0 - t)
-            tr.observe("Q1", BACKEND_REFERENCE, t, 10.0 - t + 1e-10)
-        tr.mark_finished("Q1", 10.0)
-        q = tr.report().for_query("Q1")
-        a = q.backend_agreement
-        assert a is not None
-        assert a.samples == 3
-        assert a.max_abs_diff == pytest.approx(1e-10, rel=0.1)
-        assert tr.report().worst_backend_rel_diff() == a.max_rel_diff
-
-    def test_no_backend_agreement_without_both_series(self):
-        tr = AccuracyTracker()
-        tr.mark_started("Q1", 0.0)
-        tr.observe("Q1", BACKEND_INCREMENTAL, 0.0, 10.0)
-        tr.mark_finished("Q1", 10.0)
-        assert tr.report().for_query("Q1").backend_agreement is None
 
     def test_estimates_at_or_after_finish_ignored(self):
         tr = AccuracyTracker()

@@ -174,33 +174,30 @@ class TestDecisionInstrumentation:
 
 
 class TestProjectionInstrumentation:
-    def test_backend_counters_and_run_event(self):
+    def test_run_event_and_events_histogram(self):
         snaps = [QuerySnapshot("Q1", 100.0), QuerySnapshot("Q2", 50.0)]
         with observed() as obs:
-            project(snaps, processing_rate=10.0, backend="incremental")
-            project(snaps, processing_rate=10.0, backend="reference")
             project(snaps, processing_rate=10.0)
-        m = obs.metrics
-        assert m.counter_value("projection.backend.incremental") == 2
-        assert m.counter_value("projection.backend.reference") == 1
+            project(snaps, processing_rate=10.0)
         runs = [e for e in obs.tracer.events if e["event"] == "projection.run"]
-        assert len(runs) == 3
+        assert len(runs) == 2
         assert all(e["virtual_time"] is None for e in runs)
-        assert {e["backend"] for e in runs} == {"incremental", "reference"}
+        assert all(e["events"] == 2 and e["queries"] == 2 for e in runs)
+        assert obs.metrics.histogram("projection.events").count == 2
 
     def test_indicator_estimates_counted(self):
         snaps = [QuerySnapshot("Q1", 100.0)]
         from repro.core.model import SystemSnapshot
 
         with observed() as obs:
-            MultiQueryProgressIndicator(backend="reference").estimate(
+            MultiQueryProgressIndicator().estimate(
                 SystemSnapshot(running=tuple(snaps), processing_rate=10.0)
             )
-        assert obs.metrics.counter_value("projection.backend.reference") == 1
+        assert obs.metrics.histogram("projection.events").count == 1
 
 
 class TestObservedMcq:
-    def test_deterministic_summary_with_backend_agreement(self):
+    def test_deterministic_summary(self):
         run1 = run_observed_mcq(seed=3)
         run2 = run_observed_mcq(seed=3)
         assert format_observed_run(run1) == format_observed_run(run2)
@@ -208,13 +205,12 @@ class TestObservedMcq:
         assert report.unfinished == ()
         assert len(report.queries) == 10
         # Queries shorter than the sample interval finish unsampled; every
-        # sampled query must carry an error profile and backend comparison.
+        # sampled query carries both estimators' error profiles.
         sampled = [q for q in report.queries if q.estimators]
         assert sampled
         for q in sampled:
-            assert q.backend_agreement is not None
-        # Incremental and reference backends agree to float tolerance.
-        assert report.worst_backend_rel_diff() < 1e-9
+            assert set(q.estimators) == {"multi-query", "single-query"}
+            assert q.estimators["multi-query"].profile
 
     def test_trace_file_validates(self, tmp_path):
         path = tmp_path / "mcq.jsonl"

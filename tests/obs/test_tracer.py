@@ -37,7 +37,7 @@ class TestTracer:
 
     def test_none_virtual_time_allowed(self):
         t = Tracer()
-        t.emit("projection.run", None, backend="incremental")
+        t.emit("projection.run", None, events=3)
         assert t.events[0]["virtual_time"] is None
         validate_event(t.events[0])
 

@@ -19,7 +19,6 @@ from repro.sim.jobs import SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS, make_synthetic_workload
 from repro.sim.scale import ScaleReport, merge_bench_json, run_scale
 from repro.sim.scheduler import ThrashingModel
-from repro.wm.watchdog import RunawayQueryWatchdog
 
 
 def _oracle(rdbms):
@@ -246,30 +245,3 @@ def assert_matches_oracle_uncorrupted(rdbms):
     got = rdbms.remaining_times()
     for qid, want in expected.items():
         assert math.isclose(got[qid], want, rel_tol=1e-9, abs_tol=1e-9)
-
-
-class TestWatchdogSharedSchedule:
-    def _run(self, use_shared):
-        rdbms = SimulatedRDBMS(processing_rate=1.0)
-        for job in make_synthetic_workload([4.0, 4.0, 40.0]):
-            rdbms.submit(job)
-        watchdog = RunawayQueryWatchdog(
-            rdbms,
-            budget_seconds=20.0,
-            check_interval=1.0,
-            use_shared_schedule=use_shared,
-        )
-        watchdog.attach()
-        rdbms.run_to_completion()
-        return watchdog
-
-    def test_same_enforcement_as_pi_path(self):
-        pi_based = self._run(use_shared=False)
-        shared = self._run(use_shared=True)
-        assert [a.query_id for a in shared.actions] == [
-            a.query_id for a in pi_based.actions
-        ]
-        assert [a.action for a in shared.actions] == [
-            a.action for a in pi_based.actions
-        ]
-        assert not shared.fallback_engaged
