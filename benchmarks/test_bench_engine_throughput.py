@@ -18,8 +18,8 @@ by ``partkey``) and one whose low-cardinality key arrives scattered, each
 timed with the run fold and with the bucketing fold it replaced
 (``BucketingAggregate``, the tests' oracle) on the same rows.  Rows and
 work must be identical; the run fold must beat bucketing on the clustered
-key by :data:`GROUPED_GATES` and cost no more on the scattered one.  It
-runs with and without numpy (``-k grouped``).
+key by :data:`GROUPED_GATES` and cost no more on the scattered one
+(``-k grouped``).
 
 ``test_checkpoint_cost_series`` is the checkpoint gate: a high-output scan
 at the cluster's default cadence (one checkpoint per 2 U) must store, over
@@ -45,10 +45,10 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 #: Floors on the run fold's speedup over the bucketing fold, same rows.
 #: Measured at 120 k rows (Linux x86-64, CPython 3.11.7, five runs): a
-#: clustered key folds run by run at 2.10-2.15x bucketing, with numpy or
-#: without; a scattered one is bucketed by both (1.01-1.03x).  The floors
-#: sit below those so a loaded runner does not flake: under 1.5x means run
-#: detection stopped firing, under 0.8x means the fallback got dearer.
+#: clustered key folds run by run at 2.10-2.15x bucketing; a scattered
+#: one is bucketed by both (1.01-1.03x).  The floors sit below those so a
+#: loaded runner does not flake: under 1.5x means run detection stopped
+#: firing, under 0.8x means the fallback got dearer.
 GROUPED_GATES = {
     "grouped_clustered": 1.5,
     "grouped_unclustered": 0.8,
@@ -257,17 +257,6 @@ def test_paper_query_decorrelation_fired(dataset):
     assert "HashLeftJoin" in plan, plan
     assert "#dc" in plan, plan
     assert "HashAggregate" in plan, plan
-
-
-def test_throughput_plan_cache(dataset):
-    """Repeat queries must hit the plan pool (and stay correct)."""
-    db = dataset.db
-    sql = join_query(1)
-    first = db.query(sql)
-    hits_before = db.plan_cache_hits
-    again = db.query(sql)
-    assert again == first
-    assert db.plan_cache_hits > hits_before
 
 
 def test_throughput_steppable_execution(benchmark, dataset):

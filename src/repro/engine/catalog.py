@@ -20,9 +20,6 @@ class Table:
     heap: HeapFile
     indexes: dict[str, BTreeIndex] = field(default_factory=dict)
     stats: TableStats | None = None
-    #: Catalog mutation hook (bumps the stats epoch); None for detached
-    #: tables built outside a catalog.
-    on_mutation: Any = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -37,8 +34,6 @@ class Table:
             pos = self.schema.column_position(index.column)
             index.insert(row[pos], rid)
         self.stats = None  # stored stats are stale now
-        if self.on_mutation is not None:
-            self.on_mutation()
         return rid
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -66,13 +61,6 @@ class Catalog:
             raise CatalogError("page_capacity must be >= 1")
         self.page_capacity = page_capacity
         self._tables: dict[str, Table] = {}
-        #: Monotonic counter bumped on any schema or data mutation; plan
-        #: caches key on it so stale plans are never replayed.
-        self.stats_epoch = 0
-
-    def bump_stats_epoch(self) -> None:
-        """Invalidate cached plans: a table, index, or row set changed."""
-        self.stats_epoch += 1
 
     def create_table(
         self, schema: TableSchema, page_capacity: int | None = None
@@ -94,20 +82,15 @@ class Catalog:
             raise CatalogError(f"table {schema.name!r} already exists")
         if page_capacity is not None and page_capacity < 1:
             raise CatalogError("page_capacity must be >= 1")
-        table = Table(
-            schema=schema,
-            heap=HeapFile(page_capacity or self.page_capacity),
-            on_mutation=self.bump_stats_epoch,
-        )
+        table = Table(schema=schema, heap=HeapFile(page_capacity or self.page_capacity))
         self._tables[key] = table
-        self.bump_stats_epoch()
         return table
 
     def adopt_table(self, table: Table) -> Table:
         """Register an already-built table (heap, indexes and statistics).
 
-        The table is shared, not copied; this catalog becomes the one its
-        mutations notify.
+        The table is shared, not copied: a mutation through either catalog
+        is visible through both.
 
         Raises
         ------
@@ -121,9 +104,7 @@ class Catalog:
         clash = taken & table.indexes.keys()
         if clash:
             raise CatalogError(f"index {min(clash)!r} already exists")
-        table.on_mutation = self.bump_stats_epoch
         self._tables[key] = table
-        self.bump_stats_epoch()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -138,7 +119,6 @@ class Catalog:
         if key not in self._tables:
             raise CatalogError(f"no table {name!r}")
         del self._tables[key]
-        self.bump_stats_epoch()
 
     def table(self, name: str) -> Table:
         """Look up a table by (case-insensitive) name.
@@ -181,5 +161,4 @@ class Catalog:
         for rid, row in table.heap.scan_rows():
             index.insert(row[pos], rid)
         table.indexes[key] = index
-        self.bump_stats_epoch()
         return index

@@ -13,15 +13,9 @@ DDL and DML run eagerly; ``prepare`` returns a steppable
 :class:`~repro.engine.executor.QueryExecution` for cooperative execution
 (what the simulator timeshares and progress indicators observe).
 
-Repeated statements are cheap: parsed ASTs are memoized by SQL text, and
-for subquery-free statements :meth:`Database.query` also pools the bound
-physical plan, keyed on the SQL text and validated against the catalog's
-``stats_epoch`` -- any DDL, DML, or ANALYZE bumps the epoch and
-invalidates stale plans.  "Subquery-free" is judged on the statement
-*after* the decorrelation rewrite, so a correlated query the pass turns
-into joins pools like any other join query.  Pooled plans are reset
-before reuse (work account zeroed, materialized caches dropped) so a
-cache hit is work-for-work identical to a fresh plan.
+Repeated statements are cheap to parse: SELECT/UNION ASTs are memoized by
+SQL text.  Plans are never cached: every ``query()`` and ``prepare()``
+binds a fresh plan over the shared AST, which planning never mutates.
 """
 
 from __future__ import annotations
@@ -30,61 +24,22 @@ from typing import Any, Optional, Sequence
 
 from repro.engine.cancel import CancellationToken
 from repro.engine.catalog import Catalog, Table
-from repro.engine.decorrelate import decorrelate_statement
 from repro.engine.errors import PlanError
 from repro.engine.executor import QueryExecution
 from repro.engine.memory import MemoryGovernor
-from repro.engine.expr import bind_expr, eval_row, expr_contains_subquery, BindContext, Layout
+from repro.engine.expr import bind_expr, eval_row, BindContext, Layout
 from repro.engine.operators.base import Operator, WorkAccount
-from repro.engine.operators.transforms import Materialize
 from repro.engine.planner import Planner
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql import ast, parse_statement
 from repro.engine.stats import analyze_table
 from repro.engine.storage import DEFAULT_PAGE_CAPACITY
 from repro.engine.types import SqlType
-from repro.obs.runtime import resolve as _resolve_obs
 
-#: Plan-pool size cap; the pool is cleared wholesale past this (simple,
-#: and the workloads this engine serves repeat a small set of templates).
-_PLAN_POOL_LIMIT = 256
-
-
-def _statement_is_poolable(statement: ast.Select | ast.Union) -> bool:
-    """Whether a statement's physical plan is safe to pool.
-
-    Subquery-containing plans register per-subquery cost/materialization
-    records against their account at bind time; pooling them would need
-    those reset too.  They are rare in the workloads and stay unpooled.
-    """
-    if isinstance(statement, ast.Union):
-        if any(expr_contains_subquery(o.expr) for o in statement.order_by):
-            return False
-        return all(_statement_is_poolable(b) for b in statement.branches)
-
-    def from_item_ok(item: object) -> bool:
-        if isinstance(item, ast.TableRef):
-            return True
-        if isinstance(item, ast.DerivedTable):
-            # Derived tables pool iff their body would (the decorrelation
-            # rewrite grafts subquery-free grouped bodies into FROM).
-            return _statement_is_poolable(item.select)
-        if isinstance(item, ast.Join):
-            if item.condition is not None and expr_contains_subquery(item.condition):
-                return False
-            return from_item_ok(item.left) and from_item_ok(item.right)
-        return False
-
-    exprs: list[ast.Expr] = [it.expr for it in statement.items]
-    if statement.where is not None:
-        exprs.append(statement.where)
-    exprs.extend(statement.group_by)
-    if statement.having is not None:
-        exprs.append(statement.having)
-    exprs.extend(o.expr for o in statement.order_by)
-    if any(expr_contains_subquery(e) for e in exprs):
-        return False
-    return all(from_item_ok(item) for item in statement.from_items)
+#: Statement-cache size cap; the cache is cleared wholesale past this
+#: (simple, and the workloads this engine serves repeat a small set of
+#: templates).
+_STATEMENT_CACHE_LIMIT = 256
 
 
 def _matching(predicate, rows: list[tuple]) -> list[int]:
@@ -92,14 +47,6 @@ def _matching(predicate, rows: list[tuple]) -> list[int]:
     if predicate is None:
         return list(range(len(rows)))
     return [i for i, v in enumerate(predicate(rows, None)) if v is True]
-
-
-def _clear_materialized(root: Operator) -> None:
-    """Drop Materialize caches so a pooled plan re-charges like a fresh one."""
-    if isinstance(root, Materialize):
-        root._cache = None
-    for child in root.children():
-        _clear_materialized(child)
 
 
 class Database:
@@ -112,53 +59,30 @@ class Database:
         decorrelate: bool = True,
     ) -> None:
         self.catalog = Catalog(page_capacity=page_capacity)
-        #: *decorrelate* (whether top-level plans run the subquery
-        #: decorrelation rewrite) is fixed for the database's life: pooled
-        #: plans, keyed on SQL text alone, depend on it.
+        #: *decorrelate*: whether top-level plans run the subquery
+        #: decorrelation rewrite.
         self.planner = Planner(self.catalog, decorrelate=decorrelate)
         #: Default vector width for executions (``None`` = engine default).
         self.batch_size = batch_size
         self._statement_cache: dict[str, ast.Select | ast.Union] = {}
-        self._plan_pool: dict[str, tuple[int, Operator, WorkAccount]] = {}
-        #: Plan-pool hits/misses (``query()`` only; ``prepare`` always replans).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        #: Statement (parse) cache hits.
-        self.statement_cache_hits = 0
 
     # ------------------------------------------------------------------
-    # Plan cache
+    # Statement cache
     # ------------------------------------------------------------------
 
     def _parse_query(self, sql: str) -> ast.Select | ast.Union:
         """Parse a SELECT/UNION through the statement cache."""
         cached = self._statement_cache.get(sql)
         if cached is not None:
-            self.statement_cache_hits += 1
             return cached
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.Union)):
             raise PlanError("requires a SELECT (or UNION) statement")
         self._statement_cache[sql] = statement
-        if len(self._statement_cache) > _PLAN_POOL_LIMIT:
+        if len(self._statement_cache) > _STATEMENT_CACHE_LIMIT:
             self._statement_cache.clear()
             self._statement_cache[sql] = statement
         return statement
-
-    def invalidate_plan_cache(self) -> None:
-        """Drop all cached statements and pooled plans."""
-        self._statement_cache.clear()
-        self._plan_pool.clear()
-
-    def _note_plan_cache(self, hit: bool) -> None:
-        if hit:
-            self.plan_cache_hits += 1
-        else:
-            self.plan_cache_misses += 1
-        obs = _resolve_obs(None)
-        if obs is not None:
-            name = "engine.plan_cache.hit" if hit else "engine.plan_cache.miss"
-            obs.metrics.counter(name).inc()
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -198,50 +122,8 @@ class Database:
         raise PlanError(f"unsupported statement {type(statement).__name__}")
 
     def query(self, sql: str) -> list[tuple]:
-        """Run a SELECT (or UNION) to completion and return its rows.
-
-        Synchronous queries go through the plan pool: a repeated
-        subquery-free statement at an unchanged stats epoch reuses its
-        bound plan instead of re-parsing and re-planning.
-        """
-        statement = self._parse_query(sql)
-        epoch = self.catalog.stats_epoch
-        entry = self._plan_pool.get(sql)
-        if entry is not None and entry[0] == epoch:
-            self._note_plan_cache(hit=True)
-            _, root, account = entry
-            account.total = 0.0
-            _clear_materialized(root)
-            execution = QueryExecution(
-                root=root,
-                account=account,
-                sql=sql,
-                batch_size=self.batch_size,
-            )
-            return execution.run_to_completion()
-        self._note_plan_cache(hit=False)
-        account = WorkAccount()
-        # Pool eligibility is decided on the *rewritten* statement: a
-        # decorrelated query is subquery-free even when its SQL text is
-        # not, and its plan pools like any join.  (The planner re-runs
-        # the pass internally; on an already-rewritten statement it is a
-        # no-op, so this costs one extra walk, not a second rewrite.)
-        planned = statement
-        if self.planner.decorrelate:
-            planned, _ = decorrelate_statement(statement, self.catalog)
-        root = self._plan(planned, account)
-        execution = QueryExecution(
-            root=root,
-            account=account,
-            sql=sql,
-            batch_size=self.batch_size,
-        )
-        rows = execution.run_to_completion()
-        if _statement_is_poolable(planned):
-            if len(self._plan_pool) >= _PLAN_POOL_LIMIT:
-                self._plan_pool.clear()
-            self._plan_pool[sql] = (epoch, root, account)
-        return rows
+        """Run a SELECT (or UNION) to completion and return its rows."""
+        return self._run_query(self._parse_query(sql), sql)
 
     def prepare(
         self,
@@ -385,7 +267,6 @@ class Database:
                 index.insert(row[index_positions[name]], rid)
         table.indexes = fresh
         table.stats = None
-        self.catalog.bump_stats_epoch()
 
     def _run_insert(self, statement: ast.Insert) -> int:
         table = self.catalog.table(statement.table)
@@ -445,13 +326,12 @@ class Database:
 
     def analyze(self, table_name: Optional[str] = None) -> None:
         """Collect statistics for one table (or all tables)."""
-        if table_name is not None:
-            analyze_table(self.catalog.table(table_name))
-            self.catalog.bump_stats_epoch()
-            return
-        for table in self.catalog.tables():
+        if table_name is None:
+            tables = self.catalog.tables()
+        else:
+            tables = [self.catalog.table(table_name)]
+        for table in tables:
             analyze_table(table)
-        self.catalog.bump_stats_epoch()
 
     def insert_rows(self, table_name: str, rows: Sequence[Sequence[Any]]) -> int:
         """Bulk-insert Python values directly (bypasses SQL parsing)."""

@@ -14,43 +14,11 @@ metadata maintained incrementally on append: a type *kind* (``"int"``,
 and a null flag.  Aggregates use the metadata to take C-speed fast paths
 over provably-clean columns while keeping results bit-identical to row
 mode (see :meth:`_AggState.update_batch`).
-
-numpy is a **soft, optional** dependency used only to accelerate gathers
-(``take``) on clean int/float columns.  It can never change results: int64
-and float64 round-trip Python ints/floats exactly, values outside int64
-range make the conversion raise and permanently disable the mirror for
-that vector, and setting ``REPRO_ENGINE_NUMPY=0`` (or numpy being absent)
-forces the pure-python path, which runs the identical differential suite.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Optional, Sequence, Union
-
-
-def _load_numpy():
-    """Import numpy unless disabled via ``REPRO_ENGINE_NUMPY=0``."""
-    if os.environ.get("REPRO_ENGINE_NUMPY", "1").lower() in (
-        "0", "false", "no", "off",
-    ):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - depends on environment
-        return None
-    return numpy
-
-
-_np = _load_numpy()
-
-#: Minimum selection size before a numpy gather beats a list comprehension.
-_NP_GATHER_MIN = 64
-
-
-def numpy_enabled() -> bool:
-    """Whether the optional numpy acceleration is active."""
-    return _np is not None
 
 
 # Kind lattice: merging two observations.  bool is deliberately "other"
@@ -69,13 +37,12 @@ _KIND_MERGE = {
 class ColumnVector(list):
     """One column's values with incrementally-maintained type metadata."""
 
-    __slots__ = ("kind", "has_null", "_np_mirror")
+    __slots__ = ("kind", "has_null")
 
     def __init__(self, values: Sequence = ()) -> None:
         super().__init__(values)
         self.kind = "empty"
         self.has_null = False
-        self._np_mirror = None
         for value in self:
             self._classify(value)
 
@@ -92,7 +59,6 @@ class ColumnVector(list):
         list.__init__(out, data)
         out.kind = kind
         out.has_null = has_null
-        out._np_mirror = None
         return out
 
     def _classify(self, value) -> None:
@@ -124,56 +90,19 @@ class ColumnVector(list):
     def push(self, value) -> None:
         """Append one value, maintaining metadata."""
         self.append(value)
-        self._np_mirror = None
         self._classify(value)
-
-    def _mirror(self):
-        """A cached numpy mirror of this vector, or ``None``.
-
-        The conversion is attempted once: values a C int64 cannot hold (or
-        a vector numpy rejects for any reason) permanently disable the
-        mirror so results can never silently change.
-        """
-        mirror = self._np_mirror
-        if mirror is None:
-            if _np is None or self.kind not in ("int", "float"):
-                self._np_mirror = False
-                return None
-            try:
-                dtype = _np.int64 if self.kind == "int" else _np.float64
-                mirror = self._np_mirror = _np.asarray(self, dtype=dtype)
-            except (OverflowError, ValueError, TypeError):
-                self._np_mirror = False
-                return None
-        elif mirror is False:
-            return None
-        return mirror
 
     def take(self, sel: Union[range, Sequence[int]]) -> "ColumnVector":
         """Gather the positions in *sel* into a new vector.
 
         Metadata carries over (a subset of a clean column is clean).
-        Contiguous range selections use a C-level slice; large list
-        selections on clean int/float columns use the numpy mirror when
-        available; everything else falls back to a list comprehension.
+        Contiguous range selections use a C-level slice; everything else
+        is a list comprehension.
         """
-        if type(sel) is range:
-            if sel.step == 1:
-                data = list.__getitem__(self, slice(sel.start, sel.stop))
-            else:  # pragma: no cover - ranges here are always step 1
-                data = [self[i] for i in sel]
+        if type(sel) is range and sel.step == 1:
+            data = list.__getitem__(self, slice(sel.start, sel.stop))
         else:
-            data = None
-            if (
-                len(sel) >= _NP_GATHER_MIN
-                and not self.has_null
-                and self.kind in ("int", "float")
-            ):
-                mirror = self._mirror()
-                if mirror is not None:
-                    data = mirror[sel].tolist()
-            if data is None:
-                data = [self[i] for i in sel]
+            data = [self[i] for i in sel]
         return ColumnVector.with_meta(data, self.kind, self.has_null)
 
 

@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Literal, Sequence
 
 from repro.core.incremental import IncrementalSchedule
-from repro.core.model import QuerySnapshot, SystemSnapshot
+from repro.core.model import QuerySnapshot, SystemSnapshot, weight_for_priority
 from repro.core.standard_case import standard_case
+from repro.core.validation import validate_finite
 from repro.engine.errors import EngineError
 from repro.obs.runtime import Observability, resolve
 from repro.sim.arrivals import ArrivalSchedule
@@ -765,16 +766,22 @@ class SimulatedRDBMS:
         self._admit()
 
     def set_priority(self, query_id: str, priority: int, weight: float | None = None):
-        """Change a query's priority (and hence its scheduling weight)."""
+        """Change a query's priority (and hence its scheduling weight).
+
+        A weight that is not finite and > 0 raises ``ValueError`` and
+        changes nothing.
+        """
         record = self.record(query_id)
+        weight = validate_finite(
+            weight_for_priority(priority) if weight is None else float(weight),
+            "weight",
+            minimum=0.0,
+            exclusive=True,
+        )
         job = record.job
         job.priority = priority
-        from repro.core.model import weight_for_priority
-
-        job.weight = weight_for_priority(priority) if weight is None else float(weight)
+        job.weight = weight
         self._invalidate_snapshots()
-        if job.weight <= 0:
-            raise ValueError("weight must be > 0")
         if self._shared_schedule is not None and record.status == "running":
             try:
                 self._shared_schedule.reweight(query_id, job.weight)

@@ -219,7 +219,7 @@ class TestReplayCatalog:
         table = source.catalog.table("t")
         catalog = Catalog()
         assert catalog.adopt_table(table) is table
-        assert catalog.tables() == [table] and catalog.stats_epoch == 1
+        assert catalog.tables() == [table]
         with pytest.raises(CatalogError, match="table 't' already exists"):
             catalog.adopt_table(table)
         other = Database()
@@ -233,7 +233,6 @@ class TestReplayCatalog:
         source.execute("CREATE TABLE t (a INT)")
         adopter = Database()
         adopter.catalog.adopt_table(source.catalog.table("t"))
-        epoch = adopter.catalog.stats_epoch
         adopter.execute("INSERT INTO t VALUES (1)")
-        assert adopter.catalog.stats_epoch > epoch
         assert adopter.query("SELECT a FROM t") == [(1,)]
+        assert source.query("SELECT a FROM t") == [(1,)]

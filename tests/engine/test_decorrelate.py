@@ -2,8 +2,8 @@
 
 Plan shapes, rewrite-rule firing, the semantic corner cases the rewrite
 must preserve (empty groups, NULL keys, three-valued NOT IN), the safety
-conditions that make it back off, plan-pool eligibility of rewritten
-statements, and the uncorrelated IN membership probe.
+conditions that make it back off, and the uncorrelated IN membership
+probe.
 """
 
 import pytest
@@ -47,6 +47,18 @@ class TestSwitch:
     def test_default_is_on(self):
         assert Database().planner.decorrelate is True
         assert Database(decorrelate=False).planner.decorrelate is False
+
+    def test_database_decorrelate_off_keeps_row_loop_plan(self):
+        db = Database(page_capacity=8, decorrelate=False)
+        db.execute("CREATE TABLE t (k INT, v FLOAT)")
+        db.execute("CREATE TABLE s (k INT, v FLOAT)")
+        db.insert_rows("t", [(1, 1.0)])
+        db.insert_rows("s", [(1, 1.0)])
+        plan = db.explain(
+            "SELECT t.k FROM t WHERE t.v > "
+            "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
+        )
+        assert "HashLeftJoin" not in plan
 
 
 class TestRuleFiring:
@@ -270,53 +282,6 @@ class TestSafetyFallbacks:
         rewritten, fired = decorrelate_select(statement, db.catalog)
         assert rewritten is statement
         assert fired == ()
-
-
-class TestPlanPoolEligibility:
-    def test_decorrelated_statement_pools(self):
-        db = fresh_db()
-        sql = (
-            "SELECT t.k FROM t WHERE t.v > "
-            "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
-        )
-        first = db.query(sql)
-        hits = db.plan_cache_hits
-        assert db.query(sql) == first
-        assert db.plan_cache_hits == hits + 1
-
-    def test_unrewritable_subquery_still_not_pooled(self):
-        db = fresh_db()
-        sql = "SELECT t.k FROM t WHERE t.v > (SELECT avg(s.v) FROM s)"
-        first = db.query(sql)
-        hits = db.plan_cache_hits
-        assert db.query(sql) == first
-        assert db.plan_cache_hits == hits
-
-    def test_decorrelation_settings_pool_separately(self):
-        sql = (
-            "SELECT t.k FROM t WHERE t.v > "
-            "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
-        )
-        on, off = fresh_db(), fresh_db(decorrelate=False)
-        rows = on.query(sql)
-        assert on.query(sql) == rows
-        assert on.plan_cache_hits == 1
-        # Decorrelation off keeps the subquery, so the plan is not pooled.
-        assert off.query(sql) == rows
-        assert off.query(sql) == rows
-        assert off.plan_cache_hits == 0
-
-    def test_database_decorrelate_off_keeps_row_loop_plan(self):
-        db = Database(page_capacity=8, decorrelate=False)
-        db.execute("CREATE TABLE t (k INT, v FLOAT)")
-        db.execute("CREATE TABLE s (k INT, v FLOAT)")
-        db.insert_rows("t", [(1, 1.0)])
-        db.insert_rows("s", [(1, 1.0)])
-        plan = db.explain(
-            "SELECT t.k FROM t WHERE t.v > "
-            "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
-        )
-        assert "HashLeftJoin" not in plan
 
 
 class TestUncorrelatedInProbe:

@@ -243,6 +243,25 @@ class TestActions:
         with pytest.raises(ValueError):
             db.set_priority("a", 0, weight=0.0)
 
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejected_weight_changes_nothing(self, weight):
+        db = SimulatedRDBMS(processing_rate=2.0)
+        for j in make_synthetic_workload([10, 20, 30], prefix="q"):
+            db.submit(j)
+        job = db.record("q1").job
+        before = (job.priority, job.weight)
+        with pytest.raises(ValueError, match="weight"):
+            db.set_priority("q1", 3, weight=weight)
+        assert (job.priority, job.weight) == before
+        db.run_until(4.0)
+        expected = standard_case(
+            [j.snapshot() for j in db.running], db.processing_rate
+        ).remaining_times
+        served = db.remaining_times()
+        assert set(served) == set(expected)
+        for qid, want in expected.items():
+            assert served[qid] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
     def test_unknown_query(self):
         db = SimulatedRDBMS()
         with pytest.raises(KeyError):
