@@ -10,10 +10,12 @@ starting from zero -- the work done before the checkpoint is preserved,
 and only the slice between the checkpoint and the crash is redone.
 
 This script runs the paper's ``Q_1`` under a scripted crash at 50% of its
-work, once without checkpoints and once with a 25-U cadence, and asserts:
+work, once without checkpoints and once with a 10-U cadence, and asserts:
 
   * both runs finish with *identical* result rows,
-  * the checkpointed run preserves >= 80% of the crashed attempt's work,
+  * the crash lands at about half of the query's work,
+  * the checkpointed run redoes at most one checkpoint interval, and so
+    preserves >= 80% of the crashed attempt's work,
   * the work ledger balances: gross work = useful work + wasted work.
 
 Run:  python examples/engine_checkpoint_recovery.py
@@ -30,7 +32,7 @@ from repro.workload.queries import engine_job, paper_query
 from repro.workload.tpcr import TpcrConfig, add_part_table, build_lineitem
 
 RATE = 10.0  # U/s
-CADENCE = 25.0  # checkpoint every this many work units
+CADENCE = 10.0  # checkpoint every this many work units
 
 
 def build_db() -> Database:
@@ -75,11 +77,15 @@ def main() -> None:
     # The crash landed mid-flight and the retry actually resumed.
     assert plain.attempts == ckpt.attempts == 2
     assert plain.trace.preserved_work == 0.0
+    crash_point = plain.trace.wasted_work / plain.job.completed_work
+    print(f"\ncrash at {100 * crash_point:.0f}% of the query's work")
+    assert 0.45 <= crash_point <= 0.60, crash_point
 
     # Work-preservation headline: >= 80% of the crashed attempt survived.
     crashed = ckpt.trace.preserved_work + ckpt.trace.wasted_work
     ratio = ckpt.trace.preserved_work / crashed
-    print(f"\npreserved {100 * ratio:.0f}% of the crashed attempt's work")
+    print(f"preserved {100 * ratio:.0f}% of the crashed attempt's work")
+    assert ckpt.trace.wasted_work <= CADENCE
     assert ratio >= 0.8, ratio
 
     # Conservation: everything ever executed is either useful or wasted.

@@ -2,9 +2,6 @@
 
 Commands
 --------
-``demo``
-    The quickstart comparison: single- vs multi-query estimate on one
-    concurrent workload.
 ``sql``
     Run a SQL statement against a freshly generated TPC-R-style database
     (``--explain`` shows the plan and cost estimate instead).
@@ -31,8 +28,6 @@ Commands
     with a mid-flight node crash, checkpoint-restoring replica failover,
     and the fault-tolerant global progress indicator -- results are
     checked byte-for-byte against single-node execution.
-``shell``
-    Interactive SQL shell over a generated TPC-R database.
 """
 
 from __future__ import annotations
@@ -52,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("demo", help="quick single- vs multi-query PI comparison")
 
     sql = sub.add_parser("sql", help="run SQL against a generated TPC-R database")
     sql.add_argument("statement", help="the SQL statement to run")
@@ -222,34 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     over.add_argument("--seed", type=int, default=0)
 
-    shell = sub.add_parser(
-        "shell", help="interactive SQL shell over a generated TPC-R database"
-    )
-    shell.add_argument("--scale", type=float, default=1 / 2000)
-    shell.add_argument("--parts", type=int, default=3)
-    shell.add_argument("--seed", type=int, default=0)
-
     return parser
-
-
-def cmd_demo() -> int:
-    """The quickstart single- vs multi-query comparison."""
-    from repro.core.multi_query import MultiQueryProgressIndicator
-    from repro.sim.jobs import SyntheticJob
-    from repro.sim.rdbms import SimulatedRDBMS
-
-    rdbms = SimulatedRDBMS(processing_rate=10.0)
-    for qid, cost in (("small-1", 100), ("small-2", 200), ("big", 900)):
-        rdbms.submit(SyntheticJob(qid, cost))
-    snapshot = rdbms.snapshot()
-    single = snapshot.find("big").remaining_cost / rdbms.current_speeds()["big"]
-    multi = MultiQueryProgressIndicator().estimate(snapshot).for_query("big")
-    rdbms.run_to_completion()
-    actual = rdbms.traces["big"].finished_at
-    print(f"single-query PI estimate : {single:7.1f} s")
-    print(f"multi-query  PI estimate : {multi:7.1f} s")
-    print(f"actual completion        : {actual:7.1f} s")
-    return 0
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
@@ -859,59 +825,9 @@ def cmd_overload(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shell(args: argparse.Namespace, input_fn=input) -> int:
-    """A minimal interactive SQL shell (``\\q`` to quit)."""
-    from repro.engine.errors import EngineError
-    from repro.workload.tpcr import TpcrConfig, generate
-
-    sizes = {i: 2 + i for i in range(1, args.parts + 1)}
-    dataset = generate(
-        TpcrConfig(scale=args.scale, seed=args.seed), part_sizes=sizes
-    )
-    db = dataset.db
-    print("tables:", ", ".join(
-        f"{name}({rows} rows)" for name, rows, _ in dataset.table_summary()
-    ))
-    print("enter SQL statements; \\q quits, \\d lists tables")
-    while True:
-        try:
-            line = input_fn("sql> ").strip()
-        except (EOFError, KeyboardInterrupt):
-            print()
-            return 0
-        if not line:
-            continue
-        if line in ("\\q", "quit", "exit"):
-            return 0
-        if line == "\\d":
-            for table in db.catalog.tables():
-                cols = ", ".join(
-                    f"{c.name} {c.sql_type.value}" for c in table.schema.columns
-                )
-                print(f"  {table.name}({cols}) -- {table.heap.row_count} rows")
-            continue
-        try:
-            result = db.execute(line.rstrip(";"))
-        except EngineError as exc:
-            print(f"error: {exc}")
-            continue
-        if isinstance(result, list):
-            for row in result[:40]:
-                print(row)
-            print(f"({len(result)} rows)")
-        elif isinstance(result, str):
-            print(result)
-        elif result is not None:
-            print(f"ok ({result} rows affected)")
-        else:
-            print("ok")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return cmd_demo()
     if args.command == "sql":
         return cmd_sql(args)
     if args.command == "experiment":
@@ -926,8 +842,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_shard(args)
     if args.command == "overload":
         return cmd_overload(args)
-    if args.command == "shell":
-        return cmd_shell(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -256,7 +256,6 @@ class QueryExecution:
         self.rows = self._log.copy()
         self.restored_from = ckpt
         self.last_checkpoint = ckpt
-        self.progress.note_restore(ckpt.work_done)
         if self._obs is not None:
             self._obs.metrics.counter("executor.restores").inc()
             self._obs.tracer.emit(

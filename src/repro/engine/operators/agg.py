@@ -232,6 +232,8 @@ class HashAggregate(Operator):
         self._reserved = 0
         self._degraded = False
         self._resume: dict | None = None
+        #: The drained child's checkpoint state, once the emit phase has one.
+        self._drained: dict | None = None
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
@@ -245,10 +247,15 @@ class HashAggregate(Operator):
             # Child fully consumed: the result rows and cursor suffice.
             # ``_pending`` is never mutated once built (a re-run rebinds
             # it), so every emit-phase checkpoint shares it; restore copies.
+            # The drained child's state, taken once, rides along only so a
+            # restore resumes the progress tracker's driver position.
+            if self._drained is None:
+                self._drained = self.child.checkpoint()
             return {
                 "phase": "emit",
                 "pending": self._pending,
                 "emitted": self._emitted,
+                "child": self._drained,
             }
         if self._phase == "build":
             # Only seen from inside a pull, or after one raised.
@@ -260,7 +267,7 @@ class HashAggregate(Operator):
 
     def restore(self, state: dict) -> None:
         self._resume = state
-        if state["phase"] == "idle":
+        if state["child"] is not None:
             self.child.restore(state["child"])
 
     # ------------------------------------------------------------------
@@ -276,10 +283,12 @@ class HashAggregate(Operator):
         self._phase = "emit"
         self._pending = list(resume["pending"])
         self._emitted = resume["emitted"]
+        self._drained = resume["child"]
         return True
 
     def _begin_build(self) -> None:
         self._phase = "build"
+        self._drained = None
         self._groups = {}
         self._degraded = False
         self._reserved = 0

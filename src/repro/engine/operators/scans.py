@@ -1,8 +1,9 @@
 """Table access operators: sequential scan and index scan.
 
-Scans are also where progress tracking hooks in: each scan knows its total
-page (or probe) budget and how much it has consumed, so the executor's
-progress tracker can extrapolate remaining work from the *driver* scan.
+Scans are also where progress tracking hooks in: a sequential scan knows
+its page count, how much of it has been consumed, and the work total when
+its pass began, so the executor's progress tracker can extrapolate the
+*driver* scan's pipeline without rescaling the work done before it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ class SeqScan(Operator):
     The scan is the engine's checkpoint anchor: its consumption state is
     two integers (rows handed out, pages already paid for), so a restored
     scan can skip straight back to where a crashed attempt stopped without
-    re-reading -- or re-charging -- the pages it already consumed.
+    re-reading -- or re-charging -- the pages it already consumed.  The
+    state also carries :attr:`work_at_start`, so a restored pass keeps the
+    offset the progress tracker extrapolates from.
     """
 
     def __init__(
@@ -42,6 +45,10 @@ class SeqScan(Operator):
         self._page_size = 0
         #: Rows handed out during the current iteration.
         self._rows_out = 0
+        #: Account total when the current (or last) pass began: the work
+        #: of the pipelines that ran before this one.  ``None`` until the
+        #: first pass begins.
+        self.work_at_start: float | None = None
         #: Restore state, consumed by the first ``batches()`` call after it.
         self._resume: dict | None = None
 
@@ -67,13 +74,26 @@ class SeqScan(Operator):
         return min(done / total, 1.0)
 
     def checkpoint(self) -> dict | None:
-        return {"rows_out": self._rows_out, "pages_paid": self.pages_read}
+        return {
+            "rows_out": self._rows_out,
+            "pages_paid": self.pages_read,
+            "work_at_start": self.work_at_start,
+        }
 
     def restore(self, state: dict) -> None:
-        self._resume = {
-            "rows_out": int(state["rows_out"]),
-            "pages_paid": int(state["pages_paid"]),
-        }
+        rows_out = int(state["rows_out"])
+        paid = int(state["pages_paid"])
+        self._resume = {"rows_out": rows_out, "pages_paid": paid}
+        # Resume the progress position too: the tracker reads it before
+        # the first pull (debt repayment comes first).
+        self.work_at_start = state["work_at_start"]
+        self.pages_read = paid
+        self._rows_out = rows_out
+        if paid > 0:
+            heap = self.table.heap
+            earlier = sum(len(heap.page(i)) for i in range(paid - 1))
+            self._page_size = max(len(heap.page(paid - 1)), 1)
+            self._rows_in_page = rows_out - earlier
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         """Page-aligned columnar batch scan.
@@ -92,6 +112,8 @@ class SeqScan(Operator):
         self._resume = None
         skip = resume["rows_out"] if resume else 0
         paid = resume["pages_paid"] if resume else 0
+        if resume is None or self.work_at_start is None:
+            self.work_at_start = self.account.total
         self.pages_read = 0
         self._rows_out = skip
         cap = max(self.batch_size, 1)

@@ -80,6 +80,8 @@ class Sort(Operator):
         self._emitted = 0
         self._degraded = False
         self._resume: dict | None = None
+        #: The drained child's checkpoint state, once the emit phase has one.
+        self._drained: dict | None = None
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
@@ -93,10 +95,15 @@ class Sort(Operator):
             # Child fully consumed: the sorted output and cursor suffice.
             # ``_sorted`` is never mutated once built (a re-run rebinds
             # it), so every emit-phase checkpoint shares it; restore copies.
+            # The drained child's state, taken once, rides along only so a
+            # restore resumes the progress tracker's driver position.
+            if self._drained is None:
+                self._drained = self.child.checkpoint()
             return {
                 "phase": "emit",
                 "sorted": self._sorted,
                 "emitted": self._emitted,
+                "child": self._drained,
             }
         if self._phase == "build":
             # Only seen from inside a pull, or after one raised.
@@ -108,7 +115,7 @@ class Sort(Operator):
 
     def restore(self, state: dict) -> None:
         self._resume = state
-        if state["phase"] == "idle":
+        if state["child"] is not None:
             self.child.restore(state["child"])
 
     # ------------------------------------------------------------------
@@ -124,10 +131,12 @@ class Sort(Operator):
         self._phase = "emit"
         self._sorted = list(resume["sorted"])
         self._emitted = resume["emitted"]
+        self._drained = resume["child"]
         return True
 
     def _begin_build(self) -> None:
         self._phase = "build"
+        self._drained = None
         self._buffer = []
         self._runs = []
         self._seq = 0

@@ -3,28 +3,33 @@
 A query starts with the optimizer's cost estimate (in U's).  As execution
 proceeds the tracker *refines* the total-cost estimate by extrapolating
 from the plan's **driver scan** -- the outermost sequential scan, whose
-page progress tells us which fraction of the input has been consumed.
-Because the work counter includes everything charged downstream (index
-probes of a correlated subquery, spills, ...), the extrapolation
+page progress tells us which fraction of its input has been consumed.
 
-    ``refined_total = work_done / driver_fraction``
+Only the driver's own pipeline is extrapolated.  Work charged before the
+driver's pass began (a hash build, a grouped derived table) is already
+done and is not scaled by the driver fraction.  With ``start`` the work
+total when the pass began (:attr:`SeqScan.work_at_start`), the estimate is
 
-automatically corrects both cardinality and per-probe cost errors, exactly
-the kind of mid-flight refinement the paper's PIs rely on.  Early in the
-run (driver fraction below ``blend_until``) the optimizer estimate and the
-extrapolation are blended linearly to avoid wild small-sample swings.
+    ``refined_total = start + (work_done - start) / driver_fraction``
 
-Plans without a sequential scan (pure index lookups) fall back to the
-optimizer estimate, floored at the work already done.
+floored at ``work_done``.  Because the work counter includes everything
+charged downstream (index probes of a correlated subquery, spills, ...),
+the extrapolation corrects both cardinality and per-probe cost errors,
+exactly the kind of mid-flight refinement the paper's PIs rely on.
+
+Until the driver's pass begins, and in plans without a sequential scan
+(pure index lookups), the estimate is the optimizer's, floored at the
+work already done.  A restored execution's account is credited with the
+checkpointed work, so the floor covers it too.
 
 **Batch-granular charges.**  Work is charged in batch-sized spikes: a
 single root pull can consume many driver pages at once, and the executor
-banks the overshoot as *debt* that later budgets repay.  Charged-but-unpaid work is still remaining work from the
-scheduler's point of view, so the tracker accepts an
-``outstanding_debt`` supplier and adds it to the remaining-cost
-estimate (and subtracts it from the completed fraction).  Estimates stay
-accurate to within one batch of the driver scan instead of collapsing to
-zero the moment the driver's pages have been pre-charged.
+banks the overshoot as *debt* that later budgets repay.  Charged-but-unpaid
+work is still remaining work from the scheduler's point of view, so the
+tracker accepts an ``outstanding_debt`` supplier and adds it to the
+remaining-cost estimate.  Estimates stay accurate to within one batch of
+the driver scan instead of collapsing to zero the moment the driver's
+pages have been pre-charged.
 """
 
 from __future__ import annotations
@@ -54,20 +59,14 @@ class ProgressTracker:
         root: Operator,
         account: WorkAccount,
         optimizer_estimate: float,
-        blend_until: float = 0.05,
         outstanding_debt: Optional[Callable[[], float]] = None,
     ) -> None:
         if optimizer_estimate < 0:
             raise ValueError("optimizer_estimate must be >= 0")
-        if not 0 < blend_until <= 1:
-            raise ValueError("blend_until must be in (0, 1]")
-        self._root = root
         self._account = account
         self.optimizer_estimate = optimizer_estimate
-        self._blend_until = blend_until
         self._driver = find_driver_scan(root)
         self._finished = False
-        self._restored_work = 0.0
         self._outstanding_debt = outstanding_debt
 
     def _debt(self) -> float:
@@ -91,18 +90,6 @@ class ProgressTracker:
         """Record that the query has completed (remaining cost is 0)."""
         self._finished = True
 
-    def note_restore(self, work_done: float) -> None:
-        """Record that the execution resumed from a checkpoint.
-
-        The checkpointed work becomes a floor on the total-cost estimate:
-        an index-only plan (no driver scan) would otherwise fall back to
-        the bare optimizer estimate and report a total *below* the work
-        provably already performed.
-        """
-        if work_done < 0:
-            raise ValueError("work_done must be >= 0")
-        self._restored_work = max(self._restored_work, work_done)
-
     def memory_pressure_events(self) -> int:
         """Memory-governance incidents so far (0 without a governor).
 
@@ -118,18 +105,12 @@ class ProgressTracker:
         done = self.work_done
         if self._finished:
             return done
-        fraction = self.driver_fraction()
-        if fraction is None or fraction <= 0:
-            return max(self.optimizer_estimate, done, self._restored_work)
-        extrapolated = done / fraction
-        if fraction < self._blend_until:
-            weight = fraction / self._blend_until
-            blended = (
-                weight * extrapolated + (1.0 - weight) * self.optimizer_estimate
-            )
-        else:
-            blended = extrapolated
-        return max(blended, done)
+        driver = self._driver
+        start = driver.work_at_start if driver is not None else None
+        fraction = driver.progress_fraction() if start is not None else 0.0
+        if fraction <= 0:
+            return max(self.optimizer_estimate, done)
+        return max(start + (done - start) / fraction, done)
 
     def estimated_remaining_cost(self) -> float:
         """Refined remaining cost in U's (the PI's ``c``).
@@ -142,13 +123,3 @@ class ProgressTracker:
             return 0.0
         remaining = max(self.estimated_total_cost() - self.work_done, 0.0)
         return remaining + self._debt()
-
-    def completed_fraction(self) -> float:
-        """Fraction of the (refined) total completed so far."""
-        if self._finished:
-            return 1.0
-        total = self.estimated_total_cost()
-        if total <= 0:
-            return 0.0
-        paid = max(self.work_done - self._debt(), 0.0)
-        return min(paid / total, 1.0)

@@ -113,7 +113,9 @@ def build_database(config: EngineMCQConfig) -> tuple[Database, list[int]]:
     # Decorrelation off: the paper's prototype executed this workload
     # with per-row correlated subplans, and the characteristic optimizer
     # estimation error the experiment measures comes from exactly that
-    # plan shape.  (The decorrelated plans estimate near-perfectly.)
+    # plan shape.  (The decorrelated plans estimate near-perfectly: the
+    # optimizer is exact to the unit, and the driver tracker leaves the
+    # hash build it has already paid for out of its extrapolation.)
     db = Database(page_capacity=tpcr.page_capacity, decorrelate=False)
     build_lineitem(db, tpcr, rng)
     sampler = ZipfSampler.over_range(config.zipf_a, config.max_size, rng)

@@ -116,7 +116,7 @@ class TestProgressTracker:
         ex = db.prepare(PAPER_STYLE)
         ex.run_to_completion()
         assert ex.progress.estimated_remaining_cost() == 0.0
-        assert ex.progress.completed_fraction() == 1.0
+        assert ex.progress.estimated_total_cost() == ex.work_done
 
     def test_fraction_monotone(self, db):
         ex = db.prepare("SELECT * FROM big WHERE v > 0.5")

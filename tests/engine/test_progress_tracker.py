@@ -40,7 +40,6 @@ class TestTracker:
         scan, account = make_scan()
         tracker = ProgressTracker(scan, account, optimizer_estimate=42.0)
         assert tracker.estimated_remaining_cost() == 42.0
-        assert tracker.completed_fraction() == 0.0
 
     def test_extrapolation_converges_on_uniform_work(self):
         scan, account = make_scan(rows=100, page_capacity=10)
@@ -62,7 +61,6 @@ class TestTracker:
         tracker = ProgressTracker(scan, account, optimizer_estimate=100.0)
         tracker.mark_finished()
         assert tracker.estimated_remaining_cost() == 0.0
-        assert tracker.completed_fraction() == 1.0 or account.total == 0
 
     def test_no_driver_uses_optimizer_estimate(self):
         from repro.engine.operators.transforms import SingleRow
@@ -76,19 +74,31 @@ class TestTracker:
         scan, account = make_scan()
         with pytest.raises(ValueError):
             ProgressTracker(scan, account, optimizer_estimate=-1.0)
-        with pytest.raises(ValueError):
-            ProgressTracker(scan, account, 1.0, blend_until=0.0)
-        with pytest.raises(ValueError):
-            ProgressTracker(scan, account, 1.0, blend_until=1.5)
 
-    def test_blend_weights_early_fraction(self):
+    def test_earlier_pipelines_are_not_extrapolated(self):
+        """Work charged before the driver's pass (a hash build) is done:
+        only the driver's own pipeline is scaled by its fraction."""
         scan, account = make_scan(rows=100, page_capacity=10)
-        tracker = ProgressTracker(
-            scan, account, optimizer_estimate=100.0, blend_until=0.5
-        )
+        tracker = ProgressTracker(scan, account, optimizer_estimate=5.0)
+        account.charge(100.0)
+        assert tracker.estimated_total_cost() == 100.0  # driver not started
         it = rows_of(scan)
-        next(it)  # tiny fraction: optimizer estimate dominates
-        assert tracker.estimated_total_cost() > 50.0
+        for _ in range(60):  # 6 of 10 pages
+            next(it)
+        assert scan.work_at_start == 100.0
+        assert tracker.estimated_total_cost() == pytest.approx(110.0)
+
+    def test_work_at_start_survives_checkpoint(self):
+        scan, account = make_scan(rows=100, page_capacity=10)
+        account.charge(7.0)
+        it = rows_of(scan)
+        for _ in range(35):
+            next(it)
+        state = scan.checkpoint()
+        fresh, _ = make_scan(rows=100, page_capacity=10)
+        fresh.restore(state)
+        assert fresh.work_at_start == 7.0
+        assert fresh.progress_fraction() == scan.progress_fraction()
 
 
 class TestRestoreFloor:
@@ -101,23 +111,22 @@ class TestRestoreFloor:
 
         account = WorkAccount()
         tracker = ProgressTracker(SingleRow(account), account, 7.0)
-        tracker.note_restore(30.0)
-        assert tracker.estimated_total_cost() >= 30.0
-
-    def test_restore_floor_keeps_maximum(self):
-        from repro.engine.operators.transforms import SingleRow
-
-        account = WorkAccount()
-        tracker = ProgressTracker(SingleRow(account), account, 7.0)
-        tracker.note_restore(30.0)
-        tracker.note_restore(10.0)  # later, smaller note must not lower it
+        account.credit(30.0)  # what QueryExecution.restore does
         assert tracker.estimated_total_cost() >= 30.0
 
     def test_restore_rejects_negative_work(self):
-        scan, account = make_scan()
-        tracker = ProgressTracker(scan, account, optimizer_estimate=5.0)
+        import dataclasses
+
+        from repro.engine import Database
+
+        d = Database(page_capacity=10)
+        d.execute("CREATE TABLE t (k INT)")
+        d.insert_rows("t", [(i,) for i in range(50)])
+        ex = d.prepare("SELECT * FROM t")
+        ex.step(2.0)
+        bad = dataclasses.replace(ex.checkpoint(), work_done=-1.0)
         with pytest.raises(ValueError):
-            tracker.note_restore(-1.0)
+            d.prepare("SELECT * FROM t").restore(bad)
 
     def test_restored_execution_estimate_floored(self):
         """End to end: restoring a checkpoint credits the account and the

@@ -44,37 +44,7 @@ class TestGenerateReport:
         assert a == b
 
 
-class TestShell:
-    def test_scripted_session(self, capsys):
-        from repro.cli import build_parser, cmd_shell
-
-        args = build_parser().parse_args(["shell", "--scale", "0.0001"])
-        script = iter(
-            [
-                "\\d",
-                "SELECT count(*) FROM lineitem",
-                "bad sql ;;;",
-                "",
-                "\\q",
-            ]
-        )
-        code = cmd_shell(args, input_fn=lambda prompt: next(script))
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "lineitem" in out
-        assert "(1 rows)" in out
-        assert "error:" in out
-
-    def test_eof_exits(self, capsys):
-        from repro.cli import build_parser, cmd_shell
-
-        args = build_parser().parse_args(["shell", "--scale", "0.0001"])
-
-        def boom(prompt):
-            raise EOFError
-
-        assert cmd_shell(args, input_fn=boom) == 0
-
+class TestReportCommand:
     def test_report_command(self, tmp_path, capsys):
         from repro.cli import main
 

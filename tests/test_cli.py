@@ -21,15 +21,6 @@ class TestParser:
             build_parser().parse_args(["experiment", "bogus"])
 
 
-class TestDemo:
-    def test_demo_output(self, capsys):
-        assert main(["demo"]) == 0
-        out = capsys.readouterr().out
-        assert "single-query PI estimate" in out
-        assert "multi-query  PI estimate" in out
-        assert "actual completion" in out
-
-
 class TestSql:
     def test_select(self, capsys):
         code = main(["sql", "SELECT count(*) FROM part_1", "--scale", "0.0001"])

@@ -47,15 +47,11 @@ class TestReadme:
 
         parser = build_parser()
         text = README.read_text()
-        for command in ("demo", "sql", "shell", "experiment", "report"):
+        for command in ("sql", "experiment", "report"):
             assert command in text
             # parse a representative invocation without executing it
-            if command == "demo":
-                parser.parse_args(["demo"])
-            elif command == "sql":
+            if command == "sql":
                 parser.parse_args(["sql", "SELECT 1"])
-            elif command == "shell":
-                parser.parse_args(["shell"])
             elif command == "experiment":
                 parser.parse_args(["experiment", "mcq"])
             else:
