@@ -29,8 +29,9 @@ bench-engine:
 
 # PI refresh over engine jobs (the from-scratch path): records host ms
 # per refresh at n = 100 / 1000 in BENCH_scale.json ("pi_refresh") and
-# gates on counts -- job snapshots per refresh == population, and no
-# treap insert inside an empty-queue project().
+# gates on counts -- job snapshots per refresh == population, tracker
+# reads per refresh == engine-job population with no one-field tracker
+# read, and no treap insert inside an empty-queue project().
 bench-pi:
 	pytest -m scale benchmarks/test_bench_pi_refresh.py --benchmark-only -q -s
 

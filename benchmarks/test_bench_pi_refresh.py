@@ -13,6 +13,9 @@ are **counts**, which repeat exactly on any machine:
 
 * a refresh takes ``len(running) + len(queued)`` job snapshots, however
   many of the three reads it makes;
+* each of those snapshots reads its engine job's progress tracker once:
+  tracker reads per refresh equal the engine-job population, and no
+  refresh calls the tracker's one-field reads;
 * an empty-queue ``project()`` inserts nothing into a treap: the whole
   projection is one sort and one sweep of the flat kernel.
 
@@ -28,6 +31,7 @@ import pytest
 from repro.core.incremental import IncrementalSchedule
 from repro.core.multi_query import MultiQueryProgressIndicator
 from repro.engine import Database
+from repro.engine.progress import ProgressTracker
 from repro.experiments.reporting import format_table
 from repro.sim.jobs import EngineJob, Job
 from repro.sim.rdbms import SimulatedRDBMS
@@ -104,7 +108,10 @@ def measure(n: int) -> dict:
 
 def counted_refresh(n: int, monkeypatch) -> dict:
     """One refresh under counting wrappers (not timed)."""
-    counts = {"job_snapshots": 0, "treap_inserts": 0}
+    counts = {
+        "job_snapshots": 0, "tracker_reads": 0, "tracker_field_reads": 0,
+        "treap_inserts": 0,
+    }
 
     def counting(cls, name, key):
         real = getattr(cls, name)
@@ -117,6 +124,9 @@ def counted_refresh(n: int, monkeypatch) -> dict:
 
     rdbms = engine_population(n)
     counting(Job, "snapshot", "job_snapshots")
+    counting(ProgressTracker, "read", "tracker_reads")
+    counting(ProgressTracker, "estimated_remaining_cost", "tracker_field_reads")
+    counting(ProgressTracker, "memory_pressure_events", "tracker_field_reads")
     counting(IncrementalSchedule, "add", "treap_inserts")
     counting(IncrementalSchedule, "add_validated", "treap_inserts")
 
@@ -126,6 +136,9 @@ def counted_refresh(n: int, monkeypatch) -> dict:
 
     sampled_refreshes(rdbms, 1, extra=each_pi_reads_its_own)
     counts["population"] = len(rdbms.running) + len(rdbms.queued)
+    counts["engine_jobs"] = sum(
+        isinstance(job, EngineJob) for job in (*rdbms.running, *rdbms.queued)
+    )
     counts["shared_schedule_supported"] = rdbms.shared_schedule_supported
     return counts
 
@@ -155,4 +168,6 @@ def test_pi_refresh(once, monkeypatch):
 
     assert not counted["shared_schedule_supported"]
     assert counted["job_snapshots"] == counted["population"] == SIZES[0]
+    assert counted["tracker_reads"] == counted["engine_jobs"] == SIZES[0]
+    assert counted["tracker_field_reads"] == 0
     assert counted["treap_inserts"] == 0

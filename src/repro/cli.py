@@ -15,14 +15,6 @@ Commands
     print its deterministic trace/metrics/accuracy summary (optionally
     writing the JSONL event trace); ``--validate-trace`` checks an
     existing trace file against the event schema.
-``faults``
-    Chaos/recovery demo: inject crashes, stalls, brownouts and corrupted
-    statistics into a workload protected by retries and the runaway-query
-    watchdog, then print the merged recovery timeline.
-``scale``
-    Concurrency-scalability demo: time a full-system PI refresh served
-    from the shared incremental schedule against per-query recomputation
-    across a sweep of concurrency levels (``--json`` persists the report).
 ``shard``
     Sharded-cluster demo: scatter-gather queries over an N-node cluster
     with a mid-flight node crash, checkpoint-restoring replica failover,
@@ -102,54 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--validate-trace", default=None, metavar="PATH",
         help="validate an existing JSONL trace file against the event "
              "schema and exit (no run)",
-    )
-
-    faults = sub.add_parser(
-        "faults",
-        help="chaos/recovery demo: fault injection + retries + watchdog",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=None,
-        help="use a seeded random fault plan instead of the scripted one",
-    )
-    faults.add_argument(
-        "--budget", type=float, default=60.0,
-        help="watchdog per-query budget in virtual seconds",
-    )
-    faults.add_argument(
-        "--retries", type=int, default=3,
-        help="max execution attempts per query (1 disables retries)",
-    )
-    faults.add_argument(
-        "--engine", action="store_true",
-        help="work-preserving recovery demo: crash a real SQL execution "
-             "mid-flight and resume it from its last checkpoint",
-    )
-    faults.add_argument(
-        "--checkpoint-interval", type=float, default=25.0,
-        help="checkpoint cadence in work units for the --engine demo",
-    )
-
-    scale = sub.add_parser(
-        "scale",
-        help="shared-schedule vs per-query recomputation scalability sweep",
-    )
-    scale.add_argument(
-        "--sizes", default=None,
-        help="comma-separated concurrency levels (default: 100,500,1000,5000,10000)",
-    )
-    scale.add_argument(
-        "--rounds", type=int, default=3,
-        help="full-system refreshes timed per concurrency level",
-    )
-    scale.add_argument(
-        "--sample", type=int, default=32,
-        help="queries measured for the per-query recompute baseline",
-    )
-    scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument(
-        "--json", default=None,
-        help="also merge the report into this JSON file (e.g. BENCH_scale.json)",
     )
 
     shard = sub.add_parser(
@@ -348,240 +292,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.csv and csv_rows:
         n = write_csv(args.csv, csv_headers, csv_rows)
         print(f"wrote {n} rows to {args.csv}")
-    return 0
-
-
-def cmd_faults_engine(args: argparse.Namespace) -> int:
-    """Work-preserving recovery demo on a real SQL execution.
-
-    Runs the paper's ``Q_1`` through the engine twice under the same
-    crash-at-50% fault plan: once without checkpoints (the retry starts
-    over) and once with a checkpoint cadence (the retry resumes).  Prints
-    the per-attempt preserved/lost accounting and the headline
-    preserved-work percentage.
-    """
-    import random
-
-    from repro.engine.database import Database
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan, QueryCrash
-    from repro.faults.retry import RetryController, RetryPolicy
-    from repro.sim.rdbms import SimulatedRDBMS
-    from repro.workload.queries import engine_job, paper_query
-    from repro.workload.tpcr import TpcrConfig, add_part_table, build_lineitem
-
-    if not args.checkpoint_interval > 0:  # also catches NaN
-        print(
-            f"error: --checkpoint-interval must be > 0, "
-            f"got {args.checkpoint_interval}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.retries < 2:
-        print(
-            "error: the --engine demo needs --retries >= 2 "
-            "(the crashed attempt plus the resumed one)",
-            file=sys.stderr,
-        )
-        return 1
-
-    tpcr = TpcrConfig(scale=1 / 4000, seed=7)
-    rng = random.Random(7)
-    db = Database(page_capacity=tpcr.page_capacity)
-    build_lineitem(db, tpcr, rng)
-    add_part_table(db, 1, 12, tpcr, rng)
-    db.analyze()
-    print(f"query: {paper_query(1)}")
-
-    runs = [
-        ("no checkpoints", None),
-        (f"checkpoint every {args.checkpoint_interval:g} U",
-         args.checkpoint_interval),
-    ]
-    results = []
-    for label, interval in runs:
-        rdbms = SimulatedRDBMS(processing_rate=10.0)
-        RetryController(
-            rdbms, RetryPolicy(max_attempts=args.retries, base_delay=1.0)
-        )
-        FaultInjector(
-            rdbms, FaultPlan.of(QueryCrash("Q1", at_fraction=0.5))
-        ).arm()
-        job = engine_job(db, "Q1", 1, checkpoint_interval=interval)
-        rdbms.submit(job)
-        rdbms.run_to_completion(max_time=1000.0)
-
-        record = rdbms.record("Q1")
-        trace = record.trace
-        preserved = trace.preserved_work
-        lost = trace.wasted_work
-        gross = record.job.completed_work + lost
-        print(f"\n[{label}]")
-        print(f"  status: {record.status} after {record.attempts} attempts; "
-              f"{len(record.job.execution.rows)} result rows")
-        for attempt, (p, l) in enumerate(
-            zip(trace.work_preserved, trace.work_lost), start=1
-        ):
-            print(f"  attempt {attempt} ended: preserved {p:7.1f} U, "
-                  f"lost {l:7.1f} U")
-        print(f"  useful work {record.job.completed_work:.1f} U, "
-              f"wasted {lost:.1f} U, gross {gross:.1f} U")
-        if preserved + lost > 0:
-            pct = 100.0 * preserved / (preserved + lost)
-            print(f"  work preserved across the crash: {pct:.0f}%")
-        results.append((label, record, preserved, lost))
-
-    (_, rec_a, _, lost_a), (_, rec_b, _, lost_b) = results
-    if rec_a.status == rec_b.status == "finished":
-        saved = lost_a - lost_b
-        print(f"\ncheckpointing saved {saved:.1f} U of redone work "
-              f"({100.0 * saved / lost_a if lost_a else 0.0:.0f}% of the "
-              "non-checkpointed waste) for identical results: "
-              f"{'yes' if rec_a.job.execution.rows == rec_b.job.execution.rows else 'NO'}")
-    return 0
-
-
-def cmd_faults(args: argparse.Namespace) -> int:
-    """Chaos/recovery demo: scripted (or seeded random) faults vs resilience.
-
-    Builds a small workload, arms a fault plan covering all four fault
-    shapes, protects the run with a retry controller and the runaway-query
-    watchdog, then prints the plan, the merged recovery timeline and the
-    final per-query outcome table.  With ``--engine`` it instead runs the
-    work-preserving recovery demo on a real SQL execution.
-    """
-    if args.engine:
-        return cmd_faults_engine(args)
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import (
-        Brownout,
-        FaultPlan,
-        QueryCrash,
-        QueryStall,
-        StatsCorruption,
-        random_fault_plan,
-    )
-    from repro.faults.retry import RetryController, RetryPolicy
-    from repro.sim.jobs import SyntheticJob
-    from repro.sim.rdbms import SimulatedRDBMS
-    from repro.wm.watchdog import RunawayQueryWatchdog
-
-    rdbms = SimulatedRDBMS(processing_rate=10.0)
-    costs = {"q1": 120.0, "q2": 80.0, "q3": 900.0, "q4": 60.0}
-    for qid, cost in costs.items():
-        rdbms.submit(SyntheticJob(qid, cost))
-
-    if args.seed is not None:
-        plan = random_fault_plan(args.seed, list(costs), horizon=60.0)
-    else:
-        # One of everything: a brownout, a mid-flight crash (retried), a
-        # stall, and permanently destroyed statistics for the runaway q3 --
-        # which disables the PI and forces the watchdog onto its
-        # observed-work fallback.
-        plan = FaultPlan.of(
-            Brownout(start=5.0, duration=10.0, factor=0.5),
-            QueryCrash("q2", at_fraction=0.5),
-            QueryStall("q1", at=8.0, duration=4.0),
-            StatsCorruption(
-                start=0.0, duration=None, factor=float("nan"), query_id="q3"
-            ),
-        )
-    print("fault plan:")
-    for line in plan.describe().splitlines():
-        print(f"  {line}")
-
-    try:
-        policy = RetryPolicy(max_attempts=args.retries, base_delay=2.0)
-        watchdog = RunawayQueryWatchdog(rdbms, budget_seconds=args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    injector = FaultInjector(rdbms, plan)
-    injector.arm()
-    retries = RetryController(rdbms, policy)
-    watchdog.attach()
-    rdbms.run_to_completion(max_time=1000.0)
-
-    print("\nrecovery timeline:")
-    timeline = (
-        [(e.time, f"inject   {e.kind:<17} {e.query_id or 'system'}")
-         for e in injector.events]
-        + [(e.time, f"retry    {e.action:<17} {e.query_id} (attempt {e.attempt})")
-           for e in retries.events]
-        + [(a.time,
-            f"watchdog {a.action:<17} {a.query_id}"
-            f"{' [fallback]' if a.used_fallback else ''}")
-           for a in watchdog.actions]
-    )
-    for t, line in sorted(timeline, key=lambda x: x[0]):
-        print(f"  t={t:7.2f}s  {line}")
-
-    print("\nfinal outcome:")
-    print(f"  {'query':<6} {'status':<9} {'attempts':>8} "
-          f"{'faults':>6} {'done U':>8}")
-    for qid in costs:
-        record = rdbms.record(qid)
-        trace = record.trace
-        print(
-            f"  {qid:<6} {record.status:<9} {record.attempts:>8} "
-            f"{len(trace.fault_events):>6} {record.job.completed_work:>8.1f}"
-        )
-    unfinished = [
-        qid for qid in costs if not rdbms.record(qid).terminal
-    ]
-    print(
-        f"\nall queries terminal: {'yes' if not unfinished else unfinished}; "
-        f"watchdog fallback engaged: {'yes' if watchdog.fallback_engaged else 'no'}"
-    )
-    return 0
-
-
-def cmd_scale(args: argparse.Namespace) -> int:
-    """Time shared-schedule refreshes against per-query recomputation."""
-    from repro.experiments.reporting import format_table
-    from repro.sim.scale import DEFAULT_SIZES, merge_bench_json, run_scale
-
-    if args.sizes:
-        try:
-            sizes = tuple(int(p) for p in args.sizes.split(",") if p.strip())
-        except ValueError:
-            print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-            return 1
-    else:
-        sizes = DEFAULT_SIZES
-    try:
-        report = run_scale(
-            sizes, seed=args.seed, rounds=args.rounds, sample=args.sample
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    print(f"full-system PI refresh, totals over {report.rounds} refreshes:")
-    print(
-        format_table(
-            ["n", "incremental (ms)", "per-query est (ms)",
-             "one recompute (ms)", "speedup", "max rel diff"],
-            [
-                (
-                    p.n,
-                    f"{p.incremental_seconds * 1e3:.3f}",
-                    f"{p.per_query_seconds_estimated * 1e3:.1f}",
-                    f"{p.shared_recompute_seconds * 1e3:.3f}",
-                    f"{p.speedup_vs_per_query:.0f}x",
-                    f"{p.max_rel_diff:.2e}",
-                )
-                for p in report.points
-            ],
-        )
-    )
-    print(
-        "(per-query baseline measured on "
-        f"{report.sample} sampled queries, extrapolated to n)"
-    )
-    if args.json:
-        merge_bench_json(args.json, "scale", report.as_dict())
-        print(f"merged 'scale' section into {args.json}")
     return 0
 
 
@@ -834,10 +544,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_experiment(args)
     if args.command == "report":
         return cmd_report(args)
-    if args.command == "faults":
-        return cmd_faults(args)
-    if args.command == "scale":
-        return cmd_scale(args)
     if args.command == "shard":
         return cmd_shard(args)
     if args.command == "overload":

@@ -35,7 +35,7 @@ def weight_for_priority(priority: int, weights: Mapping[int, float] | None = Non
     return float(2**priority)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuerySnapshot:
     """Point-in-time view of one query, as seen by a progress indicator.
 
@@ -56,6 +56,17 @@ class QuerySnapshot:
         Memory-governance incidents observed so far (0 when the query
         runs without a memory budget).  Informational: lets observers
         attribute estimate inflation to degraded operators.
+
+    A simulator builds one snapshot per running job per refresh, so the
+    constructor is written by hand: the frozen dataclass's generated
+    ``__init__`` pays one ``object.__setattr__`` call per field, this one
+    six stores into the instance ``__dict__``, in field order so the
+    dict keeps sharing its keys with every other snapshot (one
+    ``__dict__.update`` would give each snapshot its own key table, at
+    +60 % of the bytes).  Everything else -- eq, hash, repr,
+    ``dataclasses.replace`` (which re-validates), immutability -- is the
+    dataclass's own.  NaN and inf pass the checks here; finiteness is
+    :func:`repro.core.validation.validate_snapshots`' job.
     """
 
     query_id: str
@@ -65,13 +76,28 @@ class QuerySnapshot:
     priority: int = 0
     memory_pressure: int = 0
 
-    def __post_init__(self) -> None:
-        if self.remaining_cost < 0:
-            raise ValueError(f"remaining_cost must be >= 0, got {self.remaining_cost}")
-        if self.completed_work < 0:
-            raise ValueError(f"completed_work must be >= 0, got {self.completed_work}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+    def __init__(
+        self,
+        query_id: str,
+        remaining_cost: float,
+        completed_work: float = 0.0,
+        weight: float = 1.0,
+        priority: int = 0,
+        memory_pressure: int = 0,
+    ) -> None:
+        if remaining_cost < 0:
+            raise ValueError(f"remaining_cost must be >= 0, got {remaining_cost}")
+        if completed_work < 0:
+            raise ValueError(f"completed_work must be >= 0, got {completed_work}")
+        if weight <= 0:
+            raise ValueError(f"weight must be > 0, got {weight}")
+        fields = self.__dict__
+        fields["query_id"] = query_id
+        fields["remaining_cost"] = remaining_cost
+        fields["completed_work"] = completed_work
+        fields["weight"] = weight
+        fields["priority"] = priority
+        fields["memory_pressure"] = memory_pressure
 
     @property
     def total_cost(self) -> float:

@@ -30,6 +30,13 @@ tracker accepts an ``outstanding_debt`` supplier and adds it to the
 remaining-cost estimate.  Estimates stay accurate to within one batch of
 the driver scan instead of collapsing to zero the moment the driver's
 pages have been pre-charged.
+
+**One read per snapshot.**  A PI refresh snapshots every running query,
+so :meth:`ProgressTracker.read` hands a snapshot its remaining cost, paid
+work and memory pressure from a single pass over the work account, the
+debt and the driver scan.  :meth:`~ProgressTracker.estimated_total_cost`
+and :meth:`~ProgressTracker.estimated_remaining_cost` share its body, so
+the extrapolation above is written once.
 """
 
 from __future__ import annotations
@@ -69,12 +76,6 @@ class ProgressTracker:
         self._finished = False
         self._outstanding_debt = outstanding_debt
 
-    def _debt(self) -> float:
-        """Charged-but-unpaid work banked by the executor (0 without one)."""
-        if self._outstanding_debt is None:
-            return 0.0
-        return max(self._outstanding_debt(), 0.0)
-
     @property
     def work_done(self) -> float:
         """Work charged so far, in U's."""
@@ -100,9 +101,8 @@ class ProgressTracker:
         governor = self._account.memory
         return governor.pressure_events if governor is not None else 0
 
-    def estimated_total_cost(self) -> float:
-        """Current refined estimate of the query's total cost, in U's."""
-        done = self.work_done
+    def _total(self, done: float) -> float:
+        """The refined total for *done* U's charged (see the module doc)."""
         if self._finished:
             return done
         driver = self._driver
@@ -110,16 +110,43 @@ class ProgressTracker:
         fraction = driver.progress_fraction() if start is not None else 0.0
         if fraction <= 0:
             return max(self.optimizer_estimate, done)
-        return max(start + (done - start) / fraction, done)
+        refined = start + (done - start) / fraction
+        return done if done > refined else refined
+
+    def read(self) -> tuple[float, float, int]:
+        """Remaining cost, paid work and memory pressure, from one pass.
+
+        What a progress snapshot needs, taken with one read of the work
+        account, the debt and the driver scan.  *Remaining cost* is the
+        PI's ``c``: the refined total minus the work charged, plus the
+        executor's outstanding debt (floored at 0) -- a pull can
+        pre-charge a whole batch the scheduler has not yet paid for, and
+        that work is still ahead of the query.  *Paid work* is the work
+        charged minus the raw debt, floored at 0 (the executor's
+        ``paid_work``).  *Memory pressure* counts the governor's
+        incidents (0 without one).
+
+        Every snapshot of a refresh comes through here, so the clamps are
+        spelled ``0.0 if 0.0 > x else x``: exactly ``max(x, 0.0)``, NaN
+        included, without the cost of a builtin call.
+        """
+        account = self._account
+        done = account.total
+        debt = 0.0 if self._outstanding_debt is None else self._outstanding_debt()
+        governor = account.memory
+        pressure = 0 if governor is None else governor.pressure_events
+        paid = done - debt
+        paid = 0.0 if 0.0 > paid else paid
+        if self._finished:
+            return 0.0, paid, pressure
+        remaining = self._total(done) - done
+        remaining = 0.0 if 0.0 > remaining else remaining
+        return remaining + (0.0 if 0.0 > debt else debt), paid, pressure
+
+    def estimated_total_cost(self) -> float:
+        """Current refined estimate of the query's total cost, in U's."""
+        return self._total(self._account.total)
 
     def estimated_remaining_cost(self) -> float:
-        """Refined remaining cost in U's (the PI's ``c``).
-
-        Includes the executor's outstanding work debt: a pull can
-        pre-charge a whole batch of work that the scheduler has not yet
-        paid for, and that work is still ahead of the query.
-        """
-        if self._finished:
-            return 0.0
-        remaining = max(self.estimated_total_cost() - self.work_done, 0.0)
-        return remaining + self._debt()
+        """Refined remaining cost in U's (the PI's ``c``; see :meth:`read`)."""
+        return self.read()[0]

@@ -80,15 +80,24 @@ class Job(abc.ABC):
         """Memory-governance incidents so far (engine jobs override)."""
         return 0
 
+    def progress_reading(self) -> tuple[float, float, int]:
+        """Remaining cost, completed work and memory pressure, in one call.
+
+        The fields :meth:`snapshot` takes from the job.  Job types that can
+        read all three in one pass (engine jobs) override this.
+        """
+        return (
+            self.estimated_remaining_cost(),
+            self.completed_work,
+            self.memory_pressure_events(),
+        )
+
     def snapshot(self) -> QuerySnapshot:
         """This job as a :class:`QuerySnapshot` for the PI algorithms."""
+        remaining, done, pressure = self.progress_reading()
         return QuerySnapshot(
-            query_id=self.query_id,
-            remaining_cost=max(self.estimated_remaining_cost(), 0.0),
-            completed_work=self.completed_work,
-            weight=self.weight,
-            priority=self.priority,
-            memory_pressure=self.memory_pressure_events(),
+            self.query_id, 0.0 if 0.0 > remaining else remaining, done,
+            self.weight, self.priority, pressure,
         )
 
     def retry_copy(self) -> "Job":
@@ -230,6 +239,10 @@ class EngineJob(Job):
 
     def memory_pressure_events(self) -> int:
         return self._execution.progress.memory_pressure_events()
+
+    def progress_reading(self) -> tuple[float, float, int]:
+        # One tracker pass; its paid work is ``execution.paid_work``.
+        return self._execution.progress.read()
 
     def advance(self, work: float) -> float:
         if work < 0:

@@ -1,5 +1,9 @@
 """Tests for the core data model."""
 
+import dataclasses
+import math
+import pickle
+
 import pytest
 
 from repro.core.model import (
@@ -54,6 +58,83 @@ class TestQuerySnapshot:
         q = QuerySnapshot("a", remaining_cost=1)
         with pytest.raises(AttributeError):
             q.remaining_cost = 5  # type: ignore[misc]
+
+
+@dataclasses.dataclass(frozen=True)
+class FieldWise:
+    """What ``@dataclass(frozen=True)`` generates for QuerySnapshot's fields."""
+
+    query_id: str
+    remaining_cost: float
+    completed_work: float = 0.0
+    weight: float = 1.0
+    priority: int = 0
+    memory_pressure: int = 0
+
+
+class TestQuerySnapshotContract:
+    """The hand-written constructor keeps the frozen dataclass's contract."""
+
+    FIELDS = ("Q7", 12.5, 3.25, 4.0, 2, 1)
+
+    def test_assigning_a_field_raises(self):
+        q = QuerySnapshot(*self.FIELDS)
+        for name in ("query_id", "remaining_cost", "memory_pressure"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(q, name, getattr(q, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.extra = 1  # type: ignore[attr-defined]
+
+    def test_replace_revalidates(self):
+        q = QuerySnapshot(*self.FIELDS)
+        assert dataclasses.replace(q, remaining_cost=1.0).remaining_cost == 1.0
+        with pytest.raises(ValueError, match="remaining_cost must be >= 0"):
+            dataclasses.replace(q, remaining_cost=-1.0)
+        with pytest.raises(ValueError, match="weight must be > 0"):
+            dataclasses.replace(q, weight=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"remaining_cost": -1.5}, "remaining_cost must be >= 0, got -1.5"),
+        ({"remaining_cost": 1.0, "completed_work": -2.0},
+         "completed_work must be >= 0, got -2.0"),
+        ({"remaining_cost": 1.0, "weight": 0.0}, "weight must be > 0, got 0.0"),
+        ({"remaining_cost": 1.0, "weight": -3}, "weight must be > 0, got -3"),
+    ])
+    def test_error_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            QuerySnapshot("a", **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_inf_are_accepted(self, bad):
+        # validate_snapshots is the finiteness guard; the watchdog and the
+        # maintenance manager build non-finite snapshots and carry them back.
+        q = QuerySnapshot("a", bad, completed_work=bad, weight=bad)
+        assert q.remaining_cost is bad and q.completed_work is bad
+        assert q.weight is bad
+
+    def test_eq_hash_repr_match_a_field_wise_build(self):
+        q = QuerySnapshot(*self.FIELDS)
+        ref = FieldWise(*self.FIELDS)
+        assert [f.name for f in dataclasses.fields(q)] == [
+            f.name for f in dataclasses.fields(ref)
+        ]
+        assert dataclasses.astuple(q) == dataclasses.astuple(ref) == self.FIELDS
+        assert q == QuerySnapshot(**dataclasses.asdict(ref))
+        assert q != QuerySnapshot(*self.FIELDS[:-1], 0)
+        assert hash(q) == hash(ref) == hash(self.FIELDS)
+        assert repr(q) == repr(ref).replace("FieldWise", "QuerySnapshot")
+        assert QuerySnapshot("a", 1.0) == QuerySnapshot(
+            query_id="a", remaining_cost=1.0, completed_work=0.0, weight=1.0,
+            priority=0, memory_pressure=0,
+        )
+
+    def test_pickle_round_trip(self):
+        q = QuerySnapshot(*self.FIELDS)
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and hash(back) == hash(q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.weight = 1.0  # type: ignore[misc]
 
 
 class TestSystemSnapshot:

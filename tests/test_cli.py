@@ -55,42 +55,6 @@ class TestSql:
         assert "error:" in capsys.readouterr().err
 
 
-class TestFaults:
-    def test_scripted_demo(self, capsys):
-        assert main(["faults"]) == 0
-        out = capsys.readouterr().out
-        assert "fault plan:" in out
-        assert "recovery timeline:" in out
-        assert "brownout-begin" in out
-        assert "crash" in out
-        assert "stall-begin" in out
-        assert "corruption-begin" in out
-        assert "resubmitted" in out
-        assert "[fallback]" in out
-        assert "all queries terminal: yes" in out
-        assert "watchdog fallback engaged: yes" in out
-
-    def test_seeded_random_plan(self, capsys):
-        assert main(["faults", "--seed", "7", "--retries", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "fault plan:" in out
-        assert "all queries terminal: yes" in out
-
-    def test_invalid_knobs_report_clean_errors(self, capsys):
-        assert main(["faults", "--retries", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert main(["faults", "--budget", "-5"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_budget_flag(self, capsys):
-        assert main(["faults", "--budget", "1000"]) == 0
-        out = capsys.readouterr().out
-        # A huge budget means the watchdog never fires.
-        assert "watchdog" not in out.split("final outcome:")[0].split(
-            "recovery timeline:"
-        )[1]
-
-
 class TestShard:
     def test_scripted_crash_demo(self, capsys):
         assert main(["shard"]) == 0
@@ -123,30 +87,6 @@ class TestShard:
         assert main(["shard", "--replication", "9"]) == 1
         assert "error:" in capsys.readouterr().err
         assert main(["shard", "--crash-node", "node99"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestScale:
-    def test_small_sweep(self, capsys, tmp_path):
-        out_json = tmp_path / "bench.json"
-        code = main([
-            "scale", "--sizes", "30,60", "--rounds", "1",
-            "--sample", "5", "--json", str(out_json),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "full-system PI refresh" in out
-        assert "speedup" in out
-        import json
-
-        data = json.loads(out_json.read_text())
-        assert [p["n"] for p in data["scale"]["points"]] == [30, 60]
-        assert data["scale"]["points"][0]["max_rel_diff"] <= 1e-9
-
-    def test_bad_flags_report_clean_errors(self, capsys):
-        assert main(["scale", "--sizes", "ten,20"]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert main(["scale", "--sizes", "10", "--rounds", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
 
