@@ -4,7 +4,7 @@ The paper assumes abort overhead is negligible and flags the general case
 as future work (Section 3.3).  This bench sweeps a rollback overhead
 proportional to each aborted query's completed work and compares:
 
-* the overhead-aware greedy (``plan_with_overhead``),
+* the overhead-aware greedy (``plan_maintenance`` with ``overhead=``),
 * the paper's overhead-blind greedy, which pays rollback costs it did not
   plan for, and
 * the exact overhead-aware optimum.
@@ -24,10 +24,10 @@ from repro.experiments.maintenance import (
     t_finish_of,
 )
 from repro.experiments.reporting import format_table
+from repro.wm.maintenance import plan_maintenance
 from repro.wm.overhead import (
     exact_plan_with_overhead,
     plan_ignoring_overhead,
-    plan_with_overhead,
     proportional_overhead,
 )
 
@@ -49,16 +49,16 @@ def test_abort_overhead_ablation(once):
                 rng = random.Random(config.seed + r)
                 queries = sample_running_queries(config, rng)
                 deadline = DEADLINE_FRACTION * t_finish_of(queries, 1.0)
-                aware = plan_with_overhead(queries, deadline, 1.0, overhead)
+                aware = plan_maintenance(queries, deadline, 1.0, overhead=overhead)
                 blind = plan_ignoring_overhead(queries, deadline, 1.0, overhead)
                 exact = exact_plan_with_overhead(queries, deadline, 1.0, overhead)
                 aware_uw.append(aware.unfinished_fraction)
                 blind_uw.append(blind.unfinished_fraction)
                 exact_uw.append(exact.unfinished_fraction)
-                if not blind.feasible:
+                if not blind.meets_deadline:
                     blind_missed += 1
                 # Invariant: aware is feasible whenever blind is.
-                assert aware.feasible or not blind.feasible
+                assert aware.meets_deadline or not blind.meets_deadline
             rows.append(
                 (
                     frac,

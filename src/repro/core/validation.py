@@ -14,6 +14,9 @@ This module is the single place that policy lives:
   bounded below).
 * :func:`validate_snapshots` -- every cost/weight in a batch of
   :class:`~repro.core.model.QuerySnapshot` objects must be sane.
+* :func:`finite_snapshots` / :func:`carry_back` -- the graceful-degradation
+  side: drop insane snapshots, or patch a non-finite remaining cost with
+  the query's last finite one.
 
 The :class:`~repro.core.model.QuerySnapshot` data carrier itself stays
 permissive about NaN/inf (a snapshot may legitimately *record* a corrupted
@@ -27,6 +30,7 @@ Callers that want graceful degradation instead of an exception (e.g. the
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.core.model import QuerySnapshot
@@ -137,3 +141,33 @@ def finite_snapshots(
         and math.isfinite(q.weight)
         and q.weight > 0
     )
+
+
+def carry_back(
+    snapshots: Sequence[QuerySnapshot],
+    last_finite: dict[str, float],
+) -> tuple[tuple[QuerySnapshot, ...], tuple[str, ...]]:
+    """Carry each query's last finite remaining cost over a corrupt one.
+
+    *last_finite* is the caller's per-query memory and is updated in
+    place: a finite remaining cost is recorded, and ids absent from
+    *snapshots* (departed queries) are forgotten.  A snapshot whose
+    remaining cost is not finite is replaced by a copy carrying the last
+    finite cost of its id; one whose id never reported a finite cost is
+    dropped.  Returns ``(kept, carried_ids)``, both in input order, so the
+    caller can flag decisions made from stale estimates.
+    """
+    previous = dict(last_finite)
+    last_finite.clear()
+    kept: list[QuerySnapshot] = []
+    carried: list[str] = []
+    for snap in snapshots:
+        qid, cost = snap.query_id, snap.remaining_cost
+        if math.isfinite(cost):
+            last_finite[qid] = cost
+            kept.append(snap)
+        elif qid in previous:
+            last_finite[qid] = previous[qid]
+            kept.append(replace(snap, remaining_cost=previous[qid]))
+            carried.append(qid)
+    return tuple(kept), tuple(carried)

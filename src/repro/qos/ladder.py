@@ -22,8 +22,8 @@ exercisable through its public method):
    query is touched;
 2. **demote** -- drop low-priority queries to ``demote_priority`` (the
    paper's Section 3 priority action); sustained pressure then *parks*
-   them via :meth:`~repro.sim.rdbms.SimulatedRDBMS.block` with no
-   replacement, freeing their capacity entirely;
+   them via :meth:`~repro.sim.rdbms.SimulatedRDBMS.block`, each parked
+   query's slot going to the head of the admission queue;
 3. **shed** -- abort low-priority queries using *inverted* Section 3.1
    victim selection: where speedup picks the victim whose blocking buys
    the target the most, shedding kills the cheapest-to-kill,
@@ -346,11 +346,16 @@ class DegradationLadder:
         return tuple(acted)
 
     def park_low_priority(self) -> tuple[str, ...]:
-        """Rung 2 sustained: block low-priority queries, freeing capacity."""
+        """Rung 2 sustained: block low-priority queries, freeing capacity.
+
+        Each parked query frees its slot for the head of the admission
+        queue (``admit_replacement=True``), so the node never sits with
+        queued work and nothing running.
+        """
         acted = []
         for job in self._low_priority_running():
             qid = job.query_id
-            self._rdbms.block(qid)
+            self._rdbms.block(qid, admit_replacement=True)
             self._parked.add(qid)
             acted.append(qid)
             self._note("park", qid)

@@ -36,7 +36,6 @@ from repro.wm.cross_shard import (
 from repro.wm.maintenance import (
     LostWorkCase,
     MaintenancePlan,
-    largest_remaining_first_plan,
     plan_maintenance,
     quiescent_time,
 )
@@ -45,7 +44,6 @@ from repro.wm.multi_speedup import MultiSpeedupChoice, choose_victim_for_all
 from repro.wm.oracle import exact_maintenance_plan
 from repro.wm.overhead import (
     exact_plan_with_overhead,
-    plan_with_overhead,
     proportional_overhead,
 )
 from repro.wm.policies import (
@@ -85,9 +83,7 @@ __all__ = [
     "exact_maintenance_plan",
     "exact_plan_with_overhead",
     "execute_policy",
-    "largest_remaining_first_plan",
     "plan_maintenance",
-    "plan_with_overhead",
     "proportional_overhead",
     "quiescent_time",
     "run_adaptive_maintenance",

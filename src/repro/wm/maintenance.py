@@ -13,15 +13,23 @@ Aborting ``Q_i`` shortens the system quiescent time by ``V_i = c_i / C``
 Maximising saved time while minimising lost work is a knapsack problem; the
 paper uses the classic greedy: abort queries in ascending order of
 ``loss_i / V_i`` until the projected quiescent time meets the deadline.
+
+The paper assumes aborts are free and leaves non-negligible abort overhead
+to future work; :func:`plan_maintenance` takes it as an optional
+``overhead`` (rollback U's per abort).  :mod:`repro.wm.overhead` holds the
+overhead models, the overhead-blind baseline and an exact oracle.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.model import QuerySnapshot
+
+#: Maps a query to its abort (rollback) overhead in U's.
+OverheadFn = Callable[[QuerySnapshot], float]
 
 
 class LostWorkCase(enum.Enum):
@@ -65,6 +73,8 @@ class MaintenancePlan:
     #: The deadline the plan was built for, seconds.
     deadline: float
     case: LostWorkCase
+    #: Rollback work the aborts incur, U's (0 when aborts are free).
+    rollback_work: float = 0.0
 
     @property
     def unfinished_fraction(self) -> float:
@@ -75,7 +85,11 @@ class MaintenancePlan:
 
     @property
     def meets_deadline(self) -> bool:
-        """Whether the surviving queries are projected to drain in time."""
+        """Whether the plan is projected to drain in time, rollback included.
+
+        With abort overheads some deadlines are infeasible even aborting
+        every query whose abort saves time.
+        """
         return self.projected_quiescent_time <= self.deadline + 1e-9
 
 
@@ -84,95 +98,66 @@ def plan_maintenance(
     deadline: float,
     processing_rate: float,
     case: LostWorkCase = LostWorkCase.TOTAL_COST,
+    overhead: OverheadFn | None = None,
 ) -> MaintenancePlan:
     """Greedy maintenance planning (the paper's multi-query-PI method).
 
-    Sort queries ascending by ``loss_i / V_i`` (equivalently
-    ``loss_i / c_i``) and abort until the projected quiescent time
-    ``sum(c_kept) / C`` is within the deadline.  Zero-remaining-cost queries
-    are never aborted (aborting them frees no time).
+    Aborting ``Q_i`` costs ``o_i = overhead(Q_i)`` U's of rollback (0 when
+    *overhead* is ``None``, the paper's assumption), so it saves ``V_i =
+    (c_i - o_i) / C`` of drain time.  Sort the queries with ``V_i > 0``
+    ascending by ``loss_i / V_i`` and abort until the projected quiescent
+    time ``(sum_kept c_i + sum_aborted o_i) / C`` is within the deadline
+    or no candidate is left -- with overheads a deadline can be
+    infeasible, which :attr:`MaintenancePlan.meets_deadline` reports.
+    Zero-remaining-cost queries are never aborted (aborting them frees no
+    time).
 
     Raises
     ------
     ValueError
-        On a negative deadline or non-positive processing rate.
+        On a negative deadline, a non-positive processing rate or a
+        negative overhead.
     """
     if deadline < 0:
         raise ValueError("deadline must be >= 0")
     if processing_rate <= 0:
         raise ValueError("processing_rate must be > 0")
+    rollback_of: dict[str, float] = {}
+    if overhead is not None:
+        for q in queries:
+            o = overhead(q)
+            if o < 0:
+                raise ValueError(f"negative overhead for {q.query_id!r}")
+            rollback_of[q.query_id] = o
 
-    total_work = sum(q.total_cost for q in queries)
-    remaining_sum = sum(q.remaining_cost for q in queries)
+    def saving(q: QuerySnapshot) -> float:
+        return (q.remaining_cost - rollback_of.get(q.query_id, 0.0)) / processing_rate
 
     # Abort order: ascending loss per unit of saved time.  Ties prefer the
     # larger remaining cost (more time saved per abort), then id.
     def sort_key(q: QuerySnapshot) -> tuple[float, float, str]:
-        v = q.remaining_cost / processing_rate
-        loss = case.loss_of(q)
-        ratio = loss / v if v > 0 else float("inf")
-        return (ratio, -q.remaining_cost, q.query_id)
+        return (case.loss_of(q) / saving(q), -q.remaining_cost, q.query_id)
 
-    candidates = sorted((q for q in queries if q.remaining_cost > 0), key=sort_key)
+    candidates = sorted((q for q in queries if saving(q) > 0), key=sort_key)
 
-    aborts: list[str] = []
+    remaining = sum(q.remaining_cost for q in queries)
+    rollback = 0.0
     lost = 0.0
+    aborts: list[str] = []
     for q in candidates:
-        if remaining_sum / processing_rate <= deadline + 1e-9:
+        if (remaining + rollback) / processing_rate <= deadline + 1e-9:
             break
         aborts.append(q.query_id)
         lost += case.loss_of(q)
-        remaining_sum -= q.remaining_cost
+        remaining -= q.remaining_cost
+        rollback += rollback_of.get(q.query_id, 0.0)
 
     return MaintenancePlan(
         aborts=tuple(aborts),
-        projected_quiescent_time=remaining_sum / processing_rate,
+        projected_quiescent_time=(remaining + rollback) / processing_rate,
         lost_work=lost,
-        total_work=total_work,
+        total_work=sum(q.total_cost for q in queries),
         deadline=deadline,
         case=case,
-    )
-
-
-def largest_remaining_first_plan(
-    queries: Sequence[QuerySnapshot],
-    deadline: float,
-    processing_rate: float,
-    case: LostWorkCase = LostWorkCase.TOTAL_COST,
-) -> MaintenancePlan:
-    """The paper's *single-query PI method* abort rule.
-
-    "When operation O2' was performed, the query with the largest estimated
-    remaining cost was first aborted", repeating until the projected drain
-    time meets the deadline.  Note: with a single-query PI the remaining
-    *time* estimate of each query is ``c_i / s_i`` under the *current* load,
-    so this method judges "cannot finish by t" against those inflated
-    estimates -- the experiment driver handles that part; this function
-    implements the abort ordering given the kill set size decision.
-    """
-    if deadline < 0:
-        raise ValueError("deadline must be >= 0")
-    if processing_rate <= 0:
-        raise ValueError("processing_rate must be > 0")
-    total_work = sum(q.total_cost for q in queries)
-    remaining_sum = sum(q.remaining_cost for q in queries)
-    candidates = sorted(
-        (q for q in queries if q.remaining_cost > 0),
-        key=lambda q: (-q.remaining_cost, q.query_id),
-    )
-    aborts: list[str] = []
-    lost = 0.0
-    for q in candidates:
-        if remaining_sum / processing_rate <= deadline + 1e-9:
-            break
-        aborts.append(q.query_id)
-        lost += case.loss_of(q)
-        remaining_sum -= q.remaining_cost
-    return MaintenancePlan(
-        aborts=tuple(aborts),
-        projected_quiescent_time=remaining_sum / processing_rate,
-        lost_work=lost,
-        total_work=total_work,
-        deadline=deadline,
-        case=case,
+        rollback_work=rollback,
     )

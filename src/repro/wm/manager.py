@@ -15,10 +15,9 @@ It never "un-aborts": revisions are monotone, as in practice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.core.validation import finite_snapshots
+from repro.core.validation import carry_back, finite_snapshots
 from repro.sim.rdbms import SimulatedRDBMS
 from repro.wm.maintenance import LostWorkCase, plan_maintenance
 
@@ -85,26 +84,15 @@ class AdaptiveMaintenanceManager:
         stay in the plan (flagged in the revision event), and only
         queries that never reported a finite cost are left out of this
         revision -- they are reconsidered at the next wake-up, and
-        operation O3 still catches them at the deadline.
+        operation O3 still catches them at the deadline.  Departed
+        queries are forgotten (:func:`~repro.core.validation.carry_back`).
         """
         now = self.rdbms.clock
         time_left = max(self.deadline - now, 0.0)
         system = self.rdbms.snapshot()
-        live = list(system.running) + list(system.queued)
-        sanitized = []
-        degraded: list[str] = []
-        for snap in live:
-            if math.isfinite(snap.remaining_cost):
-                self._last_finite[snap.query_id] = snap.remaining_cost
-                sanitized.append(snap)
-            elif snap.query_id in self._last_finite:
-                degraded.append(snap.query_id)
-                sanitized.append(
-                    replace(
-                        snap,
-                        remaining_cost=self._last_finite[snap.query_id],
-                    )
-                )
+        sanitized, degraded = carry_back(
+            system.running + system.queued, self._last_finite
+        )
         running = finite_snapshots(sanitized)
         plan = plan_maintenance(
             running, time_left + self.slack, self.rdbms.processing_rate, self.case
@@ -118,7 +106,7 @@ class AdaptiveMaintenanceManager:
                 projected_drain=plan.projected_quiescent_time,
                 time_left=time_left,
                 aborted=plan.aborts,
-                degraded=tuple(degraded),
+                degraded=degraded,
             )
         )
         obs = self.rdbms.obs

@@ -9,7 +9,12 @@ response-time improvement is
 
     ``R_m = sum_{j=1..m} (n - j) * t_j * w_m / W_j``
 
-and the optimal victim maximises ``R_m`` (O(n log n) via prefix sums).
+and the optimal victim maximises ``R_m``.  Since ``t_j / W_j = (r_j -
+r_{j-1}) / C`` with ``r = c/w``, no stage table is needed:
+
+    ``R_m = (w_m / C) * sum_{j=1..m} (n - j) * (r_j - r_{j-1})``
+
+is one pass over the sorted ratios (O(n log n) for the sort).
 """
 
 from __future__ import annotations
@@ -31,19 +36,6 @@ class MultiSpeedupChoice:
     all_improvements: dict[str, float]
 
 
-def improvement_of_blocking(
-    queries: Sequence[QuerySnapshot],
-    victim_id: str,
-    processing_rate: float,
-) -> float:
-    """Total response-time improvement ``R_m`` from blocking *victim_id*."""
-    choice = choose_victim_for_all(queries, processing_rate)
-    try:
-        return choice.all_improvements[victim_id]
-    except KeyError:
-        raise ValueError(f"victim {victim_id!r} not among the queries") from None
-
-
 def choose_victim_for_all(
     queries: Sequence[QuerySnapshot],
     processing_rate: float,
@@ -62,25 +54,14 @@ def choose_victim_for_all(
         raise ValueError("need at least two queries")
 
     ordered = sorted(queries, key=lambda q: (q.remaining_cost / q.weight, q.query_id))
-    suffix = [0.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + ordered[k].weight
-    durations = []
-    prev_ratio = 0.0
-    for k, q in enumerate(ordered):
+    # R_m = (w_m / C) * sum_{j<=m} (n - 1 - j) * (r_j - r_{j-1}), 0-based.
+    improvements: dict[str, float] = {}
+    acc = prev = 0.0
+    for j, q in enumerate(ordered):
         ratio = q.remaining_cost / q.weight
-        durations.append((ratio - prev_ratio) * suffix[k] / processing_rate)
-        prev_ratio = ratio
-
-    # prefix[m] = sum_{j=0..m-1} (n - (j+1)) * t_j / W_j   (0-based stages)
-    prefix = [0.0] * (n + 1)
-    for j in range(n):
-        weight_share = durations[j] / suffix[j] if suffix[j] > 0 else 0.0
-        prefix[j + 1] = prefix[j] + (n - (j + 1)) * weight_share
-
-    improvements = {
-        q.query_id: q.weight * prefix[m + 1] for m, q in enumerate(ordered)
-    }
+        acc += (n - 1 - j) * (ratio - prev)
+        prev = ratio
+        improvements[q.query_id] = q.weight * acc / processing_rate
     victim = max(
         improvements, key=lambda qid: (improvements[qid], qid)
     )

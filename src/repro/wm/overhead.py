@@ -3,7 +3,7 @@
 Section 3.3 assumes "the overhead of aborting queries is negligible
 compared to the query execution cost ... In general, aborting jobs may
 introduce non-negligible overhead.  How to handle this case is left as an
-interesting area for future work."  This module implements that extension.
+interesting area for future work."  This module models that extension.
 
 Model: aborting ``Q_i`` triggers ``o_i`` U's of rollback work that the
 system must process before it is quiescent.  Aborting therefore shortens
@@ -19,21 +19,25 @@ abort in ascending order of ``loss_i / V_i`` over the candidates with
     ``(sum_kept c_i + sum_aborted o_i) / C``
 
 meets the deadline (or no useful candidate remains -- with overheads, a
-deadline can be genuinely infeasible).  An exact oracle via subset
-enumeration is provided for evaluation.
+deadline can be genuinely infeasible).  That greedy is
+:func:`~repro.wm.maintenance.plan_maintenance` with ``overhead=``; this
+module holds the overhead models, the overhead-blind baseline and an exact
+oracle via subset enumeration, for evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from repro.core.model import QuerySnapshot
-from repro.wm.maintenance import LostWorkCase
-
-#: Maps a query to its abort (rollback) overhead in U's.
-OverheadFn = Callable[[QuerySnapshot], float]
+from repro.wm.maintenance import (
+    LostWorkCase,
+    MaintenancePlan,
+    OverheadFn,
+    plan_maintenance,
+)
 
 
 def proportional_overhead(fraction: float) -> OverheadFn:
@@ -50,104 +54,13 @@ def constant_overhead(units: float) -> OverheadFn:
     return lambda q: units
 
 
-@dataclass(frozen=True)
-class OverheadPlan:
-    """An abort plan under non-negligible abort overheads."""
-
-    aborts: tuple[str, ...]
-    #: Projected drain time including rollback work, seconds.
-    projected_quiescent_time: float
-    lost_work: float
-    total_work: float
-    deadline: float
-    #: Rollback work incurred by the plan, U's.
-    rollback_work: float
-    #: Whether the projected drain time meets the deadline.  With
-    #: overheads, some deadlines are infeasible even aborting everything
-    #: useful.
-    feasible: bool
-
-    @property
-    def unfinished_fraction(self) -> float:
-        """``UW / TW``, as in Figure 11."""
-        if self.total_work <= 0:
-            return 0.0
-        return self.lost_work / self.total_work
-
-
-def plan_with_overhead(
-    queries: Sequence[QuerySnapshot],
-    deadline: float,
-    processing_rate: float,
-    overhead: OverheadFn,
-    case: LostWorkCase = LostWorkCase.TOTAL_COST,
-) -> OverheadPlan:
-    """Greedy overhead-aware maintenance planning.
-
-    Raises
-    ------
-    ValueError
-        On invalid deadline or rate, or a negative overhead value.
-    """
-    if deadline < 0:
-        raise ValueError("deadline must be >= 0")
-    if processing_rate <= 0:
-        raise ValueError("processing_rate must be > 0")
-
-    total_work = sum(q.total_cost for q in queries)
-    overheads: dict[str, float] = {}
-    for q in queries:
-        o = overhead(q)
-        if o < 0:
-            raise ValueError(f"negative overhead for {q.query_id!r}")
-        overheads[q.query_id] = o
-
-    # Only queries whose abort actually saves time are candidates.
-    def saving(q: QuerySnapshot) -> float:
-        return (q.remaining_cost - overheads[q.query_id]) / processing_rate
-
-    candidates = [q for q in queries if saving(q) > 0]
-
-    def ratio(q: QuerySnapshot) -> tuple[float, float, str]:
-        loss = case.loss_of(q)
-        return (loss / saving(q), -q.remaining_cost, q.query_id)
-
-    candidates.sort(key=ratio)
-
-    remaining_work = sum(q.remaining_cost for q in queries)
-    rollback = 0.0
-    lost = 0.0
-    aborts: list[str] = []
-
-    def drain() -> float:
-        return (remaining_work + rollback) / processing_rate
-
-    for q in candidates:
-        if drain() <= deadline + 1e-9:
-            break
-        aborts.append(q.query_id)
-        lost += case.loss_of(q)
-        remaining_work -= q.remaining_cost
-        rollback += overheads[q.query_id]
-
-    return OverheadPlan(
-        aborts=tuple(aborts),
-        projected_quiescent_time=drain(),
-        lost_work=lost,
-        total_work=total_work,
-        deadline=deadline,
-        rollback_work=rollback,
-        feasible=drain() <= deadline + 1e-9,
-    )
-
-
 def plan_ignoring_overhead(
     queries: Sequence[QuerySnapshot],
     deadline: float,
     processing_rate: float,
     overhead: OverheadFn,
     case: LostWorkCase = LostWorkCase.TOTAL_COST,
-) -> OverheadPlan:
+) -> MaintenancePlan:
     """The naive baseline: plan as if aborts were free, then pay anyway.
 
     Uses the Section 3.3 greedy (overhead-blind) to choose aborts, then
@@ -155,23 +68,15 @@ def plan_ignoring_overhead(
     plan did not account for.  Used by the ablation bench to quantify the
     value of overhead awareness.
     """
-    from repro.wm.maintenance import plan_maintenance
-
     blind = plan_maintenance(queries, deadline, processing_rate, case)
     by_id = {q.query_id: q for q in queries}
     rollback = sum(overhead(by_id[qid]) for qid in blind.aborts)
-    remaining = sum(
-        q.remaining_cost for q in queries if q.query_id not in set(blind.aborts)
-    )
-    drain = (remaining + rollback) / processing_rate
-    return OverheadPlan(
-        aborts=blind.aborts,
-        projected_quiescent_time=drain,
-        lost_work=blind.lost_work,
-        total_work=blind.total_work,
-        deadline=deadline,
+    aborted = set(blind.aborts)
+    remaining = sum(q.remaining_cost for q in queries if q.query_id not in aborted)
+    return replace(
+        blind,
+        projected_quiescent_time=(remaining + rollback) / processing_rate,
         rollback_work=rollback,
-        feasible=drain <= deadline + 1e-9,
     )
 
 
@@ -182,7 +87,7 @@ def exact_plan_with_overhead(
     overhead: OverheadFn,
     case: LostWorkCase = LostWorkCase.TOTAL_COST,
     enumeration_limit: int = 18,
-) -> OverheadPlan:
+) -> MaintenancePlan:
     """Exact overhead-aware optimum by subset enumeration (small n).
 
     Minimises lost work over all feasible abort sets; if no set is
@@ -205,7 +110,7 @@ def exact_plan_with_overhead(
 
     total_work = sum(q.total_cost for q in queries)
     total_remaining = sum(q.remaining_cost for q in queries)
-    best: OverheadPlan | None = None
+    best: MaintenancePlan | None = None
 
     ids = list(range(len(queries)))
     for r in range(len(queries) + 1):
@@ -215,26 +120,26 @@ def exact_plan_with_overhead(
             remaining = total_remaining - sum(q.remaining_cost for q in aborted)
             drain = (remaining + rollback) / processing_rate
             lost = sum(case.loss_of(q) for q in aborted)
-            feasible = drain <= deadline + 1e-9
-            plan = OverheadPlan(
+            plan = MaintenancePlan(
                 aborts=tuple(q.query_id for q in aborted),
                 projected_quiescent_time=drain,
                 lost_work=lost,
                 total_work=total_work,
                 deadline=deadline,
+                case=case,
                 rollback_work=rollback,
-                feasible=feasible,
             )
+            feasible = plan.meets_deadline
             if best is None:
                 best = plan
                 continue
-            if feasible and not best.feasible:
+            if feasible and not best.meets_deadline:
                 best = plan
-            elif feasible and best.feasible and lost < best.lost_work - 1e-12:
+            elif feasible and best.meets_deadline and lost < best.lost_work - 1e-12:
                 best = plan
             elif (
                 not feasible
-                and not best.feasible
+                and not best.meets_deadline
                 and (
                     drain < best.projected_quiescent_time - 1e-12
                     or (

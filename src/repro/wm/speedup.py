@@ -9,13 +9,16 @@ amount by which the target's remaining time shrinks:
   ``T_m = c_m / C`` -- blocking it saves exactly its remaining work;
 * for a victim that would finish **after** the target (``m > i``):
   ``T_m = w_m * sum_{j=1..i} t_j / W_j`` where ``t_j`` is the stage-``j``
-  duration and ``W_j`` the weight of the queries running in stage ``j`` --
-  maximised by the victim with the largest weight.
+  duration and ``W_j`` the weight of the queries running in stage ``j``.
+  Since ``t_j = (r_j - r_{j-1}) * W_j / C`` with ``r = c/w``, the sum
+  telescopes to the fair-share clock ``r_i / C``, so ``T_m = w_m * r_i / C``
+  -- maximised by the victim with the largest weight.
 
-The optimal single victim is the better of the two set-wise candidates, and
-benefits are additive across victims, so a greedy pass yields the optimal
-``h`` victims.  The equal-priority special case admits an ``O(n)`` shortcut
-(any later-finishing query; else the largest remaining cost).
+The optimal single victim is the better of the two set-wise candidates.
+No benefit depends on which other victims are blocked, so the greedy pass
+over ``h`` rounds is the top ``h`` benefits.  The equal-priority special
+case admits an ``O(n)`` shortcut (any later-finishing query; else the
+largest remaining cost).
 """
 
 from __future__ import annotations
@@ -41,24 +44,6 @@ class SpeedupChoice:
     predicted_remaining: float
 
 
-def _benefit_of(
-    ordered: Sequence[QuerySnapshot],
-    stage_durations: Sequence[float],
-    suffix_weights: Sequence[float],
-    target_idx: int,
-    victim_idx: int,
-    processing_rate: float,
-) -> float:
-    """Benefit ``T_m`` of blocking ``ordered[victim_idx]`` for the target."""
-    if victim_idx < target_idx:
-        return ordered[victim_idx].remaining_cost / processing_rate
-    # Victim outlives the target: shortening spread over stages 1..i.
-    w_m = ordered[victim_idx].weight
-    return w_m * sum(
-        stage_durations[j] / suffix_weights[j] for j in range(target_idx + 1)
-    )
-
-
 def choose_victim(
     queries: Sequence[QuerySnapshot],
     target_id: str,
@@ -82,96 +67,54 @@ def choose_victims(
     processing_rate: float,
     h: int = 1,
 ) -> SpeedupChoice:
-    """Greedily pick the optimal *h* victims to block for *target_id*.
+    """Pick the optimal *h* victims to block for *target_id*.
 
-    Benefits of blocking are additive (paper Section 3.1), so the greedy
-    procedure -- pick the best victim, remove it, repeat -- returns the
-    optimal ``h``-victim set.  Each round re-solves victim selection on the
-    reduced query set, exactly as the paper describes.
+    With ``r = c/w`` the stage durations telescope, ``sum_{j<=i} t_j / W_j
+    = r_i / C``, so every benefit is a closed form that does not depend on
+    which other victims are blocked: ``c_m / C`` for a victim ordered
+    before the target, ``w_m * r_i / C`` for one that outlives it.  The
+    paper's ``h`` greedy rounds therefore take the top ``h`` benefits.
+    Ties follow the three steps: an outliving victim (Step 1) beats an
+    earlier finisher (Step 2) of equal benefit, then the larger weight
+    (Step 1) or cost (Step 2), then the larger id.
     """
     if processing_rate <= 0:
         raise ValueError("processing_rate must be > 0")
     if h < 1:
         raise ValueError("h must be >= 1")
-    ids = [q.query_id for q in queries]
-    if target_id not in ids:
+    target = next((q for q in queries if q.query_id == target_id), None)
+    if target is None:
         raise ValueError(f"target {target_id!r} not among the queries")
     if len(queries) - 1 < h:
         raise ValueError(f"cannot block h={h} victims out of {len(queries) - 1} others")
 
+    target_key = (target.remaining_cost / target.weight, target_id)
+    clock = target_key[0] / processing_rate
+
+    def rank(q: QuerySnapshot) -> tuple[float, bool, float, str]:
+        if (q.remaining_cost / q.weight, q.query_id) < target_key:
+            return (q.remaining_cost / processing_rate, False,
+                    q.remaining_cost, q.query_id)
+        return (q.weight * clock, True, q.weight, q.query_id)
+
+    ranked = sorted(
+        (rank(q) for q in queries if q.query_id != target_id), reverse=True
+    )[:h]
+    victims = tuple(key[3] for key in ranked)
     baseline = standard_case(
         queries, processing_rate, include_stages=False
     ).remaining_times[target_id]
-
-    remaining = list(queries)
-    victims: list[str] = []
-    total_benefit = 0.0
-    for _ in range(h):
-        victim_id, benefit = _best_single_victim(remaining, target_id, processing_rate)
-        victims.append(victim_id)
-        total_benefit += benefit
-        remaining = [q for q in remaining if q.query_id != victim_id]
-
     survivors = [q for q in queries if q.query_id not in victims]
     predicted = standard_case(
         survivors, processing_rate, include_stages=False
     ).remaining_times[target_id]
     return SpeedupChoice(
         target=target_id,
-        victims=tuple(victims),
-        benefit=total_benefit,
+        victims=victims,
+        benefit=sum(key[0] for key in ranked),
         baseline_remaining=baseline,
         predicted_remaining=predicted,
     )
-
-
-def _best_single_victim(
-    queries: Sequence[QuerySnapshot], target_id: str, processing_rate: float
-) -> tuple[str, float]:
-    """One round of the three-step victim choice; returns (victim, benefit)."""
-    ordered = sorted(
-        queries, key=lambda q: (q.remaining_cost / q.weight, q.query_id)
-    )
-    target_idx = next(
-        k for k, q in enumerate(ordered) if q.query_id == target_id
-    )
-
-    n = len(ordered)
-    # Suffix weight sums W_j and stage durations t_j of the standard case.
-    suffix = [0.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + ordered[k].weight
-    durations = []
-    prev_ratio = 0.0
-    for k, q in enumerate(ordered):
-        ratio = q.remaining_cost / q.weight
-        durations.append((ratio - prev_ratio) * suffix[k] / processing_rate)
-        prev_ratio = ratio
-
-    best_id: str | None = None
-    best_benefit = -1.0
-
-    # Step 1 -- candidates that outlive the target (set S2): max weight wins.
-    later = [k for k in range(target_idx + 1, n)]
-    if later:
-        k2 = max(later, key=lambda k: (ordered[k].weight, ordered[k].query_id))
-        b2 = _benefit_of(ordered, durations, suffix, target_idx, k2, processing_rate)
-        best_id, best_benefit = ordered[k2].query_id, b2
-
-    # Step 2 -- candidates that finish before the target (set S1): max cost.
-    earlier = [k for k in range(target_idx)]
-    if earlier:
-        k1 = max(
-            earlier, key=lambda k: (ordered[k].remaining_cost, ordered[k].query_id)
-        )
-        b1 = _benefit_of(ordered, durations, suffix, target_idx, k1, processing_rate)
-        if b1 > best_benefit:
-            best_id, best_benefit = ordered[k1].query_id, b1
-
-    # Step 3 -- the better of the two.
-    if best_id is None:
-        raise ValueError("no candidate victim exists")
-    return best_id, best_benefit
 
 
 def choose_victim_equal_priority(

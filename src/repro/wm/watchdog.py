@@ -10,13 +10,13 @@ The resilience half is the fallback: under corrupted statistics the PI
 (correctly) refuses to estimate -- :mod:`repro.core.validation` makes it
 raise on NaN/inf inputs -- or produces a non-finite number.  The watchdog
 must keep functioning anyway, and it degrades *per query*, not per tick:
-when the PI refuses a snapshot, the watchdog substitutes each corrupt
-query's last finite remaining-cost observation (carried back from an
-earlier tick) and re-estimates, so queries with healthy statistics keep
-their predictive enforcement.  Only queries that never reported a finite
-cost are dropped from the estimate; those (and only those) fall to the
-*observed-work heuristic* -- offender once the time observably consumed
-exceeds the budget.  Cruder (it can only react, not predict), but it
+before each estimate, the watchdog substitutes each corrupt query's last
+finite remaining-cost observation (carried back from an earlier tick,
+:func:`~repro.core.validation.carry_back`), so queries with healthy
+statistics keep their predictive enforcement.  Only queries that never
+reported a finite cost are dropped from the estimate; those (and only
+those) fall to the *observed-work heuristic* -- offender once the time
+observably consumed exceeds the budget.  Cruder (it can only react, not predict), but it
 needs nothing beyond the simulator clock.  Actions justified by a
 carried-back or absent estimate are flagged ``used_fallback`` so every
 degraded decision is auditable.
@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.core.multi_query import MultiQueryProgressIndicator
+from repro.core.validation import carry_back
 from repro.sim.rdbms import SimulatedRDBMS
 
 
@@ -153,58 +154,33 @@ class RunawayQueryWatchdog:
     def _estimates(self) -> tuple[dict[str, float] | None, frozenset[str]]:
         """PI estimates plus the ids whose inputs had to be carried back.
 
-        Returns ``(remaining_times, degraded_ids)``.  When some queries'
-        snapshots are corrupt (non-finite remaining cost), the estimator
-        is re-run on a *sanitized* snapshot: corrupt queries get their
-        last finite observation substituted; queries with no finite
-        history are dropped (they individually fall back to observed
-        work).  Healthy queries keep real predictive estimates either
-        way.  ``(None, ...)`` -- the whole-tick fallback -- only remains
-        for snapshots the PI rejects even after sanitizing.
+        Returns ``(remaining_times, degraded_ids)``.  The estimator runs
+        once, on the snapshot after
+        :func:`~repro.core.validation.carry_back`: corrupt queries
+        (non-finite remaining cost) get their last finite observation
+        substituted; queries with no finite history are dropped (they
+        individually fall back to observed work).  Healthy queries keep
+        real predictive estimates either way.  ``(None, ...)`` -- the
+        whole-tick fallback -- only remains for snapshots the PI rejects
+        even after carry-back.
         """
         snapshot = self._rdbms.snapshot()
-        live = snapshot.running + snapshot.queued
-        # Refresh the carry-back memory (and drop departed queries).
-        self._last_finite = {
-            s.query_id: (
-                s.remaining_cost
-                if math.isfinite(s.remaining_cost)
-                else self._last_finite.get(s.query_id)
-            )
-            for s in live
-            if math.isfinite(s.remaining_cost)
-            or s.query_id in self._last_finite
-        }
+        kept, carried = carry_back(
+            snapshot.running + snapshot.queued, self._last_finite
+        )
+        running_ids = {s.query_id for s in snapshot.running}
+        snapshot = replace(
+            snapshot,
+            running=tuple(s for s in kept if s.query_id in running_ids),
+            queued=tuple(s for s in kept if s.query_id not in running_ids),
+        )
         try:
-            return self._pi.estimate(snapshot).remaining_seconds, frozenset()
-        except ValueError:
-            # Corrupted inputs: the estimator refused loudly, as designed.
-            pass
-        degraded = {
-            s.query_id for s in live if not math.isfinite(s.remaining_cost)
-        }
-        sanitized = snapshot
-        for name in ("running", "queued"):
-            kept = []
-            for snap in getattr(snapshot, name):
-                if math.isfinite(snap.remaining_cost):
-                    kept.append(snap)
-                elif snap.query_id in self._last_finite:
-                    kept.append(
-                        replace(
-                            snap,
-                            remaining_cost=self._last_finite[snap.query_id],
-                        )
-                    )
-                # else: never seen finite -- excluded from the estimate.
-            sanitized = replace(sanitized, **{name: tuple(kept)})
-        try:
-            estimate = self._pi.estimate(sanitized)
+            estimate = self._pi.estimate(snapshot)
         except ValueError:
             # Still unusable (e.g. corrupt completed-work counters too):
             # the whole tick falls back to observed work.
-            return None, frozenset(degraded)
-        return estimate.remaining_seconds, frozenset(degraded)
+            return None, frozenset(carried)
+        return estimate.remaining_seconds, frozenset(carried)
 
     def _on_tick(self, rdbms: SimulatedRDBMS) -> None:
         estimates, degraded = self._estimates()

@@ -11,6 +11,7 @@ from repro.core.projection import project
 from repro.core.single_query import SingleQueryProgressIndicator, SpeedMonitor
 from repro.core.standard_case import standard_case
 from repro.core.validation import (
+    carry_back,
     finite_snapshots,
     validate_finite,
     validate_snapshots,
@@ -109,6 +110,58 @@ class TestValidateSnapshots:
         good = QuerySnapshot("good", 10.0)
         kept = finite_snapshots([good, QuerySnapshot("bad", NAN)])
         assert list(kept) == [good]
+
+
+class TestCarryBack:
+    def test_finite_costs_are_recorded_and_kept_as_is(self):
+        memory = {}
+        snaps = (QuerySnapshot("a", 5.0), QuerySnapshot("b", 7.0))
+        kept, carried = carry_back(snaps, memory)
+        assert kept == snaps and kept[0] is snaps[0]
+        assert carried == ()
+        assert memory == {"a": 5.0, "b": 7.0}
+
+    def test_non_finite_cost_takes_the_last_finite_one(self):
+        memory = {"a": 5.0, "b": 7.0}
+        kept, carried = carry_back(
+            (QuerySnapshot("a", NAN, completed_work=3.0), QuerySnapshot("b", 6.0)),
+            memory,
+        )
+        assert kept == (
+            QuerySnapshot("a", 5.0, completed_work=3.0),
+            QuerySnapshot("b", 6.0),
+        )
+        assert carried == ("a",)
+        assert memory == {"a": 5.0, "b": 6.0}
+
+    def test_departed_ids_are_forgotten(self):
+        memory = {"gone": 4.0, "a": 1.0}
+        carry_back((QuerySnapshot("a", 2.0),), memory)
+        assert memory == {"a": 2.0}
+        # A query that returns later with a corrupt cost has no history.
+        kept, carried = carry_back((QuerySnapshot("gone", INF),), memory)
+        assert kept == () and carried == ()
+
+    def test_never_finite_ids_are_dropped(self):
+        memory = {}
+        kept, carried = carry_back(
+            (QuerySnapshot("a", INF), QuerySnapshot("b", 1.0)), memory
+        )
+        assert [s.query_id for s in kept] == ["b"]
+        assert carried == ()
+        assert memory == {"b": 1.0}
+
+    def test_input_order_is_kept(self):
+        memory = {"c": 3.0, "a": 1.0}
+        snaps = (
+            QuerySnapshot("c", NAN),
+            QuerySnapshot("z", NAN),
+            QuerySnapshot("b", 2.0),
+            QuerySnapshot("a", INF),
+        )
+        kept, carried = carry_back(snaps, memory)
+        assert [s.query_id for s in kept] == ["c", "b", "a"]
+        assert carried == ("c", "a")
 
 
 class TestEstimatorsRejectCorruptInputs:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.model import QuerySnapshot
 from repro.wm.maintenance import (
     LostWorkCase,
-    largest_remaining_first_plan,
     plan_maintenance,
     quiescent_time,
 )
@@ -123,31 +122,3 @@ class TestGreedyPlan:
         plan = plan_maintenance(snaps, quiescent_time(snaps, 1.0) + 1.0, 1.0)
         assert plan.aborts == ()
 
-
-class TestLargestRemainingFirst:
-    def test_abort_order_is_largest_first(self):
-        queries = [q("small", 5), q("big", 50), q("mid", 20)]
-        plan = largest_remaining_first_plan(queries, 10.0, 1.0)
-        assert plan.aborts[0] == "big"
-        assert plan.meets_deadline
-
-    def test_loses_more_than_greedy_when_big_query_is_cheap(self):
-        # The big query has barely started (cheap to kill under Case 1)...
-        # but under Case 2 killing it costs its whole cost; greedy can do
-        # better by killing two smaller, barely-started queries.
-        queries = [
-            q("big", 60, done=1),
-            q("m1", 25, done=1),
-            q("m2", 25, done=1),
-        ]
-        greedy = plan_maintenance(queries, 60.0, 1.0, LostWorkCase.TOTAL_COST)
-        naive = largest_remaining_first_plan(
-            queries, 60.0, 1.0, LostWorkCase.TOTAL_COST
-        )
-        assert greedy.lost_work <= naive.lost_work
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            largest_remaining_first_plan([], -1.0, 1.0)
-        with pytest.raises(ValueError):
-            largest_remaining_first_plan([], 1.0, 0.0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.model import QuerySnapshot
 from repro.core.standard_case import standard_case
-from repro.wm.multi_speedup import choose_victim_for_all, improvement_of_blocking
+from repro.wm.multi_speedup import choose_victim_for_all
 
 
 def q(qid, cost, weight=1.0):
@@ -57,12 +57,6 @@ class TestChooseVictimForAll:
         queries = [q("a", 10), q("b", 20), q("c", 30)]
         choice = choose_victim_for_all(queries, 1.0)
         assert set(choice.all_improvements) == {"a", "b", "c"}
-
-    def test_improvement_of_blocking_lookup(self):
-        queries = [q("a", 10), q("b", 20)]
-        assert improvement_of_blocking(queries, "a", 1.0) >= 0
-        with pytest.raises(ValueError):
-            improvement_of_blocking(queries, "zzz", 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from repro.core.model import QuerySnapshot
 from repro.sim.jobs import SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS
-from repro.wm.maintenance import LostWorkCase
+from repro.wm.maintenance import plan_maintenance
 from repro.wm.overhead import (
     constant_overhead,
     exact_plan_with_overhead,
     plan_ignoring_overhead,
-    plan_with_overhead,
     proportional_overhead,
 )
 
@@ -37,15 +36,12 @@ class TestOverheadFns:
 
 class TestGreedyWithOverhead:
     def test_zero_overhead_matches_base_greedy(self):
-        from repro.wm.maintenance import plan_maintenance
-
         queries = [q("a", 30, 5), q("b", 20, 40), q("c", 50, 1)]
         base = plan_maintenance(queries, 40.0, 1.0)
-        ext = plan_with_overhead(queries, 40.0, 1.0, constant_overhead(0.0))
-        assert ext.aborts == base.aborts
-        assert ext.projected_quiescent_time == pytest.approx(
-            base.projected_quiescent_time
+        ext = plan_maintenance(
+            queries, 40.0, 1.0, overhead=constant_overhead(0.0)
         )
+        assert ext == base
 
     def test_useless_aborts_skipped(self):
         """A query whose rollback costs as much as finishing it is never
@@ -55,16 +51,14 @@ class TestGreedyWithOverhead:
         def overhead(query):
             return 60.0 if query.query_id == "expensive_kill" else 0.0
 
-        plan = plan_with_overhead(queries, 50.0, 1.0, overhead)
+        plan = plan_maintenance(queries, 50.0, 1.0, overhead=overhead)
         assert "expensive_kill" not in plan.aborts
         assert plan.aborts == ("cheap_kill",)
-        assert plan.feasible
+        assert plan.meets_deadline
 
     def test_rollback_counts_toward_drain(self):
         queries = [q("a", 100, 0), q("b", 10, 0)]
-        plan = plan_with_overhead(
-            queries, 40.0, 1.0, constant_overhead(20.0)
-        )
+        plan = plan_maintenance(queries, 40.0, 1.0, overhead=constant_overhead(20.0))
         # Aborting a leaves b (10) + rollback (20) = 30 <= 40.
         assert plan.aborts == ("a",)
         assert plan.projected_quiescent_time == pytest.approx(30.0)
@@ -72,17 +66,17 @@ class TestGreedyWithOverhead:
 
     def test_infeasible_deadline_reported(self):
         queries = [q("a", 100, 0)]
-        plan = plan_with_overhead(queries, 10.0, 1.0, constant_overhead(50.0))
+        plan = plan_maintenance(queries, 10.0, 1.0, overhead=constant_overhead(50.0))
         # Aborting costs 50 > deadline; keeping costs 100: infeasible.
-        assert not plan.feasible
+        assert not plan.meets_deadline
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            plan_with_overhead([], -1.0, 1.0, constant_overhead(0))
+            plan_maintenance([], -1.0, 1.0, overhead=constant_overhead(0))
         with pytest.raises(ValueError):
-            plan_with_overhead([], 1.0, 0.0, constant_overhead(0))
+            plan_maintenance([], 1.0, 0.0, overhead=constant_overhead(0))
         with pytest.raises(ValueError):
-            plan_with_overhead([q("a", 1)], 1.0, 1.0, lambda _: -1.0)
+            plan_maintenance([q("a", 1)], 1.0, 1.0, overhead=lambda _: -1.0)
 
     @given(
         items=st.lists(
@@ -102,10 +96,10 @@ class TestGreedyWithOverhead:
         overheads = {f"q{i}": o for i, (_, _, o) in enumerate(items)}
         fn = lambda query: overheads[query.query_id]
         deadline = frac * sum(c for c, _, _ in items)
-        greedy = plan_with_overhead(queries, deadline, 1.0, fn)
+        greedy = plan_maintenance(queries, deadline, 1.0, overhead=fn)
         exact = exact_plan_with_overhead(queries, deadline, 1.0, fn)
-        if greedy.feasible:
-            assert exact.feasible
+        if greedy.meets_deadline:
+            assert exact.meets_deadline
             assert exact.lost_work <= greedy.lost_work + 1e-6
 
     @given(
@@ -125,10 +119,10 @@ class TestGreedyWithOverhead:
         queries = [q(f"q{i}", c, d) for i, (c, d) in enumerate(items)]
         fn = proportional_overhead(fraction)
         deadline = frac * sum(c for c, _ in items)
-        aware = plan_with_overhead(queries, deadline, 1.0, fn)
+        aware = plan_maintenance(queries, deadline, 1.0, overhead=fn)
         blind = plan_ignoring_overhead(queries, deadline, 1.0, fn)
-        if blind.feasible:
-            assert aware.feasible
+        if blind.meets_deadline:
+            assert aware.meets_deadline
 
 
 class TestSimulatorRollback:
