@@ -54,7 +54,6 @@ from repro.dist.node import ShardNode
 from repro.dist.partition import Partitioner
 from repro.engine.catalog import Table
 from repro.engine.database import Database
-from repro.engine.expr import expr_contains_subquery
 from repro.engine.sql import ast, parse_statement
 from repro.faults.retry import RetryPolicy
 from repro.obs.runtime import Observability, resolve
@@ -100,20 +99,20 @@ def referenced_tables(statement) -> set[str]:
             for branch in stmt.branches:
                 walk_stmt(branch)
             for item in stmt.order_by:
-                walk_expr(item.expr)
+                walk_subqueries(item.expr)
             return
         for item in stmt.from_items:
             walk_from(item)
         for sel in stmt.items:
-            walk_expr(sel.expr)
+            walk_subqueries(sel.expr)
         if stmt.where is not None:
-            walk_expr(stmt.where)
+            walk_subqueries(stmt.where)
         for expr in stmt.group_by:
-            walk_expr(expr)
+            walk_subqueries(expr)
         if stmt.having is not None:
-            walk_expr(stmt.having)
+            walk_subqueries(stmt.having)
         for item in stmt.order_by:
-            walk_expr(item.expr)
+            walk_subqueries(item.expr)
 
     def walk_from(item) -> None:
         if isinstance(item, ast.TableRef):
@@ -124,40 +123,13 @@ def referenced_tables(statement) -> set[str]:
             walk_from(item.left)
             walk_from(item.right)
             if item.condition is not None:
-                walk_expr(item.condition)
+                walk_subqueries(item.condition)
 
-    def walk_expr(expr) -> None:
-        if isinstance(expr, (ast.ScalarSubquery, ast.ExistsSubquery)):
+    def walk_subqueries(expr) -> None:
+        if isinstance(expr, ast.SUBQUERY_NODES):
             walk_stmt(expr.select)
-        elif isinstance(expr, ast.InSubquery):
-            walk_expr(expr.operand)
-            walk_stmt(expr.select)
-        elif isinstance(expr, ast.BinaryOp):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.UnaryOp):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.FunctionCall):
-            for arg in expr.args:
-                walk_expr(arg)
-        elif isinstance(expr, ast.IsNull):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.InList):
-            walk_expr(expr.operand)
-            for item in expr.items:
-                walk_expr(item)
-        elif isinstance(expr, ast.Between):
-            walk_expr(expr.operand)
-            walk_expr(expr.low)
-            walk_expr(expr.high)
-        elif isinstance(expr, ast.Like):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.Case):
-            for cond, value in expr.whens:
-                walk_expr(cond)
-                walk_expr(value)
-            if expr.else_ is not None:
-                walk_expr(expr.else_)
+        for child in ast.children(expr):
+            walk_subqueries(child)
 
     walk_stmt(statement)
     return names
@@ -481,7 +453,7 @@ class ShardedCluster:
         exprs = [item.expr for item in statement.items]
         if statement.where is not None:
             exprs.append(statement.where)
-        if any(expr_contains_subquery(e) for e in exprs):
+        if any(ast.contains_subquery(e) for e in exprs):
             return None
         if any(ast.contains_aggregate(e) for e in exprs):
             return None

@@ -53,7 +53,6 @@ from typing import Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import EngineError
-from repro.engine.expr import expr_contains_subquery
 from repro.engine.sql import ast
 from repro.engine.types import SqlType
 
@@ -61,8 +60,6 @@ from repro.engine.types import SqlType
 #: the lexer cannot produce that character, so they can never collide
 #: with (or capture) user references.  Mirrors the planner's ``#agg``.
 DERIVED_ALIAS_PREFIX = "#dc"
-
-_SUBQUERY_NODES = (ast.ScalarSubquery, ast.ExistsSubquery, ast.InSubquery)
 
 #: Comparison type families: hash-join key equality and ``compare_values``
 #: agree within a family and are rejected across families.
@@ -199,7 +196,7 @@ class _SelectRewriter:
             node = ast.ExistsSubquery(
                 select=node.operand.select, negated=not node.operand.negated
             )
-        if not isinstance(node, _SUBQUERY_NODES):
+        if not isinstance(node, ast.SUBQUERY_NODES):
             return None
         if node not in self._cache:
             if isinstance(node, ast.ScalarSubquery):
@@ -225,7 +222,7 @@ class _SelectRewriter:
             return None
         scope, join_conds = info
         for cond in join_conds:
-            if expr_contains_subquery(cond) or not _all_inner(cond, scope):
+            if ast.contains_subquery(cond) or not _all_inner(cond, scope):
                 return None
         inner_conjuncts: list[ast.Expr] = []
         keys: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
@@ -242,7 +239,7 @@ class _SelectRewriter:
 
     def _classify(self, conj: ast.Expr, inner: _Scope):
         """One inner conjunct -> ``("inner", None)`` / ``("key", pair)`` / None."""
-        if expr_contains_subquery(conj):
+        if ast.contains_subquery(conj):
             return None
         has_outer = False
         for ref in ast.collect_column_refs(conj):
@@ -319,7 +316,7 @@ class _SelectRewriter:
         ):
             return None
         expr0 = sub.items[0].expr
-        if isinstance(expr0, ast.Star) or expr_contains_subquery(expr0):
+        if isinstance(expr0, ast.Star) or ast.contains_subquery(expr0):
             return None
         if not ast.contains_aggregate(expr0):
             return None
@@ -574,7 +571,7 @@ def _select_has_subquery(select: ast.Select) -> bool:
         exprs.append(select.having)
     exprs.extend(select.group_by)
     exprs.extend(o.expr for o in select.order_by)
-    return any(expr_contains_subquery(e) for e in exprs)
+    return any(ast.contains_subquery(e) for e in exprs)
 
 
 def _outer_is_aggregated(select: ast.Select) -> bool:

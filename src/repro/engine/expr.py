@@ -177,43 +177,6 @@ def _subset(rows, idxs: list):
     return [rows[i] for i in idxs]
 
 
-_SUBQUERY_NODES = (ast.ScalarSubquery, ast.ExistsSubquery, ast.InSubquery)
-
-
-def expr_contains_subquery(expr: ast.Expr) -> bool:
-    """Whether *expr* nests a subquery anywhere."""
-    if isinstance(expr, _SUBQUERY_NODES):
-        return True
-    if isinstance(expr, ast.BinaryOp):
-        return expr_contains_subquery(expr.left) or expr_contains_subquery(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return expr_contains_subquery(expr.operand)
-    if isinstance(expr, ast.FunctionCall):
-        return any(expr_contains_subquery(a) for a in expr.args)
-    if isinstance(expr, ast.IsNull):
-        return expr_contains_subquery(expr.operand)
-    if isinstance(expr, ast.InList):
-        return expr_contains_subquery(expr.operand) or any(
-            expr_contains_subquery(item) for item in expr.items
-        )
-    if isinstance(expr, ast.Between):
-        return any(
-            expr_contains_subquery(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, ast.Like):
-        return expr_contains_subquery(expr.operand) or expr_contains_subquery(
-            expr.pattern
-        )
-    if isinstance(expr, ast.Case):
-        if any(
-            expr_contains_subquery(c) or expr_contains_subquery(v)
-            for c, v in expr.whens
-        ):
-            return True
-        return expr.else_ is not None and expr_contains_subquery(expr.else_)
-    return False
-
-
 class BindContext:
     """Name-resolution scope for binding expressions.
 
@@ -526,7 +489,7 @@ def bind_expr(expr: ast.Expr, ctx: BindContext) -> BoundExpr:
 
         return _case
 
-    if isinstance(expr, _SUBQUERY_NODES):
+    if isinstance(expr, ast.SUBQUERY_NODES):
         return _bind_subquery(expr, ctx)
 
     if isinstance(expr, ast.Star):

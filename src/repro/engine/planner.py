@@ -40,7 +40,6 @@ from repro.engine.expr import (
     Env,
     Layout,
     bind_expr,
-    expr_contains_subquery,
     slot_expr,
 )
 from repro.engine.operators.agg import AggSpec, HashAggregate
@@ -150,7 +149,7 @@ class Planner:
             return runner
 
         # ---- FROM --------------------------------------------------------
-        where_conjuncts = _split_conjuncts(select.where)
+        where_conjuncts = ast.split_conjuncts(select.where)
         plan, from_ctx, consumed = self._plan_from(
             select.from_items, where_conjuncts, account, outer_ctx,
             compile_subquery,
@@ -175,15 +174,17 @@ class Planner:
             plan, post_ctx = self._plan_aggregate(
                 plan, select, select_items, from_ctx, subqueries
             )
+            # Aggregate calls and computed group keys become output refs.
+            rewrite = self._agg_rewrites.get
             select_items = tuple(
                 ast.SelectItem(
-                    expr=_rewrite_for_agg(item.expr, self._agg_rewrites),
+                    expr=ast.transform_expr(item.expr, rewrite),
                     alias=item.alias,
                 )
                 for item in select_items
             )
             having = (
-                _rewrite_for_agg(select.having, self._agg_rewrites)
+                ast.transform_expr(select.having, rewrite)
                 if select.having is not None
                 else None
             )
@@ -201,7 +202,7 @@ class Planner:
         if needs_agg:
             order_items = tuple(
                 ast.OrderItem(
-                    expr=_rewrite_for_agg(o.expr, self._agg_rewrites),
+                    expr=ast.transform_expr(o.expr, self._agg_rewrites.get),
                     descending=o.descending,
                 )
                 for o in order_items
@@ -452,7 +453,7 @@ class Planner:
         # Find pushable conjuncts: subquery-free, local columns only.
         pushable: list[tuple[int, ast.Expr]] = []
         for i, conj in enumerate(conjuncts):
-            if expr_contains_subquery(conj):
+            if ast.contains_subquery(conj):
                 continue
             refs = ast.collect_column_refs(conj)
             local = [r for r in refs if layout.try_resolve(r.name, r.qualifier) is not None]
@@ -763,11 +764,11 @@ class Planner:
         candidates: list[ast.Expr] = []
         residual: list[ast.Expr] = []
         if join_cond is not None:
-            for part in _split_conjuncts(join_cond):
+            for part in ast.split_conjuncts(join_cond):
                 candidates.append(part)
         if join_kind != "LEFT":
             for i, conj in enumerate(conjuncts):
-                if i in consumed or expr_contains_subquery(conj):
+                if i in consumed or ast.contains_subquery(conj):
                     continue
                 refs = ast.collect_column_refs(conj)
                 if not refs:
@@ -808,7 +809,7 @@ class Planner:
             residual_bound = None
             if left_outer and residual:
                 # ON-clause residuals decide matching *inside* an outer join.
-                residual_bound = bind_expr(_conjoin(residual), merged_ctx)
+                residual_bound = bind_expr(ast.conjoin(residual), merged_ctx)
                 residual = []
             plan: Operator = HashJoin(
                 left,
@@ -834,7 +835,7 @@ class Planner:
             inner.est_cost, inner.est_rows = mat_est.cost, mat_est.rows
             condition = None
             if residual:
-                condition = bind_expr(_conjoin(residual), merged_ctx)
+                condition = bind_expr(ast.conjoin(residual), merged_ctx)
             plan = NestedLoopJoin(
                 left,
                 inner,
@@ -915,11 +916,11 @@ class Planner:
         """Build the HashAggregate; sets ``self._agg_rewrites``."""
         agg_calls: list[ast.FunctionCall] = []
         for item in select_items:
-            _collect_aggregates(item.expr, agg_calls)
+            ast.collect_aggregates(item.expr, agg_calls)
         if select.having is not None:
-            _collect_aggregates(select.having, agg_calls)
+            ast.collect_aggregates(select.having, agg_calls)
         for o in select.order_by:
-            _collect_aggregates(o.expr, agg_calls)
+            ast.collect_aggregates(o.expr, agg_calls)
 
         group_exprs = list(select.group_by)
         rewrites: dict[ast.Expr, ast.ColumnRef] = {}
@@ -1009,15 +1010,6 @@ class Planner:
 # ---------------------------------------------------------------------------
 
 
-def _split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
-    """Break a WHERE clause into top-level AND conjuncts."""
-    return ast.split_conjuncts(expr)
-
-
-def _conjoin(conjuncts: Sequence[ast.Expr]) -> ast.Expr:
-    return ast.conjoin(conjuncts)
-
-
 def _flatten_from_item(item) -> list[tuple[object, Optional[ast.Expr], str]]:
     """Left-deep flattening of a FROM item into (table, on-cond, kind)."""
     if isinstance(item, (ast.TableRef, ast.DerivedTable)):
@@ -1068,27 +1060,6 @@ def _match_equi_join(
     if side_a == "right" and side_b == "left":
         return (b, a)
     return None
-
-
-def _collect_aggregates(expr: ast.Expr, out: list[ast.FunctionCall]) -> None:
-    """Collect top-level aggregate calls (deduplicated by AST equality)."""
-    ast.collect_aggregates(expr, out)
-
-
-def _rewrite_for_agg(
-    expr: ast.Expr, rewrites: dict[ast.Expr, ast.ColumnRef]
-) -> ast.Expr:
-    """Replace aggregate calls / computed group keys with output refs."""
-
-    def visit(e: ast.Expr) -> Optional[ast.Expr]:
-        if e in rewrites:
-            return rewrites[e]
-        # Subquery operands never reference aggregate output slots.
-        if isinstance(e, ast.InSubquery):
-            return e
-        return None
-
-    return ast.transform_expr(expr, visit)
 
 
 def _expand_stars(

@@ -7,7 +7,7 @@ planner consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ class Between(Expr):
 
 @dataclass(frozen=True)
 class Like(Expr):
-    """``x [NOT] LIKE pattern`` (pattern must be a literal)."""
+    """``x [NOT] LIKE pattern``; the pattern is any expression, per row."""
 
     operand: Expr
     pattern: Expr
@@ -147,80 +147,79 @@ class InSubquery(Expr):
 #: Aggregate function names recognised by the planner.
 AGGREGATE_FUNCTIONS = frozenset({"SUM", "COUNT", "AVG", "MIN", "MAX"})
 
+#: The expression nodes that carry a SELECT of their own.
+SUBQUERY_NODES = (ScalarSubquery, ExistsSubquery, InSubquery)
+
+#: Per node type, the fields holding child expressions in the node's own
+#: scope: an expression, ``None``, or a tuple of expressions or of
+#: expression pairs.  Subquery bodies are opaque -- of the subquery nodes
+#: only ``InSubquery``'s operand belongs to the enclosing scope.  Every
+#: walker below reads this table, so a new node type is one entry here.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    FunctionCall: ("args",),
+    IsNull: ("operand",),
+    InList: ("operand", "items"),
+    Between: ("operand", "low", "high"),
+    Like: ("operand", "pattern"),
+    Case: ("whens", "else_"),
+    InSubquery: ("operand",),
+}
+
+
+def _flatten(value, out: list) -> None:
+    if isinstance(value, Expr):
+        out.append(value)
+    elif value is not None:
+        for v in value:
+            _flatten(v, out)
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The child expressions of *expr* in its own scope, in field order."""
+    fields = CHILD_FIELDS.get(type(expr))
+    if fields is None:
+        return ()
+    out: list[Expr] = []
+    for name in fields:
+        _flatten(getattr(expr, name), out)
+    return tuple(out)
+
+
+def _is_aggregate(expr: Expr) -> bool:
+    return (
+        isinstance(expr, FunctionCall)
+        and expr.name.upper() in AGGREGATE_FUNCTIONS
+    )
+
 
 def contains_aggregate(expr: Expr) -> bool:
     """Whether *expr* contains an aggregate function call (at this level --
     subquery internals do not count)."""
-    if isinstance(expr, FunctionCall):
-        if expr.name.upper() in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, Between):
-        return any(
-            contains_aggregate(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, Like):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Case):
-        parts = [e for pair in expr.whens for e in pair]
-        if expr.else_ is not None:
-            parts.append(expr.else_)
-        return any(contains_aggregate(p) for p in parts)
-    return False
+    return _is_aggregate(expr) or any(
+        contains_aggregate(c) for c in children(expr)
+    )
 
 
-def collect_column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references in *expr*, not descending into subqueries.
+def contains_subquery(expr: Expr) -> bool:
+    """Whether *expr* contains a subquery node anywhere in its own scope."""
+    return isinstance(expr, SUBQUERY_NODES) or any(
+        contains_subquery(c) for c in children(expr)
+    )
 
-    Of the subquery forms only ``InSubquery``'s operand belongs to the
-    enclosing scope, so only it is walked.
-    """
-    out: list[ColumnRef] = []
 
-    def walk(e: Expr) -> None:
-        if isinstance(e, ColumnRef):
-            out.append(e)
-        elif isinstance(e, BinaryOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, FunctionCall):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, IsNull):
-            walk(e.operand)
-        elif isinstance(e, InList):
-            walk(e.operand)
-            for i in e.items:
-                walk(i)
-        elif isinstance(e, Between):
-            walk(e.operand)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, Like):
-            walk(e.operand)
-            walk(e.pattern)
-        elif isinstance(e, Case):
-            for c, v in e.whens:
-                walk(c)
-                walk(v)
-            if e.else_ is not None:
-                walk(e.else_)
-        elif isinstance(e, InSubquery):
-            walk(e.operand)
-
-    walk(expr)
+def collect_column_refs(
+    expr: Expr, out: Optional[list[ColumnRef]] = None
+) -> list[ColumnRef]:
+    """All column references in *expr*, not descending into subqueries."""
+    if out is None:
+        out = []
+    if isinstance(expr, ColumnRef):
+        out.append(expr)
+    else:
+        for c in children(expr):
+            collect_column_refs(c, out)
     return out
 
 
@@ -234,35 +233,12 @@ def collect_aggregates(
     """
     if out is None:
         out = []
-    if isinstance(expr, FunctionCall):
-        if expr.name.upper() in AGGREGATE_FUNCTIONS:
-            if expr not in out:
-                out.append(expr)
-            return out
-        for a in expr.args:
-            collect_aggregates(a, out)
-    elif isinstance(expr, BinaryOp):
-        collect_aggregates(expr.left, out)
-        collect_aggregates(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, IsNull):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, InList):
-        collect_aggregates(expr.operand, out)
-        for i in expr.items:
-            collect_aggregates(i, out)
-    elif isinstance(expr, Between):
-        for e in (expr.operand, expr.low, expr.high):
-            collect_aggregates(e, out)
-    elif isinstance(expr, Like):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, Case):
-        for c, v in expr.whens:
+    if _is_aggregate(expr):
+        if expr not in out:
+            out.append(expr)
+    else:
+        for c in children(expr):
             collect_aggregates(c, out)
-            collect_aggregates(v, out)
-        if expr.else_ is not None:
-            collect_aggregates(expr.else_, out)
     return out
 
 
@@ -270,48 +246,31 @@ def transform_expr(expr: Expr, visit) -> Expr:
     """Top-down structural rewrite of an expression tree.
 
     ``visit(node)`` may return a replacement expression -- descent stops
-    there -- or ``None`` to rebuild the node from transformed children.
-    Subquery bodies are opaque; only ``InSubquery``'s operand (which
-    belongs to the enclosing scope) is descended into.
+    there -- or ``None`` to rebuild the node from transformed children
+    (the node itself when no child changed).  Subquery bodies are opaque.
     """
     replacement = visit(expr)
     if replacement is not None:
         return replacement
+    fields = CHILD_FIELDS.get(type(expr))
+    if fields is None:
+        return expr
+    changes = {}
+    for name in fields:
+        old = getattr(expr, name)
+        new = _transform_field(old, visit)
+        if new is not old:
+            changes[name] = new
+    return replace(expr, **changes) if changes else expr
 
-    def rec(e: Expr) -> Expr:
-        return transform_expr(e, visit)
 
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, rec(expr.left), rec(expr.right))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, rec(expr.operand))
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            name=expr.name,
-            args=tuple(rec(a) for a in expr.args),
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(rec(expr.operand), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            rec(expr.operand), tuple(rec(i) for i in expr.items), expr.negated
-        )
-    if isinstance(expr, Between):
-        return Between(
-            rec(expr.operand), rec(expr.low), rec(expr.high), expr.negated
-        )
-    if isinstance(expr, Like):
-        return Like(rec(expr.operand), rec(expr.pattern), expr.negated)
-    if isinstance(expr, Case):
-        return Case(
-            whens=tuple((rec(c), rec(v)) for c, v in expr.whens),
-            else_=rec(expr.else_) if expr.else_ is not None else None,
-        )
-    if isinstance(expr, InSubquery):
-        return InSubquery(rec(expr.operand), expr.select, expr.negated)
-    return expr
+def _transform_field(value, visit):
+    if isinstance(value, Expr):
+        return transform_expr(value, visit)
+    if value is None:
+        return None
+    new = tuple(_transform_field(v, visit) for v in value)
+    return value if all(a is b for a, b in zip(new, value)) else new
 
 
 def split_conjuncts(expr: Optional[Expr]) -> list[Expr]:

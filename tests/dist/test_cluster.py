@@ -11,6 +11,7 @@ from repro.dist import (
     load_tpcr,
     referenced_tables,
 )
+from repro.engine import Database
 from repro.engine.sql.parser import parse_statement
 from repro.workload.tpcr import TpcrConfig
 
@@ -42,6 +43,52 @@ class TestHelpers:
             "SELECT * FROM part_1 p JOIN lineitem l ON p.partkey = l.partkey"
         )
         assert referenced_tables(stmt) == {"part_1", "lineitem"}
+
+    def test_referenced_tables_like_pattern_subquery(self):
+        stmt = parse_statement(
+            "SELECT k FROM t WHERE s LIKE (SELECT min(pat) FROM p)"
+        )
+        assert referenced_tables(stmt) == {"t", "p"}
+
+
+#: A LIKE whose pattern is a subquery over a second table.
+LIKE_SUBQUERY_SQL = "SELECT k FROM t WHERE s LIKE (SELECT min(pat) FROM p)"
+TEXT_TABLES = {
+    "t": ("CREATE TABLE t (k INT, s TEXT)",
+          [(1, "abc"), (2, "abd"), (3, "xbc"), (4, None), (5, "ab")]),
+    "p": ("CREATE TABLE p (k INT, pat TEXT)",
+          [(1, "zz%"), (2, "ab%"), (3, "b%")]),
+}
+
+
+class TestPatternSubqueryRouting:
+    """A subquery in a LIKE pattern is a table reference like any other."""
+
+    @staticmethod
+    def cluster_with(*names) -> ShardedCluster:
+        cluster = ShardedCluster(n_shards=2, replication=1)
+        for name in names:
+            ddl, rows = TEXT_TABLES[name]
+            cluster.create_table(name, ddl, rows, BlockPartitioner())
+        return cluster
+
+    def test_partitioned_pattern_table_matches_single_node(self):
+        single = Database()
+        for ddl, rows in TEXT_TABLES.values():
+            single.execute(ddl)
+            single.insert_rows(ddl.split()[2], rows)
+        cluster = self.cluster_with("t", "p")
+        dq = cluster.submit("Q", LIKE_SUBQUERY_SQL)
+        assert dq.tables == ("t", "p")
+        cluster.run_to_completion()
+        expected = single.query(LIKE_SUBQUERY_SQL)
+        assert expected == [(1,), (2,), (5,)]
+        assert cluster.result_rows("Q") == expected
+
+    def test_unpartitioned_pattern_table_rejected_at_submit(self):
+        cluster = self.cluster_with("t")
+        with pytest.raises(ValueError, match=r"unpartitioned tables: \['p'\]"):
+            cluster.submit("Q", LIKE_SUBQUERY_SQL)
 
 
 class TestDataPlacement:

@@ -219,6 +219,41 @@ class TestHypothesisCorpus:
         assert got_work == ref_work
 
 
+#: An aggregate in a LIKE pattern or an IN-subquery operand, over
+#: ``t (k INT, s TEXT)`` and ``p (k INT, pat TEXT)``.
+AGGREGATE_OPERAND_CORPUS = [
+    # LIKE pattern.
+    "SELECT 'abc' LIKE min(s) FROM t",
+    "SELECT k, 'abd' NOT LIKE max(s) FROM t GROUP BY k",
+    "SELECT k FROM t GROUP BY k HAVING 'abc' LIKE min(s)",
+    # IN-subquery operand.
+    "SELECT max(k) IN (SELECT k FROM p) FROM t",
+    "SELECT k, min(s) NOT IN (SELECT pat FROM p) FROM t GROUP BY k",
+    "SELECT k FROM t GROUP BY k HAVING min(s) IN (SELECT pat FROM p)",
+]
+
+
+class TestAggregateOperands:
+    """An aggregate in a LIKE pattern or an IN-subquery operand, in the
+    select list and in HAVING: every expression walker must reach those
+    children, or the planner rejects the aggregate as out of place."""
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["dc", "nodc"])
+    def db(self, request):
+        db = Database(page_capacity=3, decorrelate=request.param)
+        db.execute("CREATE TABLE t (k INT, s TEXT)")
+        db.execute("CREATE TABLE p (k INT, pat TEXT)")
+        db.insert_rows("t", [
+            (1, "abc"), (2, "abd"), (2, "xbc"), (3, None), (None, "a%"),
+        ])
+        db.insert_rows("p", [(2, "a%"), (4, "%c"), (None, "abc")])
+        return db
+
+    @pytest.mark.parametrize("sql", AGGREGATE_OPERAND_CORPUS)
+    def test_engine_matches_sqlite(self, db, sql):
+        assert_matches_sqlite(db, sql, db.query(sql))
+
+
 class TestDialectNormalisers:
     """Each documented sqlite3 normaliser meets a query that needs it."""
 
