@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction package.
 
-.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples loc all
+.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples loc census all
 
 install:
 	pip install -e . || python setup.py develop
@@ -82,6 +82,13 @@ observe:
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+
+# Traffic census: runs the e2e workloads, every example, the paper-figure
+# benches and the CLI commands under a profiling hook and prints each
+# public name with the sources that reach it.  Fails on a public name no
+# source reaches unless benchmarks/traffic_census.py's KEEP gives a reason.
+census:
+	python benchmarks/traffic_census.py
 
 # Non-blank Python line counts of src/ and of tests/ + benchmarks/ (the
 # net line count ROADMAP tracks).

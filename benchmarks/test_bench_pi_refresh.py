@@ -126,7 +126,6 @@ def counted_refresh(n: int, monkeypatch) -> dict:
     counting(Job, "snapshot", "job_snapshots")
     counting(ProgressTracker, "read", "tracker_reads")
     counting(ProgressTracker, "estimated_remaining_cost", "tracker_field_reads")
-    counting(ProgressTracker, "memory_pressure_events", "tracker_field_reads")
     counting(IncrementalSchedule, "add", "treap_inserts")
     counting(IncrementalSchedule, "add_validated", "treap_inserts")
 

@@ -16,18 +16,15 @@ Public API re-exports the pieces a downstream user typically needs:
   node-scoped :class:`NodeCrash`, :class:`NetworkPartition`,
   :class:`NodeBrownout`), :class:`FaultInjector`, :class:`RetryPolicy`,
   :class:`RetryController`, :class:`RunawayQueryWatchdog`;
-  work-preserving recovery: :class:`ExecutionCheckpoint`,
-  :class:`CancellationToken`, :class:`MemoryGovernor`;
+  work-preserving recovery: :class:`ExecutionCheckpoint`;
 * the sharded cluster: :class:`ShardedCluster`, :class:`ShardNode`,
   :class:`ShardCatalog`, :class:`GlobalProgressAggregator`,
-  :class:`ClusterFaultInjector`, :func:`load_tpcr`,
-  :class:`ClusterWatchdog`, :func:`detect_stragglers`;
+  :class:`ClusterFaultInjector`, :func:`load_tpcr`;
 * observability: :class:`Observability`, :class:`AccuracyTracker`,
   :class:`MetricsRegistry`, :class:`Tracer`, :func:`observed`;
 * overload protection (QoS): :class:`AdmissionController`,
   :class:`AdmissionPolicy`, :class:`CircuitBreaker`,
-  :class:`DegradationLadder`, and the :class:`ArrivalBurst`
-  (:data:`OverloadStorm`) fault shape.
+  :class:`DegradationLadder`, and the :class:`ArrivalBurst` fault shape.
 
 See ``README.md`` for a tour, ``DESIGN.md`` for the system inventory,
 ``docs/RESILIENCE.md`` for the fault/recovery model,
@@ -50,14 +47,7 @@ from repro.dist import (
     ShardNode,
     load_tpcr,
 )
-from repro.engine import (
-    CancellationToken,
-    Database,
-    ExecutionCheckpoint,
-    MemoryBudgetExceeded,
-    MemoryGovernor,
-    QueryCancelled,
-)
+from repro.engine import Database, ExecutionCheckpoint
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ArrivalBurst,
@@ -66,7 +56,6 @@ from repro.faults.plan import (
     NetworkPartition,
     NodeBrownout,
     NodeCrash,
-    OverloadStorm,
     QueryCrash,
     QueryStall,
     StatsCorruption,
@@ -94,7 +83,6 @@ from repro.sim.rdbms import SimulatedRDBMS
 from repro.wm.maintenance import LostWorkCase, plan_maintenance
 from repro.wm.multi_speedup import choose_victim_for_all
 from repro.wm.oracle import exact_maintenance_plan
-from repro.wm.cross_shard import ClusterWatchdog, detect_stragglers
 from repro.wm.speedup import choose_victim, choose_victims
 from repro.wm.watchdog import RunawayQueryWatchdog
 
@@ -109,10 +97,8 @@ __all__ = [
     "ArrivalBurst",
     "BreakerConfig",
     "Brownout",
-    "CancellationToken",
     "CircuitBreaker",
     "ClusterFaultInjector",
-    "ClusterWatchdog",
     "Database",
     "DegradationLadder",
     "EngineJob",
@@ -123,16 +109,12 @@ __all__ = [
     "IncrementalSchedule",
     "LadderConfig",
     "LostWorkCase",
-    "MemoryBudgetExceeded",
-    "MemoryGovernor",
     "MetricsRegistry",
     "MultiQueryProgressIndicator",
     "NetworkPartition",
     "NodeBrownout",
     "NodeCrash",
     "Observability",
-    "OverloadStorm",
-    "QueryCancelled",
     "QueryCrash",
     "QuerySnapshot",
     "QueryStall",
@@ -153,7 +135,6 @@ __all__ = [
     "choose_victim",
     "choose_victim_for_all",
     "choose_victims",
-    "detect_stragglers",
     "exact_maintenance_plan",
     "load_tpcr",
     "observed",

@@ -52,15 +52,11 @@ class QuerySnapshot:
         Scheduling weight ``w_i`` of the query's priority (Assumption 3).
     priority:
         Raw priority level (informational; the algorithms use ``weight``).
-    memory_pressure:
-        Memory-governance incidents observed so far (0 when the query
-        runs without a memory budget).  Informational: lets observers
-        attribute estimate inflation to degraded operators.
 
     A simulator builds one snapshot per running job per refresh, so the
     constructor is written by hand: the frozen dataclass's generated
     ``__init__`` pays one ``object.__setattr__`` call per field, this one
-    six stores into the instance ``__dict__``, in field order so the
+    five stores into the instance ``__dict__``, in field order so the
     dict keeps sharing its keys with every other snapshot (one
     ``__dict__.update`` would give each snapshot its own key table, at
     +60 % of the bytes).  Everything else -- eq, hash, repr,
@@ -74,7 +70,6 @@ class QuerySnapshot:
     completed_work: float = 0.0
     weight: float = 1.0
     priority: int = 0
-    memory_pressure: int = 0
 
     def __init__(
         self,
@@ -83,7 +78,6 @@ class QuerySnapshot:
         completed_work: float = 0.0,
         weight: float = 1.0,
         priority: int = 0,
-        memory_pressure: int = 0,
     ) -> None:
         if remaining_cost < 0:
             raise ValueError(f"remaining_cost must be >= 0, got {remaining_cost}")
@@ -97,7 +91,6 @@ class QuerySnapshot:
         fields["completed_work"] = completed_work
         fields["weight"] = weight
         fields["priority"] = priority
-        fields["memory_pressure"] = memory_pressure
 
     @property
     def total_cost(self) -> float:

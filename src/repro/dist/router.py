@@ -148,7 +148,7 @@ class SubQuery:
     job: EngineJob
     status: str = "running"  # running | failed | finished
     attempts: int = 1
-    rows: tuple[tuple, ...] | None = None
+    rows: list[tuple] | None = None
 
     @property
     def execution(self):
@@ -272,7 +272,7 @@ class ShardedCluster:
         #: merged engine table).  One merged copy per table, kept for the
         #: cluster's lifetime and reused only while the shipped fragments
         #: compare equal to the ones it was built from.
-        self._merged: dict[str, tuple[dict[int, tuple], Table]] = {}
+        self._merged: dict[str, tuple[dict[int, list[tuple]], Table]] = {}
         self._obs = resolve(obs)
 
     # ------------------------------------------------------------------
@@ -622,7 +622,7 @@ class ShardedCluster:
 
     def _finish_subquery(self, sub: SubQuery) -> None:
         sub.status = "finished"
-        sub.rows = tuple(sub.execution.rows)
+        sub.rows = sub.execution.rows
         dq = self._queries[sub.parent_id]
         if all(s.status == "finished" for s in dq.shard_subqueries(sub.shard)):
             self.aggregator.mark_done(dq.query_id, sub.shard, self._clock)
@@ -675,7 +675,7 @@ class ShardedCluster:
         fragment rows into their original global positions and replays
         the original DDL / index / ``ANALYZE`` sequence.
         """
-        fragments: dict[int, tuple] = {}
+        fragments: dict[int, list[tuple]] = {}
         for sub in dq.subqueries.values():
             if sub.table != table:
                 continue

@@ -28,17 +28,14 @@ It is a real (if small) database engine:
   turns it off.
 """
 
-from repro.engine.cancel import CancellationToken
 from repro.engine.database import Database
 from repro.engine.decorrelate import decorrelate_select, decorrelate_statement
 from repro.engine.errors import (
     CatalogError,
     EngineError,
     ExecutionError,
-    MemoryBudgetExceeded,
     ParseError,
     PlanError,
-    QueryCancelled,
     SqlTypeError,
 )
 from repro.engine.executor import (
@@ -46,11 +43,9 @@ from repro.engine.executor import (
     ExecutionCheckpoint,
     QueryExecution,
 )
-from repro.engine.memory import MemoryGovernor, MemoryPressureEvent
 from repro.engine.schema import Column, TableSchema
 
 __all__ = [
-    "CancellationToken",
     "CatalogError",
     "Column",
     "DEFAULT_BATCH_SIZE",
@@ -58,12 +53,8 @@ __all__ = [
     "EngineError",
     "ExecutionCheckpoint",
     "ExecutionError",
-    "MemoryBudgetExceeded",
-    "MemoryGovernor",
-    "MemoryPressureEvent",
     "ParseError",
     "PlanError",
-    "QueryCancelled",
     "QueryExecution",
     "SqlTypeError",
     "TableSchema",

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.engine.cancel import CancellationToken
 from repro.engine.catalog import Catalog, Table
 from repro.engine.errors import PlanError
 from repro.engine.executor import QueryExecution
-from repro.engine.memory import MemoryGovernor
 from repro.engine.expr import bind_expr, eval_row, BindContext, Layout
 from repro.engine.operators.base import Operator, WorkAccount
 from repro.engine.planner import Planner
@@ -129,8 +127,6 @@ class Database:
         self,
         sql: str,
         checkpoint_interval: Optional[float] = None,
-        cancel_token: Optional["CancellationToken"] = None,
-        memory_budget: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> QueryExecution:
         """Plan a SELECT (or UNION) and return a steppable execution handle.
@@ -142,17 +138,11 @@ class Database:
         ----------
         checkpoint_interval:
             Take a work-preserving checkpoint every so many U's of work.
-        cancel_token:
-            Cancellation token checked on every work charge.
-        memory_budget:
-            Soft per-query buffered-row budget; buffering operators
-            degrade gracefully past it (see :mod:`repro.engine.memory`).
         batch_size:
             Rows per operator output batch; defaults to the database's.
         """
         statement = self._parse_query(sql)
-        memory = MemoryGovernor(memory_budget) if memory_budget is not None else None
-        account = WorkAccount(cancel_token=cancel_token, memory=memory)
+        account = WorkAccount()
         return QueryExecution(
             root=self._plan(statement, account),
             account=account,

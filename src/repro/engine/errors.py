@@ -34,22 +34,3 @@ class PlanError(EngineError):
 
 class ExecutionError(EngineError):
     """Raised for runtime failures during query execution."""
-
-
-class QueryCancelled(ExecutionError):
-    """Raised when a cancellation token fires mid-execution.
-
-    Cancellation is checked every time work is charged, so even a single
-    long pull (e.g. one outer tuple triggering a whole correlated probe)
-    stops promptly.  Carries the token's reason.
-    """
-
-
-class MemoryBudgetExceeded(ExecutionError):
-    """Raised when a query exceeds its hard memory limit.
-
-    The soft budget triggers graceful degradation first (external-merge
-    sort, spilled join/aggregate partitions); this error is the end of
-    that ladder -- an operator that cannot degrade, or degraded state
-    that still grows past the hard limit.
-    """

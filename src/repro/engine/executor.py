@@ -16,10 +16,7 @@ a snapshot -- it re-emits nothing, re-charges nothing, and its work counter
 is pre-credited with the preserved work.  A checkpoint costs the rows
 emitted *since the previous one*: the execution appends its output to a
 private append-only row log, and a checkpoint is a length into that log,
-not a copy of it.  A
-:class:`~repro.engine.cancel.CancellationToken` threaded through the
-account aborts the pull loop promptly (checked on every charge and on
-every ``step``).
+not a copy of it.
 """
 
 from __future__ import annotations
@@ -147,7 +144,6 @@ class QueryExecution:
             checkpoint_interval if checkpoint_interval is not None else math.inf
         )
         self._obs = resolve(obs)
-        self._pressure_seen = 0
 
     @property
     def finished(self) -> bool:
@@ -168,11 +164,6 @@ class QueryExecution:
         read (charged work moves in batch-sized spikes).
         """
         return max(self.account.total - self._debt, 0.0)
-
-    @property
-    def cancel_token(self):
-        """The cancellation token threaded through the work account."""
-        return self.account.cancel_token
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -296,16 +287,11 @@ class QueryExecution:
         ------
         ExecutionError
             If called with a negative budget.
-        QueryCancelled
-            If the execution's cancellation token has fired.
         """
         if budget < 0:
             raise ExecutionError("budget must be >= 0")
         if self._finished:
             return 0.0
-        if self.account.cancel_token is not None:
-            # Charges also check the token; this catches zero-work pulls.
-            self.account.cancel_token.raise_if_cancelled()
         if self._iterator is None:
             self._iterator = self.root.batches(None)
 
@@ -347,16 +333,6 @@ class QueryExecution:
         actual = self.account.total - start
         if self._obs is not None:
             self._obs.metrics.histogram("executor.step_work").observe(actual)
-            pressure = self.progress.memory_pressure_events()
-            if pressure > self._pressure_seen:
-                self._obs.metrics.counter("executor.memory_pressure").inc(
-                    pressure - self._pressure_seen
-                )
-                self._obs.tracer.emit(
-                    "executor.memory_pressure", None,
-                    events=pressure, work_done=self.account.total,
-                )
-                self._pressure_seen = pressure
             if self._finished:
                 self._obs.metrics.counter("executor.finished").inc()
                 self._obs.tracer.emit(

@@ -7,7 +7,6 @@ empty input (``COUNT`` = 0, other aggregates = NULL), matching SQL.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -203,9 +202,7 @@ class HashAggregate(Operator):
     The build (consume the child, fold every group) runs inside one root
     pull, so between pulls the aggregate is either untouched -- the
     child's position is its checkpoint -- or emitting, where the result
-    rows and the emit cursor are.  Under memory pressure the partials are
-    treated as spilled and the extra re-aggregation passes are charged as
-    work at build end.
+    rows and the emit cursor are.
     """
 
     def __init__(
@@ -214,7 +211,6 @@ class HashAggregate(Operator):
         group_exprs: Sequence[BoundExpr],
         aggregates: Sequence[AggSpec],
         layout: Layout,
-        rows_per_page: int = 50,
     ) -> None:
         if len(layout) != len(group_exprs) + len(aggregates):
             raise ValueError("aggregate layout arity mismatch")
@@ -222,15 +218,12 @@ class HashAggregate(Operator):
         self.child = child
         self.group_exprs = list(group_exprs)
         self.aggregates = list(aggregates)
-        self.rows_per_page = rows_per_page
         #: ``"idle"`` / ``"build"`` / ``"emit"`` -- the current phase.
         self._phase = "idle"
         #: Group key -> partials, in creation order; only while building.
         self._groups: dict[tuple, list[_AggState]] = {}
         self._pending: list[tuple] = []
         self._emitted = 0
-        self._reserved = 0
-        self._degraded = False
         self._resume: dict | None = None
         #: The drained child's checkpoint state, once the emit phase has one.
         self._drained: dict | None = None
@@ -290,45 +283,14 @@ class HashAggregate(Operator):
         self._phase = "build"
         self._drained = None
         self._groups = {}
-        self._degraded = False
-        self._reserved = 0
 
     def _new_group(self, key: tuple) -> list[_AggState]:
-        """Create group *key*'s partials, reserving them with the governor."""
-        states = [_AggState(spec) for spec in self.aggregates]
-        self._groups[key] = states
-        gov = self.account.memory
-        if gov is not None and not self._degraded:
-            self._reserved += 1
-            if not gov.reserve("HashAggregate"):
-                # Degrade: treat the partials as spilled from here on; the
-                # re-aggregation passes are charged at build end.
-                self._degraded = True
-                gov.release(self._reserved)
-                self._reserved = 0
-                gov.record(
-                    "HashAggregate", "degrade",
-                    "group partials over budget: spill fallback",
-                )
+        """Create group *key*'s partials."""
+        states = self._groups[key] = [_AggState(spec) for spec in self.aggregates]
         return states
 
     def _finish_build(self) -> None:
-        """Charge any spill passes, compute the result rows, start emitting."""
-        gov = self.account.memory
-        if self._degraded and gov is not None:
-            group_count = len(self._groups)
-            passes = math.ceil(group_count / gov.budget_rows)
-            extra = (passes - 1) * 2.0 * math.ceil(
-                group_count / self.rows_per_page
-            )
-            if extra > 0:
-                self.account.charge(extra)
-                gov.record(
-                    "HashAggregate", "spill",
-                    f"{passes} re-aggregation passes over {group_count} "
-                    f"groups (+{extra:g} U)",
-                )
-
+        """Compute the result rows and start emitting."""
         if not self._groups and not self.group_exprs:
             # Global aggregate over empty input: one row of identities.
             self._pending = [
@@ -341,9 +303,6 @@ class HashAggregate(Operator):
             ]
         # The partials die with the build, not with the operator.
         self._groups = {}
-        if gov is not None and self._reserved:
-            gov.release(self._reserved)
-            self._reserved = 0
         self._phase = "emit"
         self._emitted = 0
 
@@ -386,8 +345,8 @@ class HashAggregate(Operator):
         of a per-row fold -- and anything else goes through
         :meth:`_AggState.update_batch` on the slice.  Groups are created in
         order of first appearance and each group's rows fold in stream
-        order, so results, group order and governor reservations do not
-        depend on the batch width.  A batch whose keys change more often than every
+        order, so results and group order do not depend on the batch
+        width.  A batch whose keys change more often than every
         eighth row is bucketed by key instead (:meth:`_fold_buckets`).
         """
         key_columns = [g(batch, outer_env) for g in self.group_exprs]
@@ -477,5 +436,4 @@ class HashAggregate(Operator):
 
     def describe(self) -> str:
         aggs = ", ".join(s.func for s in self.aggregates)
-        suffix = " (spilled partials)" if self._degraded else ""
-        return f"HashAggregate groups={len(self.group_exprs)} aggs=[{aggs}]{suffix}"
+        return f"HashAggregate groups={len(self.group_exprs)} aggs=[{aggs}]"

@@ -11,15 +11,6 @@ in work units and gives progress indicators their counters.
 query (or ``None`` at the top level) so the same operator tree can serve as
 a correlated subplan, re-executed per outer row.
 
-The account is also the rendezvous point for two cross-cutting concerns:
-
-* **Cancellation** -- an optional
-  :class:`~repro.engine.cancel.CancellationToken` is checked on every
-  charge, so a cancel lands promptly even inside one long pull.
-* **Memory governance** -- an optional
-  :class:`~repro.engine.memory.MemoryGovernor` that buffering operators
-  (sort, hash join, aggregate, materialize) reserve rows against.
-
 Operators may additionally support **work-preserving checkpoints**:
 :meth:`Operator.checkpoint` captures a detached, resumable snapshot of the
 subtree's consumption state, and :meth:`Operator.restore` primes a *fresh*
@@ -32,14 +23,10 @@ work-preserving.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Iterator, Optional
 
 from repro.engine.expr import Env, Layout
 from repro.engine.vector import Chunk
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.cancel import CancellationToken
-    from repro.engine.memory import MemoryGovernor
 
 #: A detached operator checkpoint: plain containers only, safe to hold
 #: across the death of the execution that produced it.
@@ -49,21 +36,13 @@ PlanState = dict
 class WorkAccount:
     """Accumulates work (in U's) charged by operators during execution."""
 
-    __slots__ = ("total", "cancel_token", "memory")
+    __slots__ = ("total",)
 
-    def __init__(
-        self,
-        cancel_token: Optional["CancellationToken"] = None,
-        memory: Optional["MemoryGovernor"] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.total = 0.0
-        self.cancel_token = cancel_token
-        self.memory = memory
 
     def charge(self, units: float) -> None:
-        """Add *units* U's of work (honouring the cancellation token)."""
-        if self.cancel_token is not None:
-            self.cancel_token.raise_if_cancelled()
+        """Add *units* U's of work."""
         if units < 0:
             raise ValueError("cannot charge negative work")
         self.total += units
@@ -72,8 +51,7 @@ class WorkAccount:
         """Credit *units* U's of already-performed (checkpointed) work.
 
         Used when restoring an execution from a checkpoint: the preserved
-        work re-enters the counter without a cancellation check, because
-        it is bookkeeping, not new execution.
+        work re-enters the counter as bookkeeping, not new execution.
         """
         if units < 0:
             raise ValueError("cannot credit negative work")

@@ -89,10 +89,6 @@ class HashJoin(Operator):
     snapshot) or probing, where the finished table and the probe child's
     position are.  Every probe batch is fully joined before its output
     batch is yielded, so no probe row is ever in flight at a checkpoint.
-    Under memory pressure the join degrades to a modeled block-partitioned
-    join: the build table is treated as spilled (its rows stop counting
-    against the budget) and the extra partition passes are charged as work
-    at build end.
     """
 
     def __init__(
@@ -119,8 +115,6 @@ class HashJoin(Operator):
         self._phase = "idle"
         self._table: dict = {}
         self._build_count = 0
-        self._reserved = 0
-        self._degraded = False
         self._resume: dict | None = None
 
     def children(self) -> tuple[Operator, ...]:
@@ -142,7 +136,6 @@ class HashJoin(Operator):
                 "phase": "probe",
                 "table": self._table,
                 "count": self._build_count,
-                "degraded": self._degraded,
                 "probe": probe_state,
             }
         if self._phase == "build":
@@ -168,40 +161,20 @@ class HashJoin(Operator):
         self._phase = "build"
         self._table = {}
         self._build_count = 0
-        self._degraded = False
-        self._reserved = 0
 
     def _finish_build(self) -> None:
         """Charge the build side's partition passes and start probing."""
-        gov = self.account.memory
         self.account.charge(2.0 * math.ceil(self._build_count / self.rows_per_page))
-        if self._degraded and gov is not None:
-            # (passes - 1) extra write+read sweeps over the spilled build
-            # partitions, the block-nested-loop cost of not fitting.
-            passes = math.ceil(self._build_count / gov.budget_rows)
-            extra = (passes - 1) * 2.0 * math.ceil(
-                self._build_count / self.rows_per_page
-            )
-            if extra > 0:
-                self.account.charge(extra)
-                gov.record(
-                    "HashJoin", "spill",
-                    f"{passes} partition passes over {self._build_count} "
-                    f"build rows (+{extra:g} U)",
-                )
         self._phase = "probe"
 
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
-        gov = self.account.memory
 
         if resume is not None and resume["phase"] == "probe":
             self._phase = "probe"
             self._table = resume["table"]
             self._build_count = resume["count"]
-            self._degraded = resume["degraded"]
-            self._reserved = 0
             yield from self._probe_batches(outer_env)
             return
 
@@ -212,10 +185,10 @@ class HashJoin(Operator):
         table = self._table
         table_get = table.get
         for batch in self.build_side.batches(outer_env):
-            if gov is None and key_slot is not None:
-                # Tightest path: bare-column key, no memory governance --
-                # index the tuple directly, skip the key column entirely.
-                # This loop carries the whole build side.
+            if key_slot is not None:
+                # Tightest path: bare-column key -- index the tuple
+                # directly, skip the key column entirely.  This loop
+                # carries the whole build side.
                 inserted = 0
                 for row in batch:
                     key = row[key_slot]
@@ -229,45 +202,20 @@ class HashJoin(Operator):
                     inserted += 1
                 self._build_count += inserted
                 continue
-            keys = build_key(batch, outer_env)
-            if gov is None:
-                inserted = 0
-                for key, row in zip(keys, batch):
-                    if key is None:
-                        continue  # NULL never joins
-                    bucket = table_get(key)
-                    if bucket is None:
-                        table[key] = [row]
-                    else:
-                        bucket.append(row)
-                    inserted += 1
-                self._build_count += inserted
-                continue
-            for key, row in zip(keys, batch):
+            inserted = 0
+            for key, row in zip(build_key(batch, outer_env), batch):
                 if key is None:
                     continue  # NULL never joins
-                bucket = table.get(key)
+                bucket = table_get(key)
                 if bucket is None:
                     table[key] = [row]
                 else:
                     bucket.append(row)
-                self._build_count += 1
-                if not self._degraded:
-                    self._reserved += 1
-                    if not gov.reserve("HashJoin"):
-                        self._degraded = True
-                        gov.release(self._reserved)
-                        self._reserved = 0
-                        gov.record(
-                            "HashJoin", "degrade",
-                            "build side over budget: block-partitioned fallback",
-                        )
+                inserted += 1
+            self._build_count += inserted
 
         self._finish_build()
         yield from self._probe_batches(outer_env)
-        if gov is not None and self._reserved:
-            gov.release(self._reserved)
-            self._reserved = 0
 
     def _probe_batches(self, outer_env: Optional[Env]) -> Iterator[list]:
         """Probe in bulk: one output batch per probe input batch."""
@@ -310,5 +258,4 @@ class HashJoin(Operator):
 
     def describe(self) -> str:
         kind = "HashLeftJoin" if self.left_outer else "HashJoin"
-        suffix = " (block partitioned)" if self._degraded else ""
-        return f"{kind} {self.label}{suffix}".rstrip()
+        return f"{kind} {self.label}".rstrip()

@@ -1,27 +1,18 @@
 """Sort operator (blocking, with modeled external-sort cost).
 
-The sort keeps its run-time state (input buffer, spilled runs, sorted
-output, emit position) on the instance rather than in generator locals,
-which buys two capabilities:
-
-* **Checkpoint/resume** -- the build runs inside one root pull, so
-  between pulls the sort is either untouched (the child's position is the
-  snapshot) or emitting (the sorted output and the emit cursor are).  A
-  restored sort re-emits exactly the rows a crashed attempt had not
-  produced yet, without re-sorting.
-* **Memory governance** -- when a :class:`~repro.engine.memory.MemoryGovernor`
-  is attached and the buffer crosses the budget, the sort degrades to
-  bounded external-merge behaviour: budget-sized sorted runs are spilled
-  (releasing their memory, charging the extra write+read pass) and merged
-  at emit time.  Output order is identical to the in-memory path because
-  every entry is decorated with a total-order key that ends in the input
-  sequence number -- exactly the stable multi-key semantics of repeated
-  stable sorts.
+The sort keeps its run-time state (input buffer, sorted output, emit
+position) on the instance rather than in generator locals, which buys
+checkpoint/resume: the build runs inside one root pull, so between pulls
+the sort is either untouched (the child's position is the snapshot) or
+emitting (the sorted output and the emit cursor are).  A restored sort
+re-emits exactly the rows a crashed attempt had not produced yet, without
+re-sorting.  Every entry is decorated with a total-order key that ends in
+the input sequence number -- exactly the stable multi-key semantics of
+repeated stable sorts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Iterator, Optional, Sequence
 
@@ -53,8 +44,7 @@ class Sort(Operator):
     """ORDER BY: materialize, sort, emit.
 
     Charges ``2 * ceil(rows / rows_per_page)`` U, modeling one write and one
-    read pass of an external sort.  NULLs sort first (ascending).  Under
-    memory pressure, extra spill passes are charged per run.
+    read pass of an external sort.  NULLs sort first (ascending).
     """
 
     def __init__(
@@ -74,11 +64,9 @@ class Sort(Operator):
         #: ``"idle"`` / ``"build"`` / ``"emit"`` -- the current phase.
         self._phase = "idle"
         self._buffer: list[_Entry] = []
-        self._runs: list[list[_Entry]] = []
         self._seq = 0
         self._sorted: list[tuple] = []
         self._emitted = 0
-        self._degraded = False
         self._resume: dict | None = None
         #: The drained child's checkpoint state, once the emit phase has one.
         self._drained: dict | None = None
@@ -138,42 +126,16 @@ class Sort(Operator):
         self._phase = "build"
         self._drained = None
         self._buffer = []
-        self._runs = []
         self._seq = 0
-        self._degraded = False
         self._sorted = []
         self._emitted = 0
 
     def _finish_build(self) -> None:
         """Charge the sort's passes, produce the sorted output, start emitting."""
-        gov = self.account.memory
         self.account.charge(2.0 * math.ceil(self._seq / self.rows_per_page))
-        if self._runs:
-            if self._buffer:
-                self._spill_current_buffer()
-            self._sorted = [row for _, row in heapq.merge(*self._runs)]
-            self._runs = []
-        else:
-            self._sorted = [row for _, row in sorted(self._buffer)]
-            if gov is not None:
-                gov.release(len(self._buffer))
-            self._buffer = []
-        self._phase = "emit"
-
-    def _spill_current_buffer(self) -> None:
-        """Degrade: sort the buffer into a run and shed its memory."""
-        gov = self.account.memory
-        run = sorted(self._buffer)
-        self._runs.append(run)
-        # One extra write+read pass for the spilled run.
-        self.account.charge(2.0 * math.ceil(len(run) / self.rows_per_page))
-        if gov is not None:
-            gov.release(len(run))
-            gov.record(
-                "Sort", "spill",
-                f"spilled run of {len(run)} rows ({len(self._runs)} runs)",
-            )
+        self._sorted = [row for _, row in sorted(self._buffer)]
         self._buffer = []
+        self._phase = "emit"
 
     def _entries_batch(self, batch: list, outer_env) -> list[_Entry]:
         """Decorate a whole batch of rows with their sort keys."""
@@ -204,25 +166,9 @@ class Sort(Operator):
             yield from self._emit_batches(self._emitted)
             return
 
-        gov = self.account.memory
         self._begin_build()
         for batch in self.child.batches(outer_env):
-            entries = self._entries_batch(batch, outer_env)
-            if gov is None:
-                self._buffer.extend(entries)
-                continue
-            # Reserve and spill per row, so the spill points do not
-            # depend on the batch width.
-            for entry in entries:
-                self._buffer.append(entry)
-                if not gov.reserve("Sort"):
-                    if not self._degraded:
-                        self._degraded = True
-                        gov.record(
-                            "Sort", "degrade",
-                            "buffer over budget: external-merge fallback",
-                        )
-                    self._spill_current_buffer()
+            self._buffer.extend(self._entries_batch(batch, outer_env))
 
         self._finish_build()
         yield from self._emit_batches(0)
@@ -241,5 +187,4 @@ class Sort(Operator):
 
     def describe(self) -> str:
         directions = ", ".join("DESC" if d else "ASC" for _, d in self.keys)
-        suffix = " (external merge)" if self._degraded else ""
-        return f"Sort [{directions}]{suffix}"
+        return f"Sort [{directions}]"

@@ -3,9 +3,7 @@
 All of these are checkpointable.  Streaming transforms (filter, project)
 delegate entirely to the child; counting transforms (limit, concat) add
 their cursors; buffering transforms (distinct, materialize) snapshot their
-buffers.  Distinct and Materialize also reserve their buffered rows against
-the memory governor -- they have no graceful fallback, so they are the
-operators that can walk a query up to the hard memory limit.
+buffers.
 """
 
 from __future__ import annotations
@@ -256,27 +254,16 @@ class Distinct(Operator):
     def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
         resume = self._resume
         self._resume = None
-        gov = self.account.memory
-        # Restored rows are not re-reserved: the crashed attempt's
-        # reservation died with it, and there is nothing to shed anyway.
         self._seen = set(resume["seen"]) if resume else set()
         seen = self._seen
-        reserved = 0
         for batch in self.child.batches(outer_env):
             out = []
             for row in batch:
                 if row not in seen:
-                    if gov is not None:
-                        # No graceful fallback: ignore the soft budget and
-                        # let the hard limit be the backstop.
-                        gov.reserve("Distinct")
-                        reserved += 1
                     seen.add(row)
                     out.append(row)
             if out:
                 yield out
-        if gov is not None and reserved:
-            gov.release(reserved)
 
     def describe(self) -> str:
         return "Distinct"
@@ -385,12 +372,6 @@ class Materialize(Operator):
                 cache.extend(batch)
             # Write + one read of the spill file.
             self.account.charge(2.0 * self.spill_pages(len(cache)))
-            gov = self.account.memory
-            if gov is not None and cache:
-                # The cache is pinned for the query's lifetime and has no
-                # graceful fallback, so this is the path that can reach
-                # the hard memory limit.
-                gov.reserve("Materialize", len(cache))
             self._cache = cache
         self._handed = start
         cap = max(self.batch_size, 1)

@@ -32,9 +32,9 @@ the driver scan instead of collapsing to zero the moment the driver's
 pages have been pre-charged.
 
 **One read per snapshot.**  A PI refresh snapshots every running query,
-so :meth:`ProgressTracker.read` hands a snapshot its remaining cost, paid
-work and memory pressure from a single pass over the work account, the
-debt and the driver scan.  :meth:`~ProgressTracker.estimated_total_cost`
+so :meth:`ProgressTracker.read` hands a snapshot its remaining cost and
+paid work from a single pass over the work account, the debt and the
+driver scan.  :meth:`~ProgressTracker.estimated_total_cost`
 and :meth:`~ProgressTracker.estimated_remaining_cost` share its body, so
 the extrapolation above is written once.
 """
@@ -91,16 +91,6 @@ class ProgressTracker:
         """Record that the query has completed (remaining cost is 0)."""
         self._finished = True
 
-    def memory_pressure_events(self) -> int:
-        """Memory-governance incidents so far (0 without a governor).
-
-        Surfaced in progress snapshots so observers can tell a query that
-        slowed down because it degraded under memory pressure from one
-        whose inputs were simply mis-estimated.
-        """
-        governor = self._account.memory
-        return governor.pressure_events if governor is not None else 0
-
     def _total(self, done: float) -> float:
         """The refined total for *done* U's charged (see the module doc)."""
         if self._finished:
@@ -113,8 +103,8 @@ class ProgressTracker:
         refined = start + (done - start) / fraction
         return done if done > refined else refined
 
-    def read(self) -> tuple[float, float, int]:
-        """Remaining cost, paid work and memory pressure, from one pass.
+    def read(self) -> tuple[float, float]:
+        """Remaining cost and paid work, from one pass.
 
         What a progress snapshot needs, taken with one read of the work
         account, the debt and the driver scan.  *Remaining cost* is the
@@ -123,25 +113,21 @@ class ProgressTracker:
         pre-charge a whole batch the scheduler has not yet paid for, and
         that work is still ahead of the query.  *Paid work* is the work
         charged minus the raw debt, floored at 0 (the executor's
-        ``paid_work``).  *Memory pressure* counts the governor's
-        incidents (0 without one).
+        ``paid_work``).
 
         Every snapshot of a refresh comes through here, so the clamps are
         spelled ``0.0 if 0.0 > x else x``: exactly ``max(x, 0.0)``, NaN
         included, without the cost of a builtin call.
         """
-        account = self._account
-        done = account.total
+        done = self._account.total
         debt = 0.0 if self._outstanding_debt is None else self._outstanding_debt()
-        governor = account.memory
-        pressure = 0 if governor is None else governor.pressure_events
         paid = done - debt
         paid = 0.0 if 0.0 > paid else paid
         if self._finished:
-            return 0.0, paid, pressure
+            return 0.0, paid
         remaining = self._total(done) - done
         remaining = 0.0 if 0.0 > remaining else remaining
-        return remaining + (0.0 if 0.0 > debt else debt), paid, pressure
+        return remaining + (0.0 if 0.0 > debt else debt), paid
 
     def estimated_total_cost(self) -> float:
         """Current refined estimate of the query's total cost, in U's."""

@@ -17,10 +17,9 @@ out for progress estimation:
   interval (``factor=0`` is a full outage).
 * :class:`StatsCorruption` -- the remaining-cost estimates PIs read turn
   bad for an interval: scaled by a factor, ``NaN`` or ``inf``.
-* :class:`ArrivalBurst` (alias :data:`OverloadStorm`) -- load *as* the
-  fault: a thundering herd of ``n`` extra arrivals at one instant (or
-  jittered over a spread), the shape overload-protection layers defend
-  against.
+* :class:`ArrivalBurst` -- load *as* the fault: a thundering herd of
+  ``n`` extra arrivals at one instant (or jittered over a spread), the
+  shape overload-protection layers defend against.
 
 Three *node-scoped* shapes extend the vocabulary to sharded multi-node
 clusters (see :mod:`repro.dist`); they target a whole simulated node
@@ -298,10 +297,6 @@ class ArrivalBurst:
                 f"deadline must be finite and > 0, got {self.deadline}",
             )
         _require(bool(self.prefix), "prefix must not be empty")
-
-
-#: Alias: an arrival burst *is* the overload-storm fault.
-OverloadStorm = ArrivalBurst
 
 
 Fault = Union[QueryCrash, QueryStall, Brownout, StatsCorruption, ArrivalBurst]

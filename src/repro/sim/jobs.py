@@ -76,28 +76,20 @@ class Job(abc.ABC):
         Returns less than *work* only when the job finishes mid-grant.
         """
 
-    def memory_pressure_events(self) -> int:
-        """Memory-governance incidents so far (engine jobs override)."""
-        return 0
-
-    def progress_reading(self) -> tuple[float, float, int]:
-        """Remaining cost, completed work and memory pressure, in one call.
+    def progress_reading(self) -> tuple[float, float]:
+        """Remaining cost and completed work, in one call.
 
         The fields :meth:`snapshot` takes from the job.  Job types that can
-        read all three in one pass (engine jobs) override this.
+        read both in one pass (engine jobs) override this.
         """
-        return (
-            self.estimated_remaining_cost(),
-            self.completed_work,
-            self.memory_pressure_events(),
-        )
+        return self.estimated_remaining_cost(), self.completed_work
 
     def snapshot(self) -> QuerySnapshot:
         """This job as a :class:`QuerySnapshot` for the PI algorithms."""
-        remaining, done, pressure = self.progress_reading()
+        remaining, done = self.progress_reading()
         return QuerySnapshot(
             self.query_id, 0.0 if 0.0 > remaining else remaining, done,
-            self.weight, self.priority, pressure,
+            self.weight, self.priority,
         )
 
     def retry_copy(self) -> "Job":
@@ -237,10 +229,7 @@ class EngineJob(Job):
     def estimated_remaining_cost(self) -> float:
         return self._execution.progress.estimated_remaining_cost()
 
-    def memory_pressure_events(self) -> int:
-        return self._execution.progress.memory_pressure_events()
-
-    def progress_reading(self) -> tuple[float, float, int]:
+    def progress_reading(self) -> tuple[float, float]:
         # One tracker pass; its paid work is ``execution.paid_work``.
         return self._execution.progress.read()
 
@@ -298,9 +287,6 @@ class CostNoiseJob(Job):
 
     def estimated_remaining_cost(self) -> float:
         return self._inner.estimated_remaining_cost() * self._factor
-
-    def memory_pressure_events(self) -> int:
-        return self._inner.memory_pressure_events()
 
     def advance(self, work: float) -> float:
         return self._inner.advance(work)

@@ -461,14 +461,18 @@ class SimulatedRDBMS:
             return
         schedule = self._shared_schedule
         assert schedule is not None
-        finished_ids = {j.query_id for j in finished}
+        finished_by_id = {j.query_id: j for j in finished}
         if dt > 0:
-            for _, qid in schedule.advance(dt):
-                if qid not in finished_ids:
+            retired = schedule.advance(dt)
+            for _, qid in retired:
+                if qid not in finished_by_id:
                     self._invalidate_schedule()
                     return
-        for qid in finished_ids:
-            schedule.discard(qid)
+            # The step retires its finishers one at a time, with hooks
+            # reading in between: until its own retirement, a finisher
+            # stays in the schedule with nothing left to do.
+            for _, qid in retired:
+                schedule.add_validated(qid, 0.0, finished_by_id[qid].weight)
 
     # ------------------------------------------------------------------
     # Workload submission

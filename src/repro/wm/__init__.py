@@ -21,18 +21,8 @@ multi-query PI provides:
   budget enforcement (deprioritize, then abort) with per-query stale
   carry-back under partially corrupted snapshots and an observed-work
   fallback when no usable estimate exists at all.
-* :mod:`repro.wm.cross_shard` -- cluster-level workload management:
-  straggler detection from the global PI's per-shard contributions, and
-  Section 3.1 victim selection applied on the straggler's own node.
 """
 
-from repro.wm.cross_shard import (
-    ClusterWatchdog,
-    ClusterWatchdogAction,
-    Straggler,
-    choose_cross_shard_victim,
-    detect_stragglers,
-)
 from repro.wm.maintenance import (
     LostWorkCase,
     MaintenancePlan,
@@ -62,16 +52,12 @@ from repro.wm.watchdog import RunawayQueryWatchdog, WatchdogAction
 
 __all__ = [
     "AdaptiveMaintenanceManager",
-    "ClusterWatchdog",
-    "ClusterWatchdogAction",
     "LostWorkCase",
-    "Straggler",
     "MaintenancePlan",
     "MultiSpeedupChoice",
     "RunawayQueryWatchdog",
     "SpeedupChoice",
     "WatchdogAction",
-    "choose_cross_shard_victim",
     "choose_victim",
     "choose_victim_equal_priority",
     "choose_victim_for_all",
@@ -79,7 +65,6 @@ __all__ = [
     "decide_multi_pi",
     "decide_no_pi",
     "decide_single_pi",
-    "detect_stragglers",
     "exact_maintenance_plan",
     "exact_plan_with_overhead",
     "execute_policy",

@@ -69,17 +69,16 @@ class FieldWise:
     completed_work: float = 0.0
     weight: float = 1.0
     priority: int = 0
-    memory_pressure: int = 0
 
 
 class TestQuerySnapshotContract:
     """The hand-written constructor keeps the frozen dataclass's contract."""
 
-    FIELDS = ("Q7", 12.5, 3.25, 4.0, 2, 1)
+    FIELDS = ("Q7", 12.5, 3.25, 4.0, 2)
 
     def test_assigning_a_field_raises(self):
         q = QuerySnapshot(*self.FIELDS)
-        for name in ("query_id", "remaining_cost", "memory_pressure"):
+        for name in ("query_id", "remaining_cost", "priority"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(q, name, getattr(q, name))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -126,7 +125,7 @@ class TestQuerySnapshotContract:
         assert repr(q) == repr(ref).replace("FieldWise", "QuerySnapshot")
         assert QuerySnapshot("a", 1.0) == QuerySnapshot(
             query_id="a", remaining_cost=1.0, completed_work=0.0, weight=1.0,
-            priority=0, memory_pressure=0,
+            priority=0,
         )
 
     def test_pickle_round_trip(self):

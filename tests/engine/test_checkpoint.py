@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Database, ExecutionCheckpoint
 from repro.engine.errors import ExecutionError
+from repro.engine.operators.base import WorkAccount
 from repro.obs.runtime import observed
 
 #: Vector widths every checkpoint property must hold at.
@@ -425,30 +426,28 @@ class TestNoBuildPhaseBetweenSteps:
 
     @pytest.mark.parametrize("shape", ["sort", "hash_agg", "hash_join"])
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_a_build_cut_short_has_no_checkpoint(self, db, shape, width):
+    def test_a_build_cut_short_has_no_checkpoint(
+        self, db, shape, width, monkeypatch
+    ):
         """Only a pull that raised leaves a build half done; a checkpoint
         then has no consistent cut to offer and declines."""
-        from repro.engine import CancellationToken, QueryCancelled
 
-        class FiresOnFifthCharge(CancellationToken):
-            """Fires a few pages into the first pull, i.e. mid-build."""
+        class MidBuildFault(Exception):
+            """Raised a few pages into the first pull, i.e. mid-build."""
 
-            __slots__ = ("checks",)
+        real_charge = WorkAccount.charge
+        charges = 0
 
-            def __init__(self):
-                super().__init__()
-                self.checks = 0
+        def fails_on_fifth_charge(account, units):
+            nonlocal charges
+            charges += 1
+            if charges == 5:
+                raise MidBuildFault
+            real_charge(account, units)
 
-            def raise_if_cancelled(self):
-                self.checks += 1
-                if self.checks == 5:
-                    self.cancel("mid-build")
-                super().raise_if_cancelled()
-
-        ex = db.prepare(
-            SHAPES[shape], cancel_token=FiresOnFifthCharge(), batch_size=width
-        )
-        with pytest.raises(QueryCancelled):
+        ex = db.prepare(SHAPES[shape], batch_size=width)
+        monkeypatch.setattr(WorkAccount, "charge", fails_on_fifth_charge)
+        with pytest.raises(MidBuildFault):
             ex.step(1.0)
         assert any(
             getattr(op, "_phase", None) == "build"

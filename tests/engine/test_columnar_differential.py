@@ -6,8 +6,7 @@ workload template, a hypothesis corpus of generated SQL, the awkward
 vector widths (1, 7, 1024) and several page capacities, the engine's rows
 must match stdlib ``sqlite3`` (see :mod:`tests.engine.sqlite_oracle`), and
 every width must produce byte-identical rows and charge the identical work
-total -- including mid-chunk checkpoint/restores, cancellation and memory
-pressure.
+total -- including mid-chunk checkpoint/restores.
 
 Also pins the RID-probe invariant: index probes charge 1 U per *page*
 touched, whatever the vector width.
@@ -17,12 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CancellationToken, Database, QueryCancelled
+from repro.engine import Database
 from repro.engine.vector import Chunk, ColumnVector
 from repro.workload.queries import join_query, paper_query, scan_query
 from repro.workload.tpcr import TpcrConfig, generate
 
-from tests.engine.helpers import undecorrelated
 from tests.engine.sqlite_oracle import assert_matches_sqlite, sqlite_copy
 
 BATCH_SIZES = (1, 7, 1024)
@@ -34,8 +32,8 @@ def dataset():
     return generate(TpcrConfig(scale=1 / 4000, seed=5), part_sizes={1: 4})
 
 
-def run(db, sql, batch_size=None, **kw):
-    ex = db.prepare(sql, batch_size=batch_size, **kw)
+def run(db, sql, batch_size=None):
+    ex = db.prepare(sql, batch_size=batch_size)
     rows = ex.run_to_completion()
     return rows, ex.work_done, ex
 
@@ -185,36 +183,6 @@ class TestCheckpointMidChunk:
         rows = resumed.run_to_completion()
         assert rows == oracle_rows
         assert resumed.work_done == oracle_work
-
-
-class TestCancelAndMemoryEquivalence:
-    @pytest.mark.parametrize("width", BATCH_SIZES)
-    def test_cancel_fires_in_both_modes(self, dataset, width):
-        """Both plan modes of the paper query: the decorrelated join and
-        the per-outer-row subplan."""
-        for db in (dataset.db, undecorrelated(dataset.db)):
-            tok = CancellationToken()
-            ex = db.prepare(paper_query(1), cancel_token=tok, batch_size=width)
-            ex.step(5.0)
-            tok.cancel("test")
-            with pytest.raises(QueryCancelled):
-                ex.step(5.0)
-            assert not ex.finished
-
-    @pytest.mark.parametrize("width", BATCH_SIZES)
-    def test_memory_pressure_equivalence(self, dataset, width, gather):
-        db = dataset.db
-        sql = join_query(1)
-        ref_rows, ref_work, ref_ex = run(db, sql, memory_budget=64)
-        rows, work, ex = run(db, sql, batch_size=width, memory_budget=64)
-        assert ex.progress.memory_pressure_events() > 0
-        assert (
-            ex.progress.memory_pressure_events()
-            == ref_ex.progress.memory_pressure_events()
-        )
-        assert rows == ref_rows
-        assert work == ref_work
-        assert_matches_sqlite(db, sql, rows, sqlite_copy(db))
 
 
 class TestRidProbeInvariant:

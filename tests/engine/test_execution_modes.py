@@ -9,7 +9,7 @@ Work has no outside oracle, so it is pinned three ways:
 
 * the awkward vector widths (1, 7, 1024) must agree with each other on
   rows (types included) and on the work total -- also under
-  checkpoints/restores, cancellation and memory pressure;
+  checkpoints and restores;
 * independent closed forms where they exist: a full ``SeqScan`` charges
   ``heap.page_count`` and an index probe charges its descent plus 1 U per
   distinct heap page;
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import CancellationToken, Database, ExecutionError, QueryCancelled
+from repro.engine import Database, ExecutionError
 from repro.engine import database as database_mod
 from repro.engine.executor import QueryExecution
 from repro.engine.sql import parse_statement
@@ -48,17 +48,17 @@ def dataset():
     return generate(TpcrConfig(scale=1 / 4000, seed=3), part_sizes={1: 4})
 
 
-def run(db, sql, batch_size=None, **kw):
-    ex = db.prepare(sql, batch_size=batch_size, **kw)
+def run(db, sql, batch_size=None):
+    ex = db.prepare(sql, batch_size=batch_size)
     rows = ex.run_to_completion()
     return rows, ex.work_done, ex
 
 
-def assert_width_parity(db, sql, **kw):
+def assert_width_parity(db, sql):
     """Rows (types included) and work agree at every vector width."""
-    ref_rows, ref_work, _ = run(db, sql, batch_size=BATCH_SIZES[-1], **kw)
+    ref_rows, ref_work, _ = run(db, sql, batch_size=BATCH_SIZES[-1])
     for width in BATCH_SIZES[:-1]:
-        rows, work, _ = run(db, sql, batch_size=width, **kw)
+        rows, work, _ = run(db, sql, batch_size=width)
         assert rows == ref_rows, f"width={width}"
         assert [tuple(map(type, r)) for r in rows] == [
             tuple(map(type, r)) for r in ref_rows
@@ -302,37 +302,6 @@ class TestCheckpointEquivalence:
         rows = resumed.run_to_completion()
         assert rows == oracle_rows
         assert resumed.work_done == oracle_work
-
-
-class TestCancelAndMemoryEquivalence:
-    @pytest.mark.parametrize("width", BATCH_SIZES)
-    def test_cancel_fires_in_both_modes(self, dataset, width):
-        """Cancellation lands under both plan modes of the paper query:
-        the decorrelated join and the per-outer-row subplan."""
-        for db in (dataset.db, undecorrelated(dataset.db)):
-            tok = CancellationToken()
-            ex = db.prepare(paper_query(1), cancel_token=tok, batch_size=width)
-            ex.step(5.0)
-            tok.cancel("test")
-            with pytest.raises(QueryCancelled):
-                ex.step(5.0)
-            assert not ex.finished
-
-    @pytest.mark.parametrize("width", BATCH_SIZES)
-    def test_memory_pressure_equivalence(self, dataset, width):
-        """Same degradations, same extra work, same rows under a tiny budget."""
-        db = dataset.db
-        sql = join_query(1)
-        ref_rows, ref_work, ref_ex = run(db, sql, memory_budget=64)
-        rows, work, ex = run(db, sql, batch_size=width, memory_budget=64)
-        assert ex.progress.memory_pressure_events() > 0
-        assert (
-            ex.progress.memory_pressure_events()
-            == ref_ex.progress.memory_pressure_events()
-        )
-        assert rows == ref_rows
-        assert work == ref_work
-        assert_matches_sqlite(db, sql, rows)
 
 
 class TestStatementCache:

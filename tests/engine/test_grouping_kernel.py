@@ -9,8 +9,7 @@ equal, NULL, NaN (one shared object and distinct ones), ``1`` / ``1.0`` /
 
 * the bucketing fold the kernel replaced, kept here as
   :class:`BucketingAggregate` (the oracle for every aggregate, the work
-  charged, the memory governor's decisions and the emit-phase
-  checkpoint),
+  charged and the emit-phase checkpoint),
 * an explicit left-to-right ``functools.reduce(operator.add, ...)`` per
   group (:func:`reduce_reference`, the oracle for SUM and AVG that shares
   no code with the engine), and
@@ -37,7 +36,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.expr import ColumnSlot, Layout, slot_expr
-from repro.engine.memory import MemoryGovernor
 from repro.engine.operators.agg import AggSpec, HashAggregate
 from repro.engine.operators.base import Operator, WorkAccount
 from repro.engine.vector import Chunk, ColumnVector
@@ -80,19 +78,6 @@ class PageSource(Operator):
                     yield Chunk(columns, range(start, end))
 
 
-class SpyGovernor(MemoryGovernor):
-    """Logs every reservation and its verdict, in order."""
-
-    def __init__(self, budget_rows):
-        super().__init__(budget_rows, hard_limit_factor=1e9)
-        self.log = []
-
-    def reserve(self, operator, rows=1):
-        ok = super().reserve(operator, rows)
-        self.log.append((operator, rows, ok))
-        return ok
-
-
 #: Aggregates over value slots: ``(func, slot or None, distinct)``.
 AGGREGATES = [
     ("COUNT", None, False),
@@ -110,11 +95,10 @@ AGGREGATES = [
 ]
 
 
-def build(cls, rows, n_keys, aggregates, capacity, width, budget=None):
+def build(cls, rows, n_keys, aggregates, capacity, width):
     """A fresh ``cls`` aggregate over *rows*: ``n_keys`` key slots, then
     the clean and the dirty value slot."""
-    gov = SpyGovernor(budget) if budget is not None else None
-    account = WorkAccount(memory=gov)
+    account = WorkAccount()
     source = PageSource(rows, n_keys + 2, capacity, account)
     value_slot = {"clean": n_keys, "dirty": n_keys + 1}
     specs = [
@@ -128,7 +112,7 @@ def build(cls, rows, n_keys, aggregates, capacity, width, budget=None):
         Layout([ColumnSlot(None, f"o{i}") for i in range(n_keys + len(specs))]),
     )
     agg.batch_size = source.batch_size = width
-    return agg, account, gov
+    return agg, account
 
 
 def run(agg):
@@ -284,31 +268,9 @@ class TestRunFoldMatchesOracles:
             ("buckets", BucketingAggregate),
             ("runs", HashAggregate),
         ):
-            agg, account, _ = build(cls, rows, n_keys, aggregates, capacity, width)
+            agg, account = build(cls, rows, n_keys, aggregates, capacity, width)
             results[name] = (repr(run(agg)), account.total)
         assert results["runs"] == results["buckets"], layout
-
-    @given(
-        table=tables(),
-        width=st.sampled_from(BATCH_SIZES),
-        capacity=st.sampled_from(PAGE_CAPACITIES),
-        budget=st.integers(1, 12),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_governor_degrades_at_the_same_group(self, table, width,
-                                                 capacity, budget):
-        layout, n_keys, rows = table
-        seen = []
-        for cls in (BucketingAggregate, HashAggregate):
-            agg, account, gov = build(
-                cls, rows, n_keys, [("SUM", "clean", False)], capacity, width,
-                budget=budget,
-            )
-            out = run(agg)
-            seen.append((
-                repr(out), account.total, gov.log, gov.events, agg.describe(),
-            ))
-        assert seen[1] == seen[0], layout
 
     @given(
         table=tables(),
@@ -322,12 +284,12 @@ class TestRunFoldMatchesOracles:
                                          resume_width, taken):
         _, n_keys, rows = table
         aggregates = [("SUM", "dirty", False), ("COUNT", None, False)]
-        full, _, _ = build(
+        full, _ = build(
             HashAggregate, rows, n_keys, aggregates, capacity, width
         )
         expected = run(full)
 
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, n_keys, aggregates, capacity, width
         )
         batches = agg.batches()
@@ -342,7 +304,7 @@ class TestRunFoldMatchesOracles:
             return
         assert state["phase"] == "emit" and state["emitted"] == len(head)
 
-        resumed, account, _ = build(
+        resumed, account = build(
             HashAggregate, rows, n_keys, aggregates, capacity, resume_width
         )
         resumed.restore(state)
@@ -359,7 +321,7 @@ class TestAdaptiveFold:
     def _bucketed(self, keys):
         """Sizes of the batches that took the bucketing fold."""
         rows = [(k, 1.0, 1.0) for k in keys]
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, 1, [("SUM", "clean", False)], 50, 1024
         )
         bucketed = []
@@ -390,7 +352,7 @@ class TestKeySemantics:
     def test_distinct_nan_objects_stay_apart(self, width, gather):
         a, b = float("nan"), float("nan")
         rows = [(a, 1, 1.0), (a, 2, 1.0), (b, 4, 1.0), (b, 8, 1.0)]
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, 1, [("SUM", "clean", False)], 50, width
         )
         out = run(agg)
@@ -403,7 +365,7 @@ class TestKeySemantics:
         # the batch folds run by run.
         keys = [1.0] * 10 + [1] * 5 + [True] * 5 + [0] * 5 + [False] * 5 + [1] * 5
         rows = [(k, 1, 1.0) for k in keys]
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, 1, [("SUM", "clean", False)], 50, width
         )
         out = run(agg)
@@ -412,7 +374,7 @@ class TestKeySemantics:
     def test_leading_negative_zero_survives_a_run(self):
         # Two runs of eight: each group is folded from one slice.
         rows = [(1, -0.0, -0.0)] * 8 + [(2, 0.0, -0.0)] + [(2, -0.0, -0.0)] * 7
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, 1,
             [("SUM", "clean", False), ("SUM", "dirty", False)], 50, 1024,
         )
@@ -439,7 +401,7 @@ class TestLeftToRightReference:
     def test_sum_and_avg_fold_left_to_right(self, table, aggregates, width,
                                             capacity):
         layout, n_keys, rows = table
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, n_keys, aggregates, capacity, width
         )
         assert repr(run(agg)) == repr(
@@ -451,7 +413,7 @@ class TestLeftToRightReference:
         # chain: 1e16 + 1.0 + 1.0 rounds to 1e16 twice when folded in order.
         values = [1e16, 1.0, 1.0, -1e16]
         rows = [(0, v, v) for v in values]
-        agg, _, _ = build(
+        agg, _ = build(
             HashAggregate, rows, 1, [("SUM", "clean", False)], 50, 1024
         )
         out = run(agg)

@@ -1,24 +1,22 @@
 """One tracker read per snapshot, checked against the reads it replaced.
 
-``EngineJob.snapshot()`` takes its remaining cost, completed work and
-memory pressure from a single ``ProgressTracker.read()``.  At every step
-of every execution below, those fields must equal -- exactly, not
-approximately -- a restatement of the separate reads that pass replaced,
-computed here from the execution's public counters: ``account.total``,
-the driver scan's ``work_at_start`` and ``progress_fraction()``,
-``paid_work`` and the governor's ``pressure_events``.
+``EngineJob.snapshot()`` takes its remaining cost and completed work
+from a single ``ProgressTracker.read()``.  At every step of every
+execution below, those fields must equal -- exactly, not approximately
+-- a restatement of the separate reads that pass replaced, computed here
+from the execution's public counters: ``account.total``, the driver
+scan's ``work_at_start`` and ``progress_fraction()``, and ``paid_work``.
 
 The corpus is the one ``test_progress_properties.py`` runs (both plan
 shapes, every vector width, page sizes 1/4/50), stepped with budgets
-small enough that the executor banks debt, and taken through four
-states: restored from a checkpoint, finished, degraded under a
-``MemoryGovernor``, and carrying outstanding debt.
+small enough that the executor banks debt, and taken through three
+states: restored from a checkpoint, finished, and carrying outstanding
+debt.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import MemoryBudgetExceeded
 from repro.engine.progress import find_driver_scan
 from repro.sim.jobs import EngineJob
 
@@ -35,20 +33,18 @@ CORPUS = REWRITTEN_CORPUS + FALLBACK_CORPUS
 
 
 def restated(ex):
-    """(remaining, completed, pressure) as the three separate reads gave them.
+    """(remaining, completed) as the separate reads gave them.
 
     Remaining cost: the refined total ``start + (done - start) / fraction``
     (the optimizer's estimate before the driver's pass), floored at the
     work done, minus the work done, floored at 0, plus the outstanding
     debt floored at 0 -- and 0 once finished.  Completed work: the paid
-    work.  Pressure: the governor's incident count (0 without one).
+    work.
     """
     done = ex.account.total
     paid = ex.paid_work
-    governor = ex.account.memory
-    pressure = governor.pressure_events if governor is not None else 0
     if ex.finished:
-        return 0.0, paid, pressure
+        return 0.0, paid
     driver = find_driver_scan(ex.root)
     start = driver.work_at_start if driver is not None else None
     fraction = driver.progress_fraction() if start is not None else 0.0
@@ -58,31 +54,28 @@ def restated(ex):
         total = max(start + (done - start) / fraction, done)
     debt = done - paid
     remaining = max(total - done, 0.0) + max(debt, 0.0)
-    return max(remaining, 0.0), paid, pressure
+    return max(remaining, 0.0), paid
 
 
 def assert_snapshot_restates(job):
     snap = job.snapshot()
     expected = restated(job.execution)
-    assert (snap.remaining_cost, snap.completed_work, snap.memory_pressure) \
-        == expected
+    assert (snap.remaining_cost, snap.completed_work) == expected
     assert snap.remaining_cost == max(job.estimated_remaining_cost(), 0.0)
     assert snap.completed_work == job.completed_work
-    assert snap.memory_pressure == job.memory_pressure_events()
     return snap
 
 
 def run_checked(job, budget):
     """Step *job* to the end, checking the snapshot before and after each
-    step; returns which of the four states were seen."""
+    step; returns which of the states were seen."""
     ex = job.execution
-    seen = {"debt": False, "pressure": False, "finished": False}
+    seen = {"debt": False, "finished": False}
     snap = assert_snapshot_restates(job)
     while not job.finished:
         job.advance(budget)
         snap = assert_snapshot_restates(job)
         seen["debt"] |= ex.account.total > ex.paid_work
-        seen["pressure"] |= snap.memory_pressure > 0
     seen["finished"] = snap.remaining_cost == 0.0
     return seen
 
@@ -95,37 +88,31 @@ def run_checked(job, budget):
     width=st.sampled_from(BATCH_SIZES),
     page=st.sampled_from([1, 4, 50]),
     budget=st.sampled_from(BUDGETS),
-    memory_budget=st.sampled_from([None, 1, 3]),
     cut=st.integers(min_value=0, max_value=20),
 )
 @settings(max_examples=200, deadline=None)
 def test_snapshot_equals_the_restated_reads(
-    rows_t, rows_s, sql, decorrelate, width, page, budget, memory_budget, cut
+    rows_t, rows_s, sql, decorrelate, width, page, budget, cut
 ):
     db = build(rows_t, rows_s, page, decorrelate=decorrelate)
-    prepare = lambda: db.prepare(  # noqa: E731
-        sql, batch_size=width, memory_budget=memory_budget
-    )
+    prepare = lambda: db.prepare(sql, batch_size=width)  # noqa: E731
     job = EngineJob("q", prepare())
-    try:
-        for _ in range(cut):
-            if job.finished:
-                break
-            job.advance(budget)
-            assert_snapshot_restates(job)
-        ckpt = job.execution.checkpoint()
-        if ckpt is not None:
-            restored = prepare()
-            restored.restore(ckpt)
-            run_checked(EngineJob("r", restored), budget)
-        seen = run_checked(job, budget)
-    except MemoryBudgetExceeded:
-        return  # an operator that cannot shed state reached the hard limit
+    for _ in range(cut):
+        if job.finished:
+            break
+        job.advance(budget)
+        assert_snapshot_restates(job)
+    ckpt = job.execution.checkpoint()
+    if ckpt is not None:
+        restored = prepare()
+        restored.restore(ckpt)
+        run_checked(EngineJob("r", restored), budget)
+    seen = run_checked(job, budget)
     assert seen["finished"]
 
 
 class TestEveryState:
-    """Each of the four states, reached deterministically."""
+    """Each of the states, reached deterministically."""
 
     ROWS_T = [(i % 60, float(i * 37 % 101)) for i in range(400)]
     ROWS_S = [(i, float(i)) for i in range(60)]
@@ -137,11 +124,6 @@ class TestEveryState:
         job = EngineJob("q", self.db().prepare("SELECT k, v FROM t WHERE k >= 0"))
         seen = run_checked(job, 0.5)
         assert seen["debt"] and seen["finished"]
-
-    def test_memory_pressure(self):
-        ex = self.db().prepare("SELECT k, v FROM t ORDER BY v DESC, k", memory_budget=8)
-        seen = run_checked(EngineJob("q", ex), 25.0)
-        assert seen["pressure"] and seen["finished"]
 
     def test_restored_from_a_checkpoint(self):
         db = self.db()

@@ -254,11 +254,6 @@ class TestArrivalBurst:
         assert b.sql is None
         assert b.prefix == "burst"
 
-    def test_overload_storm_is_an_alias(self):
-        from repro.faults.plan import ArrivalBurst, OverloadStorm
-
-        assert OverloadStorm is ArrivalBurst
-
     def test_validation(self):
         from repro.faults.plan import ArrivalBurst
 

@@ -234,6 +234,24 @@ def test_two_removals_in_one_step_each_refresh_the_memo():
     assert len(reads) == 4
 
 
+def test_simultaneous_finishers_stay_in_the_shared_schedule_until_retired():
+    """A finish hook sees the other finisher of its step at zero remaining."""
+    rdbms = SimulatedRDBMS(processing_rate=5.0, quantum=0.25)
+    seen = []
+
+    def hook(_t, qid):
+        assert rdbms.shared_schedule_supported
+        assert_reads_are_fresh(rdbms, f"retiring {qid}")
+        seen.append(rdbms.remaining_times())
+
+    rdbms.on_finish.append(hook)
+    rdbms.submit(SyntheticJob("s0", 1.0))
+    rdbms.submit(SyntheticJob("s1", 1.0))
+    rdbms.remaining_times()  # build the shared schedule before the step
+    rdbms.run_until(1.0)
+    assert seen == [{"s1": 0.0}, {}]
+
+
 def test_queue_only_changes_refresh_the_memo():
     """Unblock and resubmit into a full system change only the queue."""
     rdbms = SimulatedRDBMS(processing_rate=10.0, multiprogramming_limit=2)
