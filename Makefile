@@ -83,10 +83,13 @@ observe:
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
-# Traffic census: runs the e2e workloads, every example, the paper-figure
-# benches and the CLI commands under a profiling hook and prints each
-# public name with the sources that reach it.  Fails on a public name no
-# source reaches unless benchmarks/traffic_census.py's KEEP gives a reason.
+# Traffic census: runs the e2e workloads, every example, every bench (the
+# non-figure ones at their make targets' quick sizes) and the CLI commands
+# under a profiling hook; prints each public name with the sources that
+# reach it and each setting with the values each kind of source passes.
+# Fails on a public name no source reaches, or on a setting that the e2e,
+# bench and CLI sources all pass one value, unless
+# benchmarks/traffic_census.py's KEEP / KEEP_KNOBS gives a reason.
 census:
 	python benchmarks/traffic_census.py
 

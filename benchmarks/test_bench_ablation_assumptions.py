@@ -57,7 +57,7 @@ def test_assumption_violations(once):
             "assumptions hold": (WeightedFairSharing(), 0.0),
             "speed noise 20% (A1+A3)": (NoisyFairSharing(noise=0.2, seed=1), 0.0),
             "speed noise 40% (A1+A3)": (NoisyFairSharing(noise=0.4, seed=2), 0.0),
-            "thrashing (A1)": (ThrashingModel(knee=4, degradation=0.05), 0.0),
+            "thrashing (A1)": (ThrashingModel(), 0.0),
             "cost noise 30% (A2)": (WeightedFairSharing(), 0.3),
             "all violations": (NoisyFairSharing(noise=0.3, seed=3), 0.3),
         }

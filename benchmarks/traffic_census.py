@@ -1,5 +1,5 @@
-"""Traffic census: which public names do the workloads, examples, figure
-benches and CLI actually reach?
+"""Traffic census: which public names do the workloads, examples, benches
+and CLI actually reach, and which values do they pass to its settings?
 
 The standing rule "a feature stays only while measured traffic reaches
 it" needs a count.  This script runs every traffic source below in its
@@ -8,6 +8,20 @@ under ``src/repro/``, and prints every public name (``repro.__all__`` and
 the subpackages' ``__all__``) with the sources that reach it.  It exits
 non-zero when a public name is reached by no source and is not listed in
 :data:`KEEP` with a reason.
+
+The same hook records the values passed to the *configuration surface*:
+every defaulted constructor parameter of a public non-dataclass class,
+and every field of a public dataclass whose name ends in ``Config`` or
+``Policy`` (``repro.experiments`` and ``repro.cli`` are the paper's
+experiment set-ups and the user-facing flags, and are left out).  A
+setting that the e2e runs, the benches and the CLI all pass one value
+is a constant, not an option: the script exits non-zero for each such
+setting missing from :data:`KEEP_KNOBS`.  Examples count as sources for
+names but not for settings -- an example shows an option off, it does
+not make the option needed.  A collaborator (any value that is not a
+scalar, an enum member or a short tuple of scalars, or a parameter named
+in :data:`WIRING`) is wiring, not a setting; a config object that the
+callee builds when it is passed ``None`` is counted by its own fields.
 
 Run from the repository root::
 
@@ -30,15 +44,19 @@ their own and are not counted.
 
 Two things make a naive census wrong.  pytest-benchmark switches the
 profiler off while it times, so the benches run with
-``--benchmark-disable``.  And some code is reached by exactly one source
+``--benchmark-disable`` (and a bench whose own timing gate fails under
+the profiler is reported, not fatal: its code ran).  And some code is reached by exactly one source
 (``decorrelate_statement`` only by the traced e2e run; the seeded random
 fault plan only by ``shard --seed``), so skipping a source deletes live
 code.  Keys are ``(co_filename, co_firstlineno)``, which Python 3.10
-has (it lacks ``co_qualname``).
+has (it lacks ``co_qualname``).  The benches rewrite the ``BENCH_*.json``
+files at the repository root, at the quick sizes the census runs them
+with; the census puts the committed files back when it is done.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import os
@@ -68,18 +86,73 @@ KEEP = {
     "BreakerTransition": "no source ever opens a breaker: ROADMAP item 5(b)",
 }
 
+#: Settings that take one value from every e2e, bench and CLI source but
+#: stay settable, each with its reason.
+KEEP_KNOBS = {
+    # benchmarks/e2e passes these by name; the directory is frozen.
+    "SimulatedRDBMS.quantum": "benchmarks/e2e passes it by name",
+    "ShardedCluster.replication": "benchmarks/e2e passes it by name",
+    # Engine layout axes that the differential suites sweep (batch widths
+    # 1, 7 and 1024).
+    "Database.batch_size": "engine layout axis the differential suites "
+                           "sweep",
+    "QueryExecution.batch_size": "engine layout axis the differential "
+                                 "suites sweep",
+    # Per-query data, not configuration: Job.weight and Job.deadline vary.
+    "EngineJob.weight": "per-query data, as Job.weight (varied)",
+    "EngineJob.deadline": "per-query data, as Job.deadline (varied)",
+    # Only examples drive these classes; whether they stay at all is a
+    # feature question, not a setting question.
+    "RunawayQueryWatchdog.budget_seconds": "only examples drive the watchdog",
+    "RunawayQueryWatchdog.check_interval": "only examples drive the watchdog",
+    "RunawayQueryWatchdog.enforce_deadlines": "only examples drive the "
+                                              "watchdog",
+    "RetryPolicy.max_attempts": "the cluster and RetryController set it "
+                                "differently",
+    "RetryPolicy.base_delay": "the cluster and RetryController set it "
+                              "differently",
+}
+
+#: Parameter names that inject a collaborator even when every source
+#: leaves them at their ``None`` default.
+WIRING = frozenset({
+    "obs", "tracer", "metrics", "accuracy", "sink", "wall_clock", "seed",
+    "speed_model", "forecaster", "forecast", "pi", "policy", "config",
+    "admission", "job_factory", "prepare",
+})
+
 _E2E = [sys.executable, "benchmarks/e2e/run.py"]
 _CLI = [sys.executable, "-m", "repro"]
+_PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--benchmark-disable"]
 _BENCHES = sorted(
     str(p.relative_to(ROOT)) for pattern in (
         "test_bench_fig*.py", "test_bench_table1*.py",
         "test_bench_ablation_*.py",
     ) for p in (ROOT / "benchmarks").glob(pattern)
 )
+#: The other benches, each with the marker and quick sizes of its make
+#: target (``make overload``, ``make shard``, ``make scale`` ...).
+_OTHER_BENCHES = [
+    ("overload", "test_bench_overload.py", {"REPRO_OVERLOAD_LOADS": "1,5"}),
+    ("shard", "test_bench_shard.py", {"REPRO_SHARD_SIZES": "2,4"}),
+    (None, "test_bench_engine_throughput.py", {}),
+    (None, "test_bench_engine_mode.py", {}),
+    (None, "test_bench_engine_maintenance.py", {}),
+    ("scale", "test_bench_pi_refresh.py", {}),
+    ("scale", "test_bench_scale_concurrency.py",
+     {"REPRO_SCALE_SIZES": "100,500,1000"}),
+    (None, "test_bench_complexity.py", {}),
+    ("scale", "test_bench_obs_overhead.py", {}),
+]
 
 
-def sources(tmp: Path) -> list[tuple[str, list[str]]]:
-    """Every traffic source as ``(label, argv)``, run from the repo root."""
+def sources(tmp: Path) -> list[tuple[str, list[str], dict[str, str]]]:
+    """Every traffic source as ``(label, argv, env)``, run from the repo root.
+
+    A label starts with the source's kind: ``e2e``, ``example``,
+    ``bench`` or ``cli``.
+    """
     trace = str(tmp / "trace.jsonl")
     out = [
         ("e2e --quick", _E2E + ["--quick"]),
@@ -90,10 +163,13 @@ def sources(tmp: Path) -> list[tuple[str, list[str]]]:
         (f"example {p.stem}", [sys.executable, str(p.relative_to(ROOT))])
         for p in sorted((ROOT / "examples").glob("*.py"))
     ]
-    out.append(("figure benches", [
-        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-        "--benchmark-disable", *_BENCHES,
-    ]))
+    out.append(("bench figures", _PYTEST + _BENCHES))
+    benches = [
+        (f"bench {name[len('test_bench_'):-len('.py')]}",
+         _PYTEST + (["-m", marker] if marker else [])
+         + [f"benchmarks/{name}"], env)
+        for marker, name, env in _OTHER_BENCHES
+    ]
     out += [
         ("cli sql", _CLI + ["sql", "SELECT count(*) FROM lineitem"]),
         *[
@@ -118,25 +194,49 @@ def sources(tmp: Path) -> list[tuple[str, list[str]]]:
         ("cli overload", _CLI + ["overload"]),
         ("cli overload --unprotected", _CLI + ["overload", "--unprotected"]),
     ]
-    return out
+    return [(label, argv, {}) for label, argv in out] + benches
 
 
 # The hook is written as sitecustomize.py into one directory per source
 # and put first on PYTHONPATH, so every Python process the source starts
 # (run.py starts one per workload) loads it and leaves one pickle per PID
-# next to itself.
+# next to itself.  _SETTINGS maps a scoped constructor's code key, and a
+# scoped dataclass's (module, qualname), to the parameter names recorded.
 _HOOK = '''
-import atexit, os, pickle, sys, threading
+import atexit, enum, os, pickle, sys, threading
 
 _PACKAGE = {package!r}
 _ROOT = {root!r}
 _OUT = os.path.dirname(os.path.abspath(__file__))
 _FUNCTION = {function_flag!r}
+_SETTINGS = {settings!r}
+_MAX_VALUES = 3
 _seen_codes = set()
 _keep = []  # the code objects behind _seen_codes, so their ids stay unique
+_scoped = {{}}  # id(code) -> (settings key, parameter names)
 _calls = set()
 _classes = set()
 _names = set()
+_values = {{}}  # (settings key, parameter) -> distinct value labels
+
+
+def _label(value, depth=0):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return repr(value)
+    if isinstance(value, enum.Enum):
+        return type(value).__name__ + "." + value.name
+    if isinstance(value, tuple) and len(value) <= 16 and depth < 2:
+        parts = [_label(v, depth + 1) for v in value]
+        if not any(p.startswith("obj:") for p in parts):
+            return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+    return "obj:" + type(value).__name__
+
+
+def _record(key, params, f_locals):
+    for name in params:
+        seen = _values.setdefault((key, name), set())
+        if len(seen) < _MAX_VALUES and name in f_locals:
+            seen.add(_label(f_locals[name]))
 
 
 def _profile(frame, event, arg):
@@ -151,9 +251,16 @@ def _profile(frame, event, arg):
         else:
             return
         if isinstance(owner, type):
-            _classes.add((owner.__module__, owner.__qualname__))
+            key = (owner.__module__, owner.__qualname__)
+            _classes.add(key)
+            params = _SETTINGS.get(key)
+            if params is not None and code.co_name == "__init__":
+                _record(key, params, frame.f_locals)
         return
     key = id(code)
+    scoped = _scoped.get(key)
+    if scoped is not None:
+        _record(scoped[0], scoped[1], frame.f_locals)
     if key in _seen_codes:
         return
     _seen_codes.add(key)
@@ -163,7 +270,12 @@ def _profile(frame, event, arg):
         if code.co_name == "<module>":
             return
         if code.co_flags & _FUNCTION and not code.co_name.startswith("<"):
-            _calls.add((filename, code.co_firstlineno))
+            site = (filename, code.co_firstlineno)
+            _calls.add(site)
+            params = _SETTINGS.get(site)
+            if params is not None:
+                _scoped[key] = (site, params)
+                _record(site, params, frame.f_locals)
     elif not filename.startswith(_ROOT):
         return
     _names.update(code.co_names)
@@ -174,7 +286,7 @@ def _dump():
     threading.setprofile(None)
     path = os.path.join(_OUT, "pid-%d.pickle" % os.getpid())
     with open(path, "wb") as fh:
-        pickle.dump((_calls, _classes, _names), fh)
+        pickle.dump((_calls, _classes, _names, _values), fh)
 
 
 atexit.register(_dump)
@@ -183,34 +295,46 @@ sys.setprofile(_profile)
 '''
 
 
-def run_source(label: str, argv: list[str], hook_dir: Path) -> tuple:
-    """Run one source under the hook; return its merged call record."""
+def run_source(label: str, argv: list[str], extra_env: dict[str, str],
+               hook_dir: Path, settings: dict) -> tuple:
+    """Run one source under the hook; return its merged record."""
     hook_dir.mkdir(parents=True)
     (hook_dir / "sitecustomize.py").write_text(
         _HOOK.format(package=str(PACKAGE) + os.sep, root=str(ROOT) + os.sep,
-                     function_flag=inspect.CO_NEWLOCALS)
+                     function_flag=inspect.CO_NEWLOCALS, settings=settings)
     )
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(hook_dir), str(SRC), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
     started = time.perf_counter()
-    proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr[-2000:])
+    failed = [line for line in proc.stdout.splitlines()
+              if line.startswith("FAILED")]
+    if proc.returncode == 1 and _kind(label) == "bench" and failed:
+        # A bench's timing gate can fail under the profiler; its code
+        # still ran, and lost traffic would show as an unreached name.
+        print(f"  {label}: {len(failed)} bench assertion(s) failed under "
+              f"the profiler; traffic kept", file=sys.stderr)
+        for line in failed:
+            print(f"    {line}", file=sys.stderr)
+    elif proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         raise SystemExit(f"census source failed: {label} (exit "
                          f"{proc.returncode})")
-    calls, classes, names = set(), set(), set()
+    calls, classes, names, values = set(), set(), set(), {}
     for path in hook_dir.glob("pid-*.pickle"):
         with open(path, "rb") as fh:
-            c, k, n = pickle.load(fh)
+            c, k, n, v = pickle.load(fh)
         calls |= c
         classes |= k
         names |= n
+        for setting, seen in v.items():
+            values.setdefault(setting, set()).update(seen)
     print(f"  {label:32} {time.perf_counter() - started:6.1f} s  "
           f"{len(calls):5d} functions", file=sys.stderr)
-    return calls, classes, names
+    return calls, classes, names, values
 
 
 def public_names() -> dict[str, object]:
@@ -263,7 +387,7 @@ def _family(cls: type) -> list[type]:
 
 def reached_by(name: str, obj, record: tuple) -> bool | None:
     """Whether one source's *record* reaches public *name* (None: not counted)."""
-    calls, classes, names = record
+    calls, classes, names, _ = record
     if inspect.isclass(obj) and issubclass(obj, BaseException):
         return None
     if getattr(obj, "__name__", name) != name:
@@ -279,6 +403,88 @@ def reached_by(name: str, obj, record: tuple) -> bool | None:
     return None
 
 
+def settings_surface(public: dict[str, object]) -> dict[str, tuple]:
+    """The configuration surface, ``"Class.param"`` -> ``(key, param)``.
+
+    *key* is a constructor's code key, or a dataclass's ``(module,
+    qualname)`` since its ``__init__`` is compiled from ``<string>``.
+    """
+    surface: dict[str, tuple] = {}
+    for obj in public.values():
+        if (
+            not inspect.isclass(obj)
+            or issubclass(obj, BaseException)
+            or obj.__module__.startswith(("repro.experiments", "repro.cli"))
+        ):
+            continue
+        if dataclasses.is_dataclass(obj):
+            if not obj.__name__.endswith(("Config", "Policy")):
+                continue
+            key = (obj.__module__, obj.__qualname__)
+            params = [f.name for f in dataclasses.fields(obj) if f.init]
+        else:
+            init = obj.__init__
+            if not (inspect.isfunction(init)
+                    and init.__code__.co_filename.startswith(str(PACKAGE))):
+                continue
+            key = _code_key(init)
+            params = [
+                p.name for p in inspect.signature(init).parameters.values()
+                if p.default is not inspect.Parameter.empty
+            ]
+        for param in params:
+            surface[f"{obj.__name__}.{param}"] = (key, param)
+    return surface
+
+
+def _kind(label: str) -> str:
+    return label.split()[0]
+
+
+def _values(seen: set[str], shown: int = 3) -> str:
+    """Up to *shown* value labels, each cut to 24 characters."""
+    first = sorted(seen)[:shown]
+    more = f", +{len(seen) - shown}" if len(seen) > shown else ""
+    return "{" + ", ".join(v[:24] for v in first) + more + "}"
+
+
+def knob_census(surface: dict[str, tuple], records: dict) -> int:
+    """Print every setting's values per source kind; count the failures."""
+    kinds = ("e2e", "bench", "cli", "example")
+    tally = {"varied": 0, "wiring": 0, "KEEP": 0, "ONE VALUE": 0}
+    failures = 0
+    print(f"{len(surface)} settable values on the configuration surface")
+    for name, (key, param) in sorted(surface.items(),
+                                     key=lambda kv: kv[0].lower()):
+        by_kind = {kind: set() for kind in kinds}
+        for label, record in records.items():
+            by_kind[_kind(label)] |= record[3].get((key, param), set())
+        served = by_kind["e2e"] | by_kind["bench"] | by_kind["cli"]
+        if param in WIRING or any(
+            v.startswith("obj:") for seen in by_kind.values() for v in seen
+        ):
+            verdict = "wiring"
+        elif len(served) >= 2:
+            verdict = "varied"
+        elif name in KEEP_KNOBS:
+            verdict = "KEEP"
+        else:
+            verdict = "ONE VALUE"
+            failures += 1
+        tally[verdict] += 1
+        shown = "  ".join(
+            f"{kind}={_values(seen)}" for kind, seen in by_kind.items() if seen
+        )
+        reason = f"  ({KEEP_KNOBS[name]})" if verdict == "KEEP" else ""
+        print(f"{name:44} {verdict:9} {shown or '(never built)'}{reason}")
+    for name in sorted(set(KEEP_KNOBS) - set(surface)):
+        print(f"{name:44} KEEP_KNOBS names no setting")
+        failures += 1
+    print(", ".join(f"{n} {verdict}" for verdict, n in tally.items()))
+    print(f"{failures} single-valued setting(s) outside KEEP_KNOBS")
+    return failures
+
+
 def _function_codes(code):
     """Every named function compiled into *code* (what the hook counts)."""
     if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
@@ -290,14 +496,30 @@ def _function_codes(code):
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
-    with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        tmp = Path(tmp)
-        plan = sources(tmp)
-        print(f"running {len(plan)} sources", file=sys.stderr)
-        records = {
-            label: run_source(label, cmd, tmp / f"hook-{i}")
-            for i, (label, cmd) in enumerate(plan)
-        }
+    public = public_names()
+    surface = settings_surface(public)
+    settings: dict[tuple, tuple[str, ...]] = {}
+    for key, param in surface.values():
+        settings[key] = settings.get(key, ()) + (param,)
+    committed = {p: p.read_bytes() for p in ROOT.glob("BENCH_*.json")}
+    started = time.perf_counter()
+    try:
+        with tempfile.TemporaryDirectory(prefix="census-") as tmp:
+            tmp = Path(tmp)
+            plan = sources(tmp)
+            print(f"running {len(plan)} sources", file=sys.stderr)
+            records = {
+                label: run_source(label, cmd, env, tmp / f"hook-{i}",
+                                  settings)
+                for i, (label, cmd, env) in enumerate(plan)
+            }
+    finally:
+        for path in set(ROOT.glob("BENCH_*.json")) - set(committed):
+            path.unlink()
+        for path, data in committed.items():
+            path.write_bytes(data)
+    print(f"census wall time {time.perf_counter() - started:.0f} s",
+          file=sys.stderr)
     all_calls = set().union(*(r[0] for r in records.values()))
     src_functions = sum(
         1 for path in PACKAGE.rglob("*.py")
@@ -305,7 +527,6 @@ def main() -> int:
     )
     print(f"{len(all_calls)} of {src_functions} functions under src/repro "
           f"reached")
-    public = public_names()
     failures = 0
     for name, obj in sorted(public.items(), key=lambda kv: kv[0].lower()):
         verdicts = {label: reached_by(name, obj, record)
@@ -325,6 +546,7 @@ def main() -> int:
         print(f"{name:34} KEEP names no public name")
         failures += 1
     print(f"{failures} unreached public name(s) outside KEEP")
+    failures += knob_census(surface, records)
     return 1 if failures else 0
 
 

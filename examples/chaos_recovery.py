@@ -58,7 +58,7 @@ def main() -> None:
     injector = FaultInjector(rdbms, plan)
     injector.arm()
     retries = RetryController(
-        rdbms, RetryPolicy(max_attempts=3, base_delay=2.0, multiplier=2.0)
+        rdbms, RetryPolicy(max_attempts=3, base_delay=2.0)
     )
     watchdog = RunawayQueryWatchdog(rdbms, budget_seconds=BUDGET)
     watchdog.attach()

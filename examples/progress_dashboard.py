@@ -34,9 +34,10 @@ def main() -> None:
         rdbms.submit(SyntheticJob(f"Q{i}", cost, initial_done=done))
 
     multi = MultiQueryProgressIndicator()
+    # Each single-query PI averages speed over the fixed 10 s window
+    # (WINDOW_SECONDS; see DESIGN.md, "Fixed settings").
     singles = {
-        job.query_id: SingleQueryProgressIndicator(window_seconds=8.0)
-        for job in rdbms.running
+        job.query_id: SingleQueryProgressIndicator() for job in rdbms.running
     }
 
     def dashboard(db: SimulatedRDBMS) -> None:

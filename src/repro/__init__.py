@@ -66,7 +66,6 @@ from repro.qos import (
     AdmissionController,
     AdmissionDecision,
     AdmissionPolicy,
-    BreakerConfig,
     CircuitBreaker,
     DegradationLadder,
     LadderConfig,
@@ -95,7 +94,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "ArrivalBurst",
-    "BreakerConfig",
     "Brownout",
     "CircuitBreaker",
     "ClusterFaultInjector",

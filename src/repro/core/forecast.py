@@ -11,8 +11,8 @@ This module provides:
 * :class:`WorkloadForecast` -- an immutable forecast triple.
 * :class:`OnlineArrivalRateEstimator` -- sliding-window arrival-rate
   estimation from observed arrival timestamps.
-* :class:`OnlineMeanEstimator` -- running (optionally exponentially decayed)
-  mean, used for average cost and average weight.
+* :class:`OnlineMeanEstimator` -- running arithmetic mean, used for
+  average cost and average weight.
 * :class:`AdaptiveForecaster` -- blends a prior forecast (possibly wrong,
   like the ``lambda' != lambda`` experiments in Section 5.2.3) with live
   observations, converging to the truth as evidence accumulates.
@@ -83,13 +83,19 @@ NO_FORECAST = WorkloadForecast(arrival_rate=0.0, average_cost=0.0)
 #: arrival interval ``1 / rate`` never drops below a microsecond).
 BURST_RATE_CAP = 1e6
 
+#: Arrivals in the arrival-rate estimator's sliding window.
+RATE_WINDOW = 50
+#: Pseudo-observations a prior forecast counts as in the adaptive blend.
+PRIOR_STRENGTH = 10.0
+
 
 class OnlineArrivalRateEstimator:
     """Estimate the arrival rate from observed arrival timestamps.
 
-    Uses a sliding window of the most recent ``window`` arrivals: the rate is
-    the number of observed inter-arrival gaps divided by the observation
-    span.  With fewer than two observations the estimate is ``None``.
+    Uses a sliding window of the :data:`RATE_WINDOW` most recent arrivals:
+    the rate is the number of observed inter-arrival gaps divided by the
+    observation span.  With fewer than two observations the estimate is
+    ``None``.
 
     A burst of simultaneous arrivals (all windowed timestamps equal, so the
     span is zero) reports the capped rate :data:`BURST_RATE_CAP` rather than
@@ -97,10 +103,8 @@ class OnlineArrivalRateEstimator:
     ``None`` would silently disable forecasting exactly when it matters.
     """
 
-    def __init__(self, window: int = 50) -> None:
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        self._times: deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._times: deque[float] = deque(maxlen=RATE_WINDOW)
 
     def observe(self, arrival_time: float) -> None:
         """Record one arrival at *arrival_time* (non-decreasing)."""
@@ -125,28 +129,15 @@ class OnlineArrivalRateEstimator:
 
 
 class OnlineMeanEstimator:
-    """Running mean with optional exponential decay.
+    """Running arithmetic mean of every observation."""
 
-    With ``decay=None`` this is the plain arithmetic mean of all
-    observations.  With ``decay = d`` in ``(0, 1)``, older observations are
-    discounted by ``d`` per observation (recent workload shifts dominate).
-    """
-
-    def __init__(self, decay: float | None = None) -> None:
-        if decay is not None and not (0.0 < decay < 1.0):
-            raise ValueError("decay must be in (0, 1) or None")
-        self._decay = decay
-        self._weighted_sum = 0.0
-        self._weight = 0.0
+    def __init__(self) -> None:
+        self._sum = 0.0
         self._count = 0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        if self._decay is not None:
-            self._weighted_sum *= self._decay
-            self._weight *= self._decay
-        self._weighted_sum += value
-        self._weight += 1.0
+        self._sum += value
         self._count += 1
 
     @property
@@ -156,15 +147,15 @@ class OnlineMeanEstimator:
 
     def mean(self) -> float | None:
         """Current mean, or ``None`` if nothing was observed."""
-        if self._weight <= 0:
+        if self._count == 0:
             return None
-        return self._weighted_sum / self._weight
+        return self._sum / self._count
 
 
 class AdaptiveForecaster:
     """Blend a prior forecast with live observations of the arrival stream.
 
-    The blend treats the prior as ``prior_strength`` pseudo-observations:
+    The blend treats the prior as :data:`PRIOR_STRENGTH` pseudo-observations:
 
         ``lambda_hat = (k0 * lambda' + k * lambda_obs) / (k0 + k)``
 
@@ -174,17 +165,9 @@ class AdaptiveForecaster:
     how wrong the prior was -- the adaptivity demonstrated in Figures 8-10.
     """
 
-    def __init__(
-        self,
-        prior: WorkloadForecast,
-        prior_strength: float = 10.0,
-        rate_window: int = 50,
-    ) -> None:
-        if prior_strength < 0:
-            raise ValueError("prior_strength must be >= 0")
+    def __init__(self, prior: WorkloadForecast) -> None:
         self._prior = prior
-        self._prior_strength = prior_strength
-        self._rate = OnlineArrivalRateEstimator(window=rate_window)
+        self._rate = OnlineArrivalRateEstimator()
         self._cost = OnlineMeanEstimator()
         self._weight = OnlineMeanEstimator()
 
@@ -212,7 +195,7 @@ class AdaptiveForecaster:
     def _blend(self, prior_value: float, observed: float | None, k: float) -> float:
         if observed is None or k <= 0:
             return prior_value
-        k0 = self._prior_strength
+        k0 = PRIOR_STRENGTH
         return (k0 * prior_value + k * observed) / (k0 + k)
 
     def current(self) -> WorkloadForecast:

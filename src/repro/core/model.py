@@ -35,6 +35,12 @@ def weight_for_priority(priority: int, weights: Mapping[int, float] | None = Non
     return float(2**priority)
 
 
+#: The priority class a demoted query drops to -- the ladder's rung 2,
+#: a degraded admission and the runaway-query watchdog all use it.  Its
+#: weight, ``2 ** -2``, lets a demoted query barely perturb the rest.
+DEMOTED_PRIORITY = -2
+
+
 @dataclass(frozen=True, init=False)
 class QuerySnapshot:
     """Point-in-time view of one query, as seen by a progress indicator.

@@ -140,7 +140,6 @@ class MultiQueryProgressIndicator:
             processing_rate=snapshot.processing_rate,
             multiprogramming_limit=snapshot.multiprogramming_limit,
             forecast=forecast,
-            extra_arrivals=(),
         )
         # The projection is this call's own: its dicts are handed on.
         remaining = result.finish_times

@@ -21,13 +21,13 @@ The projection has one engine.  While arrivals or admissions can still
 change the active set, the running queries live in an
 :class:`~repro.core.incremental.IncrementalSchedule`, so each event costs
 ``O(log n)``.  As soon as nothing can arrive or be admitted any more --
-the queue is empty, the known arrivals are used up, the forecast has run
-out -- the rest *is* the Section 2.2 standard case, and one sort plus one
-sweep of the flat kernel (:func:`~repro.core.standard_case.solve_stages`)
-finishes it in place of one treap pop per query (the *tail rule*).  When
-that holds from the start -- no forecast, no known arrivals, a queue that
-fits under the multiprogramming limit -- the projection is that one solve
-and builds no schedule at all.  A projection is ``O((n + arrivals) log n)``
+the queue is empty and the forecast has run out -- the rest *is* the
+Section 2.2 standard case, and one sort plus one sweep of the flat
+kernel (:func:`~repro.core.standard_case.solve_stages`) finishes it in
+place of one treap pop per query (the *tail rule*).  When that holds
+from the start -- no forecast and a queue that fits under the
+multiprogramming limit -- the projection is that one solve and builds
+no schedule at all.  A projection is ``O((n + arrivals) log n)``
 and deterministic: same inputs, bit-identical outputs.
 
 With an empty queue and no forecast the projection therefore equals
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.forecast import WorkloadForecast
 from repro.core.incremental import IncrementalSchedule
@@ -227,7 +227,6 @@ def project(
     processing_rate: float = 1.0,
     multiprogramming_limit: int | None = None,
     forecast: WorkloadForecast | None = None,
-    extra_arrivals: Iterable[tuple[float, QuerySnapshot]] = (),
 ) -> ProjectionResult:
     """Project the execution of the current workload forward in time.
 
@@ -245,42 +244,30 @@ def project(
         enough queries finish.
     forecast:
         Optional prediction of future arrivals (Section 2.4).
-    extra_arrivals:
-        Known one-off future arrivals as ``(time, snapshot)`` pairs -- used
-        by workload-management what-if analyses.
 
     Returns
     -------
     ProjectionResult
         Predicted finish time (and queue wait) of every real query: every
-        query in ``running``, ``queued`` or ``extra_arrivals``.
+        query in ``running`` or ``queued``.
 
     Raises
     ------
     ValueError
         If ``processing_rate`` is not a positive finite number, any query
-        (running, queued or in ``extra_arrivals``) carries a NaN /
-        infinite / negative cost or weight, or one query id appears twice
-        across the three inputs.
+        (running or queued) carries a NaN / infinite / negative cost or
+        weight, or one query id appears twice across the two inputs.
     """
     validate_finite(processing_rate, "processing_rate", minimum=0.0, exclusive=True)
     validate_snapshots(running, where="running")
     validate_snapshots(queued, where="queued")
-    extra_arrivals = tuple(extra_arrivals)
-    for t, q in extra_arrivals:
-        validate_finite(
-            t, f"arrival time of query {q.query_id!r} (in extra_arrivals)",
-            minimum=0.0,
-        )
-    validate_snapshots((q for _, q in extra_arrivals), where="extra_arrivals")
     seen: set[str] = set()
-    for q in chain(running, queued, (q for _, q in extra_arrivals)):
+    for q in chain(running, queued):
         if q.query_id in seen:
             raise ValueError(f"duplicate query id {q.query_id!r}")
         seen.add(q.query_id)
     return project_validated(
-        running, queued, processing_rate, multiprogramming_limit, forecast,
-        extra_arrivals,
+        running, queued, processing_rate, multiprogramming_limit, forecast
     )
 
 
@@ -290,7 +277,6 @@ def project_validated(
     processing_rate: float,
     multiprogramming_limit: int | None,
     forecast: WorkloadForecast | None,
-    extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
 ) -> ProjectionResult:
     """The body of :func:`project`, which checks nothing.
 
@@ -306,7 +292,6 @@ def project_validated(
     next_virtual = next(virtual_stream, None)
     if (
         next_virtual is None
-        and not extra_arrivals
         and (not queued or mpl is None or len(running) + len(queued) <= mpl)
     ):
         # The tail rule from the first event: the whole queue is admitted
@@ -325,8 +310,8 @@ def project_validated(
         events = len(order)
     else:
         finish_times, queue_waits, events = _run_events(
-            processing_rate, running, queued, mpl, extra_arrivals,
-            virtual_stream, next_virtual,
+            processing_rate, running, queued, mpl, virtual_stream,
+            next_virtual,
         )
 
     quiescent = max(finish_times.values(), default=0.0)
@@ -352,7 +337,6 @@ def _run_events(
     running: Sequence[QuerySnapshot],
     queued: Sequence[QuerySnapshot],
     mpl: int | None,
-    extra_arrivals: Sequence[tuple[float, QuerySnapshot]],
     virtual_stream: Iterator[tuple[float, float, float]],
     next_virtual: tuple[float, float, float] | None,
 ) -> tuple[dict[str, float], dict[str, float], int]:
@@ -370,14 +354,9 @@ def _run_events(
         for q in queued
     )
 
-    pending = sorted(
-        ((t, q.query_id, q.remaining_cost, q.weight) for t, q in extra_arrivals),
-        key=lambda item: item[0],
-    )
-    pending_idx = 0
     virtual_seq = 0
 
-    real_outstanding = len(running) + len(waiting) + len(pending)
+    real_outstanding = len(running) + len(waiting)
     finish_times: dict[str, float] = {}
     started_at: dict[str, float] = {q.query_id: 0.0 for q in running}
     arrived_at: dict[str, float] = {q.query_id: 0.0 for q in running}
@@ -397,7 +376,7 @@ def _run_events(
     admit()
 
     while real_outstanding > 0:
-        if not waiting and pending_idx >= len(pending) and next_virtual is None:
+        if not waiting and next_virtual is None:
             # Nothing can arrive or be admitted any more: what is left is
             # the standard case, one event per completion.
             for qid, virtual, t_fin in active.finish_rest(clock):
@@ -418,16 +397,11 @@ def _run_events(
         # Earliest completion among active jobs.
         finish_dt = active.finish_dt()
 
-        # Next arrival (known one-off or virtual forecast).
-        arrival_t = float("inf")
-        if pending_idx < len(pending):
-            arrival_t = pending[pending_idx][0]
-        if next_virtual is not None:
-            arrival_t = min(arrival_t, next_virtual[0])
-        # Clamped: after one of several arrivals at the same instant the
-        # clock can sit an ulp past the next one's time.
+        # Next virtual (forecast) arrival, clamped at zero against
+        # rounding in the clock.
         arrival_dt = (
-            max(arrival_t - clock, 0.0) if arrival_t < float("inf") else float("inf")
+            max(next_virtual[0] - clock, 0.0)
+            if next_virtual is not None else float("inf")
         )
 
         if finish_dt == float("inf") and arrival_dt == float("inf"):
@@ -441,13 +415,8 @@ def _run_events(
                 real_outstanding -= 1
 
         if arrival_dt <= dt:
-            # Arrival event: enqueue the arriving query, then try to admit.
-            if pending_idx < len(pending) and pending[pending_idx][0] <= arrival_t:
-                _, qid, cost, weight = pending[pending_idx]
-                pending_idx += 1
-                waiting.append(_Waiting(qid, cost, weight, False, arrived_at=clock))
-                arrived_at[qid] = clock
-            elif next_virtual is not None:
+            # Arrival event: enqueue the virtual query, then try to admit.
+            if next_virtual is not None:
                 _, cost, weight = next_virtual
                 n_virtual = active.virtual_count() + sum(
                     1 for w in waiting if w.virtual

@@ -16,21 +16,21 @@ from typing import NamedTuple
 
 from repro.core.validation import validate_finite
 
+#: Width of the speed-monitoring window, simulated seconds.
+WINDOW_SECONDS = 10.0
+
 
 class SpeedMonitor:
     """Measure a query's recent execution speed from work observations.
 
     The monitor receives ``(time, completed_work)`` samples and reports the
-    average speed over a sliding time window (default 10 simulated seconds),
+    average speed over a sliding :data:`WINDOW_SECONDS` time window,
     mirroring how a real PI samples executor counters.  A window keeps the
     estimate responsive to load shifts without being dominated by a single
     scheduling quantum.
     """
 
-    def __init__(self, window_seconds: float = 10.0) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
-        self._window = window_seconds
+    def __init__(self) -> None:
         self._samples: deque[tuple[float, float]] = deque()
 
     def observe(self, time: float, completed_work: float) -> None:
@@ -51,7 +51,7 @@ class SpeedMonitor:
             if completed_work < last_work - 1e-9:
                 raise ValueError("completed_work must be non-decreasing")
         samples.append((time, completed_work))
-        cutoff = time - self._window
+        cutoff = time - WINDOW_SECONDS
         # Keep one sample at or before the cutoff so the window stays full.
         while len(samples) > 2 and samples[1][0] <= cutoff:
             samples.popleft()
@@ -77,18 +77,12 @@ class SingleQueryEstimate(NamedTuple):
 
 
 class SingleQueryProgressIndicator:
-    """Single-query PI: ``t = c / s`` with monitored current speed.
-
-    Parameters
-    ----------
-    window_seconds:
-        Width of the speed-monitoring window.
-    """
+    """Single-query PI: ``t = c / s`` with monitored current speed."""
 
     name = "single-query"
 
-    def __init__(self, window_seconds: float = 10.0) -> None:
-        self._monitor = SpeedMonitor(window_seconds)
+    def __init__(self) -> None:
+        self._monitor = SpeedMonitor()
         self._last: SingleQueryEstimate | None = None
 
     def observe(self, time: float, completed_work: float) -> None:

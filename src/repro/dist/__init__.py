@@ -23,7 +23,11 @@ This package scales the single-system simulation out to a cluster:
 * :mod:`repro.dist.dataset` -- sharded TPC-R loading, byte-identical to
   the single-node generator.
 
-See ``docs/SHARDING.md`` for the design.
+A cluster's settings are its shard count, replication factor,
+processing rate and checkpoint interval; the epoch length (``TICK``),
+the failover timeout, the sub-query retry policy and the node breakers'
+thresholds are fixed constants (DESIGN.md, "Fixed settings").  See
+``docs/SHARDING.md`` for the design.
 """
 
 from repro.dist.catalog import NodeStatus, ShardCatalog, TableMeta

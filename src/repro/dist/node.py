@@ -28,26 +28,21 @@ from repro.sim.rdbms import QueryRecord, SimulatedRDBMS
 from repro.sim.jobs import Job
 from repro.sim.scheduler import ScaledSpeedModel
 
+#: A node's scheduling quantum, virtual seconds, which is also the
+#: cluster's epoch length: every node's clock moves in slices of this size.
+TICK = 0.25
+
 
 class ShardNode:
     """A cluster member: engine database + simulated RDBMS + health."""
 
-    def __init__(
-        self,
-        node_id: str,
-        processing_rate: float = 1.0,
-        multiprogramming_limit: int | None = None,
-        page_capacity: int = 50,
-        quantum: float = 0.25,
-    ) -> None:
+    def __init__(self, node_id: str, processing_rate: float = 1.0) -> None:
         if not node_id:
             raise ValueError("node_id must not be empty")
         self.node_id = node_id
-        self.db = Database(page_capacity=page_capacity)
+        self.db = Database()
         self.rdbms = SimulatedRDBMS(
-            processing_rate=processing_rate,
-            multiprogramming_limit=multiprogramming_limit,
-            quantum=quantum,
+            processing_rate=processing_rate, quantum=TICK
         )
         # Wrap the speed model once, up front, so brownouts can be applied
         # and lifted at any time without swapping models mid-run.

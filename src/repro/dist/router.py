@@ -22,7 +22,7 @@ distributed queries over them:
   byte-identical to the single-node result for arbitrary SQL.
 
 Time advances in **epoch lockstep**: every node's virtual clock moves
-together in ``tick``-sized slices, and all router-side processing --
+together in :data:`TICK`-sized slices, and all router-side processing --
 collecting finished sub-queries, failing work over, refreshing the
 global PI -- happens at epoch boundaries, when all clocks agree.
 
@@ -50,17 +50,23 @@ from typing import Sequence
 
 from repro.dist.catalog import ShardCatalog
 from repro.dist.global_pi import GlobalProgressAggregator, GlobalQueryEstimate
-from repro.dist.node import ShardNode
+from repro.dist.node import TICK, ShardNode
 from repro.dist.partition import Partitioner
 from repro.engine.catalog import Table
 from repro.engine.database import Database
 from repro.engine.sql import ast, parse_statement
 from repro.faults.retry import RetryPolicy
 from repro.obs.runtime import Observability, resolve
-from repro.qos.breaker import BreakerBoard, BreakerConfig
+from repro.qos.breaker import BreakerBoard
 from repro.sim.jobs import EngineJob
 
 _EPS = 1e-9
+#: Virtual seconds a sub-query may wait with no serving replica before
+#: its query fails.
+FAILOVER_TIMEOUT = 30.0
+#: Sub-query retries: six attempts, 0.5 s backoff doubling per attempt,
+#: +-10 % deterministic jitter.
+RETRY_POLICY = RetryPolicy(max_attempts=6, base_delay=0.5)
 
 
 def fragment_table(table: str, shard: int) -> str:
@@ -196,18 +202,15 @@ class DistributedQuery:
 class ShardedCluster:
     """N simulated nodes, a shard router, and a fault-tolerant global PI."""
 
+    #: Epoch length (:data:`TICK`), for callers that step epoch by epoch.
+    tick = TICK
+
     def __init__(
         self,
         n_shards: int,
         replication: int = 2,
         processing_rate: float = 1.0,
-        multiprogramming_limit: int | None = None,
-        page_capacity: int = 50,
-        tick: float = 0.25,
         checkpoint_interval: float | None = 2.0,
-        retry_policy: RetryPolicy | None = None,
-        failover_timeout: float = 30.0,
-        breaker_config: BreakerConfig | None = None,
         obs: Observability | None = None,
     ) -> None:
         if n_shards < 1:
@@ -217,36 +220,19 @@ class ShardedCluster:
                 f"replication must be in [1, n_shards={n_shards}], "
                 f"got {replication}"
             )
-        if tick <= 0:
-            raise ValueError("tick must be > 0")
-        if failover_timeout <= 0:
-            raise ValueError("failover_timeout must be > 0")
         self.n_shards = n_shards
         self.replication = replication
-        self.tick = tick
-        self.page_capacity = page_capacity
         self.checkpoint_interval = checkpoint_interval
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=6, base_delay=0.5, multiplier=2.0, jitter=0.1
-        )
         self.catalog = ShardCatalog()
         self.aggregator = GlobalProgressAggregator()
         #: Per-node circuit breakers: consecutive sub-query failures trip
         #: a node's breaker open, and routing/failover stop sending work
         #: at it until the cooldown's half-open probe succeeds.
-        self.breakers = BreakerBoard(
-            breaker_config if breaker_config is not None else BreakerConfig()
-        )
+        self.breakers = BreakerBoard()
         self.nodes: dict[str, ShardNode] = {}
         for i in range(n_shards):
             node_id = f"node{i}"
-            node = ShardNode(
-                node_id,
-                processing_rate=processing_rate,
-                multiprogramming_limit=multiprogramming_limit,
-                page_capacity=page_capacity,
-                quantum=tick,
-            )
+            node = ShardNode(node_id, processing_rate)
             self.nodes[node_id] = node
             self.catalog.register_node(node_id)
             node.rdbms.on_failure.append(
@@ -259,7 +245,6 @@ class ShardedCluster:
         self._clock = 0.0
         self._queries: dict[str, DistributedQuery] = {}
         self._subs: dict[str, SubQuery] = {}
-        self.failover_timeout = failover_timeout
         self._pending_failover: list[tuple[str, str]] = []
         #: Parked sub-queries (no serving replica) -> when parking began.
         self._parked_since: dict[str, float] = {}
@@ -565,7 +550,7 @@ class ShardedCluster:
                 f"cannot run backwards to {target} from {self._clock}"
             )
         while self._clock < target - _EPS:
-            boundary = min(self._clock + self.tick, target)
+            boundary = min(self._clock + TICK, target)
             for node in self.nodes.values():
                 node.run_until(boundary)
             self._clock = boundary
@@ -587,7 +572,7 @@ class ShardedCluster:
                     f"cluster exceeded max_time={max_time}; "
                     f"unfinished: {unfinished}"
                 )
-            self.run_until(self._clock + self.tick)
+            self.run_until(self._clock + TICK)
 
     def _epoch(self) -> None:
         """Router-side processing at one epoch boundary."""
@@ -660,7 +645,7 @@ class ShardedCluster:
         the planner reads statistics by bare column name across the whole
         catalog, so another query's tables must not be visible.)
         """
-        merge_db = Database(page_capacity=self.page_capacity)
+        merge_db = Database()
         for table in dq.tables:
             merge_db.catalog.adopt_table(self._merged_table(dq, table))
         return merge_db.prepare(dq.sql).run_to_completion()
@@ -698,7 +683,7 @@ class ShardedCluster:
                 self._obs.metrics.counter("dist.gather.tables_reused").inc()
             return cached[1]
         meta = self.catalog.table(table)
-        build_db = Database(page_capacity=self.page_capacity)
+        build_db = Database()
         build_db.execute(meta.ddl)
         placed: list[tuple[int, tuple]] = []
         for shard, rows in fragments.items():
@@ -731,7 +716,7 @@ class ShardedCluster:
             dq = self._queries[sub.parent_id]
             if dq.terminal:
                 continue
-            if sub.attempts >= self.retry_policy.max_attempts:
+            if sub.attempts >= RETRY_POLICY.max_attempts:
                 self._give_up(dq, sub, reason)
                 continue
             target = self._route_target(sub.table, sub.shard)
@@ -747,12 +732,12 @@ class ShardedCluster:
                     # forever: past the failover timeout the query fails
                     # cleanly instead of hanging on a fragment nobody holds.
                     since = self._parked_since.setdefault(sub_id, self._clock)
-                    if self._clock - since >= self.failover_timeout:
+                    if self._clock - since >= FAILOVER_TIMEOUT:
                         self._parked_since.pop(sub_id, None)
                         self._give_up(
                             dq, sub,
                             f"no serving replica for shard {sub.shard} within "
-                            f"{self.failover_timeout:g}s: {reason}",
+                            f"{FAILOVER_TIMEOUT:g}s: {reason}",
                         )
                         continue
                     self._pending_failover.append((sub_id, reason))
@@ -770,7 +755,7 @@ class ShardedCluster:
                 )
                 breaker = self.breakers.for_node(target)
             self._parked_since.pop(sub_id, None)
-            delay = self.retry_policy.delay(
+            delay = RETRY_POLICY.delay(
                 sub.attempts, sub_id, breaker=breaker, now=self._clock
             )
             self.nodes[target].rdbms.add_event(
@@ -852,7 +837,7 @@ class ShardedCluster:
         dq.finished_at = self._clock
         dq.error = (
             f"sub-query {sub.sub_id} exhausted "
-            f"{self.retry_policy.max_attempts} attempts: {reason}"
+            f"{RETRY_POLICY.max_attempts} attempts: {reason}"
         )
         # Cancel the doomed query's surviving siblings so they stop
         # consuming capacity other queries could use.

@@ -38,8 +38,6 @@ class PIHarness:
         The simulation to observe.
     interval:
         Sampling period, virtual seconds.
-    speed_window:
-        Window of the single-query PIs' speed monitors, seconds.
     multi_indicators:
         Mapping of series name to a configured
         :class:`MultiQueryProgressIndicator`.  Defaults to one plain
@@ -52,14 +50,12 @@ class PIHarness:
         self,
         rdbms: SimulatedRDBMS,
         interval: float = 1.0,
-        speed_window: float = 10.0,
         multi_indicators: dict[str, MultiQueryProgressIndicator] | None = None,
         with_single: bool = True,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be > 0")
         self.rdbms = rdbms
-        self.speed_window = speed_window
         self.with_single = with_single
         if multi_indicators is None:
             multi_indicators = {MULTI_QUERY: MultiQueryProgressIndicator()}
@@ -72,7 +68,7 @@ class PIHarness:
     def single_indicator(self, query_id: str) -> SingleQueryProgressIndicator:
         """The per-query single-query PI (created lazily)."""
         if query_id not in self._single:
-            self._single[query_id] = SingleQueryProgressIndicator(self.speed_window)
+            self._single[query_id] = SingleQueryProgressIndicator()
         return self._single[query_id]
 
     def _notify_arrival(self, time: float, query_id: str) -> None:

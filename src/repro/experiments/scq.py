@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.forecast import AdaptiveForecaster, WorkloadForecast
 from repro.core.metrics import mean, relative_error
@@ -101,6 +102,16 @@ class SCQRun:
 
 def simulate_scq_run(config: SCQConfig, lam: float, seed: int) -> SCQRun:
     """Simulate one run at arrival rate *lam*; return ground truth."""
+    return _simulate(config, lam, seed)[1]
+
+
+def _simulate(
+    config: SCQConfig,
+    lam: float,
+    seed: int,
+    attach: Callable[[SimulatedRDBMS], None] | None = None,
+) -> tuple[SimulatedRDBMS, SCQRun]:
+    """One seeded run; *attach* hooks observers in before any arrival."""
     rng = random.Random(seed)
     cps = calibrated_cost_per_size(config)
     sizes = ZipfSampler.over_range(config.zipf_a, config.max_size, rng)
@@ -122,6 +133,8 @@ def simulate_scq_run(config: SCQConfig, lam: float, seed: int) -> SCQRun:
 
     snapshot0 = rdbms.snapshot()
     speeds0 = rdbms.current_speeds()
+    if attach is not None:
+        attach(rdbms)
 
     # Lazy arrival generation in horizon chunks.
     arrival_times: list[float] = []
@@ -163,7 +176,7 @@ def simulate_scq_run(config: SCQConfig, lam: float, seed: int) -> SCQRun:
         q: rdbms.traces[q].finished_at
         for q in initial_ids
     }
-    return SCQRun(
+    return rdbms, SCQRun(
         snapshot0=snapshot0,
         speeds0=speeds0,
         actual_finish=actual,  # type: ignore[arg-type]
@@ -345,108 +358,44 @@ def run_adaptive_trace(
     lambda_primes: tuple[float, ...] = (0.04, 0.05),
     sample_interval: float = 2.0,
     seed_offset: int = 7,
-    adaptive: bool = True,
 ) -> AdaptiveTraceResult:
     """Figure 10: one run, traced estimates under wrong ``lambda'`` values.
 
-    With ``adaptive=True`` each multi-query PI carries an
-    :class:`AdaptiveForecaster` seeded with the wrong prior; observed
-    arrivals pull the blended rate towards the truth over time.
+    Each multi-query PI carries an :class:`AdaptiveForecaster` seeded with
+    the wrong prior; observed arrivals pull the blended rate towards the
+    truth over time.
     """
     c_bar = mean_arrival_cost(config)
     seed = config.seed + seed_offset
 
-    # First pass: find the last finishing query and the ground truth.
+    # First pass, without samplers: the last finishing query and the
+    # ground truth.  The traced reruns advance the clock in sampler-sized
+    # steps, so their finish times may differ from it in the last bits.
     probe = simulate_scq_run(config, true_lambda, seed=seed)
     focus = probe.last_finishing
 
-    # Second pass: identical run (same seed) with PIs attached.
+    # Second pass: the identical run (same seed) with a PI attached.
     series: dict[float, list[tuple[float, float]]] = {}
-    finish_time = probe.actual_finish[focus]
     for lp in lambda_primes:
-        rerun = _traced_scq_run(
-            config, true_lambda, seed, focus, lp, c_bar, sample_interval, adaptive
+        prior = WorkloadForecast(arrival_rate=lp, average_cost=c_bar)
+        indicator = MultiQueryProgressIndicator(
+            forecaster=AdaptiveForecaster(prior)
         )
-        series[lp] = rerun
+
+        def attach(rdbms: SimulatedRDBMS) -> None:
+            PIHarness(
+                rdbms,
+                interval=sample_interval,
+                with_single=False,
+                multi_indicators={"multi-query": indicator},
+            )
+
+        rdbms, _ = _simulate(config, true_lambda, seed, attach)
+        trace = rdbms.traces[focus]
+        fin = trace.finished_at or rdbms.clock
+        est = trace.estimates.get("multi-query")
+        series[lp] = [(t, v) for t, v in est if t <= fin] if est else []
     return AdaptiveTraceResult(
-        focus_query=focus, finish_time=finish_time, series=series
+        focus_query=focus, finish_time=probe.actual_finish[focus],
+        series=series,
     )
-
-
-def _traced_scq_run(
-    config: SCQConfig,
-    lam: float,
-    seed: int,
-    focus: str,
-    lambda_prime: float,
-    c_bar: float,
-    sample_interval: float,
-    adaptive: bool,
-) -> list[tuple[float, float]]:
-    """Re-simulate a run (same seed) sampling the multi-query PI over time."""
-    rng = random.Random(seed)
-    cps = calibrated_cost_per_size(config)
-    sizes = ZipfSampler.over_range(config.zipf_a, config.max_size, rng)
-
-    rdbms = SimulatedRDBMS(processing_rate=config.processing_rate)
-    initial_ids = []
-    for i in range(config.n_initial):
-        cost = sizes.sample() * cps
-        done = rng.uniform(0.0, 0.95) * cost
-        rdbms.submit(SyntheticJob(f"Q{i + 1}", cost, initial_done=done))
-        initial_ids.append(f"Q{i + 1}")
-
-    nominal_drain = max(
-        sum(j.estimated_remaining_cost() for j in rdbms.running)
-        / config.processing_rate,
-        1.0,
-    )
-
-    prior = WorkloadForecast(arrival_rate=lambda_prime, average_cost=c_bar)
-    indicator = (
-        MultiQueryProgressIndicator(forecaster=AdaptiveForecaster(prior))
-        if adaptive
-        else MultiQueryProgressIndicator(forecast=prior)
-    )
-    harness = PIHarness(
-        rdbms,
-        interval=sample_interval,
-        with_single=False,
-        multi_indicators={"multi-query": indicator},
-    )
-
-    # Same chunked arrival generation as simulate_scq_run (same rng order).
-    horizon = 0.0
-    seq = 0
-    chunk = config.horizon_factor * nominal_drain
-    max_horizon = config.max_horizon_factor * nominal_drain
-
-    def extend(upto: float) -> None:
-        nonlocal horizon, seq
-        if lam <= 0 or upto <= horizon:
-            return
-        times = poisson_arrival_times(lam, upto - horizon, rng)
-        schedule = ArrivalSchedule()
-        for t in times:
-            seq += 1
-            when = horizon + t
-            cost = sizes.sample() * cps
-
-            def factory(cost: float = cost, k: int = seq) -> SyntheticJob:
-                return SyntheticJob(f"A{k}", cost)
-
-            schedule.add(when, factory)
-        rdbms.schedule(schedule)
-        horizon = upto
-
-    extend(min(chunk, max_horizon))
-    while not all(rdbms.record(q).status == "finished" for q in initial_ids):
-        rdbms.run_until(rdbms.clock + chunk)
-        if horizon < max_horizon:
-            extend(min(horizon + chunk, max_horizon))
-
-    del harness
-    trace = rdbms.traces[focus]
-    fin = trace.finished_at or rdbms.clock
-    est = trace.estimates.get("multi-query")
-    return [(t, v) for t, v in est if t <= fin] if est else []

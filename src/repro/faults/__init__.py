@@ -16,8 +16,9 @@ whole classes of failure be scripted against a run:
   :class:`~repro.sim.rdbms.SimulatedRDBMS` through its event-hook API and
   logs every injection.
 * :mod:`repro.faults.retry` -- resubmits failed queries under a
-  configurable :class:`RetryPolicy` (attempts cap, exponential backoff in
-  virtual time, deterministic jitter).
+  :class:`RetryPolicy` (its attempts cap and base delay are the settings;
+  the doubling backoff in virtual time and the deterministic jitter are
+  fixed, see DESIGN.md's "Fixed settings").
 
 The workload-management side of resilience -- the runaway-query watchdog
 with its observed-work fallback -- lives in :mod:`repro.wm.watchdog`.

@@ -7,7 +7,7 @@ begin/end edges of every timed fault as one-shot virtual-time events
 (:meth:`~repro.sim.rdbms.SimulatedRDBMS.add_event`), and -- for
 progress-fraction crash triggers -- registers a periodic monitor that fires
 the crash once the target query's progress crosses the threshold (accurate
-to one ``resolution`` tick, like a real monitoring agent).
+to one :data:`RESOLUTION` tick, like a real monitoring agent).
 
 Every injection that actually engages or disengages is logged as an
 :class:`InjectionEvent`, and query-targeted faults additionally land in the
@@ -17,7 +17,6 @@ full recovery timeline can be reconstructed afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.faults.plan import (
@@ -55,6 +54,12 @@ class InjectionEvent:
     skipped: bool = False
 
 
+#: Check interval (virtual seconds) for progress-fraction crash triggers.
+#: Timed faults are exact; fraction triggers fire within one tick of the
+#: threshold crossing.
+RESOLUTION = 0.25
+
+
 class FaultInjector:
     """Arms a fault plan against a :class:`SimulatedRDBMS`.
 
@@ -64,26 +69,14 @@ class FaultInjector:
         The simulator to inject into.
     plan:
         The declarative fault script.
-    resolution:
-        Check interval (virtual seconds) for progress-fraction crash
-        triggers.  Timed faults are exact; fraction triggers fire within
-        one resolution tick of the threshold crossing.
 
     Call :meth:`arm` once before running the simulation.  Arming is
     idempotent per injector; use one injector per plan.
     """
 
-    def __init__(
-        self,
-        rdbms: SimulatedRDBMS,
-        plan: FaultPlan,
-        resolution: float = 0.25,
-    ) -> None:
-        if resolution <= 0 or not math.isfinite(resolution):
-            raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    def __init__(self, rdbms: SimulatedRDBMS, plan: FaultPlan) -> None:
         self._rdbms = rdbms
         self._plan = plan
-        self._resolution = resolution
         self._armed = False
         #: Chronological log of injections applied during the run.
         self.events: list[InjectionEvent] = []
@@ -133,7 +126,7 @@ class FaultInjector:
                 self._arm_corruption(fault)
 
         if self._pending_fraction_crashes:
-            self._rdbms.add_sampler(self._resolution, self._check_fraction_crashes)
+            self._rdbms.add_sampler(RESOLUTION, self._check_fraction_crashes)
 
     def timeline(self) -> list[str]:
         """The injection log as formatted ``t=...`` lines, in time order."""

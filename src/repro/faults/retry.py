@@ -6,8 +6,9 @@ monopolise the admission queue.  This module provides that loop for the
 simulated RDBMS:
 
 * :class:`RetryPolicy` -- attempts cap, exponential backoff in virtual
-  time, and *deterministic* jitter (hashed from the query id and attempt
-  number, so runs are reproducible without a shared RNG).
+  time (x :data:`BACKOFF_MULTIPLIER` per attempt), and *deterministic*
+  jitter of :data:`JITTER` (hashed from the query id and attempt number,
+  so runs are reproducible without a shared RNG).
 * :class:`RetryController` -- subscribes to the RDBMS ``on_failure`` hook;
   on each failure it either schedules a resubmission
   (:meth:`~repro.sim.rdbms.SimulatedRDBMS.resubmit`) after the policy's
@@ -28,6 +29,14 @@ from repro.sim.rdbms import SimulatedRDBMS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dep
     from repro.qos.breaker import CircuitBreaker
+
+#: Exponential growth factor of the backoff per further attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Symmetric jitter fraction: each delay is scaled by a deterministic
+#: factor in ``[1 - JITTER, 1 + JITTER]`` derived from the query id and
+#: attempt number.  Zero jitter would resubmit every query that one node
+#: crash killed at the same virtual instant -- a retry storm.
+JITTER = 0.1
 
 
 def _unit_hash(query_id: str, attempt: int) -> float:
@@ -50,40 +59,16 @@ class RetryPolicy:
         (``1`` disables retries).
     base_delay:
         Backoff before the second attempt, in virtual seconds.
-    multiplier:
-        Exponential growth factor per further attempt.
-    jitter:
-        Symmetric jitter fraction: the delay is scaled by a deterministic
-        factor in ``[1 - jitter, 1 + jitter]`` derived from the query id
-        and attempt number.  ``0`` disables jitter.  The default is a
-        small nonzero value: when one fault kills K in-flight queries at
-        the same virtual instant (a node crash), zero jitter would
-        resubmit all K at exactly the same time -- a retry storm.  The
-        jitter is still fully deterministic (hashed per query id and
-        attempt), so runs remain reproducible.
-    max_delay:
-        Optional cap on any single backoff delay.
     """
 
     max_attempts: int = 3
     base_delay: float = 1.0
-    multiplier: float = 2.0
-    jitter: float = 0.1
-    max_delay: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not math.isfinite(self.base_delay) or self.base_delay < 0:
             raise ValueError(f"base_delay must be finite and >= 0, got {self.base_delay}")
-        if not math.isfinite(self.multiplier) or self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be finite and >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.max_delay is not None and (
-            not math.isfinite(self.max_delay) or self.max_delay < 0
-        ):
-            raise ValueError(f"max_delay must be finite and >= 0, got {self.max_delay}")
 
     def delay(
         self,
@@ -95,9 +80,9 @@ class RetryPolicy:
         """Backoff delay after *failed_attempts* attempts have failed.
 
         ``failed_attempts`` is 1 after the first failure.  The delay grows
-        as ``base_delay * multiplier ** (failed_attempts - 1)``, capped at
-        ``max_delay``, then jittered deterministically per
-        ``(query_id, failed_attempts)``.
+        as ``base_delay * BACKOFF_MULTIPLIER ** (failed_attempts - 1)``,
+        then is jittered deterministically per ``(query_id,
+        failed_attempts)``.
 
         When the target node's circuit *breaker* is open at virtual time
         *now*, the breaker's remaining cooldown replaces the backoff: a
@@ -113,12 +98,10 @@ class RetryPolicy:
             hold = breaker.retry_after(now)
             if hold > 0:
                 return hold
-        d = self.base_delay * self.multiplier ** (failed_attempts - 1)
-        if self.max_delay is not None:
-            d = min(d, self.max_delay)
-        if self.jitter > 0:
-            d *= 1.0 + self.jitter * (2.0 * _unit_hash(query_id, failed_attempts) - 1.0)
-        return d
+        d = self.base_delay * BACKOFF_MULTIPLIER ** (failed_attempts - 1)
+        return d * (
+            1.0 + JITTER * (2.0 * _unit_hash(query_id, failed_attempts) - 1.0)
+        )
 
 
 @dataclass(frozen=True)

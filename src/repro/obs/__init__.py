@@ -13,7 +13,7 @@ from repro.obs.accuracy import (
     format_accuracy,
 )
 from repro.obs.metrics import (
-    DEFAULT_BOUNDARIES,
+    HISTOGRAM_BOUNDARIES,
     Counter,
     Gauge,
     Histogram,
@@ -48,7 +48,7 @@ __all__ = [
     "AccuracyReport",
     "AccuracyTracker",
     "Counter",
-    "DEFAULT_BOUNDARIES",
+    "HISTOGRAM_BOUNDARIES",
     "EVENT_FIELDS",
     "EstimatorAccuracy",
     "Gauge",

@@ -27,10 +27,16 @@ from dataclasses import dataclass, field
 
 from repro.core.metrics import StepSeries, mean_finite, relative_error
 
-#: Default lifetime fractions of the relative-error profile.
-DEFAULT_PROFILE_FRACTIONS: tuple[float, ...] = (
+#: Lifetime fractions the relative-error profile is resampled at.
+PROFILE_FRACTIONS: tuple[float, ...] = (
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
 )
+#: Relative-error level of the correction-lag statistic: the lag is the
+#: time until the estimator's error last crossed *below* it (25 %).
+ERROR_THRESHOLD = 0.25
+#: Cap substituted for non-finite relative errors when averaging (see
+#: :func:`repro.core.metrics.mean_finite`), as in the figure benches.
+MEAN_ERROR_CAP = 10.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,6 @@ class AccuracyReport:
     queries: tuple[QueryAccuracy, ...]
     #: Queries that never finished (no ground truth, so no summary).
     unfinished: tuple[str, ...]
-    error_threshold: float
 
     def for_query(self, query_id: str) -> QueryAccuracy:
         """The summary of one query; raises :class:`KeyError` if absent."""
@@ -99,41 +104,9 @@ class _QueryLog:
 
 
 class AccuracyTracker:
-    """Record estimate trajectories online; summarise accuracy on demand.
+    """Record estimate trajectories online; summarise accuracy on demand."""
 
-    Parameters
-    ----------
-    error_threshold:
-        Relative-error level used by the correction-lag statistic: the lag
-        is the time until the estimator's error last crossed *below* this
-        threshold (default 0.25, i.e. 25%).
-    profile_fractions:
-        Lifetime fractions the relative-error profile is resampled at.
-    mean_error_cap:
-        Cap substituted for non-finite relative errors when averaging
-        (see :func:`repro.core.metrics.mean_finite`).
-    """
-
-    def __init__(
-        self,
-        error_threshold: float = 0.25,
-        profile_fractions: tuple[float, ...] = DEFAULT_PROFILE_FRACTIONS,
-        mean_error_cap: float = 10.0,
-    ) -> None:
-        if not (math.isfinite(error_threshold) and error_threshold > 0):
-            raise ValueError(
-                f"error_threshold must be finite and > 0, got {error_threshold}"
-            )
-        if not profile_fractions:
-            raise ValueError("profile_fractions must not be empty")
-        for f in profile_fractions:
-            if not 0 < f < 1:
-                raise ValueError(
-                    f"profile fractions must lie in (0, 1), got {f}"
-                )
-        self._threshold = error_threshold
-        self._fractions = tuple(profile_fractions)
-        self._cap = mean_error_cap
+    def __init__(self) -> None:
         self._logs: dict[str, _QueryLog] = {}
 
     # ------------------------------------------------------------------
@@ -194,7 +167,6 @@ class AccuracyTracker:
         return AccuracyReport(
             queries=tuple(done),
             unfinished=tuple(unfinished),
-            error_threshold=self._threshold,
         )
 
     def _summarise(self, log: _QueryLog) -> QueryAccuracy:
@@ -235,7 +207,7 @@ class AccuracyTracker:
         lifetime = finish - start
         profile: list[tuple[float, float]] = []
         if lifetime > 0:
-            grid = [start + f * lifetime for f in self._fractions]
+            grid = [start + f * lifetime for f in PROFILE_FRACTIONS]
             grid = [t for t in grid if t < finish]
             sampled = series.sample(grid, carry_back=True)
             profile = [
@@ -249,12 +221,12 @@ class AccuracyTracker:
         # above the threshold (the estimate settled after that sample).
         lag = 0.0
         for t, err in errors:
-            if err > self._threshold:
+            if err > ERROR_THRESHOLD:
                 lag = math.inf
         if math.isinf(lag):
             settled: float | None = None
             for t, err in errors:
-                if err > self._threshold:
+                if err > ERROR_THRESHOLD:
                     settled = None
                 elif settled is None:
                     settled = t
@@ -262,7 +234,7 @@ class AccuracyTracker:
         return EstimatorAccuracy(
             estimator=name,
             samples=len(pairs),
-            mean_rel_error=mean_finite(rel_values, cap=self._cap),
+            mean_rel_error=mean_finite(rel_values, cap=MEAN_ERROR_CAP),
             max_rel_error=max(rel_values),
             final_rel_error=rel_values[-1],
             profile=tuple(profile),
@@ -279,7 +251,7 @@ def format_accuracy(report: AccuracyReport) -> str:
     lines = [
         f"accuracy report ({len(report.queries)} finished, "
         f"{len(report.unfinished)} unfinished; "
-        f"threshold {report.error_threshold:g})"
+        f"threshold {ERROR_THRESHOLD:g})"
     ]
     for q in report.queries:
         lines.append(

@@ -6,8 +6,9 @@ persistent bench reports via
 :func:`repro.sim.scale.merge_bench_json` -- the same file the scalability
 harness writes (``BENCH_scale.json``).
 
-Histograms use *fixed* bucket boundaries chosen at creation: no dynamic
-resizing, no randomness, so two runs of the same seeded simulation produce
+Histograms share one *fixed* set of bucket boundaries
+(:data:`HISTOGRAM_BOUNDARIES`): no dynamic resizing, no randomness, so
+two runs of the same seeded simulation produce
 byte-identical metric dumps.
 
 Metric names are dotted lowercase (``"rdbms.finished"``,
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
-#: Default histogram boundaries (seconds-ish scale, powers of ten halves).
-DEFAULT_BOUNDARIES: tuple[float, ...] = (
+#: Histogram bucket boundaries (seconds-ish scale, powers of ten halves).
+HISTOGRAM_BOUNDARIES: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0,
 )
 
@@ -58,24 +59,19 @@ class Gauge:
 class Histogram:
     """Fixed-boundary histogram of observed values.
 
-    ``boundaries`` are the *upper* edges of the first ``len(boundaries)``
-    buckets; one overflow bucket catches everything beyond the last edge.
+    :data:`HISTOGRAM_BOUNDARIES` are the *upper* edges of the first
+    ``len(boundaries)`` buckets; one overflow bucket catches everything
+    beyond the last edge.
     NaN observations are rejected (a corrupted measurement must fail loudly,
     matching :mod:`repro.core.validation`).
     """
 
-    __slots__ = ("boundaries", "counts", "total", "count", "min", "max")
+    __slots__ = ("counts", "total", "count", "min", "max")
 
-    def __init__(self, boundaries: Sequence[float] = DEFAULT_BOUNDARIES) -> None:
-        edges = tuple(float(b) for b in boundaries)
-        if not edges:
-            raise ValueError("histogram needs at least one boundary")
-        if any(b != b for b in edges):
-            raise ValueError("histogram boundaries must not be NaN")
-        if list(edges) != sorted(set(edges)):
-            raise ValueError("histogram boundaries must be strictly increasing")
-        self.boundaries = edges
-        self.counts = [0] * (len(edges) + 1)
+    boundaries = HISTOGRAM_BOUNDARIES
+
+    def __init__(self) -> None:
+        self.counts = [0] * (len(HISTOGRAM_BOUNDARIES) + 1)
         self.total = 0.0
         self.count = 0
         self.min = math.inf
@@ -148,17 +144,11 @@ class MetricsRegistry:
             self._gauges[name] = Gauge()
         return self._gauges[name]
 
-    def histogram(
-        self, name: str, boundaries: Sequence[float] = DEFAULT_BOUNDARIES
-    ) -> Histogram:
-        """The histogram called *name* (created on first use).
-
-        ``boundaries`` only applies at creation; later calls return the
-        existing histogram unchanged.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called *name* (created on first use)."""
         self._check_free(name, "histogram", self._histograms)
         if name not in self._histograms:
-            self._histograms[name] = Histogram(boundaries)
+            self._histograms[name] = Histogram()
         return self._histograms[name]
 
     def counter_value(self, name: str) -> float:

@@ -7,10 +7,15 @@ opens: progress estimates do not just *report* load, they *gate* it.
   decisions in front of the simulator, with the shared incremental
   schedule as the feasibility oracle;
 * :mod:`repro.qos.breaker` -- per-node circuit breakers so the sharded
-  router stops hammering dead or browned-out nodes;
+  router stops hammering nodes that keep failing;
 * :mod:`repro.qos.ladder` -- a graceful-degradation ladder that
   coalesces PI refreshes, demotes/parks low-priority queries, and
   finally sheds load instead of letting goodput fall off a cliff.
+
+Each module's thresholds are fixed constants (DESIGN.md, "Fixed
+settings"); the settable values are the admission budgets
+(:class:`AdmissionPolicy`) and the ladder's low-priority ceiling
+(:class:`LadderConfig`).
 """
 
 from repro.qos.admission import (
@@ -20,7 +25,6 @@ from repro.qos.admission import (
 )
 from repro.qos.breaker import (
     BreakerBoard,
-    BreakerConfig,
     BreakerTransition,
     CircuitBreaker,
 )
@@ -36,7 +40,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "BreakerBoard",
-    "BreakerConfig",
     "BreakerTransition",
     "CircuitBreaker",
     "DegradationLadder",

@@ -35,13 +35,26 @@ from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 from repro.core.incremental import IncrementalSchedule
-from repro.core.model import weight_for_priority
+from repro.core.model import DEMOTED_PRIORITY, weight_for_priority
 from repro.sim.jobs import Job
 from repro.sim.rdbms import QueryRecord, SimulatedRDBMS
 
 _EPS = 1e-9
 
 Outcome = Literal["admit", "degrade", "defer", "reject"]
+
+#: Floor on the defer retry-after gap, virtual seconds.
+MIN_RETRY_DELAY = 0.5
+#: ``(pressure_level, priority_floor)`` pairs: at ladder pressure >=
+#: *level*, newcomers with priority < *floor* are rejected.  The lowest
+#: class goes at rung 2, everything below normal priority at rung 3.
+PRESSURE_FLOORS = ((2, 0), (3, 1))
+
+
+def priority_floor(pressure: int) -> int | None:
+    """The strictest class floor active at *pressure*, or ``None``."""
+    floors = [limit for level, limit in PRESSURE_FLOORS if pressure >= level]
+    return max(floors, default=None)
 
 
 @dataclass(frozen=True)
@@ -76,33 +89,18 @@ class AdmissionPolicy:
     work_budget:
         Cap on work in flight -- the sum of live queries' estimated
         remaining costs, in U's; ``None`` for unlimited.
-    feasibility:
-        Whether to run the PI-feasibility check at all.
-    degrade_priority:
-        Priority assigned to ``"degrade"`` admissions (should map to a
-        small scheduling weight).
     allow_degrade:
         Whether infeasible-at-full-weight newcomers without deadlines may
-        be admitted demoted instead of deferred.
-    min_retry_delay:
-        Floor on the defer retry-after gap, virtual seconds.
+        be admitted at :data:`~repro.core.model.DEMOTED_PRIORITY` instead
+        of deferred.
     max_defers:
         Deferrals allowed per query before it is rejected outright.
-    pressure_floors:
-        ``(pressure_level, priority_floor)`` pairs: at ladder pressure
-        >= *level*, newcomers with priority < *floor* are rejected.  The
-        default starts shedding the lowest class at rung 2 and everything
-        below normal priority at rung 3.
     """
 
     max_in_flight: int | None = None
     work_budget: float | None = None
-    feasibility: bool = True
-    degrade_priority: int = -2
     allow_degrade: bool = True
-    min_retry_delay: float = 0.5
     max_defers: int = 25
-    pressure_floors: tuple[tuple[int, int], ...] = ((2, 0), (3, 1))
 
     def __post_init__(self) -> None:
         if self.max_in_flight is not None and self.max_in_flight < 1:
@@ -115,20 +113,8 @@ class AdmissionPolicy:
             raise ValueError(
                 f"work_budget must be finite and > 0, got {self.work_budget}"
             )
-        if not math.isfinite(self.min_retry_delay) or self.min_retry_delay <= 0:
-            raise ValueError(
-                f"min_retry_delay must be finite and > 0, got {self.min_retry_delay}"
-            )
         if self.max_defers < 0:
             raise ValueError(f"max_defers must be >= 0, got {self.max_defers}")
-
-    def priority_floor(self, pressure: int) -> int | None:
-        """The strictest class floor active at *pressure*, or ``None``."""
-        floor: int | None = None
-        for level, limit in self.pressure_floors:
-            if pressure >= level and (floor is None or limit > floor):
-                floor = limit
-        return floor
 
 
 class AdmissionController:
@@ -144,7 +130,7 @@ class AdmissionController:
     rdbms:
         The simulator to protect.
     policy:
-        Budgets and floors; defaults to feasibility-check-only.
+        Budgets; defaults to none (the feasibility check alone).
     auto_retry:
         Schedule a virtual-time event that re-gates each deferred job at
         its retry-after time.  Deferred jobs keep their *relative*
@@ -214,8 +200,8 @@ class AdmissionController:
         decision = self._decide(job, now)
         if decision.admitted:
             if decision.outcome == "degrade":
-                job.priority = self.policy.degrade_priority
-                job.weight = weight_for_priority(self.policy.degrade_priority)
+                job.priority = DEMOTED_PRIORITY
+                job.weight = weight_for_priority(DEMOTED_PRIORITY)
             enter(job)
             self._defer_counts.pop(qid, None)
         elif decision.outcome == "defer" and self._auto_retry:
@@ -232,7 +218,7 @@ class AdmissionController:
         policy = self.policy
         if self._rdbms.draining:
             return self._make(now, qid, "reject", "system is draining")
-        floor = policy.priority_floor(self._pressure)
+        floor = priority_floor(self._pressure)
         if floor is not None and job.priority < floor:
             return self._make(
                 now, qid, "reject",
@@ -267,8 +253,6 @@ class AdmissionController:
                     f"work budget full ({in_flight:g} + {cost:g} U "
                     f"> {policy.work_budget:g} U)",
                 )
-        if not policy.feasibility:
-            return self._make(now, qid, "admit", "budgets hold")
         return self._feasibility_decision(job, live, now)
 
     # ------------------------------------------------------------------
@@ -307,8 +291,8 @@ class AdmissionController:
         if self.policy.allow_degrade and job.deadline is None:
             demoted = replace(
                 newcomer,
-                priority=self.policy.degrade_priority,
-                weight=weight_for_priority(self.policy.degrade_priority),
+                priority=DEMOTED_PRIORITY,
+                weight=weight_for_priority(DEMOTED_PRIORITY),
             )
             degraded_verdict = self._feasible(
                 snaps + [demoted], deadlines, now
@@ -317,7 +301,7 @@ class AdmissionController:
                 return self._make(
                     now, qid, "degrade",
                     f"full weight would break {victim}'s deadline; "
-                    f"admitted at priority {self.policy.degrade_priority}",
+                    f"admitted at priority {DEMOTED_PRIORITY}",
                 )
         return self._defer(
             job, now, f"projection breaks {victim}'s deadline"
@@ -373,9 +357,9 @@ class AdmissionController:
 
         The projection's next completion is the earliest instant the
         in-flight picture can improve; with nothing projectable, fall
-        back to the policy's minimum gap.
+        back to :data:`MIN_RETRY_DELAY`.
         """
-        gap = self.policy.min_retry_delay
+        gap = MIN_RETRY_DELAY
         sched = self._rdbms.shared_schedule()
         if sched is not None:
             nxt = sched.next_finish()
@@ -391,9 +375,7 @@ class AdmissionController:
         reason: str,
         retry_after: float | None = None,
     ) -> AdmissionDecision:
-        demoted = (
-            self.policy.degrade_priority if outcome == "degrade" else None
-        )
+        demoted = DEMOTED_PRIORITY if outcome == "degrade" else None
         return AdmissionDecision(
             time=now,
             query_id=qid,

@@ -7,10 +7,8 @@ attempts against a target everyone already knows is down.  The classic
 remedy is a circuit breaker per node:
 
 * **closed** (normal): requests flow; consecutive failures are counted.
-* **open** (tripped): after ``failure_threshold`` consecutive failures
-  -- or a completion whose latency exceeds ``latency_factor`` times the
-  expected latency, the brownout signature -- requests are refused for a
-  virtual-time ``cooldown``.
+* **open** (tripped): after :data:`FAILURE_THRESHOLD` consecutive
+  failures, requests are refused for a virtual-time :data:`COOLDOWN`.
 * **half-open** (probing): once the cooldown elapses, exactly one probe
   request is let through.  Success closes the breaker; failure re-opens
   it for another full cooldown.
@@ -23,46 +21,14 @@ failure/success/clock sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tuning knobs for a :class:`CircuitBreaker`.
-
-    Attributes
-    ----------
-    failure_threshold:
-        Consecutive failures (with no intervening success) that trip a
-        closed breaker open.
-    cooldown:
-        Virtual seconds an open breaker refuses requests before allowing
-        a half-open probe.
-    latency_factor:
-        Optional brownout detector: a *successful* completion whose
-        observed latency exceeds ``latency_factor * expected`` counts as
-        a failure (the node answered, but so slowly that routing more
-        work at it makes things worse).  ``None`` disables the check.
-    """
-
-    failure_threshold: int = 3
-    cooldown: float = 5.0
-    latency_factor: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if not math.isfinite(self.cooldown) or self.cooldown <= 0:
-            raise ValueError(f"cooldown must be finite and > 0, got {self.cooldown}")
-        if self.latency_factor is not None and (
-            not math.isfinite(self.latency_factor) or self.latency_factor <= 1.0
-        ):
-            raise ValueError(
-                f"latency_factor must be finite and > 1, got {self.latency_factor}"
-            )
+#: Consecutive failures (with no intervening success) that trip a closed
+#: breaker open.
+FAILURE_THRESHOLD = 3
+#: Virtual seconds an open breaker refuses requests before it allows a
+#: half-open probe.
+COOLDOWN = 5.0
 
 
 @dataclass(frozen=True)
@@ -82,15 +48,14 @@ class CircuitBreaker:
     holds no reference to a clock.  The contract the property tests pin:
 
     * :meth:`allow` never returns True while open before
-      ``opened_at + cooldown`` (no early probes);
+      ``opened_at + COOLDOWN`` (no early probes);
     * after the cooldown, :meth:`allow` grants exactly one probe; a
       success while half-open closes the breaker (a healthy node can
       always escape the open state -- no wedging);
     * a failure while half-open re-opens for a fresh cooldown.
     """
 
-    def __init__(self, config: BreakerConfig | None = None) -> None:
-        self.config = config if config is not None else BreakerConfig()
+    def __init__(self) -> None:
         self._state = "closed"
         self._consecutive_failures = 0
         self._opened_at = 0.0
@@ -134,7 +99,7 @@ class CircuitBreaker:
         if self._state == "closed":
             return True
         if self._state == "open":
-            if now < self._opened_at + self.config.cooldown:
+            if now < self._opened_at + COOLDOWN:
                 return False
             self._transition(now, "half_open", "cooldown elapsed")
             self._probe_outstanding = True
@@ -155,7 +120,7 @@ class CircuitBreaker:
         """
         if self._state != "open":
             return 0.0
-        return max(self._opened_at + self.config.cooldown - now, 0.0)
+        return max(self._opened_at + COOLDOWN - now, 0.0)
 
     # ------------------------------------------------------------------
     # Outcome reporting
@@ -179,47 +144,24 @@ class CircuitBreaker:
         if self._state == "open":
             return  # already tripped; stragglers don't extend the cooldown
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self.config.failure_threshold:
+        if self._consecutive_failures >= FAILURE_THRESHOLD:
             self._open(
                 now,
                 f"{self._consecutive_failures} consecutive failures: {reason}",
             )
 
-    def record_latency(self, now: float, observed: float, expected: float) -> None:
-        """Report a completion's latency; brownout-slow counts as failure.
-
-        With :attr:`BreakerConfig.latency_factor` unset, any completion
-        is a plain success.  Non-finite or non-positive expectations
-        disable the check for that observation (nothing to compare to).
-        """
-        lf = self.config.latency_factor
-        if (
-            lf is not None
-            and math.isfinite(observed)
-            and math.isfinite(expected)
-            and expected > 0
-            and observed > lf * expected
-        ):
-            self.record_failure(
-                now,
-                f"latency {observed:g}s > {lf:g}x expected {expected:g}s",
-            )
-        else:
-            self.record_success(now)
-
 
 @dataclass
 class BreakerBoard:
-    """A breaker per node, lazily created with a shared config."""
+    """A breaker per node, lazily created."""
 
-    config: BreakerConfig = field(default_factory=BreakerConfig)
     breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
 
     def for_node(self, node_id: str) -> CircuitBreaker:
         """The node's breaker, created closed on first access."""
         breaker = self.breakers.get(node_id)
         if breaker is None:
-            breaker = CircuitBreaker(self.config)
+            breaker = CircuitBreaker()
             self.breakers[node_id] = breaker
         return breaker
 

@@ -18,10 +18,11 @@ Rungs, in escalation order (each emits obs events and is individually
 exercisable through its public method):
 
 1. **coalesce** -- multiply registered PI-refresh samplers' cadence by
-   ``refresh_factor``: progress reporting gets staler but cheaper, no
-   query is touched;
-2. **demote** -- drop low-priority queries to ``demote_priority`` (the
-   paper's Section 3 priority action); sustained pressure then *parks*
+   :data:`REFRESH_FACTOR`: progress reporting gets staler but cheaper,
+   no query is touched;
+2. **demote** -- drop low-priority queries to
+   :data:`~repro.core.model.DEMOTED_PRIORITY` (the paper's Section 3
+   priority action); sustained pressure then *parks*
    them via :meth:`~repro.sim.rdbms.SimulatedRDBMS.block`, each parked
    query's slot going to the head of the admission queue;
 3. **shed** -- abort low-priority queries using *inverted* Section 3.1
@@ -31,9 +32,13 @@ exercisable through its public method):
    capacity freed).
 
 De-escalation retraces the rungs one at a time with hysteresis
-(``clear_fraction`` + ``clear_ticks``): parked queries resume, demotions
-stay (re-promoting mid-flight would thrash the schedule), and PI cadence
-is restored.
+(:data:`CLEAR_FRACTION` + :data:`CLEAR_TICKS`): parked queries resume,
+demotions stay (re-promoting mid-flight would thrash the schedule), and
+PI cadence is restored.
+
+Every threshold is a fixed module constant; DESIGN.md's "Fixed settings"
+table says where each value comes from.  The one setting is which
+priorities count as low (:class:`LadderConfig`).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.model import DEMOTED_PRIORITY
 from repro.sim.rdbms import SamplerHandle, SimulatedRDBMS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -51,74 +57,39 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 RUNGS = ("normal", "coalesce", "demote", "shed")
 
 
+#: Overload-score thresholds for entering rungs 1, 2 and 3.
+COALESCE_AT = 1.5
+DEMOTE_AT = 3.0
+SHED_AT = 6.0
+_THRESHOLDS = (COALESCE_AT, DEMOTE_AT, SHED_AT)
+#: Hysteresis: a rung clears only when the score drops below its entry
+#: threshold times this fraction ...
+CLEAR_FRACTION = 0.75
+#: ... on this many consecutive checks (no oscillation on a noisy score).
+CLEAR_TICKS = 2
+#: Seconds of projected remaining work counted as "full capacity"; the
+#: horizon term of the score is ``horizon / HORIZON_TARGET``.
+HORIZON_TARGET = 30.0
+#: PI-refresh cadence multiplier applied at rung >= 1.
+REFRESH_FACTOR = 4.0
+#: Aborts per check at rung 3 (shed gradually, re-score, repeat).
+MAX_SHED_PER_STEP = 2
+#: Virtual seconds between overload checks once attached.
+CHECK_INTERVAL = 1.0
+
+
 @dataclass(frozen=True)
 class LadderConfig:
-    """Thresholds and knobs for a :class:`DegradationLadder`.
+    """Which queries a :class:`DegradationLadder` may act on.
 
     Attributes
     ----------
-    coalesce_at, demote_at, shed_at:
-        Overload-score thresholds for entering rungs 1..3; must be
-        strictly increasing.
-    clear_fraction:
-        Hysteresis: a rung clears only when the score drops below
-        ``threshold * clear_fraction``.
-    clear_ticks:
-        Consecutive below-threshold checks required before stepping down
-        one rung (prevents oscillation on a noisy score).
-    horizon_target:
-        Seconds of projected remaining work considered "full capacity";
-        the horizon term of the score is ``horizon / horizon_target``.
-    refresh_factor:
-        PI-refresh cadence multiplier applied at rung >= 1.
-    demote_priority:
-        Priority assigned to demoted queries at rung >= 2.
     low_priority_ceiling:
         Queries with priority <= this are eligible for demotion, parking
         and shedding; higher-priority queries are never touched.
-    max_shed_per_step:
-        Aborts per check at rung 3 (shed gradually, re-score, repeat).
     """
 
-    coalesce_at: float = 1.5
-    demote_at: float = 3.0
-    shed_at: float = 6.0
-    clear_fraction: float = 0.75
-    clear_ticks: int = 2
-    horizon_target: float = 30.0
-    refresh_factor: float = 4.0
-    demote_priority: int = -2
     low_priority_ceiling: int = 0
-    max_shed_per_step: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coalesce_at < self.demote_at < self.shed_at:
-            raise ValueError(
-                "thresholds must satisfy 0 < coalesce_at < demote_at < shed_at, "
-                f"got {self.coalesce_at}, {self.demote_at}, {self.shed_at}"
-            )
-        if not 0.0 < self.clear_fraction <= 1.0:
-            raise ValueError(
-                f"clear_fraction must be in (0, 1], got {self.clear_fraction}"
-            )
-        if self.clear_ticks < 1:
-            raise ValueError(f"clear_ticks must be >= 1, got {self.clear_ticks}")
-        if not math.isfinite(self.horizon_target) or self.horizon_target <= 0:
-            raise ValueError(
-                f"horizon_target must be finite and > 0, got {self.horizon_target}"
-            )
-        if self.refresh_factor < 1.0:
-            raise ValueError(
-                f"refresh_factor must be >= 1, got {self.refresh_factor}"
-            )
-        if self.max_shed_per_step < 1:
-            raise ValueError(
-                f"max_shed_per_step must be >= 1, got {self.max_shed_per_step}"
-            )
-
-    def threshold(self, rung: int) -> float:
-        """Entry threshold of *rung* (1..3)."""
-        return (self.coalesce_at, self.demote_at, self.shed_at)[rung - 1]
 
 
 @dataclass(frozen=True)
@@ -139,12 +110,10 @@ class DegradationLadder:
     rdbms:
         The simulator to protect.
     config:
-        Thresholds and knobs; see :class:`LadderConfig`.
+        Which priorities count as low; see :class:`LadderConfig`.
     admission:
         Optional admission controller to inform of the current rung
         (its pressure floors tighten as the ladder climbs).
-    check_interval:
-        Seconds between overload checks once :meth:`attach` is called.
     """
 
     def __init__(
@@ -152,14 +121,10 @@ class DegradationLadder:
         rdbms: SimulatedRDBMS,
         config: LadderConfig | None = None,
         admission: "AdmissionController | None" = None,
-        check_interval: float = 1.0,
     ) -> None:
-        if check_interval <= 0:
-            raise ValueError(f"check_interval must be > 0, got {check_interval}")
         self._rdbms = rdbms
         self.config = config if config is not None else LadderConfig()
         self._admission = admission
-        self._check_interval = check_interval
         self._rung = 0
         self._calm_ticks = 0
         self._demote_ticks = 0
@@ -192,16 +157,14 @@ class DegradationLadder:
         if self._attached:
             raise RuntimeError("ladder already attached")
         self._attached = True
-        self._rdbms.add_sampler(self._check_interval, self._on_tick)
+        self._rdbms.add_sampler(CHECK_INTERVAL, self._on_tick)
         return self
 
     def register_pi_sampler(self, handle: SamplerHandle) -> None:
         """Declare *handle* a PI-refresh sampler rung 1 may coalesce."""
         self._pi_samplers.append(handle)
         if self._rung >= 1:
-            handle.set_interval(
-                handle.base_interval * self.config.refresh_factor
-            )
+            handle.set_interval(handle.base_interval * REFRESH_FACTOR)
 
     # ------------------------------------------------------------------
     # The overload score
@@ -212,7 +175,7 @@ class DegradationLadder:
 
         Score 1.0 roughly means "exactly at capacity": either the queue
         holds one full multiprogramming round, or the projected horizon
-        equals ``horizon_target``.
+        equals :data:`HORIZON_TARGET`.
         """
         rdbms = self._rdbms
         slots = rdbms.multiprogramming_limit
@@ -220,7 +183,7 @@ class DegradationLadder:
             slots = max(len(rdbms.running), 1)
         queue_term = len(rdbms.queued) / slots
         horizon = self._projected_horizon()
-        return queue_term + horizon / self.config.horizon_target
+        return queue_term + horizon / HORIZON_TARGET
 
     def _projected_horizon(self) -> float:
         """Seconds until quiescence: running (projected) plus queued work."""
@@ -246,11 +209,7 @@ class DegradationLadder:
     # ------------------------------------------------------------------
 
     def _target_rung(self, score: float) -> int:
-        target = 0
-        for rung in (1, 2, 3):
-            if score >= self.config.threshold(rung):
-                target = rung
-        return target
+        return sum(score >= threshold for threshold in _THRESHOLDS)
 
     def _on_tick(self, rdbms: SimulatedRDBMS) -> None:
         score = self.overload_score()
@@ -261,7 +220,7 @@ class DegradationLadder:
             self._escalate(score)
         elif self._clears_current(score):
             self._calm_ticks += 1
-            if self._calm_ticks >= self.config.clear_ticks:
+            if self._calm_ticks >= CLEAR_TICKS:
                 self._descend(score)
         else:
             self._calm_ticks = 0
@@ -274,13 +233,12 @@ class DegradationLadder:
         else:
             self._demote_ticks = 0
         if self._rung >= 3:
-            self.shed(self.config.max_shed_per_step)
+            self.shed()
 
     def _clears_current(self, score: float) -> bool:
         if self._rung == 0:
             return False
-        limit = self.config.threshold(self._rung) * self.config.clear_fraction
-        return score < limit
+        return score < _THRESHOLDS[self._rung - 1] * CLEAR_FRACTION
 
     def _escalate(self, score: float) -> None:
         self._rung += 1
@@ -310,12 +268,10 @@ class DegradationLadder:
     def apply_coalesce(self) -> None:
         """Rung 1: multiply registered PI-refresh cadences."""
         for handle in self._pi_samplers:
-            handle.set_interval(
-                handle.base_interval * self.config.refresh_factor
-            )
+            handle.set_interval(handle.base_interval * REFRESH_FACTOR)
         self._note(
             "coalesce",
-            f"{len(self._pi_samplers)} PI samplers x{self.config.refresh_factor:g}",
+            f"{len(self._pi_samplers)} PI samplers x{REFRESH_FACTOR:g}",
         )
 
     def restore_cadence(self) -> None:
@@ -333,13 +289,13 @@ class DegradationLadder:
         ]
 
     def demote_low_priority(self) -> tuple[str, ...]:
-        """Rung 2: drop low-priority running queries to demote_priority."""
+        """Rung 2: drop low-priority running queries to DEMOTED_PRIORITY."""
         acted = []
         for job in self._low_priority_running():
             qid = job.query_id
-            if qid in self._demoted or job.priority <= self.config.demote_priority:
+            if qid in self._demoted or job.priority <= DEMOTED_PRIORITY:
                 continue
-            self._rdbms.set_priority(qid, self.config.demote_priority)
+            self._rdbms.set_priority(qid, DEMOTED_PRIORITY)
             self._demoted.add(qid)
             acted.append(qid)
             self._note("demote", qid)
@@ -399,11 +355,10 @@ class DegradationLadder:
         candidates.sort()
         return [qid for _, _, qid in candidates]
 
-    def shed(self, limit: int | None = None) -> tuple[str, ...]:
-        """Rung 3: abort up to *limit* cheapest-to-kill queries."""
-        limit = self.config.max_shed_per_step if limit is None else limit
+    def shed(self) -> tuple[str, ...]:
+        """Rung 3: abort the MAX_SHED_PER_STEP cheapest-to-kill queries."""
         acted = []
-        for qid in self.shed_candidates()[:limit]:
+        for qid in self.shed_candidates()[:MAX_SHED_PER_STEP]:
             self._rdbms.abort(qid, reason="load-shed (ladder rung 3)")
             self.shed_ids.append(qid)
             acted.append(qid)

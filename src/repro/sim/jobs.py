@@ -116,9 +116,8 @@ class Job(abc.ABC):
 class SyntheticJob(Job):
     """A job with an exactly known total cost in U's.
 
-    With a ``checkpoint_interval`` the job models work-preserving
-    checkpoints every so many U's: a retry copy restarts from the last
-    interval mark below the crash point instead of from zero.
+    A synthetic job keeps no checkpoints: a retry copy restarts from zero
+    (engine jobs resume from their real execution checkpoints).
     """
 
     def __init__(
@@ -129,17 +128,13 @@ class SyntheticJob(Job):
         weight: float | None = None,
         initial_done: float = 0.0,
         deadline: float | None = None,
-        checkpoint_interval: float | None = None,
     ) -> None:
         super().__init__(query_id, priority, weight, deadline=deadline)
         if cost < 0:
             raise ValueError("cost must be >= 0")
         if not 0.0 <= initial_done <= cost:
             raise ValueError("initial_done must be within [0, cost]")
-        if checkpoint_interval is not None and checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be > 0")
         self.total_cost = float(cost)
-        self.checkpoint_interval = checkpoint_interval
         self._done = float(initial_done)
 
     @property
@@ -165,21 +160,10 @@ class SyntheticJob(Job):
         return consumed
 
     def retry_copy(self) -> "SyntheticJob":
-        """A retry copy: zero progress, or the last checkpoint mark.
-
-        Without a checkpoint interval all partial work is lost.  With one,
-        the copy starts from ``floor(done / interval) * interval`` -- the
-        most recent checkpoint the crashed attempt had completed.
-        """
-        preserved = 0.0
-        if self.checkpoint_interval is not None:
-            marks = int(self._done / self.checkpoint_interval)
-            preserved = min(marks * self.checkpoint_interval, self.total_cost)
+        """A zero-progress retry copy: all partial work is lost."""
         return SyntheticJob(
             self.query_id, self.total_cost, priority=self.priority,
-            weight=self.weight, initial_done=preserved,
-            deadline=self.deadline,
-            checkpoint_interval=self.checkpoint_interval,
+            weight=self.weight, deadline=self.deadline,
         )
 
 

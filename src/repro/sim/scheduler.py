@@ -9,8 +9,8 @@ The other models deliberately break the assumptions, for the Section 4
 
 * :class:`NoisyFairSharing` gives each query a private efficiency factor
   (some queries turn granted capacity into useful work less effectively --
-  think CPU-bound vs. I/O-bound mixes), optionally without renormalising, so
-  the total useful rate is no longer constant (violates Assumption 1) and
+  think CPU-bound vs. I/O-bound mixes), without renormalising, so the
+  total useful rate is no longer constant (violates Assumption 1) and
   speeds are no longer exactly weight-proportional (violates Assumption 3).
 * :class:`ThrashingModel` reduces total throughput as concurrency grows
   (buffer-pool contention), another Assumption 1 violation.
@@ -29,6 +29,13 @@ import random
 from typing import Mapping, Sequence
 
 from repro.sim.jobs import Job
+
+#: ThrashingModel: full rate up to this many concurrent queries ...
+THRASH_KNEE = 4
+#: ... each query beyond it costs this fraction of the total rate ...
+THRASH_DEGRADATION = 0.05
+#: ... down to this floor fraction of the total rate.
+THRASH_MIN_FRACTION = 0.25
 
 
 class SpeedModel(abc.ABC):
@@ -57,19 +64,15 @@ class NoisyFairSharing(SpeedModel):
     noise:
         Half-width of the uniform efficiency distribution: each query draws
         a factor in ``[1 - noise, 1 + noise]`` the first time it is seen.
-    renormalize:
-        If ``True``, speeds are rescaled so the total useful rate is still
-        ``C`` (only Assumption 3 is violated).  If ``False``, the total rate
-        itself fluctuates (Assumption 1 is violated too).
+        Speeds are not rescaled, so the total useful rate fluctuates too.
     seed:
         RNG seed; per-query factors are stable across calls.
     """
 
-    def __init__(self, noise: float = 0.2, renormalize: bool = False, seed: int = 0):
+    def __init__(self, noise: float = 0.2, seed: int = 0):
         if not 0.0 <= noise < 1.0:
             raise ValueError("noise must be in [0, 1)")
         self._noise = noise
-        self._renormalize = renormalize
         self._rng = random.Random(seed)
         self._factors: dict[str, float] = {}
 
@@ -86,13 +89,9 @@ class NoisyFairSharing(SpeedModel):
         if not jobs:
             return {}
         total = sum(j.weight for j in jobs)
-        raw = {
+        return {
             j.query_id: rate * j.weight / total * self._factor(j.query_id) for j in jobs
         }
-        if self._renormalize:
-            scale = rate / sum(raw.values())
-            return {qid: s * scale for qid, s in raw.items()}
-        return raw
 
 
 class ScaledSpeedModel(SpeedModel):
@@ -111,11 +110,10 @@ class ScaledSpeedModel(SpeedModel):
     with the injected degradation.
     """
 
-    def __init__(self, base: SpeedModel, rate_factor: float = 1.0) -> None:
+    def __init__(self, base: SpeedModel) -> None:
         self._base = base
         self._rate_factor = 1.0
         self._query_factors: dict[str, float] = {}
-        self.set_rate_factor(rate_factor)
 
     @staticmethod
     def _check_factor(factor: float) -> float:
@@ -162,29 +160,17 @@ class ScaledSpeedModel(SpeedModel):
 class ThrashingModel(SpeedModel):
     """Total throughput degrades as concurrency exceeds a knee.
 
-    Up to ``knee`` concurrent queries the system delivers the full rate
-    ``C``; beyond that every extra query costs ``degradation`` of the total
-    (floored at ``min_fraction * C``).  Speeds within the budget remain
+    Up to :data:`THRASH_KNEE` concurrent queries the system delivers the
+    full rate ``C``; beyond that every extra query costs
+    :data:`THRASH_DEGRADATION` of the total (floored at
+    ``THRASH_MIN_FRACTION * C``).  Speeds within the budget remain
     weight-proportional.
     """
 
-    def __init__(
-        self, knee: int = 4, degradation: float = 0.05, min_fraction: float = 0.25
-    ) -> None:
-        if knee < 1:
-            raise ValueError("knee must be >= 1")
-        if not 0.0 <= degradation < 1.0:
-            raise ValueError("degradation must be in [0, 1)")
-        if not 0.0 < min_fraction <= 1.0:
-            raise ValueError("min_fraction must be in (0, 1]")
-        self._knee = knee
-        self._degradation = degradation
-        self._min_fraction = min_fraction
-
     def effective_rate(self, n_jobs: int, rate: float) -> float:
         """Total useful rate with *n_jobs* concurrent queries."""
-        over = max(n_jobs - self._knee, 0)
-        fraction = max(1.0 - self._degradation * over, self._min_fraction)
+        over = max(n_jobs - THRASH_KNEE, 0)
+        fraction = max(1.0 - THRASH_DEGRADATION * over, THRASH_MIN_FRACTION)
         return rate * fraction
 
     def speeds(self, jobs: Sequence[Job], rate: float) -> dict[str, float]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.core.model import DEMOTED_PRIORITY
 from repro.core.multi_query import MultiQueryProgressIndicator
 from repro.core.validation import carry_back
 from repro.sim.rdbms import SimulatedRDBMS
@@ -71,9 +72,6 @@ class RunawayQueryWatchdog:
     pi:
         The progress indicator used for predictive enforcement; defaults
         to a fresh :class:`MultiQueryProgressIndicator`.
-    demote_priority:
-        Priority assigned on the first offense (low priorities mean small
-        scheduling weights).
     enforce_deadlines:
         Also treat a *predicted* deadline miss as an offense: a running
         query whose PI-estimated finish time exceeds its
@@ -91,7 +89,6 @@ class RunawayQueryWatchdog:
         budget_seconds: float | None = None,
         check_interval: float = 1.0,
         pi: MultiQueryProgressIndicator | None = None,
-        demote_priority: int = -2,
         enforce_deadlines: bool = False,
     ) -> None:
         if budget_seconds is not None and (
@@ -110,7 +107,6 @@ class RunawayQueryWatchdog:
         self._budget = budget_seconds
         self._check_interval = check_interval
         self._pi = pi if pi is not None else MultiQueryProgressIndicator()
-        self._demote_priority = demote_priority
         self._enforce_deadlines = enforce_deadlines
         self._demoted: set[str] = set()
         self._attached = False
@@ -236,7 +232,7 @@ class RunawayQueryWatchdog:
             if not over:
                 continue
             if qid not in self._demoted:
-                rdbms.set_priority(qid, self._demote_priority)
+                rdbms.set_priority(qid, DEMOTED_PRIORITY)
                 self._demoted.add(qid)
                 record.trace.record_fault(now, "watchdog-demote", reason)
                 self._record(now, qid, "deprioritize", est, used_fallback, reason)

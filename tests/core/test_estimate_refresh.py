@@ -145,45 +145,6 @@ class TestEventLoopAgreesWithReference:
             ref = pi.estimate(snapshot)
         assert_same_estimates(got, ref)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), rate=rates)
-    def test_extra_arrivals(self, data, rate):
-        running = pool(data, "r", 0, 6)
-        arrivals = [
-            (data.draw(st.floats(0.0, 50.0), label=f"t{i}"), q)
-            for i, q in enumerate(pool(data, "x", 1, 4))
-        ]
-        results = [
-            solve(running, processing_rate=rate, extra_arrivals=arrivals)
-            for solve in (project, reference_project)
-        ]
-        assert results[0].queries.keys() == results[1].queries.keys()
-        for qid, p in results[1].queries.items():
-            got = results[0].queries[qid]
-            assert math.isclose(got.finish_time, p.finish_time,
-                                rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(got.queue_wait, p.queue_wait,
-                                rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_simultaneous_arrivals(self):
-        """After the first of two arrivals at one instant the clock sat an
-        ulp past the second one's time, and the shared schedule was asked
-        to advance by a negative dt."""
-        rate = 13.35127124506709
-        running = [QuerySnapshot(f"r{i}", c, weight=0.5)
-                   for i, c in enumerate([0.0, 0.0, 10.0, 30.0, 7.5])]
-        arrivals = [(rate, QuerySnapshot(f"x{i}", 0.0, weight=0.5))
-                    for i in range(2)]
-        results = [
-            solve(running, processing_rate=rate,
-                  extra_arrivals=arrivals).remaining_times
-            for solve in (project, reference_project)
-        ]
-        assert results[0].keys() == results[1].keys()
-        for qid, expected in results[1].items():
-            assert math.isclose(results[0][qid], expected, rel_tol=1e-9)
-        assert results[0]["x0"] == results[0]["x1"] == pytest.approx(rate)
-
 
 class TestObservableSurface:
     def test_telemetry_of_a_one_solve_refresh(self):

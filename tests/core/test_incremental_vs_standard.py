@@ -140,8 +140,7 @@ def _snapshot_pool(data, prefix, max_n, min_cost=0.0):
 
 
 def assert_agrees_with_oracle(
-    running, queued, rate, mpl, forecast, context,
-    extra_arrivals=(), abs_tol=1e-6,
+    running, queued, rate, mpl, forecast, context, abs_tol=1e-6,
 ):
     """``project()`` and the oracle: finish times, waits, quiescent time."""
     args = dict(
@@ -150,7 +149,6 @@ def assert_agrees_with_oracle(
         processing_rate=rate,
         multiprogramming_limit=mpl,
         forecast=forecast,
-        extra_arrivals=extra_arrivals,
     )
     inc, ref = project(**args), reference_project(**args)
     assert set(inc.remaining_times) == set(ref.remaining_times), context

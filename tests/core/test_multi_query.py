@@ -137,10 +137,8 @@ class TestAdaptiveForecaster:
         assert current.arrival_rate == pytest.approx(0.5)
 
     def test_observed_arrivals_correct_the_rate(self):
-        prior = WorkloadForecast(arrival_rate=0.5, average_cost=10.0)
-        pi = MultiQueryProgressIndicator(
-            forecaster=AdaptiveForecaster(prior, prior_strength=2.0)
-        )
+        prior = WorkloadForecast(arrival_rate=0.2, average_cost=10.0)
+        pi = MultiQueryProgressIndicator(forecaster=AdaptiveForecaster(prior))
         # Real arrivals ~ one per 100s: far slower than the prior.
         for i in range(50):
             pi.observe_arrival(i * 100.0, cost=10.0)
@@ -151,9 +149,7 @@ class TestAdaptiveForecaster:
     def test_estimates_improve_as_forecaster_learns(self):
         state = snap([q("a", 100)])
         prior = WorkloadForecast(arrival_rate=0.2, average_cost=50.0)
-        pi = MultiQueryProgressIndicator(
-            forecaster=AdaptiveForecaster(prior, prior_strength=2.0)
-        )
+        pi = MultiQueryProgressIndicator(forecaster=AdaptiveForecaster(prior))
         before = pi.estimate(state).for_query("a")
         # The true stream is empty-ish: arrivals every 1000s, tiny cost.
         for i in range(100):

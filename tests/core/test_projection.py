@@ -157,29 +157,6 @@ class TestForecast:
         assert result.remaining_times["a"] == pytest.approx(30 + (5 / 3) * 4)
 
 
-class TestExtraArrivals:
-    def test_known_one_off_arrival(self):
-        result = project(
-            [q("a", 20)],
-            processing_rate=1.0,
-            extra_arrivals=[(10.0, q("late", 5))],
-        )
-        # a alone until 10, then shares: late finishes at 20, a at 25.
-        assert result.remaining_times["late"] == pytest.approx(20.0)
-        assert result.remaining_times["a"] == pytest.approx(25.0)
-
-    def test_extra_arrival_respects_mpl(self):
-        result = project(
-            [q("a", 20)],
-            processing_rate=1.0,
-            multiprogramming_limit=1,
-            extra_arrivals=[(5.0, q("late", 5))],
-        )
-        assert result.remaining_times["a"] == pytest.approx(20.0)
-        assert result.remaining_times["late"] == pytest.approx(25.0)
-        assert result.queries["late"].queue_wait == pytest.approx(15.0)
-
-
 class TestValidation:
     def test_bad_rate(self):
         with pytest.raises(ValueError):

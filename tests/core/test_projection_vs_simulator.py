@@ -4,13 +4,16 @@ The projection (Section 2.2-2.4 analysis) and the simulator implement the
 same system model through entirely different code paths -- closed-form /
 event-driven prediction versus time-sliced execution.  For any workload
 with known arrivals they must agree exactly.  Hypothesis drives both with
-random workloads, MPLs and scripted arrival schedules.
+random workloads, MPLs and finite forecasts: a forecast's virtual queries
+arrive every ``1 / lambda`` seconds up to its horizon, so the simulator
+replays them as a scripted arrival schedule of real queries.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.forecast import WorkloadForecast
 from repro.core.model import QuerySnapshot
 from repro.core.projection import project
 from repro.sim.arrivals import ArrivalSchedule
@@ -30,25 +33,38 @@ def scenario(draw):
         for i in range(n_initial)
     ]
     n_arrivals = draw(st.integers(min_value=0, max_value=4))
-    arrivals = [
-        (
-            draw(st.floats(min_value=0.1, max_value=150.0)),
-            f"a{j}",
-            draw(st.floats(min_value=0.5, max_value=100.0)),
-            draw(st.sampled_from([1.0, 2.0])),
+    forecast = None
+    if n_arrivals:
+        interval = draw(st.floats(min_value=0.1, max_value=40.0))
+        forecast = WorkloadForecast(
+            arrival_rate=1.0 / interval,
+            average_cost=draw(st.floats(min_value=0.5, max_value=100.0)),
+            average_weight=draw(st.sampled_from([1.0, 2.0])),
+            horizon=(n_arrivals + 0.5) * interval,
         )
-        for j in range(n_arrivals)
-    ]
     mpl = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
     rate = draw(st.floats(min_value=0.5, max_value=5.0))
-    return initial, arrivals, mpl, rate
+    return initial, forecast, mpl, rate
+
+
+def forecast_arrivals(forecast):
+    """The forecast's virtual arrival times, accumulated as the
+    projection accumulates them."""
+    times = []
+    if forecast is not None:
+        interval = 1.0 / forecast.arrival_rate
+        t = interval
+        while t <= forecast.horizon:
+            times.append(t)
+            t += interval
+    return times
 
 
 class TestProjectionMatchesSimulator:
     @given(data=scenario())
     @settings(max_examples=80, deadline=None)
     def test_finish_times_agree(self, data):
-        initial, arrivals, mpl, rate = data
+        initial, forecast, mpl, rate = data
 
         # --- analytical projection -----------------------------------
         running_or_queued = [
@@ -59,16 +75,12 @@ class TestProjectionMatchesSimulator:
         else:
             running = running_or_queued[:mpl]
             queued = running_or_queued[mpl:]
-        extra = [
-            (t, QuerySnapshot(qid, cost, weight=w))
-            for t, qid, cost, w in arrivals
-        ]
         predicted = project(
             running,
             queued=queued,
             processing_rate=rate,
             multiprogramming_limit=mpl,
-            extra_arrivals=extra,
+            forecast=forecast,
         )
 
         # --- event simulation -----------------------------------------
@@ -76,9 +88,12 @@ class TestProjectionMatchesSimulator:
         for qid, cost, w in initial:
             rdbms.submit(SyntheticJob(qid, cost, weight=w))
         schedule = ArrivalSchedule()
-        for t, qid, cost, w in arrivals:
+        for j, t in enumerate(forecast_arrivals(forecast)):
             schedule.add(
-                t, lambda qid=qid, cost=cost, w=w: SyntheticJob(qid, cost, weight=w)
+                t, lambda j=j: SyntheticJob(
+                    f"a{j}", forecast.average_cost,
+                    weight=forecast.average_weight,
+                )
             )
         rdbms.schedule(schedule)
         rdbms.run_to_completion()
@@ -92,7 +107,7 @@ class TestProjectionMatchesSimulator:
     @given(data=scenario())
     @settings(max_examples=40, deadline=None)
     def test_queue_waits_agree(self, data):
-        initial, arrivals, mpl, rate = data
+        initial, _, mpl, rate = data
         if mpl is None:
             return  # no queueing without an MPL
         running = [QuerySnapshot(qid, c, weight=w) for qid, c, w in initial[:mpl]]

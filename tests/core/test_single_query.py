@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.single_query import SingleQueryProgressIndicator, SpeedMonitor
+from repro.core.single_query import (
+    WINDOW_SECONDS,
+    SingleQueryProgressIndicator,
+    SpeedMonitor,
+)
 
 
 class TestSpeedMonitor:
@@ -15,13 +19,14 @@ class TestSpeedMonitor:
         assert m.speed() == pytest.approx(2.0)
 
     def test_windowing_discards_old_speed(self):
-        m = SpeedMonitor(window_seconds=5.0)
+        assert WINDOW_SECONDS == 10.0
+        m = SpeedMonitor()
         # Fast at first (10 U/s), then slow (1 U/s).
         m.observe(0.0, 0.0)
         m.observe(1.0, 10.0)
-        for t in range(2, 12):
+        for t in range(2, 22):
             m.observe(float(t), 10.0 + (t - 1) * 1.0)
-        # Window [6..11]: pure 1 U/s.
+        # Window [11..21]: pure 1 U/s.
         assert m.speed() == pytest.approx(1.0, rel=0.2)
 
     def test_rejects_time_travel(self):
@@ -41,10 +46,6 @@ class TestSpeedMonitor:
         m.observe(0.0, 5.0)
         m.observe(10.0, 5.0)
         assert m.speed() == pytest.approx(0.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            SpeedMonitor(window_seconds=0.0)
 
 
 class TestSingleQueryPI:
@@ -93,7 +94,7 @@ class TestSingleQueryPI:
 
     def test_tracks_load_change(self):
         """After a concurrent query 'finishes', the estimate shrinks."""
-        pi = SingleQueryProgressIndicator(window_seconds=4.0)
+        pi = SingleQueryProgressIndicator()
         # Shared phase: 0.5 U/s.
         for t in range(0, 9):
             pi.observe(float(t), 0.5 * t)

@@ -165,12 +165,12 @@ def spy_on_tail_rule():
 
 def assert_matches_oracle(
     context, running, processing_rate, queued=(), multiprogramming_limit=None,
-    forecast=None, extra_arrivals=(),
+    forecast=None,
 ):
     """Finish times, queue waits and quiescent time, all to 1e-9."""
     assert_agrees_with_oracle(
         running, queued, processing_rate, multiprogramming_limit, forecast,
-        context, extra_arrivals=extra_arrivals, abs_tol=TOL,
+        context, abs_tol=TOL,
     )
 
 
@@ -215,27 +215,6 @@ class TestTailRule:
         if tail_clocks and first_arrival <= forecast.horizon:
             # Virtual queries were due: the rule waited for the last one.
             assert tail_clocks[0] >= first_arrival * (1 - 1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), rate=proj_rates)
-    def test_fires_when_extra_arrivals_are_used_up(self, data, rate):
-        running = pool(data, "r", 1, 5, cost=busy_costs)
-        mpl = data.draw(st.one_of(st.none(), st.integers(1, 6)), label="mpl")
-        arrivals = [
-            (data.draw(st.floats(0.0, 50.0), label=f"t{i}"), q)
-            for i, q in enumerate(pool(data, "x", 1, 4))
-        ]
-        with spy_on_tail_rule() as tail_clocks:
-            assert_matches_oracle(
-                f"mpl={mpl} arrivals={arrivals}", running=running,
-                processing_rate=rate, multiprogramming_limit=mpl,
-                extra_arrivals=arrivals,
-            )
-        # When some query outlasts the last arrival the rule fires at (or
-        # after) that arrival; otherwise the event loop already finished.
-        assert len(tail_clocks) <= 1
-        if tail_clocks:
-            assert tail_clocks[0] >= max(t for t, _ in arrivals) * (1 - 1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), rate=proj_rates)
@@ -299,21 +278,18 @@ class TestTailRule:
 
 
 class TestDuplicateIdsStillRaise:
-    @pytest.mark.parametrize("queued, mpl, arrivals", [
+    @pytest.mark.parametrize("queued, mpl", [
         # A queue over the limit: the treap path.
-        ([QuerySnapshot("a", 10.0)], 2, ()),
-        # An arrival after its running twin has finished, so the two are
-        # never live together.
-        ((), None, [(100.0, QuerySnapshot("a", 5.0))]),
+        ([QuerySnapshot("a", 10.0)], 2),
         # A queue under the limit: the engine-free path.
-        ([QuerySnapshot("a", 10.0)], None, ()),
-    ], ids=["queue_over_mpl", "late_arrival", "kernel_only"])
-    def test_checked_once_at_entry(self, queued, mpl, arrivals):
+        ([QuerySnapshot("a", 10.0)], None),
+    ], ids=["queue_over_mpl", "kernel_only"])
+    def test_checked_once_at_entry(self, queued, mpl):
         running = [QuerySnapshot("a", 10.0), QuerySnapshot("b", 20.0)]
         with spy_on_tail_rule() as tail_clocks:
             with pytest.raises(ValueError, match=r"^duplicate query id 'a'$"):
                 project(running, queued, processing_rate=1.0,
-                        multiprogramming_limit=mpl, extra_arrivals=arrivals)
+                        multiprogramming_limit=mpl)
         assert tail_clocks == []
 
     def test_in_the_kernel_only_path(self):
@@ -337,12 +313,4 @@ class TestDuplicateIdsStillRaise:
                 [QuerySnapshot("w", 3.0)],
                 processing_rate=1.0,
                 multiprogramming_limit=2,
-            )
-
-    def test_an_arrival_joining_a_live_twin(self):
-        with pytest.raises(ValueError, match=r"^duplicate query id 'a'$"):
-            project(
-                [QuerySnapshot("a", 100.0)],
-                processing_rate=1.0,
-                extra_arrivals=[(1.0, QuerySnapshot("a", 5.0))],
             )

@@ -83,8 +83,8 @@ class TestValidateSnapshots:
          "completed_work of query 'Q3' (in queued) must be finite, got inf"),
         ("completed_work", -2.5, "queries",
          "completed_work of query 'Q3' (in queries) must be >= 0.0, got -2.5"),
-        ("weight", -INF, "extra_arrivals",
-         "weight of query 'Q3' (in extra_arrivals) must be finite, got -inf"),
+        ("weight", -INF, "queued",
+         "weight of query 'Q3' (in queued) must be finite, got -inf"),
         ("weight", 0.0, "queries",
          "weight of query 'Q3' (in queries) must be > 0.0, got 0.0"),
     ])

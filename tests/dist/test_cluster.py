@@ -248,12 +248,7 @@ class TestFailover:
             cluster.nodes["node0"].submit(SyntheticJob("x", 10.0))
 
     def test_no_replica_left_gives_up(self):
-        from repro.faults.retry import RetryPolicy
-
-        cluster = make_cluster(
-            replication=1,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.5),
-        )
+        cluster = make_cluster(replication=1)
         cluster.submit("Q", "SELECT * FROM lineitem")
         cluster.run_until(1.0)
         cluster.catalog.mark_down("node1")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.dist import ClusterFaultInjector, ShardedCluster, load_tpcr
 from repro.faults.plan import ArrivalBurst, FaultPlan, NodeCrash
-from repro.qos.breaker import BreakerConfig
+from repro.qos.breaker import FAILURE_THRESHOLD
 from repro.workload.tpcr import TpcrConfig, generate
 
 SMALL = TpcrConfig(scale=1 / 8000, seed=0)
@@ -47,43 +47,43 @@ class TestBreakerWiring:
         assert b.state == "closed"
         assert cluster.breakers.for_node("node0") is b
 
-    def test_custom_breaker_config_is_used(self):
-        cluster = build_cluster(
-            breaker_config=BreakerConfig(failure_threshold=7, cooldown=99.0)
-        )
-        assert cluster.breakers.for_node("node0").config.cooldown == 99.0
-
     def test_node_crash_trips_the_breaker(self):
-        cluster = build_cluster(
-            breaker_config=BreakerConfig(failure_threshold=2, cooldown=5.0)
-        )
-        # Several multi-shard queries put >= threshold sub-queries on
-        # every node; the crash fails them all at once.
-        for i in range(3):
-            cluster.submit(f"q{i}", "SELECT * FROM lineitem")
+        cluster = build_cluster()
+        # FAILURE_THRESHOLD multi-shard queries put that many sub-queries
+        # on every node; the crash fails them all at once, and the
+        # breaker opens on the last of those consecutive failures.
+        for i in range(FAILURE_THRESHOLD):
+            dq = cluster.submit(f"q{i}", "SELECT * FROM lineitem")
+            assert [s.node_id for s in dq.subqueries.values()].count(
+                "node1"
+            ) == 1
+        breaker = cluster.breakers.for_node("node1")
         ClusterFaultInjector(
             cluster, FaultPlan.of(NodeCrash("node1", at=1.0))
         ).arm()
+        cluster.run_until(0.9)
+        assert breaker.state == "closed"
         cluster.run_until(1.5)
-        assert cluster.breakers.for_node("node1").state == "open"
+        assert breaker.state == "open"
         assert "node1" in cluster.breakers.open_nodes()
+        [trip] = breaker.transitions
+        assert trip.reason.startswith(
+            f"{FAILURE_THRESHOLD} consecutive failures"
+        )
 
     def test_routing_skips_an_open_breaker(self):
-        cluster = build_cluster(
-            breaker_config=BreakerConfig(failure_threshold=1, cooldown=1e5)
-        )
+        cluster = build_cluster()
         # Trip node0's breaker by hand, then scatter a query: no fresh
         # sub-query may land on node0 while a closed-breaker replica
         # exists for its shards.
-        cluster.breakers.for_node("node0").record_failure(cluster.clock)
+        for _ in range(FAILURE_THRESHOLD):
+            cluster.breakers.for_node("node0").record_failure(cluster.clock)
         dq = cluster.submit("q0", "SELECT * FROM lineitem")
         placed = {sub.node_id for sub in dq.subqueries.values()}
         assert "node0" not in placed
 
     def test_queries_survive_crash_with_breakers_on(self):
-        cluster = build_cluster(
-            breaker_config=BreakerConfig(failure_threshold=2, cooldown=2.0)
-        )
+        cluster = build_cluster()
         for i in range(3):
             cluster.submit(f"q{i}", "SELECT * FROM lineitem")
         ClusterFaultInjector(
@@ -158,9 +158,7 @@ class TestStormAcceptance:
 
     @pytest.fixture(scope="class")
     def run(self):
-        cluster = build_cluster(
-            breaker_config=BreakerConfig(failure_threshold=3, cooldown=2.0)
-        )
+        cluster = build_cluster()
         for i in range(2):
             cluster.submit(f"base{i}", "SELECT * FROM lineitem")
         plan = FaultPlan.of(

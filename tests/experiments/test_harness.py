@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.forecast import AdaptiveForecaster, WorkloadForecast
+from repro.core.forecast import (
+    PRIOR_STRENGTH,
+    AdaptiveForecaster,
+    WorkloadForecast,
+)
 from repro.core.multi_query import MultiQueryProgressIndicator
 from repro.experiments.harness import (
     MULTI_QUERY,
@@ -82,17 +86,19 @@ class TestArrivalForwarding:
     def test_arrivals_feed_adaptive_forecaster(self):
         db = SimulatedRDBMS(processing_rate=1.0)
         prior = WorkloadForecast(arrival_rate=0.5, average_cost=1.0)
-        forecaster = AdaptiveForecaster(prior, prior_strength=0.0)
+        forecaster = AdaptiveForecaster(prior)
         indicator = MultiQueryProgressIndicator(forecaster=forecaster)
         PIHarness(db, interval=5.0, multi_indicators={"m": indicator},
                   with_single=False)
         for job in make_synthetic_workload([5, 5, 5]):
             db.submit(job)
         # Three arrivals observed at t=0 (simultaneous: rate undefined,
-        # cost mean well-defined).
+        # cost mean well-defined), blended with the prior's cost.
         current = indicator.current_forecast()
         assert current is not None
-        assert current.average_cost == pytest.approx(5.0)
+        assert current.average_cost == pytest.approx(
+            (PRIOR_STRENGTH * 1.0 + 3 * 5.0) / (PRIOR_STRENGTH + 3)
+        )
 
 
 class TestSeriesHelpers:

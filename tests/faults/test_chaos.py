@@ -106,7 +106,7 @@ class TestRandomizedChaos:
     """Seeded random fault storms; only invariants are asserted."""
 
     HORIZON = 80.0
-    POLICY = RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.3)
+    POLICY = RetryPolicy(max_attempts=3, base_delay=1.0)
 
     def run_storm(self, seed: int):
         rdbms = SimulatedRDBMS(processing_rate=10.0)

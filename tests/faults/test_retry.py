@@ -4,29 +4,28 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, QueryCrash
-from repro.faults.retry import RetryController, RetryPolicy
+from repro.faults.retry import (
+    BACKOFF_MULTIPLIER,
+    JITTER,
+    RetryController,
+    RetryPolicy,
+)
 from repro.sim.jobs import Job, SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS
 
 
 class TestRetryPolicy:
     def test_exponential_backoff(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=1.0, multiplier=2.0, jitter=0.0
-        )
-        assert [policy.delay(n) for n in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 8.0]
-
-    def test_max_delay_caps_backoff(self):
-        policy = RetryPolicy(
-            base_delay=1.0, multiplier=10.0, max_delay=5.0, jitter=0.0
-        )
-        assert policy.delay(3) == 5.0
+        policy = RetryPolicy(max_attempts=5, base_delay=1.0)
+        assert BACKOFF_MULTIPLIER == 2.0
+        for n, nominal in zip((1, 2, 3, 4), (1.0, 2.0, 4.0, 8.0)):
+            assert policy.delay(n) == pytest.approx(nominal, rel=JITTER)
 
     def test_default_jitter_is_nonzero(self):
         # A node crash fails many queries at the same virtual instant; the
-        # default policy must not resubmit them all at exactly the same
-        # time (a retry storm), so out of the box jitter is on.
-        assert RetryPolicy().jitter == 0.1
+        # policy must not resubmit them all at exactly the same time (a
+        # retry storm), so jitter is always on.
+        assert JITTER == 0.1
 
     def test_default_jitter_spreads_mass_failure_resubmissions(self):
         # K queries killed by one fault: their backoff delays must spread
@@ -40,27 +39,17 @@ class TestRetryPolicy:
         assert delays == [policy.delay(1, f"q{i}") for i in range(50)]
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=4.0, jitter=0.5)
+        policy = RetryPolicy(base_delay=4.0)
         first = policy.delay(1, "q7")
         assert first == policy.delay(1, "q7")  # same inputs, same delay
-        assert 2.0 <= first <= 6.0  # within [1-j, 1+j] * base
+        assert 3.6 <= first <= 4.4  # within [1-j, 1+j] * base
         assert policy.delay(1, "q7") != policy.delay(1, "other-query")
-
-    def test_zero_jitter_is_exact(self):
-        policy = RetryPolicy(base_delay=3.0, jitter=0.0)
-        assert policy.delay(1, "anything") == 3.0
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=float("nan"))
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_delay=float("inf"))
 
     def test_rejects_bad_attempt_number(self):
         with pytest.raises(ValueError):
@@ -111,29 +100,29 @@ class TestRetryController:
             rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))
         )
         injector.arm()
-        controller = RetryController(
-            rdbms, RetryPolicy(max_attempts=3, base_delay=2.0, jitter=0.0)
-        )
+        policy = RetryPolicy(max_attempts=3, base_delay=2.0)
+        controller = RetryController(rdbms, policy)
         rdbms.run_to_completion(max_time=100.0)
         record = rdbms.record("q")
         assert record.status == "finished"
         assert record.attempts == 2
         assert record.trace.attempts == 2
         assert controller.retried("q") == 1
-        # Crash at t=5, backoff 2s, redo 100 U at 10 U/s: finish at 17.
-        assert record.trace.finished_at == pytest.approx(17.0)
+        # Crash at t=5, backoff ~2s, redo 100 U at 10 U/s: finish at ~17.
+        assert record.trace.finished_at == pytest.approx(
+            5.0 + policy.delay(1, "q") + 10.0
+        )
 
     def test_retry_waits_for_backoff_delay(self):
         rdbms = SimulatedRDBMS(processing_rate=10.0)
         rdbms.submit(SyntheticJob("q", 100))
         FaultInjector(rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))).arm()
-        controller = RetryController(
-            rdbms, RetryPolicy(max_attempts=2, base_delay=4.0, jitter=0.0)
-        )
+        policy = RetryPolicy(max_attempts=2, base_delay=4.0)
+        controller = RetryController(rdbms, policy)
         rdbms.run_to_completion(max_time=100.0)
         resubmits = [e for e in controller.events if e.action == "resubmitted"]
         assert len(resubmits) == 1
-        assert resubmits[0].time == pytest.approx(9.0)
+        assert resubmits[0].time == pytest.approx(5.0 + policy.delay(1, "q"))
 
     def test_persistent_failure_respects_attempts_cap(self):
         rdbms = SimulatedRDBMS(processing_rate=10.0)
@@ -192,20 +181,26 @@ class TestWorkAccounting:
         gross work executed == useful work at the end + wasted work.
     """
 
-    def run_crash(self, checkpoint_interval=None, max_attempts=3):
+    def run_crash(self, checkpoint=None, max_attempts=3):
+        """Crash ``q`` at 50 U; the retry resumes from *checkpoint* U."""
+        factory = None
+        if checkpoint is not None:
+            def factory(job, attempt):
+                return SyntheticJob(
+                    job.query_id, job.total_cost, initial_done=checkpoint
+                )
         rdbms = SimulatedRDBMS(processing_rate=10.0)
-        rdbms.submit(
-            SyntheticJob("q", 100, checkpoint_interval=checkpoint_interval)
-        )
+        rdbms.submit(SyntheticJob("q", 100))
         FaultInjector(rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))).arm()
         RetryController(
-            rdbms, RetryPolicy(max_attempts=max_attempts, base_delay=2.0)
+            rdbms, RetryPolicy(max_attempts=max_attempts, base_delay=2.0),
+            job_factory=factory,
         )
         rdbms.run_to_completion(max_time=200.0)
         return rdbms.record("q")
 
     def test_restart_from_scratch_loses_everything(self):
-        record = self.run_crash(checkpoint_interval=None)
+        record = self.run_crash()
         assert record.status == "finished"
         # Crash at t=5 with 50 U done; no checkpoint, so all 50 are wasted.
         assert record.trace.work_preserved == [0.0]
@@ -213,15 +208,15 @@ class TestWorkAccounting:
         assert record.trace.wasted_work == pytest.approx(50.0)
 
     def test_checkpoint_preserves_completed_intervals(self):
-        record = self.run_crash(checkpoint_interval=20.0)
+        record = self.run_crash(checkpoint=40.0)
         assert record.status == "finished"
-        # Crash at 50 U: the last 20-U checkpoint was at 40 U.
+        # Crash at 50 U: the retry resumes from the checkpoint at 40 U.
         assert record.trace.work_preserved == [40.0]
         assert record.trace.work_lost == [10.0]
 
     def test_conservation_gross_equals_useful_plus_wasted(self):
-        for interval in (None, 20.0):
-            record = self.run_crash(checkpoint_interval=interval)
+        for checkpoint in (None, 40.0):
+            record = self.run_crash(checkpoint)
             trace = record.trace
             useful = record.job.completed_work
             # Attempt 1 executed preserved + lost U; attempt 2 executed
@@ -249,21 +244,20 @@ class TestBreakerAwareDelay:
     """Satellite: RetryPolicy.delay consults an optional circuit breaker."""
 
     def _policy(self):
-        return RetryPolicy(
-            max_attempts=5, base_delay=1.0, multiplier=2.0, jitter=0.0
-        )
+        return RetryPolicy(max_attempts=5, base_delay=1.0)
 
     def test_backoff_unchanged_with_closed_breaker(self):
-        from repro.qos.breaker import BreakerConfig, CircuitBreaker
+        from repro.qos.breaker import CircuitBreaker
 
         policy = self._policy()
-        breaker = CircuitBreaker(BreakerConfig(failure_threshold=3))
+        breaker = CircuitBreaker()
         with_breaker = [
             policy.delay(n, breaker=breaker, now=0.0) for n in (1, 2, 3, 4)
         ]
         without = [policy.delay(n) for n in (1, 2, 3, 4)]
         # Pinned: a closed breaker leaves backoff byte-identical.
-        assert with_breaker == without == [1.0, 2.0, 4.0, 8.0]
+        assert with_breaker == without
+        assert without == pytest.approx([1.0, 2.0, 4.0, 8.0], rel=JITTER)
 
     def test_jittered_backoff_unchanged_with_closed_breaker(self):
         from repro.qos.breaker import CircuitBreaker
@@ -276,23 +270,21 @@ class TestBreakerAwareDelay:
                 policy.delay(1, qid)
 
     def test_open_breaker_returns_its_cooldown(self):
-        from repro.qos.breaker import BreakerConfig, CircuitBreaker
+        from repro.qos.breaker import COOLDOWN, FAILURE_THRESHOLD, CircuitBreaker
 
         policy = self._policy()
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=1, cooldown=30.0)
-        )
-        breaker.record_failure(10.0)
-        # Backoff would say 1 s; the open breaker says wait out 30 s.
-        assert policy.delay(1, breaker=breaker, now=10.0) == 30.0
-        assert policy.delay(1, breaker=breaker, now=25.0) == 15.0
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure(10.0)
+        # Backoff would say 1 s; the open breaker says wait out 5 s.
+        assert policy.delay(1, breaker=breaker, now=10.0) == COOLDOWN == 5.0
+        assert policy.delay(1, breaker=breaker, now=12.0) == 3.0
 
     def test_expired_cooldown_falls_back_to_backoff(self):
-        from repro.qos.breaker import BreakerConfig, CircuitBreaker
+        from repro.qos.breaker import FAILURE_THRESHOLD, CircuitBreaker
 
         policy = self._policy()
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=1, cooldown=5.0)
-        )
-        breaker.record_failure(0.0)
-        assert policy.delay(2, breaker=breaker, now=50.0) == 2.0
+        breaker = CircuitBreaker()
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure(0.0)
+        assert policy.delay(2, breaker=breaker, now=50.0) == policy.delay(2)

@@ -5,6 +5,9 @@ import math
 import pytest
 
 from repro.obs.accuracy import (
+    ERROR_THRESHOLD,
+    MEAN_ERROR_CAP,
+    PROFILE_FRACTIONS,
     AccuracyTracker,
     format_accuracy,
 )
@@ -33,16 +36,22 @@ class TestAccuracyTracker:
         assert q.lifetime == pytest.approx(10.0)
 
     def test_relative_error_profile(self):
-        tr = AccuracyTracker(profile_fractions=(0.5,))
+        tr = AccuracyTracker()
         tr.mark_started("Q1", 0.0)
-        # Estimate is a flat 10s; actual remaining at t=5 is 5s: error 1.0.
+        # Estimate is a flat 10s; actual remaining at t=10f is 10 - 10f:
+        # error f / (1 - f), 1.0 at half-life.
         tr.observe("Q1", "flat", 0.0, 10.0)
         tr.mark_finished("Q1", 10.0)
         e = tr.report().for_query("Q1").estimators["flat"]
-        assert e.profile == ((0.5, pytest.approx(1.0)),)
+        assert [f for f, _ in e.profile] == list(PROFILE_FRACTIONS)
+        assert e.profile == tuple(
+            (f, pytest.approx(f / (1 - f))) for f in PROFILE_FRACTIONS
+        )
+        assert dict(e.profile)[0.5] == pytest.approx(1.0)
 
     def test_correction_lag_measures_settling(self):
-        tr = AccuracyTracker(error_threshold=0.25)
+        assert ERROR_THRESHOLD == 0.25
+        tr = AccuracyTracker()
         tr.mark_started("Q1", 0.0)
         # Bad at t=0 and t=2 (error > 25%), good from t=4 onwards.
         tr.observe("Q1", "pi", 0.0, 30.0)   # actual 10 -> error 2.0
@@ -54,7 +63,7 @@ class TestAccuracyTracker:
         assert e.correction_lag == pytest.approx(4.0)
 
     def test_correction_lag_inf_when_never_settles(self):
-        tr = AccuracyTracker(error_threshold=0.01)
+        tr = AccuracyTracker()
         tr.mark_started("Q1", 0.0)
         tr.observe("Q1", "pi", 0.0, 99.0)
         tr.mark_finished("Q1", 10.0)
@@ -72,7 +81,8 @@ class TestAccuracyTracker:
             report.for_query("Q1")
 
     def test_non_finite_estimate_counts_as_infinite_error(self):
-        tr = AccuracyTracker(mean_error_cap=10.0)
+        assert MEAN_ERROR_CAP == 10.0
+        tr = AccuracyTracker()
         tr.mark_started("Q1", 0.0)
         tr.observe("Q1", "pi", 0.0, float("inf"))
         tr.observe("Q1", "pi", 5.0, 5.0)
@@ -93,15 +103,16 @@ class TestAccuracyTracker:
     def test_late_observer_profile_carries_first_value_back(self):
         # Estimator starts sampling at t=6 of a 10s query: profile points
         # before 6s must use the first estimate, not crash.
-        tr = AccuracyTracker(profile_fractions=(0.1, 0.8))
+        tr = AccuracyTracker()
         tr.mark_started("Q1", 0.0)
         tr.observe("Q1", "late", 6.0, 4.0)
         tr.mark_finished("Q1", 10.0)
-        e = tr.report().for_query("Q1").estimators["late"]
-        fracs = [f for f, _ in e.profile]
-        assert fracs == [pytest.approx(0.1), pytest.approx(0.8)]
-        # At t=1 the carried-back estimate 4.0 vs actual 9.0.
-        assert e.profile[0][1] == pytest.approx(abs(4.0 - 9.0) / 9.0)
+        profile = dict(tr.report().for_query("Q1").estimators["late"].profile)
+        assert list(profile) == list(PROFILE_FRACTIONS)
+        # At t=1 the carried-back estimate 4.0 vs actual 9.0; at t=8 the
+        # estimate 4.0 vs actual 2.0.
+        assert profile[0.1] == pytest.approx(abs(4.0 - 9.0) / 9.0)
+        assert profile[0.8] == pytest.approx(1.0)
 
     def test_report_sorted_and_deterministic(self):
         tr = AccuracyTracker()
@@ -112,14 +123,6 @@ class TestAccuracyTracker:
         report = tr.report()
         assert [q.query_id for q in report.queries] == ["Qa", "Qb"]
         assert format_accuracy(report) == format_accuracy(tr.report())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AccuracyTracker(error_threshold=0.0)
-        with pytest.raises(ValueError):
-            AccuracyTracker(profile_fractions=())
-        with pytest.raises(ValueError):
-            AccuracyTracker(profile_fractions=(1.5,))
 
     def test_first_start_wins_on_retry(self):
         tr = AccuracyTracker()

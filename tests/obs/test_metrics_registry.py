@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.obs.metrics import (
+    HISTOGRAM_BOUNDARIES,
     Counter,
     Gauge,
     Histogram,
@@ -36,32 +37,29 @@ class TestGauge:
 
 class TestHistogram:
     def test_bucketing(self):
-        h = Histogram(boundaries=(1.0, 10.0))
-        for v in (0.5, 1.0, 5.0, 100.0):
+        h = Histogram()
+        for v in (0.7, 1.0, 5.0, 1000.0):
             h.observe(v)
-        # bisect_left(upper edges): 0.5,1.0 -> bucket 0; 5.0 -> 1; 100 -> overflow
-        assert h.counts == [2, 1, 1]
+        # bisect_left(upper edges ... 0.5, 1.0, 5.0, ... 500.0): 0.7 and
+        # 1.0 -> the bucket with upper edge 1.0; 5.0 -> the next; 1000 ->
+        # overflow.
+        assert h.boundaries == HISTOGRAM_BOUNDARIES
+        expected = [0] * (len(HISTOGRAM_BOUNDARIES) + 1)
+        expected[HISTOGRAM_BOUNDARIES.index(1.0)] = 2
+        expected[HISTOGRAM_BOUNDARIES.index(5.0)] = 1
+        expected[-1] = 1
+        assert h.counts == expected
         assert h.count == 4
-        assert h.min == 0.5
-        assert h.max == 100.0
-        assert h.mean == pytest.approx(106.5 / 4)
+        assert h.min == 0.7
+        assert h.max == 1000.0
+        assert h.mean == pytest.approx(1006.7 / 4)
 
     def test_rejects_nan_observation(self):
         with pytest.raises(ValueError):
             Histogram().observe(float("nan"))
 
-    def test_rejects_bad_boundaries(self):
-        with pytest.raises(ValueError):
-            Histogram(boundaries=())
-        with pytest.raises(ValueError):
-            Histogram(boundaries=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(boundaries=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(boundaries=(1.0, float("nan")))
-
     def test_as_dict_empty(self):
-        d = Histogram(boundaries=(1.0,)).as_dict()
+        d = Histogram().as_dict()
         assert d["count"] == 0
         assert d["min"] is None and d["max"] is None
 
@@ -92,11 +90,12 @@ class TestMetricsRegistry:
         r.counter("b").inc()
         r.counter("a").inc(2)
         r.gauge("g").set(1.5)
-        r.histogram("h", boundaries=(1.0,)).observe(0.5)
+        r.histogram("h").observe(1000.0)
         d = r.as_dict()
         assert list(d["counters"]) == ["a", "b"]
         assert d["gauges"]["g"] == 1.5
-        assert d["histograms"]["h"]["counts"] == [1, 0]
+        assert d["histograms"]["h"]["counts"][-1] == 1
+        assert sum(d["histograms"]["h"]["counts"]) == 1
         json.dumps(d)
         assert r.names() == ("a", "b", "g", "h")
 

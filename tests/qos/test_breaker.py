@@ -4,23 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qos.breaker import BreakerBoard, BreakerConfig, CircuitBreaker
+from repro.qos.breaker import (
+    COOLDOWN,
+    FAILURE_THRESHOLD,
+    BreakerBoard,
+    CircuitBreaker,
+)
 
 
-class TestConfigValidation:
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            BreakerConfig(failure_threshold=0)
-
-    def test_rejects_bad_cooldown(self):
-        with pytest.raises(ValueError):
-            BreakerConfig(cooldown=0.0)
-        with pytest.raises(ValueError):
-            BreakerConfig(cooldown=float("inf"))
-
-    def test_rejects_bad_latency_factor(self):
-        with pytest.raises(ValueError):
-            BreakerConfig(latency_factor=1.0)
+def tripped(at: float = 0.0) -> CircuitBreaker:
+    """A breaker opened at *at* by FAILURE_THRESHOLD failures there."""
+    b = CircuitBreaker()
+    for _ in range(FAILURE_THRESHOLD):
+        b.record_failure(at)
+    return b
 
 
 class TestStateMachine:
@@ -30,7 +27,8 @@ class TestStateMachine:
         assert b.allow(0.0)
 
     def test_trips_open_on_consecutive_failures(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=3, cooldown=5.0))
+        assert FAILURE_THRESHOLD == 3
+        b = CircuitBreaker()
         b.record_failure(1.0)
         b.record_failure(2.0)
         assert b.state == "closed"
@@ -39,7 +37,7 @@ class TestStateMachine:
         assert not b.allow(3.0)
 
     def test_success_resets_the_failure_streak(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=3))
+        b = CircuitBreaker()
         b.record_failure(1.0)
         b.record_failure(2.0)
         b.record_success(2.5)
@@ -48,8 +46,8 @@ class TestStateMachine:
         assert b.state == "closed"  # streak restarted after the success
 
     def test_open_refuses_until_cooldown(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=5.0))
-        b.record_failure(10.0)
+        assert COOLDOWN == 5.0
+        b = tripped(at=10.0)
         assert not b.allow(10.0)
         assert not b.allow(14.9)
         assert b.retry_after(12.0) == pytest.approx(3.0)
@@ -57,8 +55,7 @@ class TestStateMachine:
         assert b.state == "half_open"
 
     def test_half_open_grants_exactly_one_probe(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=5.0))
-        b.record_failure(0.0)
+        b = tripped()
         assert b.allow(5.0)  # the probe
         assert not b.allow(5.0)  # second concurrent request refused
         b.record_success(6.0)
@@ -66,8 +63,7 @@ class TestStateMachine:
         assert b.allow(6.0)
 
     def test_probe_failure_reopens_with_fresh_cooldown(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=5.0))
-        b.record_failure(0.0)
+        b = tripped()
         assert b.allow(5.0)
         b.record_failure(6.0)
         assert b.state == "open"
@@ -75,22 +71,19 @@ class TestStateMachine:
         assert b.allow(11.0)
 
     def test_retry_after_is_pure(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=5.0))
-        b.record_failure(0.0)
+        b = tripped()
         assert b.retry_after(100.0) == 0.0
         assert b.state == "open"  # retry_after never transitions
 
     def test_straggler_failures_do_not_extend_cooldown(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=5.0))
-        b.record_failure(0.0)
+        b = tripped()
         b.record_failure(4.0)  # straggler from before the trip
         assert b.allow(5.0)  # cooldown still anchored at t=0
 
     def test_transitions_are_logged(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1, cooldown=1.0))
-        b.record_failure(0.0)
-        b.allow(1.0)
-        b.record_success(1.5)
+        b = tripped()
+        b.allow(COOLDOWN)
+        b.record_success(COOLDOWN + 0.5)
         states = [(t.from_state, t.to_state) for t in b.transitions]
         assert states == [
             ("closed", "open"),
@@ -99,42 +92,17 @@ class TestStateMachine:
         ]
 
 
-class TestLatencyTrip:
-    def test_slow_success_counts_as_failure(self):
-        cfg = BreakerConfig(failure_threshold=1, latency_factor=3.0)
-        b = CircuitBreaker(cfg)
-        b.record_latency(0.0, observed=10.0, expected=1.0)
-        assert b.state == "open"
-
-    def test_normal_latency_is_a_success(self):
-        cfg = BreakerConfig(failure_threshold=2, latency_factor=3.0)
-        b = CircuitBreaker(cfg)
-        b.record_failure(0.0)
-        b.record_latency(1.0, observed=2.0, expected=1.0)
-        assert b.consecutive_failures == 0
-
-    def test_latency_check_disabled_without_factor(self):
-        b = CircuitBreaker(BreakerConfig(failure_threshold=1))
-        b.record_latency(0.0, observed=1e6, expected=1.0)
-        assert b.state == "closed"
-
-    def test_nonfinite_expected_disables_the_comparison(self):
-        cfg = BreakerConfig(failure_threshold=1, latency_factor=2.0)
-        b = CircuitBreaker(cfg)
-        b.record_latency(0.0, observed=10.0, expected=float("nan"))
-        assert b.state == "closed"
-
-
 class TestBoard:
     def test_lazily_creates_per_node_breakers(self):
-        board = BreakerBoard(BreakerConfig(failure_threshold=1))
+        board = BreakerBoard()
         a = board.for_node("node0")
         assert board.for_node("node0") is a
         assert board.for_node("node1") is not a
 
     def test_open_nodes_lists_tripped_breakers(self):
-        board = BreakerBoard(BreakerConfig(failure_threshold=1))
-        board.for_node("node1").record_failure(0.0)
+        board = BreakerBoard()
+        for _ in range(FAILURE_THRESHOLD):
+            board.for_node("node1").record_failure(0.0)
         board.for_node("node0")
         assert board.open_nodes() == ("node1",)
 
@@ -152,16 +120,10 @@ OPS = st.lists(
     max_size=60,
 )
 
-CONFIGS = st.builds(
-    BreakerConfig,
-    failure_threshold=st.integers(min_value=1, max_value=5),
-    cooldown=st.floats(min_value=0.1, max_value=20.0),
-)
 
-
-def _replay(config, ops):
+def _replay(ops):
     """Replay an op sequence with a monotone clock; return (breaker, now)."""
-    b = CircuitBreaker(config)
+    b = CircuitBreaker()
     now = 0.0
     opened_at = None
     for op, dt in ops:
@@ -177,25 +139,25 @@ def _replay(config, ops):
             allowed = b.allow(now)
             # Never probe before the cooldown elapses.
             if allowed and opened_at is not None and b.state == "half_open":
-                assert now >= opened_at + config.cooldown - 1e-9
+                assert now >= opened_at + COOLDOWN - 1e-9
     return b, now
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=CONFIGS, ops=OPS)
-def test_never_probes_before_cooldown(config, ops):
+@given(ops=OPS)
+def test_never_probes_before_cooldown(ops):
     # The assertion lives inside _replay: every allow() granted out of the
     # open state happens at or after opened_at + cooldown.
-    _replay(config, ops)
+    _replay(ops)
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=CONFIGS, ops=OPS)
-def test_healthy_node_never_wedges_open(config, ops):
+@given(ops=OPS)
+def test_healthy_node_never_wedges_open(ops):
     # However hostile the history, a node that is healthy *now* escapes:
     # wait out the cooldown, probe, succeed -> closed and allowing.
-    b, now = _replay(config, ops)
-    later = now + config.cooldown + 1.0
+    b, now = _replay(ops)
+    later = now + COOLDOWN + 1.0
     if not b.allow(later):
         # The only legitimate refusal after a full cooldown is a probe the
         # replay already has in flight; the healthy node answers it.
@@ -208,15 +170,15 @@ def test_healthy_node_never_wedges_open(config, ops):
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=CONFIGS, ops=OPS)
-def test_closed_state_always_allows(config, ops):
-    b, now = _replay(config, ops)
+@given(ops=OPS)
+def test_closed_state_always_allows(ops):
+    b, now = _replay(ops)
     if b.state == "closed":
         assert b.allow(now)
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=CONFIGS, ops=OPS)
-def test_retry_after_never_exceeds_cooldown(config, ops):
-    b, now = _replay(config, ops)
-    assert 0.0 <= b.retry_after(now) <= config.cooldown + 1e-9
+@given(ops=OPS)
+def test_retry_after_never_exceeds_cooldown(ops):
+    b, now = _replay(ops)
+    assert 0.0 <= b.retry_after(now) <= COOLDOWN + 1e-9

@@ -106,19 +106,23 @@ class TestDeadlineSurvivesRetry:
         # Same crash, but work-preserving recovery keeps 40 of the 50 U
         # done, so the query finishes before its deadline instead.
         rdbms = SimulatedRDBMS(processing_rate=10.0)
-        rdbms.submit(
-            SyntheticJob("q", 100, deadline=13.0, checkpoint_interval=20.0)
-        )
+        rdbms.submit(SyntheticJob("q", 100, deadline=13.0))
         FaultInjector(rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))).arm()
-        # jitter=0 keeps the backoff arithmetic below exact.
+        policy = RetryPolicy(max_attempts=3, base_delay=1.0)
         RetryController(
-            rdbms, RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.0)
+            rdbms, policy,
+            job_factory=lambda job, attempt: SyntheticJob(
+                job.query_id, job.total_cost, initial_done=40.0,
+                deadline=job.deadline,
+            ),
         )
         rdbms.run_to_completion(max_time=200.0)
         record = rdbms.record("q")
         assert record.status == "finished"
-        # t=5 crash + 1 s backoff + (100 - 40 preserved) U / 10 U/s = 12 s.
-        assert record.trace.finished_at == pytest.approx(12.0)
+        # t=5 crash + ~1 s backoff + (100 - 40 preserved) U / 10 U/s ~ 12 s.
+        assert record.trace.finished_at == pytest.approx(
+            5.0 + policy.delay(1, "q") + 6.0
+        )
 
 
 class TestSetDeadlineApi:
