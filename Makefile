@@ -86,9 +86,10 @@ examples:
 # Traffic census: runs the e2e workloads, every example, every bench (the
 # non-figure ones at their make targets' quick sizes) and the CLI commands
 # under a profiling hook; prints each public name with the sources that
-# reach it and each setting with the values each kind of source passes.
-# Fails on a public name no source reaches, or on a setting that the e2e,
-# bench and CLI sources all pass one value, unless
+# reach it, the unreached functions per module with their line counts,
+# and each setting with the values each kind of source passes.  Fails on
+# a public name or function no source reaches, or on a setting that the
+# e2e, bench and CLI sources all pass one value, unless
 # benchmarks/traffic_census.py's KEEP / KEEP_KNOBS gives a reason.
 census:
 	python benchmarks/traffic_census.py

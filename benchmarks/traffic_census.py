@@ -1,13 +1,19 @@
-"""Traffic census: which public names do the workloads, examples, benches
-and CLI actually reach, and which values do they pass to its settings?
+"""Traffic census: which public names and functions do the workloads,
+examples, benches and CLI actually reach, and which values do they pass
+to its settings?
 
 The standing rule "a feature stays only while measured traffic reaches
 it" needs a count.  This script runs every traffic source below in its
 own subprocess under a profiling hook, collects the code each one calls
 under ``src/repro/``, and prints every public name (``repro.__all__`` and
-the subpackages' ``__all__``) with the sources that reach it.  It exits
-non-zero when a public name is reached by no source and is not listed in
-:data:`KEEP` with a reason.
+the subpackages' ``__all__``) with the sources that reach it, then every
+named function under ``src/repro`` that no source reaches, per module,
+with its non-blank line count.  It exits non-zero when a public name or
+a function is reached by no source and no :data:`KEEP` key covers it, or
+when a :data:`KEEP` key covers nothing unreached.  The function census
+sees whole functions only: a reached function whose branches no source
+takes (an unused ``if`` arm, an error path inside live code) counts as
+reached.
 
 The same hook records the values passed to the *configuration surface*:
 every defaulted constructor parameter of a public non-dataclass class,
@@ -48,8 +54,9 @@ profiler off while it times, so the benches run with
 the profiler is reported, not fatal: its code ran).  And some code is reached by exactly one source
 (``decorrelate_statement`` only by the traced e2e run; the seeded random
 fault plan only by ``shard --seed``), so skipping a source deletes live
-code.  Keys are ``(co_filename, co_firstlineno)``, which Python 3.10
-has (it lacks ``co_qualname``).  The benches rewrite the ``BENCH_*.json``
+code.  The hook keys calls by ``(co_filename, co_firstlineno)``, which
+Python 3.10 has (it lacks ``co_qualname``), and the census names each
+key by compiling the sources.  The benches rewrite the ``BENCH_*.json``
 files at the repository root, at the quick sizes the census runs them
 with; the census puts the committed files back when it is done.
 """
@@ -72,19 +79,245 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
-#: Public names that no source reaches but that stay, each with its reason.
+#: Code that no source reaches but that stays: reason -> the keys it
+#: covers.  A key is ``module:qualname`` (``<locals>`` left out); a class
+#: key covers its methods and a function key covers its nested closures.
+#: The same table answers for unreached public names.
 KEEP = {
-    "project": "§2.3-§2.4 public form; MultiQueryProgressIndicator calls "
-               "project_validated",
-    "ProjectedQuery": "§2.3-§2.4 public form of project()'s result",
-    "choose_victim_equal_priority": "§3.1 O(n) equal-priority case",
-    "quiescent_time": "§3.3 drain time",
-    "HashPartitioner": "order_preserving picks gather over pushdown; "
-                       "ROADMAP item 3 merges the two strategies",
-    "RangePartitioner": "order_preserving picks gather over pushdown; "
-                        "ROADMAP item 3 merges the two strategies",
-    "BreakerTransition": "no source ever opens a breaker: ROADMAP item 5(b)",
+    "SQL grammar that the sqlite3 differential and fuzz suites pin and no "
+    "workload runs (CASE, LIKE, BETWEEN, IN, EXISTS, NOT, unary minus, "
+    "'||', '%', the AND/OR closures, the nine scalar functions, outer "
+    "references two scopes up, DISTINCT aggregates and MIN/MAX over "
+    "non-integer columns, nested-loop joins, DISTINCT, FROM-less SELECT); "
+    "the next ROADMAP item 7 slice decides it": (
+        "repro.engine.expr:Env.ancestor",
+        "repro.engine.expr:_bind_binary._and",
+        "repro.engine.expr:_bind_binary._concat",
+        "repro.engine.expr:_bind_binary._or",
+        "repro.engine.expr:_bind_binary.apply",
+        "repro.engine.expr:_bind_subquery._exists",
+        "repro.engine.expr:_bind_subquery._in_subquery",
+        "repro.engine.expr:_bind_subquery._scan",
+        "repro.engine.expr:_build_in_probe",
+        "repro.engine.expr:_fn_abs",
+        "repro.engine.expr:_fn_ceil",
+        "repro.engine.expr:_fn_coalesce",
+        "repro.engine.expr:_fn_floor",
+        "repro.engine.expr:_fn_length",
+        "repro.engine.expr:_fn_lower",
+        "repro.engine.expr:_fn_nullif",
+        "repro.engine.expr:_fn_round",
+        "repro.engine.expr:_fn_upper",
+        "repro.engine.expr:_like_to_regex",
+        "repro.engine.expr:_require_bool",
+        "repro.engine.expr:_subset",
+        "repro.engine.expr:_value_family",
+        "repro.engine.expr:bind_expr._between",
+        "repro.engine.expr:bind_expr._call",
+        "repro.engine.expr:bind_expr._case",
+        "repro.engine.expr:bind_expr._in",
+        "repro.engine.expr:bind_expr._like",
+        "repro.engine.expr:bind_expr._neg",
+        "repro.engine.expr:bind_expr._not",
+        "repro.engine.expr:bind_expr._outer_col",
+        "repro.engine.sql.parser:_Parser._case",
+        "repro.engine.operators.joins:NestedLoopJoin",
+        "repro.engine.operators.transforms:Distinct",
+        "repro.engine.operators.transforms:Materialize",
+        "repro.engine.operators.transforms:SingleRow",
+        "repro.engine.cost:materialize",
+        "repro.engine.cost:nested_loop_join",
+        "repro.engine.operators.agg:_AggState.update",
+    ),
+    "the uncorrelated-subquery (InitPlan) runner; ROADMAP item 4 decides "
+    "it, where the strict xfail test_restore_does_not_recharge_the_initplan "
+    "lives": (
+        "repro.engine.planner:Planner.plan_select.compile_subquery.runner",
+    ),
+    "range scans: the planner prices them on `cli shard` traffic "
+    "(cost.index_range is reached) and always rejects them; ROADMAP item 2 "
+    "decides them": (
+        "repro.engine.operators.scans:RangeIndexScan",
+        "repro.engine.index:BTreeIndex.search_range",
+        "repro.engine.index:BTreeIndex._keys",
+        "repro.engine.index:BTreeIndex.min_key",
+        "repro.engine.index:BTreeIndex.max_key",
+    ),
+    "safety or platform code, never a target: checkpoint/restore of "
+    "operators no crash lands in, error paths, abstract bodies every "
+    "subclass overrides and the Python >= 3.12 _chain_sum branch": (
+        "repro.engine.operators.base:Operator.batches",
+        "repro.engine.operators.base:Operator.checkpoint",
+        "repro.engine.operators.base:Operator.describe",
+        "repro.engine.operators.base:Operator.restore",
+        "repro.engine.operators.agg:HashAggregate.checkpoint",
+        "repro.engine.operators.agg:HashAggregate.restore",
+        "repro.engine.operators.agg:_chain_sum",
+        "repro.engine.operators.sort:Sort.checkpoint",
+        "repro.engine.operators.sort:Sort.restore",
+        "repro.engine.operators.transforms:Limit.checkpoint",
+        "repro.engine.operators.transforms:Limit.restore",
+        "repro.engine.errors:ParseError.__init__",
+        "repro.engine.sql.parser:_Parser._describe",
+        "repro.dist.router:ShardedCluster._give_up",
+        "repro.dist.partition:Partitioner.assign",
+        "repro.dist.partition:Partitioner.describe",
+        "repro.sim.jobs:Job.advance",
+        "repro.sim.jobs:Job.completed_work",
+        "repro.sim.jobs:Job.estimated_remaining_cost",
+        "repro.sim.jobs:Job.finished",
+        "repro.sim.scheduler:SpeedModel.speeds",
+    ),
+    "§2.3-§2.4 public form; MultiQueryProgressIndicator calls "
+    "project_validated": (
+        "repro.core.projection:project",
+        "repro.core.projection:ProjectedQuery",
+    ),
+    "§3.1 O(n) equal-priority case": (
+        "repro.wm.speedup:choose_victim_equal_priority",
+    ),
+    "§3.3 drain time": ("repro.wm.maintenance:quiescent_time",),
+    "order_preserving picks gather over pushdown; ROADMAP item 3 merges "
+    "the two strategies": (
+        "repro.dist.partition:HashPartitioner",
+        "repro.dist.partition:RangePartitioner",
+    ),
+    "no source ever opens a breaker: ROADMAP item 5(b)": (
+        "repro.qos.breaker:BreakerTransition",
+        "repro.qos.breaker:BreakerBoard.open_nodes",
+        "repro.qos.breaker:CircuitBreaker._open",
+        "repro.qos.breaker:CircuitBreaker._transition",
+        "repro.qos.breaker:CircuitBreaker.consecutive_failures",
+        "repro.qos.breaker:CircuitBreaker.retry_after",
+    ),
+    "only examples drive the runaway watchdog and the retry controller; "
+    "a later ROADMAP item 7 slice decides whether they stay": (
+        "repro.wm.watchdog:RunawayQueryWatchdog",
+        "repro.faults.retry:RetryController",
+    ),
+    "unused halves of live classes and helpers that only tests call; a "
+    "later ROADMAP item 7 slice drives or deletes them": (
+        "repro.core.forecast:WorkloadForecast.scaled",
+        "repro.core.incremental:IncrementalSchedule._repull",
+        "repro.core.incremental:IncrementalSchedule.rebase",
+        "repro.core.incremental:IncrementalSchedule.reweight",
+        "repro.core.metrics:uniform_grid",
+        "repro.core.model:QuerySnapshot.with_remaining",
+        "repro.core.model:SystemSnapshot.of",
+        "repro.core.model:SystemSnapshot.speed_of",
+        "repro.core.model:SystemSnapshot.without",
+        "repro.core.standard_case:remaining_time_of",
+        "repro.dist.catalog:ShardCatalog.add_index",
+        "repro.dist.catalog:ShardCatalog.mark_up",
+        "repro.dist.catalog:ShardCatalog.primary_for",
+        "repro.dist.chaos:ClusterFaultInjector._arm_burst",
+        "repro.dist.chaos:ClusterFaultInjector._arm_one.recover",
+        "repro.dist.global_pi:GlobalProgressAggregator.forget",
+        "repro.dist.node:ShardNode.recover",
+        "repro.experiments.engine_mode:make_job.prepare",
+        "repro.experiments.harness:PIHarness.sample_now",
+        "repro.experiments.harness:actual_remaining_series",
+        "repro.experiments.harness:estimate_series",
+        "repro.faults.injector:FaultInjector._arm_corruption.end",
+        "repro.faults.injector:FaultInjector._arm_crash.crash",
+        "repro.obs.tracer:JsonlSink.__enter__",
+        "repro.obs.tracer:JsonlSink.__exit__",
+        "repro.obs.tracer:Tracer.span",
+        "repro.qos.admission:AdmissionController.resubmit",
+        "repro.qos.ladder:DegradationLadder.shed",
+        "repro.qos.ladder:DegradationLadder.shed_candidates",
+        "repro.sim.jobs:CostNoiseJob.retry_copy",
+        "repro.sim.jobs:Job.retry_copy",
+        "repro.sim.rdbms:SimulatedRDBMS._submit_internal",
+        "repro.sim.rdbms:SimulatedRDBMS.clear_estimate_corruption",
+        "repro.sim.rdbms:SimulatedRDBMS.set_deadline",
+        "repro.sim.rdbms:SimulatedRDBMS.unblock",
+        "repro.wm.oracle:_best_keep_set_dp",
+        "repro.wm.overhead:constant_overhead",
+    ),
+    "accessors and reporting helpers that only tests read": (
+        "repro.core.forecast:AdaptiveForecaster.prior",
+        "repro.core.forecast:WorkloadForecast.mean_interarrival",
+        "repro.core.incremental:IncrementalSchedule.__contains__",
+        "repro.core.incremental:IncrementalSchedule.__repr__",
+        "repro.core.incremental:IncrementalSchedule.processing_rate",
+        "repro.core.incremental:IncrementalSchedule.query_ids",
+        "repro.core.incremental:IncrementalSchedule.remaining_cost_of",
+        "repro.core.incremental:IncrementalSchedule.time",
+        "repro.core.incremental:IncrementalSchedule.virtual_time",
+        "repro.core.incremental:IncrementalSchedule.weight_of",
+        "repro.core.metrics:StepSeries.last_time",
+        "repro.core.metrics:StepSeries.times",
+        "repro.core.metrics:StepSeries.values",
+        "repro.core.model:SystemSnapshot.total_weight",
+        "repro.core.multi_query:MultiQueryProgressIndicator.consider_queue",
+        "repro.core.multi_query:MultiQueryProgressIndicator.estimate_for",
+        "repro.core.projection:ProjectionResult.queries",
+        "repro.core.projection:ProjectionResult.remaining_time",
+        "repro.core.projection:ProjectionResult.remaining_times",
+        "repro.core.single_query:SingleQueryProgressIndicator.last_estimate",
+        "repro.core.standard_case:Stage.work_done",
+        "repro.dist.catalog:ShardCatalog.describe",
+        "repro.dist.catalog:ShardCatalog.node_ids",
+        "repro.dist.catalog:ShardCatalog.serving_nodes",
+        "repro.dist.catalog:TableMeta.n_shards",
+        "repro.dist.global_pi:GlobalProgressAggregator.query_ids",
+        "repro.dist.global_pi:GlobalQueryEstimate.slowest_shard",
+        "repro.dist.global_pi:GlobalQueryEstimate.staleness",
+        "repro.dist.node:ShardNode.__repr__",
+        "repro.dist.node:ShardNode.brownout_factor",
+        "repro.dist.node:ShardNode.clock",
+        "repro.dist.node:ShardNode.quiescent",
+        "repro.dist.partition:BlockPartitioner.describe",
+        "repro.dist.router:ShardedCluster.describe",
+        "repro.engine.catalog:Catalog.has_table",
+        "repro.engine.executor:ExecutionCheckpoint.__eq__",
+        "repro.engine.executor:ExecutionCheckpoint.rows",
+        "repro.engine.executor:QueryExecution.column_names",
+        "repro.engine.index:BTreeIndex.entry_count",
+        "repro.engine.operators.scans:IndexScan.describe",
+        "repro.engine.progress:ProgressTracker.work_done",
+        "repro.engine.schema:TableSchema.column",
+        "repro.engine.stats:Selectivity.distinct",
+        "repro.engine.vector:Chunk.__getitem__",
+        "repro.experiments.maintenance:MaintenanceSweepResult.curve",
+        "repro.experiments.naq:NAQResult.error_at",
+        "repro.faults.injector:FaultInjector.armed",
+        "repro.faults.injector:FaultInjector.plan",
+        "repro.faults.plan:FaultPlan.__len__",
+        "repro.faults.plan:FaultPlan.for_node",
+        "repro.faults.plan:FaultPlan.for_query",
+        "repro.obs.accuracy:AccuracyReport.for_query",
+        "repro.obs.accuracy:AccuracyTracker.tracked_queries",
+        "repro.obs.metrics:Histogram.mean",
+        "repro.obs.metrics:MetricsRegistry.names",
+        "repro.obs.tracer:Tracer.events",
+        "repro.qos.admission:AdmissionController.pressure",
+        "repro.qos.ladder:DegradationLadder.parked",
+        "repro.qos.ladder:DegradationLadder.rung",
+        "repro.qos.ladder:DegradationLadder.rung_name",
+        "repro.sim.arrivals:ArrivalSchedule.__iter__",
+        "repro.sim.arrivals:ArrivalSchedule.__len__",
+        "repro.sim.jobs:CostNoiseJob.inner",
+        "repro.sim.jobs:Job.__repr__",
+        "repro.sim.rdbms:QueryRecord.query_id",
+        "repro.sim.rdbms:SamplerHandle.interval",
+        "repro.sim.rdbms:SimulatedRDBMS.blocked",
+        "repro.sim.rdbms:SimulatedRDBMS.estimate_corruption",
+        "repro.sim.rdbms:SimulatedRDBMS.quiescent",
+        "repro.sim.scheduler:NoisyFairSharing.factors",
+        "repro.sim.scheduler:ScaledSpeedModel.base",
+        "repro.sim.scheduler:ScaledSpeedModel.query_factor",
+        "repro.sim.scheduler:ScaledSpeedModel.rate_factor",
+        "repro.sim.trace:QueryTrace.actual_remaining",
+        "repro.sim.trace:QueryTrace.queue_wait",
+        "repro.sim.trace:QueryTrace.response_time",
+        "repro.sim.trace:TraceSet.__contains__",
+        "repro.sim.trace:TraceSet.finished_queries",
+        "repro.sim.trace:TraceSet.last_finishing",
+    ),
 }
+_KEEP_KEYS = {key: reason for reason, keys in KEEP.items() for key in keys}
 
 #: Settings that take one value from every e2e, bench and CLI source but
 #: stay settable, each with its reason.
@@ -172,16 +405,23 @@ def sources(tmp: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     ]
     out += [
         ("cli sql", _CLI + ["sql", "SELECT count(*) FROM lineitem"]),
+        ("cli sql --explain", _CLI + ["sql", "SELECT count(*) FROM lineitem",
+                                      "--explain"]),
         *[
             (f"cli experiment {name}",
              _CLI + ["experiment", name, "--runs", "2"])
             for name in ("mcq", "naq", "scq", "lambda", "adaptive",
                          "maintenance", "table1")
         ],
+        ("cli experiment table1 --csv",
+         _CLI + ["experiment", "table1", "--csv", str(tmp / "table1.csv")]),
         ("cli report", _CLI + ["report", "--runs", "2",
                                "--out", str(tmp / "REPORT.md")]),
         ("cli report --observe", _CLI + ["report", "--observe",
                                          "--trace", trace]),
+        ("cli report --observe --metrics-json",
+         _CLI + ["report", "--observe", "--metrics-json",
+                 str(tmp / "BENCH_obs.json")]),
         ("cli report --validate-trace",
          _CLI + ["report", "--validate-trace", trace]),
         ("cli shard", _CLI + ["shard"]),
@@ -485,13 +725,105 @@ def knob_census(surface: dict[str, tuple], records: dict) -> int:
     return failures
 
 
-def _function_codes(code):
-    """Every named function compiled into *code* (what the hook counts)."""
-    if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
-        yield code
+def _named_codes(code, prefix: str = ""):
+    """``(qualname, code)`` of every class body and function in *code*.
+
+    The qualname is Python's ``__qualname__`` without ``<locals>`` (built
+    here because Python 3.10 code objects lack ``co_qualname``).
+    """
     for const in code.co_consts:
         if inspect.iscode(const):
-            yield from _function_codes(const)
+            name = prefix + const.co_name
+            if not const.co_name.startswith("<"):
+                yield name, const
+            yield from _named_codes(const, name + ".")
+
+
+def _last_line(code) -> int:
+    """The last source line of *code* and of the code nested in it."""
+    last = max((line for _, _, line in code.co_lines() if line),
+               default=code.co_firstlineno)
+    return max([last] + [_last_line(c) for c in code.co_consts
+                         if inspect.iscode(c)])
+
+
+def function_table() -> tuple[dict, set[str]]:
+    """Every named function under ``src/repro`` and every defined name.
+
+    Returns ``{call key: (module:qualname, its non-blank line numbers)}``
+    (a function's lines include its nested closures') and the set of
+    ``module:qualname`` of every class and function.
+    """
+    functions, defined = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for qualname, code in _named_codes(compile(text, str(path), "exec")):
+            defined.add(f"{module}:{qualname}")
+            if not code.co_flags & inspect.CO_NEWLOCALS:
+                continue  # a class body
+            span = range(code.co_firstlineno, _last_line(code) + 1)
+            functions[(code.co_filename, code.co_firstlineno)] = (
+                f"{module}:{qualname}",
+                {n for n in span if lines[n - 1].strip()},
+            )
+    return functions, defined
+
+
+def _kept(qualname: str) -> str | None:
+    """The KEEP key covering *qualname*, if any."""
+    for key in _KEEP_KEYS:
+        if qualname == key or qualname.startswith(key + "."):
+            return key
+    return None
+
+
+def function_census(records: dict, used: set[str]) -> int:
+    """Print the unreached functions per module; count the failures.
+
+    A failure is an unreached function that no KEEP key covers, or a KEEP
+    key that covers neither an unreached function nor an unreached public
+    name (those keys are passed in *used*).
+    """
+    functions, defined = function_table()
+    calls = set().union(*(r[0] for r in records.values()))
+    unreached = sorted(
+        (name, lines) for key, (name, lines) in functions.items()
+        if key not in calls
+    )
+    reached = len(functions) - len(unreached)
+    union = {(name.split(":")[0], n) for name, lines in unreached
+             for n in lines}
+    engine = sum(1 for module, _ in union
+                 if module.startswith("repro.engine"))
+    print(f"{reached} of {len(functions)} functions under src/repro "
+          f"reached; {len(unreached)} unreached hold {len(union)} non-blank "
+          f"lines ({engine} under engine/)")
+    failures = 0
+    by_module: dict[str, list] = {}
+    for name, lines in unreached:
+        by_module.setdefault(name.split(":")[0], []).append((name, lines))
+    for module, entries in sorted(by_module.items()):
+        print(f"{module}  ({len(entries)} unreached)")
+        for name, lines in entries:
+            key = _kept(name)
+            if key is None:
+                failures += 1
+            else:
+                used.add(key)
+            print(f"    {name.split(':')[1]:52} {len(lines):4d}  "
+                  f"{'kept' if key else 'UNREACHED'}")
+    for key in sorted(set(_KEEP_KEYS) - used):
+        if not any(q == key or q.startswith(key + ".") for q in defined):
+            print(f"{key}: KEEP names no function or class")
+        else:
+            print(f"{key}: KEEP covers no unreached function")
+        failures += 1
+    print(f"{failures} unreached function(s) outside KEEP or stale KEEP "
+          f"key(s)")
+    return failures
 
 
 def main() -> int:
@@ -520,14 +852,7 @@ def main() -> int:
             path.write_bytes(data)
     print(f"census wall time {time.perf_counter() - started:.0f} s",
           file=sys.stderr)
-    all_calls = set().union(*(r[0] for r in records.values()))
-    src_functions = sum(
-        1 for path in PACKAGE.rglob("*.py")
-        for _ in _function_codes(compile(path.read_text(), str(path), "exec"))
-    )
-    print(f"{len(all_calls)} of {src_functions} functions under src/repro "
-          f"reached")
-    failures = 0
+    failures, used = 0, set()
     for name, obj in sorted(public.items(), key=lambda kv: kv[0].lower()):
         verdicts = {label: reached_by(name, obj, record)
                     for label, record in records.items()}
@@ -535,17 +860,17 @@ def main() -> int:
             print(f"{name:34} (not counted)")
             continue
         hits = [label for label, hit in verdicts.items() if hit]
+        key = _kept(f"{obj.__module__}:{obj.__qualname__}")
         if hits:
             print(f"{name:34} {len(hits):2d}  {', '.join(hits)}")
-        elif name in KEEP:
-            print(f"{name:34}  0  KEEP: {KEEP[name]}")
+        elif key is not None:
+            used.add(key)
+            print(f"{name:34}  0  KEEP: {_KEEP_KEYS[key]}")
         else:
             print(f"{name:34}  0  UNREACHED")
             failures += 1
-    for name in sorted(set(KEEP) - set(public)):
-        print(f"{name:34} KEEP names no public name")
-        failures += 1
     print(f"{failures} unreached public name(s) outside KEEP")
+    failures += function_census(records, used)
     failures += knob_census(surface, records)
     return 1 if failures else 0
 

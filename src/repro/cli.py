@@ -181,16 +181,14 @@ def cmd_sql(args: argparse.Namespace) -> int:
             print(f"estimated cost: {db.estimated_cost(args.statement):.1f} U")
         else:
             result = db.execute(args.statement)
-            if isinstance(result, list):
+            if result is None:
+                print("ok")
+            else:
                 for row in result[:50]:
                     print(row)
                 if len(result) > 50:
                     print(f"... {len(result) - 50} more rows")
                 print(f"({len(result)} rows)")
-            elif result is not None:
-                print(f"ok ({result} rows affected)")
-            else:
-                print("ok")
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

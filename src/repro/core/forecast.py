@@ -112,11 +112,6 @@ class OnlineArrivalRateEstimator:
             raise ValueError("arrival times must be non-decreasing")
         self._times.append(arrival_time)
 
-    @property
-    def count(self) -> int:
-        """Number of arrivals currently inside the window."""
-        return len(self._times)
-
     def rate(self) -> float | None:
         """Current arrival-rate estimate in arrivals/second, or ``None``."""
         if len(self._times) < 2:
@@ -201,7 +196,9 @@ class AdaptiveForecaster:
     def current(self) -> WorkloadForecast:
         """The blended forecast given the evidence so far."""
         rate_obs = self._rate.rate()
-        k_rate = max(self._rate.count - 1, 0)
+        # The windowed rate stands for every gap observed so far, not only
+        # the ones still inside the window, so a wrong prior keeps fading.
+        k_rate = max(self._cost.count - 1, 0)
         cost_obs = self._cost.mean()
         weight_obs = self._weight.mean()
         return WorkloadForecast(

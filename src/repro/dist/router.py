@@ -19,7 +19,7 @@ distributed queries over them:
   it was built from -- and executes the original SQL on a coordinator
   database holding exactly the query's tables.  The merge execution is
   work-for-work the single-node execution, so the distributed result is
-  byte-identical to the single-node result for arbitrary SQL.
+  byte-identical to the single-node result for any SELECT.
 
 Time advances in **epoch lockstep**: every node's virtual clock moves
 together in :data:`TICK`-sized slices, and all router-side processing --
@@ -97,16 +97,10 @@ def _rewrite_index_ddl(ddl: str, table: str, shard: int) -> str:
 
 
 def referenced_tables(statement) -> set[str]:
-    """Every base-table name a SELECT/UNION references, subqueries included."""
+    """Every base-table name a SELECT references, subqueries included."""
     names: set[str] = set()
 
     def walk_stmt(stmt) -> None:
-        if isinstance(stmt, ast.Union):
-            for branch in stmt.branches:
-                walk_stmt(branch)
-            for item in stmt.order_by:
-                walk_subqueries(item.expr)
-            return
         for item in stmt.from_items:
             walk_from(item)
         for sel in stmt.items:
@@ -373,8 +367,8 @@ class ShardedCluster:
         if query_id in self._queries:
             raise ValueError(f"duplicate distributed query id {query_id!r}")
         statement = parse_statement(sql)
-        if not isinstance(statement, (ast.Select, ast.Union)):
-            raise ValueError("only SELECT/UNION statements can be distributed")
+        if not isinstance(statement, ast.Select):
+            raise ValueError("only SELECT statements can be distributed")
         tables = referenced_tables(statement)
         known = {m.name for m in self.catalog.tables()}
         unknown = tables - known

@@ -5,7 +5,7 @@ It is a real (if small) database engine:
 
 * :mod:`repro.engine.sql` -- lexer, AST and recursive-descent parser for a
   practical SQL subset (SELECT with joins, correlated scalar subqueries,
-  aggregates, GROUP BY / HAVING / ORDER BY / LIMIT, INSERT, CREATE TABLE,
+  aggregates, GROUP BY / HAVING / ORDER BY / LIMIT; CREATE TABLE and
   CREATE INDEX).
 * :mod:`repro.engine.storage` / :mod:`repro.engine.index` -- page-based heap
   files and simulated B-tree indexes.  **One page of work = one U**, the

@@ -107,19 +107,6 @@ class Catalog:
         self._tables[key] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table and its indexes.
-
-        Raises
-        ------
-        CatalogError
-            For an unknown table.
-        """
-        key = name.lower()
-        if key not in self._tables:
-            raise CatalogError(f"no table {name!r}")
-        del self._tables[key]
-
     def table(self, name: str) -> Table:
         """Look up a table by (case-insensitive) name.
 

@@ -1,12 +1,11 @@
-"""Plan-time subquery decorrelation: correlated subqueries become joins.
+"""Plan-time subquery decorrelation: correlated scalar aggregates become joins.
 
 A correlated subquery is the one expression node the vectorized engine
 cannot batch: ``bind_expr`` runs its subplan once per input row, so the
 paper's own workload query (a correlated scalar aggregate over
 ``lineitem``) pays a whole index probe per outer row.  This pass rewrites
-the three correlated forms into plain joins at the AST level -- before
-planning -- so the result rides the ordinary vectorized
-scan/hash-join/aggregate path:
+that form into a plain join at the AST level -- before planning -- so the
+result rides the ordinary vectorized scan/hash-join/aggregate path:
 
 * **Scalar aggregate subquery** (``expr OP (SELECT agg(..) FROM i WHERE
   i.k = o.k AND ..)``): the inner query becomes a derived table grouped
@@ -15,24 +14,15 @@ scan/hash-join/aggregate path:
   columns (``COUNT`` slots wrapped in ``COALESCE(.., 0)`` so an absent
   group counts 0, matching the aggregate-over-empty-input row).
 
-* **[NOT] EXISTS**: the inner query becomes a derived table of distinct
-  correlation keys LEFT-joined on those keys; the subquery is replaced by
-  ``key IS [NOT] NULL`` over the (never-NULL) join marker.
-
-* **x [NOT] IN**: two derived tables -- the distinct ``(keys, value)``
-  pairs with ``value IS NOT NULL`` (the match table, LEFT-joined on the
-  keys *and* ``value = x``) and the per-key ``COUNT(*)`` / ``COUNT(value)``
-  pair (the emptiness/NULL-presence flags) -- feed a CASE expression that
-  reproduces the engine's three-valued IN semantics exactly, including
-  ``NULL IN (empty)`` -> FALSE, ``NULL IN (non-empty)`` -> NULL and
-  ``x NOT IN (.. NULL ..)`` -> NULL.
+``EXISTS`` and ``IN (SELECT ..)`` are not rewritten: no workload runs
+them, and they keep the per-row subplan path.
 
 Safety first: the rewrite only fires when it can *prove* equivalence from
 the catalog -- all FROM leaves are known base tables, every inner
 predicate is either purely inner or an ``inner_col = outer_col`` equality
 whose sides share a comparison type family (hash equality must agree with
 ``compare_values``), and the subquery body has no nesting, grouping,
-ordering or limits beyond what each rule tolerates.  Anything unprovable
+ordering or limits.  Anything unprovable
 falls back to the original per-row subplan path unchanged.  The
 differential tests check both plan shapes against each other and against
 stdlib ``sqlite3``.
@@ -146,16 +136,6 @@ def _scope_of(
     return scope, conditions
 
 
-def _literal_family(value) -> Optional[str]:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return None  # NULL literal: compatible with anything (never matches)
-
-
 # ---------------------------------------------------------------------------
 # The rewriter
 # ---------------------------------------------------------------------------
@@ -185,30 +165,13 @@ class _SelectRewriter:
         return ast.transform_expr(expr, self._visit)
 
     def _visit(self, node: ast.Expr) -> Optional[ast.Expr]:
-        # The parser spells ``NOT EXISTS`` as a NOT over EXISTS; fold the
-        # negation into the subquery node so it becomes an anti-join
-        # marker instead of a NOT over a semi-join marker.
-        if (
-            isinstance(node, ast.UnaryOp)
-            and node.op.upper() == "NOT"
-            and isinstance(node.operand, ast.ExistsSubquery)
-        ):
-            node = ast.ExistsSubquery(
-                select=node.operand.select, negated=not node.operand.negated
-            )
-        if not isinstance(node, ast.SUBQUERY_NODES):
+        if not isinstance(node, ast.ScalarSubquery):
             return None
         if node not in self._cache:
-            if isinstance(node, ast.ScalarSubquery):
-                result = self._rewrite_scalar(node)
-            elif isinstance(node, ast.ExistsSubquery):
-                result = self._rewrite_exists(node)
-            else:
-                result = self._rewrite_in(node)
-            self._cache[node] = result
+            self._cache[node] = self._rewrite_scalar(node)
         return self._cache[node]
 
-    # -- shared analysis ------------------------------------------------
+    # -- analysis -------------------------------------------------------
 
     def _analyze_inner(self, sub: ast.Select):
         """Split the inner WHERE into pure-inner conjuncts and key pairs.
@@ -299,12 +262,10 @@ class _SelectRewriter:
             group_by.append(inner_ref)
         return items, equalities, group_by
 
-    # -- the three rules ------------------------------------------------
+    # -- the rule -------------------------------------------------------
 
     def _rewrite_scalar(self, node: ast.ScalarSubquery) -> Optional[ast.Expr]:
         sub = node.select
-        if not isinstance(sub, ast.Select):
-            return None
         if (
             sub.group_by
             or sub.having is not None
@@ -370,185 +331,6 @@ class _SelectRewriter:
         self.joins.append((derived, ast.conjoin(equalities)))
         self.fired.append("scalar-agg")
         return ast.transform_expr(expr0, lambda e: replacements.get(e))
-
-    def _rewrite_exists(self, node: ast.ExistsSubquery) -> Optional[ast.Expr]:
-        sub = node.select
-        if not isinstance(sub, ast.Select):
-            return None
-        if (
-            sub.group_by
-            or sub.having is not None
-            or sub.order_by
-            or sub.distinct
-            or sub.offset not in (None, 0)
-        ):
-            return None
-        if sub.limit is not None and sub.limit < 1:
-            return None  # LIMIT 0: always empty, not worth a rule
-        for item in sub.items:
-            e = item.expr
-            if isinstance(e, ast.Literal):
-                continue
-            if isinstance(e, ast.Star):
-                # A qualified star must name an inner binding or the
-                # original would raise -- keep that error path.
-                if e.qualifier is not None:
-                    return None
-                continue
-            if isinstance(e, ast.ColumnRef):
-                continue  # resolvability is checked against the scopes below
-            return None  # anything computed could raise; keep the original
-        analysis = self._analyze_inner(sub)
-        if analysis is None:
-            return None
-        inner_scope, inner_conjuncts, keys = analysis
-        if not keys:
-            return None
-        for item in sub.items:
-            e = item.expr
-            if isinstance(e, ast.ColumnRef):
-                kind = inner_scope.resolves(e)
-                if kind == "ambiguous":
-                    return None
-                if kind == "no" and self.outer_scope.resolves(e) != "yes":
-                    return None
-
-        alias = self._next_alias()
-        key_items, equalities, group_by = self._key_parts(alias, keys)
-        derived = ast.DerivedTable(
-            select=ast.Select(
-                items=tuple(key_items),
-                from_items=sub.from_items,
-                where=ast.conjoin(inner_conjuncts),
-                group_by=tuple(group_by),
-            ),
-            alias=alias,
-        )
-        self.joins.append((derived, ast.conjoin(equalities)))
-        self.fired.append("anti-join" if node.negated else "semi-join")
-        # The marker key is a grouped join key: NULL keys never join, so
-        # a matched row always has it non-NULL -- IS [NOT] NULL is exact.
-        return ast.IsNull(
-            ast.ColumnRef(name="#k0", qualifier=alias), negated=not node.negated
-        )
-
-    def _rewrite_in(self, node: ast.InSubquery) -> Optional[ast.Expr]:
-        sub = node.select
-        if not isinstance(sub, ast.Select):
-            return None
-        operand = node.operand
-        if isinstance(operand, ast.Literal):
-            operand_family = _literal_family(operand.value)
-        elif isinstance(operand, ast.ColumnRef):
-            kind, operand_family = self.outer_scope.lookup(operand)
-            if kind != "yes":
-                return None
-        else:
-            return None  # a computed probe key could raise where the
-            #              short-circuiting original would not
-        if (
-            sub.group_by
-            or sub.having is not None
-            or sub.order_by
-            or sub.limit is not None
-            or sub.offset is not None
-            or len(sub.items) != 1
-        ):
-            return None
-        value = sub.items[0].expr
-        if not isinstance(value, ast.ColumnRef):
-            return None
-        analysis = self._analyze_inner(sub)
-        if analysis is None:
-            return None
-        inner_scope, inner_conjuncts, keys = analysis
-        if not keys:
-            return None  # uncorrelated IN is memoized at execution instead
-        kind, value_family = inner_scope.lookup(value)
-        if kind != "yes":
-            return None
-        if operand_family is not None and operand_family != value_family:
-            return None  # cross-family compare must keep raising
-
-        # D1: distinct (keys, value) pairs with value IS NOT NULL -- the
-        # match table.  Joined on the keys AND value = x; ``value = x``
-        # leads the ON clause so it becomes the hash pair (NULL-safe,
-        # never raises) and the key equalities stay residual.
-        match_alias = self._next_alias()
-        m_items, m_equalities, m_group = self._key_parts(match_alias, keys)
-        m_items.append(ast.SelectItem(expr=value, alias="#m"))
-        marker = ast.ColumnRef(name="#m", qualifier=match_alias)
-        match_derived = ast.DerivedTable(
-            select=ast.Select(
-                items=tuple(m_items),
-                from_items=sub.from_items,
-                where=ast.conjoin(
-                    inner_conjuncts + [ast.IsNull(value, negated=True)]
-                ),
-                group_by=tuple(m_group + [value]),
-            ),
-            alias=match_alias,
-        )
-        match_cond = ast.conjoin(
-            [ast.BinaryOp("=", marker, operand)] + m_equalities
-        )
-
-        # D2: per-key COUNT(*) / COUNT(value) -- the emptiness and
-        # NULL-presence flags for the non-matching branches.
-        count_alias = self._next_alias()
-        c_items, c_equalities, c_group = self._key_parts(count_alias, keys)
-        c_items.append(
-            ast.SelectItem(
-                expr=ast.FunctionCall(name="COUNT", args=(), star=True),
-                alias="#c",
-            )
-        )
-        c_items.append(
-            ast.SelectItem(
-                expr=ast.FunctionCall(name="COUNT", args=(value,)), alias="#cn"
-            )
-        )
-        count_derived = ast.DerivedTable(
-            select=ast.Select(
-                items=tuple(c_items),
-                from_items=sub.from_items,
-                where=ast.conjoin(inner_conjuncts),
-                group_by=tuple(c_group),
-            ),
-            alias=count_alias,
-        )
-
-        self.joins.append((count_derived, ast.conjoin(c_equalities)))
-        self.joins.append((match_derived, match_cond))
-        self.fired.append("anti-in" if node.negated else "semi-in")
-
-        total = ast.FunctionCall(
-            name="COALESCE",
-            args=(ast.ColumnRef(name="#c", qualifier=count_alias), ast.Literal(0)),
-        )
-        membership = ast.Case(
-            whens=(
-                # Matched: x joined some inner value.
-                (ast.IsNull(marker, negated=True), ast.Literal(True)),
-                # Empty group: IN is FALSE, NOT IN is TRUE, even for NULL.
-                (ast.BinaryOp("=", total, ast.Literal(0)), ast.Literal(False)),
-                (ast.IsNull(operand), ast.Literal(None)),
-                # No match but the group contains NULLs: unknown.
-                (
-                    ast.BinaryOp(
-                        ">",
-                        ast.ColumnRef(name="#c", qualifier=count_alias),
-                        ast.ColumnRef(name="#cn", qualifier=count_alias),
-                    ),
-                    ast.Literal(None),
-                ),
-            ),
-            else_=ast.Literal(False),
-        )
-        if node.negated:
-            return ast.UnaryOp("NOT", membership)
-        return membership
-
 
 def _all_inner(expr: ast.Expr, scope: _Scope) -> bool:
     return all(
@@ -623,7 +405,7 @@ def decorrelate_select(
     The input is returned unchanged (and no tags fire) whenever any part
     of the rewrite cannot be proven safe.
     """
-    if not isinstance(select, ast.Select) or not select.from_items:
+    if not select.from_items:
         return select, ()
     if not _select_has_subquery(select):
         return select, ()
@@ -688,26 +470,7 @@ def decorrelate_select(
 def decorrelate_statement(
     statement, catalog: Catalog
 ) -> tuple[object, tuple[str, ...]]:
-    """Decorrelate a parsed SELECT or UNION; other statements pass through."""
-    if isinstance(statement, ast.Union):
-        branches: list[ast.Select] = []
-        fired: list[str] = []
-        for branch in statement.branches:
-            new_branch, tags = decorrelate_select(branch, catalog)
-            branches.append(new_branch)
-            fired.extend(tags)
-        if not fired:
-            return statement, ()
-        return (
-            ast.Union(
-                branches=tuple(branches),
-                all_flags=statement.all_flags,
-                order_by=statement.order_by,
-                limit=statement.limit,
-                offset=statement.offset,
-            ),
-            tuple(fired),
-        )
+    """Decorrelate a parsed SELECT; other statements pass through."""
     if isinstance(statement, ast.Select):
         return decorrelate_select(statement, catalog)
     return statement, ()

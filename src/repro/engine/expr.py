@@ -93,20 +93,6 @@ class Layout:
             raise PlanError(f"ambiguous column reference {ref!r}")
         return matches[0]
 
-    def resolve(self, name: str, qualifier: Optional[str]) -> int:
-        """Slot index of ``[qualifier.]name``.
-
-        Raises
-        ------
-        PlanError
-            If the column is unknown or ambiguous.
-        """
-        idx = self.try_resolve(name, qualifier)
-        if idx is None:
-            ref = f"{qualifier}.{name}" if qualifier else name
-            raise PlanError(f"unknown column {ref!r}")
-        return idx
-
 
 class Env:
     """Evaluation environment: the current row, linked to outer rows."""

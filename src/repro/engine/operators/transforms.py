@@ -1,8 +1,8 @@
 """Row-transforming operators: filter, project, limit, distinct, materialize.
 
 All of these are checkpointable.  Streaming transforms (filter, project)
-delegate entirely to the child; counting transforms (limit, concat) add
-their cursors; buffering transforms (distinct, materialize) snapshot their
+delegate entirely to the child; counting transforms (limit) add their
+cursors; buffering transforms (distinct, materialize) snapshot their
 buffers.
 """
 
@@ -17,7 +17,6 @@ from repro.engine.operators.base import Operator, WorkAccount, checkpoint_child
 from repro.engine.vector import Chunk
 
 __all__ = [
-    "Concat",
     "Distinct",
     "Filter",
     "Limit",
@@ -267,55 +266,6 @@ class Distinct(Operator):
 
     def describe(self) -> str:
         return "Distinct"
-
-
-class Concat(Operator):
-    """Concatenate the outputs of several children (UNION ALL).
-
-    All children must share the first child's arity; the output layout is
-    the first child's with qualifiers stripped (a union result is a fresh
-    relation).
-    """
-
-    def __init__(self, children: Sequence[Operator], layout: Layout) -> None:
-        if not children:
-            raise ValueError("Concat requires at least one child")
-        arity = len(children[0].layout)
-        for child in children[1:]:
-            if len(child.layout) != arity:
-                raise ValueError(
-                    "UNION branches must have the same number of columns"
-                )
-        super().__init__(layout, children[0].account)
-        self._children = tuple(children)
-        self._active = 0
-        self._resume: dict | None = None
-
-    def children(self) -> tuple[Operator, ...]:
-        return self._children
-
-    def checkpoint(self) -> dict | None:
-        # Earlier branches are fully consumed and later ones untouched,
-        # so the active branch's position is the whole state.
-        child_state = self._children[self._active].checkpoint()
-        if child_state is None:
-            return None
-        return {"active": self._active, "child": child_state}
-
-    def restore(self, state: dict) -> None:
-        self._resume = state
-        self._children[state["active"]].restore(state["child"])
-
-    def batches(self, outer_env: Optional[Env] = None) -> Iterator[list]:
-        resume = self._resume
-        self._resume = None
-        start = resume["active"] if resume else 0
-        for i in range(start, len(self._children)):
-            self._active = i
-            yield from self._children[i].batches(outer_env)
-
-    def describe(self) -> str:
-        return f"Concat ({len(self._children)} branches)"
 
 
 class Materialize(Operator):

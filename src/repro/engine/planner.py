@@ -48,7 +48,6 @@ from repro.engine.operators.joins import HashJoin, NestedLoopJoin
 from repro.engine.operators.scans import IndexScan, SeqScan
 from repro.engine.operators.sort import Sort
 from repro.engine.operators.transforms import (
-    Concat,
     Distinct,
     Filter,
     Limit,
@@ -111,11 +110,6 @@ class Planner:
 
         subqueries: list[_SubqueryRecord] = []
 
-        def plan_any(sub, outer):
-            if isinstance(sub, ast.Union):
-                return self.plan_union(sub, account, outer_ctx=outer)
-            return self.plan_select(sub, account, outer_ctx=outer)
-
         def compile_subquery(
             sub, enclosing: BindContext
         ) -> Callable[[Env], list]:
@@ -124,10 +118,10 @@ class Planner:
             # rows, and never recharge its work -- like PostgreSQL's
             # InitPlan.  Correlated subqueries re-execute per outer row.
             try:
-                root = plan_any(sub, None)
+                root = self.plan_select(sub, account)
                 correlated = False
             except PlanError:
-                root = plan_any(sub, enclosing)
+                root = self.plan_select(sub, account, outer_ctx=enclosing)
                 correlated = True
 
             if correlated:
@@ -280,73 +274,6 @@ class Planner:
 
         return plan
 
-    def plan_union(
-        self,
-        union: ast.Union,
-        account: WorkAccount,
-        outer_ctx: Optional[BindContext] = None,
-    ) -> Operator:
-        """Compile a UNION [ALL] chain into an operator tree.
-
-        Output columns take the first branch's names.  A trailing ORDER BY
-        may reference those output names; LIMIT/OFFSET apply to the whole
-        result.
-
-        Raises
-        ------
-        PlanError
-            On arity mismatches or unresolvable ORDER BY references.
-        """
-        branches = [
-            self.plan_select(b, account, outer_ctx) for b in union.branches
-        ]
-        arity = len(branches[0].layout)
-        for branch in branches[1:]:
-            if len(branch.layout) != arity:
-                raise PlanError(
-                    "UNION branches must produce the same number of columns"
-                )
-        out_layout = Layout(
-            [ColumnSlot(None, s.name) for s in branches[0].layout.slots]
-        )
-        plan: Operator = Concat(branches, out_layout)
-        plan.est_cost = sum(b.est_cost for b in branches)
-        plan.est_rows = sum(b.est_rows for b in branches)
-
-        if union.deduplicate:
-            child = plan
-            plan = Distinct(child)
-            plan.est_cost = child.est_cost
-            plan.est_rows = max(child.est_rows * 0.5, min(child.est_rows, 1.0))
-
-        if union.order_by:
-            keys = []
-            for item in union.order_by:
-                if not isinstance(item.expr, ast.ColumnRef) or item.expr.qualifier:
-                    raise PlanError(
-                        "ORDER BY on a UNION must reference output column names"
-                    )
-                idx = out_layout.resolve(item.expr.name, None)
-                keys.append((slot_expr(idx), item.descending))
-            child = plan
-            plan = Sort(child, keys, rows_per_page=self.catalog.page_capacity)
-            est = costmodel.sort(
-                costmodel.Estimate(child.est_cost, child.est_rows),
-                self.catalog.page_capacity,
-            )
-            plan.est_cost, plan.est_rows = est.cost, est.rows
-
-        if union.limit is not None or union.offset is not None:
-            child = plan
-            plan = Limit(child, union.limit, union.offset or 0)
-            est = costmodel.limit(
-                costmodel.Estimate(child.est_cost, child.est_rows),
-                union.limit,
-                union.offset or 0,
-            )
-            plan.est_cost, plan.est_rows = est.cost, est.rows
-        return plan
-
     # ------------------------------------------------------------------
     # FROM clause
     # ------------------------------------------------------------------
@@ -424,11 +351,7 @@ class Planner:
     ) -> Operator:
         """Plan ``FROM (SELECT ...) alias``: the subplan's output columns
         become the columns of a table named *alias*."""
-        sub = derived.select
-        if isinstance(sub, ast.Union):
-            plan = self.plan_union(sub, account, outer_ctx=outer_ctx)
-        else:
-            plan = self.plan_select(sub, account, outer_ctx=outer_ctx)
+        plan = self.plan_select(derived.select, account, outer_ctx=outer_ctx)
         plan.layout = Layout(
             [ColumnSlot(derived.alias, s.name) for s in plan.layout.slots]
         )

@@ -320,13 +320,8 @@ class TableRef:
 class DerivedTable:
     """``FROM (SELECT ...) alias`` -- a subquery used as a table."""
 
-    select: object  # Select | Union
+    select: Select
     alias: str
-
-    @property
-    def binding(self) -> str:
-        """The name this derived table is referred to by."""
-        return self.alias
 
 
 @dataclass(frozen=True)
@@ -366,36 +361,6 @@ class Select:
 
 
 @dataclass(frozen=True)
-class Union:
-    """``SELECT ... UNION [ALL] SELECT ...`` chains.
-
-    ``branches`` holds the member selects; ``all_flags[i]`` records whether
-    the joint between branch ``i`` and ``i+1`` was ``UNION ALL``.  A final
-    ORDER BY / LIMIT applies to the whole union.
-    """
-
-    branches: tuple[Select, ...]
-    all_flags: tuple[bool, ...]
-    order_by: tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
-    offset: Optional[int] = None
-
-    @property
-    def deduplicate(self) -> bool:
-        """True if any joint is a plain UNION (SQL dedups the whole result)."""
-        return any(not flag for flag in self.all_flags)
-
-
-@dataclass(frozen=True)
-class Insert:
-    """``INSERT INTO table [(cols)] VALUES (...), (...)``."""
-
-    table: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Expr, ...], ...]
-
-
-@dataclass(frozen=True)
 class ColumnDef:
     """One column definition inside CREATE TABLE."""
 
@@ -421,45 +386,4 @@ class CreateIndex:
     column: str
 
 
-@dataclass(frozen=True)
-class DropTable:
-    """``DROP TABLE name``."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Update:
-    """``UPDATE table SET col = expr [, ...] [WHERE expr]``."""
-
-    table: str
-    assignments: tuple[tuple[str, Expr], ...]
-    where: Optional[Expr] = None
-
-
-@dataclass(frozen=True)
-class Delete:
-    """``DELETE FROM table [WHERE expr]``."""
-
-    table: str
-    where: Optional[Expr] = None
-
-
-@dataclass(frozen=True)
-class Explain:
-    """``EXPLAIN <select-or-union>``."""
-
-    statement: object  # Select | Union
-
-
-@dataclass(frozen=True)
-class Analyze:
-    """``ANALYZE [table]`` -- collect optimizer statistics."""
-
-    table: Optional[str] = None
-
-
-Statement = (
-    "Select | Union | Insert | CreateTable | CreateIndex | DropTable | "
-    "Update | Delete"
-)
+Statement = "Select | CreateTable | CreateIndex"

@@ -16,10 +16,8 @@ KEYWORDS = {
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
     "OFFSET", "AS", "AND", "OR", "NOT", "NULL", "IS", "IN", "BETWEEN",
     "LIKE", "EXISTS", "CASE", "WHEN", "THEN", "ELSE", "END", "ASC", "DESC",
-    "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "INDEX", "ON", "DROP",
-    "JOIN", "INNER", "LEFT", "OUTER", "CROSS", "DISTINCT", "TRUE", "FALSE",
-    "PRIMARY", "KEY", "UPDATE", "SET", "DELETE", "UNION", "ALL", "EXPLAIN",
-    "ANALYZE",
+    "CREATE", "TABLE", "INDEX", "ON", "JOIN", "INNER", "LEFT", "OUTER",
+    "CROSS", "DISTINCT", "TRUE", "FALSE", "PRIMARY", "KEY",
 }
 
 

@@ -2,7 +2,7 @@
 
 Grammar (simplified):
 
-    statement    := select | insert | create_table | create_index | drop
+    statement    := select | create_table | create_index
     select       := SELECT [DISTINCT] items FROM from_list [WHERE expr]
                     [GROUP BY exprs] [HAVING expr] [ORDER BY order_items]
                     [LIMIT n [OFFSET n]]
@@ -130,76 +130,12 @@ class _Parser:
 
     def _statement(self):
         if self._check_keyword("SELECT"):
-            return self._select_statement()
-        if self._check_keyword("INSERT"):
-            return self._insert()
+            return self._select()
         if self._check_keyword("CREATE"):
             return self._create()
-        if self._check_keyword("DROP"):
-            return self._drop()
-        if self._check_keyword("UPDATE"):
-            return self._update()
-        if self._check_keyword("DELETE"):
-            return self._delete()
-        if self._accept_keyword("EXPLAIN"):
-            if not self._check_keyword("SELECT"):
-                raise ParseError(
-                    "EXPLAIN supports SELECT statements", self._cur.position
-                )
-            return ast.Explain(statement=self._select_statement())
-        if self._accept_keyword("ANALYZE"):
-            table = None
-            if self._cur.type is TokenType.IDENT or (
-                self._cur.type is TokenType.KEYWORD
-                and self._cur.value in self._SOFT_KEYWORDS
-            ):
-                table = self._expect_ident("table name")
-            return ast.Analyze(table=table)
         raise ParseError(
             f"expected a statement, found {self._describe(self._cur)}",
             self._cur.position,
-        )
-
-    def _select_statement(self):
-        """A SELECT, possibly a UNION [ALL] chain.
-
-        Branch selects may not carry their own ORDER BY / LIMIT; a trailing
-        ORDER BY / LIMIT (parsed with the final branch) applies to the
-        whole union.
-        """
-        first = self._select()
-        if not self._check_keyword("UNION"):
-            return first
-        branches = [first]
-        all_flags = []
-        while self._accept_keyword("UNION"):
-            all_flags.append(self._accept_keyword("ALL"))
-            branches.append(self._select())
-        last = branches[-1]
-        for branch in branches[:-1]:
-            if branch.order_by or branch.limit is not None or branch.offset is not None:
-                raise ParseError(
-                    "ORDER BY/LIMIT inside a UNION branch is not supported; "
-                    "put them after the final branch"
-                )
-        order_by, limit, offset = last.order_by, last.limit, last.offset
-        branches[-1] = ast.Select(
-            items=last.items,
-            from_items=last.from_items,
-            where=last.where,
-            group_by=last.group_by,
-            having=last.having,
-            order_by=(),
-            limit=None,
-            offset=None,
-            distinct=last.distinct,
-        )
-        return ast.Union(
-            branches=tuple(branches),
-            all_flags=tuple(all_flags),
-            order_by=order_by,
-            limit=limit,
-            offset=offset,
         )
 
     # -- SELECT ----------------------------------------------------------
@@ -340,7 +276,7 @@ class _Parser:
                 raise ParseError(
                     "expected SELECT in derived table", self._cur.position
                 )
-            select = self._select_statement()
+            select = self._select()
             self._expect_punct(")")
             self._accept_keyword("AS")
             alias = self._expect_ident("derived-table alias")
@@ -353,32 +289,7 @@ class _Parser:
             alias = self._advance().value
         return ast.TableRef(name=name, alias=alias)
 
-    # -- INSERT / CREATE / DROP ------------------------------------------
-
-    def _insert(self) -> ast.Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_ident("table name")
-        columns: tuple[str, ...] = ()
-        if self._accept_punct("("):
-            cols = [self._expect_ident("column name")]
-            while self._accept_punct(","):
-                cols.append(self._expect_ident("column name"))
-            self._expect_punct(")")
-            columns = tuple(cols)
-        self._expect_keyword("VALUES")
-        rows = [self._value_row()]
-        while self._accept_punct(","):
-            rows.append(self._value_row())
-        return ast.Insert(table=table, columns=columns, rows=tuple(rows))
-
-    def _value_row(self) -> tuple:
-        self._expect_punct("(")
-        values = [self._expr()]
-        while self._accept_punct(","):
-            values.append(self._expr())
-        self._expect_punct(")")
-        return tuple(values)
+    # -- CREATE ------------------------------------------------------------
 
     def _create(self):
         self._expect_keyword("CREATE")
@@ -424,37 +335,6 @@ class _Parser:
             self._accept_keyword("NULL")
         return ast.ColumnDef(name=name, type_name=type_name, nullable=nullable)
 
-    def _drop(self) -> ast.DropTable:
-        self._expect_keyword("DROP")
-        self._expect_keyword("TABLE")
-        return ast.DropTable(name=self._expect_ident("table name"))
-
-    def _update(self) -> ast.Update:
-        self._expect_keyword("UPDATE")
-        table = self._expect_ident("table name")
-        self._expect_keyword("SET")
-        assignments = [self._assignment()]
-        while self._accept_punct(","):
-            assignments.append(self._assignment())
-        where = self._expr() if self._accept_keyword("WHERE") else None
-        return ast.Update(table=table, assignments=tuple(assignments), where=where)
-
-    def _assignment(self) -> tuple:
-        column = self._expect_ident("column name")
-        if self._accept_operator("=") is None:
-            raise ParseError(
-                f"expected '=' in SET clause, found {self._describe(self._cur)}",
-                self._cur.position,
-            )
-        return (column, self._expr())
-
-    def _delete(self) -> ast.Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_ident("table name")
-        where = self._expr() if self._accept_keyword("WHERE") else None
-        return ast.Delete(table=table, where=where)
-
     # -- expressions ------------------------------------------------------
 
     def _expr(self) -> ast.Expr:
@@ -481,7 +361,7 @@ class _Parser:
         if self._check_keyword("EXISTS"):
             self._advance()
             self._expect_punct("(")
-            select = self._select_statement()
+            select = self._select()
             self._expect_punct(")")
             return ast.ExistsSubquery(select=select)
 
@@ -507,7 +387,7 @@ class _Parser:
         if self._accept_keyword("IN"):
             self._expect_punct("(")
             if self._check_keyword("SELECT"):
-                select = self._select_statement()
+                select = self._select()
                 self._expect_punct(")")
                 return ast.InSubquery(operand=left, select=select, negated=negated)
             items = [self._expr()]
@@ -576,7 +456,7 @@ class _Parser:
             return self._case()
         if self._accept_punct("("):
             if self._check_keyword("SELECT"):
-                select = self._select_statement()
+                select = self._select()
                 self._expect_punct(")")
                 return ast.ScalarSubquery(select=select)
             expr = self._expr()

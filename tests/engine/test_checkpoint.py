@@ -55,10 +55,6 @@ SHAPES = {
         "SELECT k % 5 grp, sum(v), count(*) FROM big GROUP BY k % 5"
     ),
     "global_agg": "SELECT sum(v), min(k), max(k) FROM big",
-    "union": (
-        "SELECT k FROM big WHERE k < 30 UNION ALL "
-        "SELECT k FROM big WHERE k >= 370"
-    ),
     "paper_style": (
         "SELECT k FROM big b WHERE b.v > "
         "(SELECT sum(l.w) / count(*) FROM lookup l WHERE l.k = b.k % 80)"

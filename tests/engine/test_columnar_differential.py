@@ -254,14 +254,6 @@ class TestPageCapacityPlumbing:
         assert db.catalog.table("small").heap.page_count == 4
         assert db.catalog.table("dflt").heap.page_count == 1
 
-    def test_override_survives_update_rewrite(self):
-        db = Database(page_capacity=50)
-        db.create_table("CREATE TABLE s (k INT)", page_capacity=5)
-        db.insert_rows("s", [(i,) for i in range(20)])
-        db.execute("UPDATE s SET k = k + 1 WHERE k > 5")
-        assert db.catalog.table("s").heap.page_capacity == 5
-        assert db.catalog.table("s").heap.page_count == 4
-
     def test_analyze_records_capacity(self):
         db = Database(page_capacity=50)
         db.create_table("CREATE TABLE s (k INT)", page_capacity=7)

@@ -12,11 +12,10 @@ from repro.engine.errors import CatalogError, ExecutionError, PlanError, SqlType
 def db():
     d = Database(page_capacity=4)
     d.execute("CREATE TABLE nums (k INT, v FLOAT, tag TEXT)")
-    d.execute(
-        "INSERT INTO nums VALUES "
-        "(1, 10.0, 'a'), (2, 20.0, 'b'), (3, 30.0, 'a'), "
-        "(4, 40.0, NULL), (5, 50.0, 'b'), (6, NULL, 'c')"
-    )
+    d.insert_rows("nums", [
+        (1, 10.0, "a"), (2, 20.0, "b"), (3, 30.0, "a"),
+        (4, 40.0, None), (5, 50.0, "b"), (6, None, "c"),
+    ])
     return d
 
 
@@ -129,9 +128,7 @@ class TestJoins:
     @pytest.fixture()
     def jdb(self, db):
         db.execute("CREATE TABLE names (k INT, name TEXT)")
-        db.execute(
-            "INSERT INTO names VALUES (1, 'one'), (2, 'two'), (7, 'seven')"
-        )
+        db.insert_rows("names", [(1, "one"), (2, "two"), (7, "seven")])
         return db
 
     def test_inner_join(self, jdb):
@@ -178,7 +175,7 @@ class TestSubqueries:
 
     def test_correlated_scalar(self, db):
         db.execute("CREATE TABLE pairs (k INT, w FLOAT)")
-        db.execute("INSERT INTO pairs VALUES (1, 5.0), (1, 15.0), (2, 100.0)")
+        db.insert_rows("pairs", [(1, 5.0), (1, 15.0), (2, 100.0)])
         rows = db.query(
             "SELECT k FROM nums n WHERE n.v > "
             "(SELECT sum(p.w) FROM pairs p WHERE p.k = n.k)"
@@ -193,7 +190,7 @@ class TestSubqueries:
 
     def test_exists(self, db):
         db.execute("CREATE TABLE flags (k INT)")
-        db.execute("INSERT INTO flags VALUES (2), (4)")
+        db.insert_rows("flags", [(2,), (4,)])
         rows = db.query(
             "SELECT k FROM nums n WHERE EXISTS "
             "(SELECT 1 FROM flags f WHERE f.k = n.k)"
@@ -207,7 +204,7 @@ class TestSubqueries:
 
     def test_in_subquery(self, db):
         db.execute("CREATE TABLE flags (k INT)")
-        db.execute("INSERT INTO flags VALUES (1), (3)")
+        db.insert_rows("flags", [(1,), (3,)])
         assert db.query(
             "SELECT k FROM nums WHERE k IN (SELECT k FROM flags)"
         ) == [(1,), (3,)]
@@ -227,24 +224,13 @@ class TestSubqueries:
 
 
 class TestDDLAndDML:
-    def test_insert_with_column_list(self, db):
-        db.execute("CREATE TABLE t2 (a INT, b TEXT)")
-        n = db.execute("INSERT INTO t2 (b, a) VALUES ('x', 1)")
-        assert n == 1
-        assert db.query("SELECT a, b FROM t2") == [(1, "x")]
-
     def test_insert_arity_error(self, db):
-        with pytest.raises(PlanError):
-            db.execute("INSERT INTO nums (k) VALUES (1, 2)")
+        with pytest.raises(SqlTypeError):
+            db.insert_rows("nums", [(1, 2.0)])
 
     def test_type_errors_on_insert(self, db):
         with pytest.raises(SqlTypeError):
-            db.execute("INSERT INTO nums VALUES ('oops', 1.0, 'x')")
-
-    def test_drop_table(self, db):
-        db.execute("DROP TABLE nums")
-        with pytest.raises(CatalogError):
-            db.query("SELECT 1 FROM nums")
+            db.insert_rows("nums", [("oops", 1.0, "x")])
 
     def test_duplicate_table(self, db):
         with pytest.raises(CatalogError):
@@ -256,9 +242,9 @@ class TestDDLAndDML:
 
     def test_prepare_requires_select(self, db):
         with pytest.raises(PlanError):
-            db.prepare("DROP TABLE nums")
+            db.prepare("CREATE INDEX nums_k ON nums (k)")
         with pytest.raises(PlanError):
-            db.query("DROP TABLE nums")
+            db.query("CREATE INDEX nums_k ON nums (k)")
 
     def test_explain_output(self, db):
         plan = db.explain("SELECT k FROM nums WHERE v > 10")

@@ -1,9 +1,10 @@
 """Tests for the plan-time subquery-decorrelation rewrite.
 
 Plan shapes, rewrite-rule firing, the semantic corner cases the rewrite
-must preserve (empty groups, NULL keys, three-valued NOT IN), the safety
-conditions that make it back off, and the uncorrelated IN membership
-probe.
+must preserve (empty groups, NULL keys), the safety conditions that make
+it back off, and the rows of the EXISTS / IN forms it leaves on the
+per-row subplan path (three-valued NOT IN) and of the uncorrelated IN
+membership probe.
 """
 
 import pytest
@@ -36,9 +37,9 @@ def tags_for(db, sql):
 
 def oracle(db, sql):
     """*sql* on a copy of *db* that keeps the per-outer-row subplans."""
-    naive = fresh_db(decorrelate=False)
+    naive = Database(page_capacity=8, decorrelate=False)
     for table in ("t", "s"):
-        naive.execute(f"DELETE FROM {table}")
+        naive.execute(f"CREATE TABLE {table} (k INT, v FLOAT)")
         naive.insert_rows(table, db.query(f"SELECT * FROM {table}"))
     return naive.query(sql)
 
@@ -70,38 +71,6 @@ class TestRuleFiring:
             "(SELECT avg(s.v) FROM s WHERE s.k = t.k)",
         ) == ("scalar-agg",)
 
-    def test_exists_fires_semi(self):
-        db = fresh_db()
-        assert tags_for(
-            db,
-            "SELECT t.k FROM t WHERE EXISTS "
-            "(SELECT 1 FROM s WHERE s.k = t.k)",
-        ) == ("semi-join",)
-
-    def test_not_exists_fires_anti(self):
-        db = fresh_db()
-        assert tags_for(
-            db,
-            "SELECT t.k FROM t WHERE NOT EXISTS "
-            "(SELECT 1 FROM s WHERE s.k = t.k)",
-        ) == ("anti-join",)
-
-    def test_in_fires(self):
-        db = fresh_db()
-        assert tags_for(
-            db,
-            "SELECT t.k FROM t WHERE t.v IN "
-            "(SELECT s.v FROM s WHERE s.k = t.k)",
-        ) == ("semi-in",)
-
-    def test_not_in_fires(self):
-        db = fresh_db()
-        assert tags_for(
-            db,
-            "SELECT t.k FROM t WHERE t.v NOT IN "
-            "(SELECT s.v FROM s WHERE s.k = t.k)",
-        ) == ("anti-in",)
-
     def test_plan_shape_is_left_hash_join(self):
         db = fresh_db()
         plan = db.explain(
@@ -111,18 +80,6 @@ class TestRuleFiring:
         assert "HashLeftJoin" in plan
         assert "HashAggregate" in plan
         assert "#dc0" in plan
-
-    def test_union_branches_decorrelate(self):
-        db = fresh_db()
-        sql = (
-            "SELECT t.k FROM t WHERE EXISTS "
-            "(SELECT 1 FROM s WHERE s.k = t.k) "
-            "UNION SELECT t.k FROM t WHERE t.v > "
-            "(SELECT avg(s.v) FROM s WHERE s.k = t.k)"
-        )
-        assert tags_for(db, sql) == ("semi-join", "scalar-agg")
-        assert db.query(sql) == oracle(db, sql)
-
 
 class TestSemanticCorners:
     def test_count_over_empty_group_is_zero(self):
@@ -180,7 +137,7 @@ class TestSemanticCorners:
 
     def test_in_with_null_operand_is_unknown(self):
         db = fresh_db()
-        db.execute("INSERT INTO t VALUES (1, NULL)")
+        db.insert_rows("t", [(1, None)])
         sql = (
             "SELECT t.k, t.v FROM t WHERE t.v IN "
             "(SELECT s.v FROM s WHERE s.k = t.k)"
@@ -192,7 +149,7 @@ class TestSemanticCorners:
         # IN over an empty set is FALSE (NOT IN TRUE) even for a NULL
         # operand; stdlib sqlite3 agrees.
         db = fresh_db()
-        db.execute("INSERT INTO t VALUES (7, NULL)")  # no s row has k = 7
+        db.insert_rows("t", [(7, None)])  # no s row has k = 7
         sql = (
             f"SELECT t.k FROM t WHERE t.v {'NOT IN' if negated else 'IN'} "
             "(SELECT s.v FROM s WHERE s.k = t.k)"
@@ -234,29 +191,17 @@ class TestSafetyFallbacks:
             # LIMIT inside a scalar subquery.
             "SELECT t.k FROM t WHERE t.v > "
             "(SELECT avg(s.v) FROM s WHERE s.k = t.k LIMIT 1)",
-            # GROUP BY inside the subquery body.
-            "SELECT t.k FROM t WHERE EXISTS "
-            "(SELECT s.k FROM s WHERE s.k = t.k GROUP BY s.k)",
             # No aggregate in the scalar body.
             "SELECT t.k FROM t WHERE t.v = "
             "(SELECT s.v FROM s WHERE s.k = t.k AND s.v IS NOT NULL)",
             # Uncorrelated: already an init-plan, nothing to decorrelate.
             "SELECT t.k FROM t WHERE t.v > (SELECT avg(s.v) FROM s)",
-            # Computed IN operand (could raise; scan short-circuits).
-            "SELECT t.k FROM t WHERE t.v * 2 IN "
-            "(SELECT s.v FROM s WHERE s.k = t.k)",
-            # Non-column IN value expression.
-            "SELECT t.k FROM t WHERE t.v IN "
-            "(SELECT s.v + 1 FROM s WHERE s.k = t.k)",
         ],
         ids=[
             "non-equality",
             "limit",
-            "group-by",
             "no-aggregate",
             "uncorrelated",
-            "computed-operand",
-            "computed-value",
         ],
     )
     def test_rewrite_backs_off_and_results_match(self, sql):
@@ -271,7 +216,10 @@ class TestSafetyFallbacks:
         # t.k is INT, u.k is TEXT: hash equality would silently not
         # match where compare_values raises, so the rewrite must not
         # fire and the error must surface unchanged.
-        sql = "SELECT t.k FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k)"
+        sql = (
+            "SELECT t.k FROM t WHERE t.v > "
+            "(SELECT count(*) FROM u WHERE u.k = t.k)"
+        )
         assert tags_for(db, sql) == ()
         with pytest.raises(SqlTypeError):
             db.query(sql)

@@ -28,6 +28,19 @@ REWRITTEN_CORPUS = [
     "ORDER BY t.v, t.k",
     "SELECT t.k FROM t WHERE t.v > "
     "(SELECT sum(s.v) / count(s.v) FROM s WHERE s.k = t.k)",
+]
+
+#: Queries that stay on per-row subplans: EXISTS and IN, which the pass
+#: does not rewrite, and scalar forms its safety conditions reject.  They
+#: still have to match the oracles (the naive plan trivially -- same plan
+#: -- but sqlite3 checks the per-row semantics, and the naive comparison
+#: guards against the rewrite firing where it must not).
+FALLBACK_CORPUS = [
+    "SELECT t.k FROM t WHERE t.v > "
+    "(SELECT avg(s.v) FROM s WHERE s.k < t.k)",
+    "SELECT t.k FROM t WHERE t.v > (SELECT avg(s.v) FROM s)",
+    "SELECT t.k FROM t WHERE t.v IN "
+    "(SELECT s.v + 0 FROM s WHERE s.k = t.k)",
     "SELECT t.k FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.k = t.k)",
     "SELECT t.k FROM t WHERE NOT EXISTS "
     "(SELECT 1 FROM s WHERE s.k = t.k AND s.v < 0)",
@@ -37,17 +50,6 @@ REWRITTEN_CORPUS = [
     "SELECT t.k, t.v FROM t WHERE t.v NOT IN "
     "(SELECT s.v FROM s WHERE s.k = t.k)",
     "SELECT t.k FROM t WHERE 0 IN (SELECT s.v FROM s WHERE s.k = t.k)",
-]
-
-#: Queries the safety conditions must leave on per-row subplans; they
-#: still have to match the oracle (trivially -- same plan -- but they
-#: guard against the rewrite firing where it must not).
-FALLBACK_CORPUS = [
-    "SELECT t.k FROM t WHERE t.v > "
-    "(SELECT avg(s.v) FROM s WHERE s.k < t.k)",
-    "SELECT t.k FROM t WHERE t.v > (SELECT avg(s.v) FROM s)",
-    "SELECT t.k FROM t WHERE t.v IN "
-    "(SELECT s.v + 0 FROM s WHERE s.k = t.k)",
 ]
 
 BATCH_SIZES = (1, 7, 1024)

@@ -36,13 +36,6 @@ class TestDerivedTables:
         )
         assert rows == [(0, 10), (1, 10)]
 
-    def test_union_as_derived_table(self, db):
-        rows = db.query(
-            "SELECT y.k FROM (SELECT k FROM t WHERE k = 1 "
-            "UNION SELECT k FROM t WHERE k = 2) y ORDER BY y.k"
-        )
-        assert rows == [(1,), (2,)]
-
     def test_nested_derived_tables(self, db):
         rows = db.query(
             "SELECT z.n FROM (SELECT count(*) n FROM "

@@ -139,32 +139,6 @@ class TestJoinsAndUnionsDifferential:
                 expected.append((lk, None))
         assert sorted(got, key=repr) == sorted(expected, key=repr)
 
-    @given(a=tables(), b=tables(), keep_all=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_union_matches_reference(self, a, b, keep_all):
-        db = Database(page_capacity=5)
-        db.execute("CREATE TABLE a (k INT, v FLOAT)")
-        db.insert_rows("a", a)
-        db.execute("CREATE TABLE b (k INT, v FLOAT)")
-        db.insert_rows("b", b)
-        op = "UNION ALL" if keep_all else "UNION"
-        got = db.query(f"SELECT k FROM a {op} SELECT k FROM b")
-        raw = [(r[0],) for r in a] + [(r[0],) for r in b]
-        expected = raw if keep_all else list(dict.fromkeys(raw))
-        assert sorted(got, key=repr) == sorted(expected, key=repr)
-
-    @given(rows=tables(), threshold=st.integers(-5, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_delete_matches_reference(self, rows, threshold):
-        db = build(rows, 4, index=False)
-        deleted = db.execute(f"DELETE FROM t WHERE k > {threshold}")
-        survivors = [
-            r for r in rows if not (r[0] is not None and r[0] > threshold)
-        ]
-        assert deleted == len(rows) - len(survivors)
-        got = db.query("SELECT k, v FROM t")
-        assert sorted(got, key=repr) == sorted(survivors, key=repr)
-
 
 class TestOrderAndWork:
     @given(rows=tables(), page=st.sampled_from([2, 50]), desc=st.booleans())

@@ -1,18 +1,17 @@
-"""Tests for UPDATE / DELETE / LEFT JOIN / UNION support."""
+"""Tests for LEFT [OUTER] JOIN support."""
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import ParseError, PlanError, SqlTypeError
 
 
 @pytest.fixture()
 def db():
     d = Database(page_capacity=4)
     d.execute("CREATE TABLE t (k INT, v FLOAT)")
-    d.execute("INSERT INTO t VALUES (1, 10.0), (2, 20.0), (3, 30.0), (4, NULL)")
+    d.insert_rows("t", [(1, 10.0), (2, 20.0), (3, 30.0), (4, None)])
     d.execute("CREATE TABLE u (k INT, name TEXT)")
-    d.execute("INSERT INTO u VALUES (1, 'one'), (3, 'three'), (9, 'nine')")
+    d.insert_rows("u", [(1, "one"), (3, "three"), (9, "nine")])
     return d
 
 
@@ -64,159 +63,3 @@ class TestLeftJoin:
     def test_left_join_explain_shows_outer(self, db):
         plan = db.explain("SELECT 1 FROM t LEFT JOIN u ON t.k = u.k")
         assert "HashLeftJoin" in plan
-
-
-class TestUnion:
-    def test_union_deduplicates(self, db):
-        rows = db.query("SELECT k FROM t WHERE k <= 2 UNION SELECT k FROM u ORDER BY k")
-        assert rows == [(1,), (2,), (3,), (9,)]
-
-    def test_union_all_keeps_duplicates(self, db):
-        rows = db.query(
-            "SELECT k FROM t WHERE k = 1 UNION ALL SELECT k FROM u WHERE k = 1"
-        )
-        assert rows == [(1,), (1,)]
-
-    def test_three_way_chain(self, db):
-        rows = db.query(
-            "SELECT k FROM t WHERE k = 1 UNION SELECT k FROM u WHERE k = 9 "
-            "UNION ALL SELECT k FROM t WHERE k = 1 ORDER BY k"
-        )
-        # mixed chain with any plain UNION dedups the whole result.
-        assert rows == [(1,), (9,)]
-
-    def test_order_and_limit_apply_to_whole_union(self, db):
-        rows = db.query(
-            "SELECT k FROM t UNION SELECT k FROM u ORDER BY k DESC LIMIT 3"
-        )
-        assert rows == [(9,), (4,), (3,)]
-
-    def test_arity_mismatch_rejected(self, db):
-        with pytest.raises(PlanError):
-            db.query("SELECT k FROM t UNION SELECT k, name FROM u")
-
-    def test_branch_order_by_rejected(self, db):
-        with pytest.raises(ParseError):
-            db.query("SELECT k FROM t ORDER BY k UNION SELECT k FROM u")
-
-    def test_order_by_expression_rejected(self, db):
-        with pytest.raises(PlanError):
-            db.query("SELECT k FROM t UNION SELECT k FROM u ORDER BY k + 1")
-
-    def test_union_in_in_subquery(self, db):
-        rows = db.query(
-            "SELECT k FROM t WHERE k IN (SELECT k FROM u UNION SELECT 2) "
-            "ORDER BY k"
-        )
-        assert rows == [(1,), (2,), (3,)]
-
-    def test_union_in_exists_subquery(self, db):
-        rows = db.query(
-            "SELECT t.k FROM t WHERE EXISTS "
-            "(SELECT 1 FROM u WHERE u.k = t.k UNION ALL "
-            " SELECT 1 FROM u WHERE u.k = t.k + 8) ORDER BY t.k"
-        )
-        assert rows == [(1,), (3,)]
-
-    def test_union_as_scalar_subquery(self, db):
-        rows = db.query(
-            "SELECT (SELECT max(k) FROM t UNION SELECT max(k) FROM t) FROM t "
-            "WHERE k = 1"
-        )
-        assert rows == [(4,)]
-
-    def test_union_is_steppable(self, db):
-        ex = db.prepare("SELECT k FROM t UNION ALL SELECT k FROM u")
-        while not ex.finished:
-            ex.step(1.0)
-        assert len(ex.rows) == 7
-        assert ex.work_done > 0
-
-
-class TestUpdate:
-    def test_update_with_where(self, db):
-        n = db.execute("UPDATE t SET v = v * 2 WHERE k <= 2")
-        assert n == 2
-        assert db.query("SELECT v FROM t ORDER BY k") == [
-            (20.0,), (40.0,), (30.0,), (None,)
-        ]
-
-    def test_update_all_rows(self, db):
-        assert db.execute("UPDATE t SET v = 0.0") == 4
-
-    def test_update_multiple_columns_sees_old_values(self, db):
-        db.execute("UPDATE t SET k = k + 10, v = k * 1.0 WHERE k = 1")
-        # v is computed from the OLD k.
-        assert db.query("SELECT k, v FROM t WHERE k = 11") == [(11, 1.0)]
-
-    def test_update_type_checked(self, db):
-        with pytest.raises(SqlTypeError):
-            db.execute("UPDATE t SET k = 'oops'")
-
-    def test_update_rebuilds_indexes(self, db):
-        db.execute("CREATE INDEX t_k ON t (k)")
-        db.execute("UPDATE t SET k = 100 WHERE k = 1")
-        db.analyze()
-        assert db.query("SELECT k FROM t WHERE k = 100") == [(100,)]
-        assert db.query("SELECT k FROM t WHERE k = 1") == []
-
-    def test_update_invalidates_stats(self, db):
-        db.analyze()
-        db.execute("UPDATE t SET v = 1.0 WHERE k = 1")
-        assert db.catalog.table("t").stats is None
-
-
-class TestDelete:
-    def test_delete_with_where(self, db):
-        assert db.execute("DELETE FROM t WHERE k > 2") == 2
-        assert db.query("SELECT k FROM t ORDER BY k") == [(1,), (2,)]
-
-    def test_delete_null_predicate_rows_survive(self, db):
-        # WHERE v > 15 is NULL for the NULL row: it must survive.
-        db.execute("DELETE FROM t WHERE v > 15")
-        assert db.query("SELECT k FROM t ORDER BY k") == [(1,), (4,)]
-
-    def test_delete_everything(self, db):
-        assert db.execute("DELETE FROM t") == 4
-        assert db.query("SELECT count(*) FROM t") == [(0,)]
-
-    def test_delete_rebuilds_indexes(self, db):
-        db.execute("CREATE INDEX t_k ON t (k)")
-        db.execute("DELETE FROM t WHERE k = 3")
-        db.analyze()
-        assert db.query("SELECT k FROM t WHERE k = 3") == []
-        assert db.query("SELECT k FROM t WHERE k = 2") == [(2,)]
-
-    def test_parse_errors(self, db):
-        with pytest.raises(ParseError):
-            db.execute("DELETE t WHERE k = 1")
-        with pytest.raises(ParseError):
-            db.execute("UPDATE t k = 1")
-
-
-class TestExplainStatement:
-    def test_explain_select(self, db):
-        plan = db.execute("EXPLAIN SELECT k FROM t WHERE v > 15")
-        assert isinstance(plan, str)
-        assert "SeqScan t" in plan
-        assert "cost=" in plan
-
-    def test_explain_union(self, db):
-        plan = db.execute("EXPLAIN SELECT k FROM t UNION SELECT k FROM u")
-        assert "Concat" in plan
-        assert "Distinct" in plan
-
-    def test_explain_join(self, db):
-        plan = db.execute("EXPLAIN SELECT 1 FROM t JOIN u ON t.k = u.k")
-        assert "HashJoin" in plan
-
-    def test_explain_does_not_execute(self, db):
-        before = db.query("SELECT count(*) FROM t")
-        db.execute("EXPLAIN SELECT * FROM t")
-        assert db.query("SELECT count(*) FROM t") == before
-
-    def test_explain_non_select_rejected(self, db):
-        with pytest.raises(ParseError):
-            db.execute("EXPLAIN DELETE FROM t")
-        with pytest.raises(ParseError):
-            db.execute("EXPLAIN CREATE TABLE z (a INT)")

@@ -156,8 +156,6 @@ SQL_CORPUS = [
     "SELECT a.k, b.v FROM t a JOIN t b ON a.k = b.k WHERE a.v > b.v",
     "SELECT k FROM t WHERE k IN (1, 2, 3)",
     "SELECT k FROM t WHERE v IS NULL",
-    "SELECT k FROM t WHERE k > 0 UNION SELECT k FROM t WHERE k < 0",
-    "SELECT k FROM t UNION ALL SELECT k FROM t ORDER BY k",
     "SELECT abs(v), upper('x'), k * 2 + 1 FROM t WHERE k IS NOT NULL",
     "SELECT * FROM t p WHERE p.v > (SELECT avg(v) FROM t WHERE k = p.k)",
     "SELECT k FROM t p WHERE EXISTS "

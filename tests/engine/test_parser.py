@@ -138,16 +138,6 @@ class TestSelect:
 
 
 class TestOtherStatements:
-    def test_insert(self):
-        s = parse_statement("INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)")
-        assert isinstance(s, ast.Insert)
-        assert s.columns == ("a", "b")
-        assert len(s.rows) == 2
-
-    def test_insert_without_columns(self):
-        s = parse_statement("INSERT INTO t VALUES (1)")
-        assert s.columns == ()
-
     def test_create_table(self):
         s = parse_statement(
             "CREATE TABLE t (a INT NOT NULL, b VARCHAR(20), c DECIMAL(10,2))"
@@ -164,10 +154,6 @@ class TestOtherStatements:
         s = parse_statement("CREATE INDEX i ON t (col)")
         assert isinstance(s, ast.CreateIndex)
         assert (s.name, s.table, s.column) == ("i", "t", "col")
-
-    def test_drop_table(self):
-        s = parse_statement("DROP TABLE t")
-        assert isinstance(s, ast.DropTable)
 
     def test_script(self):
         stmts = parse_statements("SELECT 1; SELECT 2;; SELECT 3")

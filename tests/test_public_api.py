@@ -34,7 +34,7 @@ class TestPublicAPI:
     def test_database_name(self):
         db = repro.Database()
         db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (1)")
+        db.insert_rows("t", [(1,)])
         assert db.query("SELECT a FROM t") == [(1,)]
 
     def test_standard_case_and_project_names(self):
