@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction package.
 
-.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke chaos scale shard overload coverage report observe examples loc census all
+.PHONY: install test bench bench-smoke bench-engine bench-pi e2e-smoke scale shard overload coverage report observe examples loc census all
 
 install:
 	pip install -e . || python setup.py develop
@@ -42,23 +42,21 @@ bench-pi:
 e2e-smoke:
 	pytest benchmarks/e2e -q
 
-chaos:
-	pytest -m chaos tests/
-
 # Concurrency-scalability sweep (writes BENCH_scale.json).  Override the
 # sizes for a quick run, e.g.:  make scale REPRO_SCALE_SIZES=100,500,1000
 scale:
 	REPRO_SCALE_SIZES=$(REPRO_SCALE_SIZES) pytest -m scale benchmarks/ --benchmark-only
 
-# Sharded-cluster gate: chaos acceptance suite (crash -> failover ->
-# byte-identical results) plus the refresh/recovery bench, which writes
+# Sharded-cluster gate: the chaos suite (seeded node faults: crash ->
+# failover -> byte-identical results; every chaos-marked test lives in
+# tests/dist/) plus the refresh/recovery bench, which writes
 # BENCH_shard.json.  Override the sweep for a quick run, e.g.:
 #   make shard REPRO_SHARD_SIZES=2,4
 shard:
 	pytest -m chaos tests/dist/
 	REPRO_SHARD_SIZES=$(REPRO_SHARD_SIZES) pytest -m shard benchmarks/ --benchmark-only
 
-# Overload-protection gate: the seeded NodeCrash + ArrivalBurst storm
+# Overload-protection gate: the node crash + arrival burst storm
 # acceptance suite, then the no-cliff bench (writes BENCH_overload.json).
 # Override the load sweep for a quick run, e.g.:
 #   make overload REPRO_OVERLOAD_LOADS=1,5
@@ -83,14 +81,14 @@ observe:
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
-# Traffic census: runs the e2e workloads, every example, every bench (the
+# Traffic census: runs the e2e workloads (quick sizes), every bench (the
 # non-figure ones at their make targets' quick sizes) and the CLI commands
-# under a profiling hook; prints each public name with the sources that
-# reach it, the unreached functions per module with their line counts,
-# and each setting with the values each kind of source passes.  Fails on
-# a public name or function no source reaches, or on a setting that the
-# e2e, bench and CLI sources all pass one value, unless
-# benchmarks/traffic_census.py's KEEP / KEEP_KNOBS gives a reason.
+# under a profiling hook (examples are not sources); prints each public
+# name with the sources that reach it, the unreached functions per module
+# with their line counts, and each setting with the values each kind of
+# source passes.  Fails on a public name or function no source reaches,
+# or on a setting that the e2e, bench and CLI sources all pass one value,
+# unless benchmarks/traffic_census.py's KEEP / KEEP_KNOBS gives a reason.
 census:
 	python benchmarks/traffic_census.py
 

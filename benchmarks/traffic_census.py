@@ -1,6 +1,6 @@
 """Traffic census: which public names and functions do the workloads,
-examples, benches and CLI actually reach, and which values do they pass
-to its settings?
+benches and CLI actually reach, and which values do they pass to its
+settings?
 
 The standing rule "a feature stays only while measured traffic reaches
 it" needs a count.  This script runs every traffic source below in its
@@ -22,12 +22,13 @@ and every field of a public dataclass whose name ends in ``Config`` or
 experiment set-ups and the user-facing flags, and are left out).  A
 setting that the e2e runs, the benches and the CLI all pass one value
 is a constant, not an option: the script exits non-zero for each such
-setting missing from :data:`KEEP_KNOBS`.  Examples count as sources for
-names but not for settings -- an example shows an option off, it does
-not make the option needed.  A collaborator (any value that is not a
-scalar, an enum member or a short tuple of scalars, or a parameter named
-in :data:`WIRING`) is wiring, not a setting; a config object that the
-callee builds when it is passed ``None`` is counted by its own fields.
+setting missing from :data:`KEEP_KNOBS`.  The examples are not sources,
+for names, functions or settings: an example shows an option off, it
+does not make the option needed (``make examples`` still runs them).
+A collaborator (any value that is not a scalar, an enum member or a
+short tuple of scalars, or a parameter named in :data:`WIRING`) is
+wiring, not a setting; a config object that the callee builds when it
+is passed ``None`` is counted by its own fields.
 
 Run from the repository root::
 
@@ -56,9 +57,12 @@ the profiler is reported, not fatal: its code ran).  And some code is reached by
 fault plan only by ``shard --seed``), so skipping a source deletes live
 code.  The hook keys calls by ``(co_filename, co_firstlineno)``, which
 Python 3.10 has (it lacks ``co_qualname``), and the census names each
-key by compiling the sources.  The benches rewrite the ``BENCH_*.json``
-files at the repository root, at the quick sizes the census runs them
-with; the census puts the committed files back when it is done.
+key by compiling the sources; two functions of one scope that share a
+name are told apart by definition order (``runner``, ``runner[2]``), so
+a :data:`KEEP` key names one of them only.  The benches rewrite the
+``BENCH_*.json`` files at the repository root, at the quick sizes the
+census runs them with; the census puts the committed files back when it
+is done.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ KEEP = {
         "repro.engine.expr:_bind_binary._and",
         "repro.engine.expr:_bind_binary._concat",
         "repro.engine.expr:_bind_binary._or",
-        "repro.engine.expr:_bind_binary.apply",
+        "repro.engine.expr:_bind_binary.apply[2]",
         "repro.engine.expr:_bind_subquery._exists",
         "repro.engine.expr:_bind_subquery._in_subquery",
         "repro.engine.expr:_bind_subquery._scan",
@@ -132,7 +136,7 @@ KEEP = {
     "the uncorrelated-subquery (InitPlan) runner; ROADMAP item 4 decides "
     "it, where the strict xfail test_restore_does_not_recharge_the_initplan "
     "lives": (
-        "repro.engine.planner:Planner.plan_select.compile_subquery.runner",
+        "repro.engine.planner:Planner.plan_select.compile_subquery.runner[2]",
     ),
     "range scans: the planner prices them on `cli shard` traffic "
     "(cost.index_range is reached) and always rejects them; ROADMAP item 2 "
@@ -153,6 +157,8 @@ KEEP = {
         "repro.engine.operators.agg:HashAggregate.checkpoint",
         "repro.engine.operators.agg:HashAggregate.restore",
         "repro.engine.operators.agg:_chain_sum",
+        "repro.engine.operators.joins:HashJoin.checkpoint",
+        "repro.engine.operators.joins:HashJoin.restore",
         "repro.engine.operators.sort:Sort.checkpoint",
         "repro.engine.operators.sort:Sort.restore",
         "repro.engine.operators.transforms:Limit.checkpoint",
@@ -182,18 +188,8 @@ KEEP = {
         "repro.dist.partition:HashPartitioner",
         "repro.dist.partition:RangePartitioner",
     ),
-    "no source ever opens a breaker: ROADMAP item 5(b)": (
-        "repro.qos.breaker:BreakerTransition",
-        "repro.qos.breaker:BreakerBoard.open_nodes",
-        "repro.qos.breaker:CircuitBreaker._open",
-        "repro.qos.breaker:CircuitBreaker._transition",
-        "repro.qos.breaker:CircuitBreaker.consecutive_failures",
-        "repro.qos.breaker:CircuitBreaker.retry_after",
-    ),
-    "only examples drive the runaway watchdog and the retry controller; "
-    "a later ROADMAP item 7 slice decides whether they stay": (
-        "repro.wm.watchdog:RunawayQueryWatchdog",
-        "repro.faults.retry:RetryController",
+    "ladder rung 2 demotes no job at the default ceiling: ROADMAP item 5(c)": (
+        "repro.sim.rdbms:SimulatedRDBMS.set_priority",
     ),
     "unused halves of live classes and helpers that only tests call; a "
     "later ROADMAP item 7 slice drives or deletes them": (
@@ -208,28 +204,18 @@ KEEP = {
         "repro.core.model:SystemSnapshot.without",
         "repro.core.standard_case:remaining_time_of",
         "repro.dist.catalog:ShardCatalog.add_index",
-        "repro.dist.catalog:ShardCatalog.mark_up",
         "repro.dist.catalog:ShardCatalog.primary_for",
-        "repro.dist.chaos:ClusterFaultInjector._arm_burst",
-        "repro.dist.chaos:ClusterFaultInjector._arm_one.recover",
         "repro.dist.global_pi:GlobalProgressAggregator.forget",
-        "repro.dist.node:ShardNode.recover",
-        "repro.experiments.engine_mode:make_job.prepare",
         "repro.experiments.harness:PIHarness.sample_now",
         "repro.experiments.harness:actual_remaining_series",
         "repro.experiments.harness:estimate_series",
-        "repro.faults.injector:FaultInjector._arm_corruption.end",
-        "repro.faults.injector:FaultInjector._arm_crash.crash",
         "repro.obs.tracer:JsonlSink.__enter__",
         "repro.obs.tracer:JsonlSink.__exit__",
         "repro.obs.tracer:Tracer.span",
         "repro.qos.admission:AdmissionController.resubmit",
         "repro.qos.ladder:DegradationLadder.shed",
         "repro.qos.ladder:DegradationLadder.shed_candidates",
-        "repro.sim.jobs:CostNoiseJob.retry_copy",
-        "repro.sim.jobs:Job.retry_copy",
         "repro.sim.rdbms:SimulatedRDBMS._submit_internal",
-        "repro.sim.rdbms:SimulatedRDBMS.clear_estimate_corruption",
         "repro.sim.rdbms:SimulatedRDBMS.set_deadline",
         "repro.sim.rdbms:SimulatedRDBMS.unblock",
         "repro.wm.oracle:_best_keep_set_dp",
@@ -276,23 +262,24 @@ KEEP = {
         "repro.engine.executor:QueryExecution.column_names",
         "repro.engine.index:BTreeIndex.entry_count",
         "repro.engine.operators.scans:IndexScan.describe",
+        "repro.engine.progress:ProgressTracker.driver_fraction",
+        "repro.engine.progress:ProgressTracker.estimated_total_cost",
         "repro.engine.progress:ProgressTracker.work_done",
         "repro.engine.schema:TableSchema.column",
         "repro.engine.stats:Selectivity.distinct",
         "repro.engine.vector:Chunk.__getitem__",
         "repro.experiments.maintenance:MaintenanceSweepResult.curve",
         "repro.experiments.naq:NAQResult.error_at",
-        "repro.faults.injector:FaultInjector.armed",
-        "repro.faults.injector:FaultInjector.plan",
         "repro.faults.plan:FaultPlan.__len__",
         "repro.faults.plan:FaultPlan.for_node",
-        "repro.faults.plan:FaultPlan.for_query",
         "repro.obs.accuracy:AccuracyReport.for_query",
         "repro.obs.accuracy:AccuracyTracker.tracked_queries",
         "repro.obs.metrics:Histogram.mean",
         "repro.obs.metrics:MetricsRegistry.names",
         "repro.obs.tracer:Tracer.events",
         "repro.qos.admission:AdmissionController.pressure",
+        "repro.qos.breaker:BreakerBoard.open_nodes",
+        "repro.qos.breaker:CircuitBreaker.consecutive_failures",
         "repro.qos.ladder:DegradationLadder.parked",
         "repro.qos.ladder:DegradationLadder.rung",
         "repro.qos.ladder:DegradationLadder.rung_name",
@@ -303,18 +290,19 @@ KEEP = {
         "repro.sim.rdbms:QueryRecord.query_id",
         "repro.sim.rdbms:SamplerHandle.interval",
         "repro.sim.rdbms:SimulatedRDBMS.blocked",
-        "repro.sim.rdbms:SimulatedRDBMS.estimate_corruption",
         "repro.sim.rdbms:SimulatedRDBMS.quiescent",
         "repro.sim.scheduler:NoisyFairSharing.factors",
         "repro.sim.scheduler:ScaledSpeedModel.base",
-        "repro.sim.scheduler:ScaledSpeedModel.query_factor",
         "repro.sim.scheduler:ScaledSpeedModel.rate_factor",
         "repro.sim.trace:QueryTrace.actual_remaining",
+        "repro.sim.trace:QueryTrace.preserved_work",
         "repro.sim.trace:QueryTrace.queue_wait",
         "repro.sim.trace:QueryTrace.response_time",
+        "repro.sim.trace:QueryTrace.wasted_work",
         "repro.sim.trace:TraceSet.__contains__",
         "repro.sim.trace:TraceSet.finished_queries",
         "repro.sim.trace:TraceSet.last_finishing",
+        "repro.wm.manager:AdaptiveMaintenanceManager.revision_count",
     ),
 }
 _KEEP_KEYS = {key: reason for reason, keys in KEEP.items() for key in keys}
@@ -334,16 +322,6 @@ KEEP_KNOBS = {
     # Per-query data, not configuration: Job.weight and Job.deadline vary.
     "EngineJob.weight": "per-query data, as Job.weight (varied)",
     "EngineJob.deadline": "per-query data, as Job.deadline (varied)",
-    # Only examples drive these classes; whether they stay at all is a
-    # feature question, not a setting question.
-    "RunawayQueryWatchdog.budget_seconds": "only examples drive the watchdog",
-    "RunawayQueryWatchdog.check_interval": "only examples drive the watchdog",
-    "RunawayQueryWatchdog.enforce_deadlines": "only examples drive the "
-                                              "watchdog",
-    "RetryPolicy.max_attempts": "the cluster and RetryController set it "
-                                "differently",
-    "RetryPolicy.base_delay": "the cluster and RetryController set it "
-                              "differently",
 }
 
 #: Parameter names that inject a collaborator even when every source
@@ -351,7 +329,7 @@ KEEP_KNOBS = {
 WIRING = frozenset({
     "obs", "tracer", "metrics", "accuracy", "sink", "wall_clock", "seed",
     "speed_model", "forecaster", "forecast", "pi", "policy", "config",
-    "admission", "job_factory", "prepare",
+    "admission",
 })
 
 _E2E = [sys.executable, "benchmarks/e2e/run.py"]
@@ -383,20 +361,16 @@ _OTHER_BENCHES = [
 def sources(tmp: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     """Every traffic source as ``(label, argv, env)``, run from the repo root.
 
-    A label starts with the source's kind: ``e2e``, ``example``,
-    ``bench`` or ``cli``.
+    A label starts with the source's kind: ``e2e``, ``bench`` or ``cli``.
+    The e2e workloads run at their ``--quick`` sizes: the full-size run
+    reaches the same functions, names and setting values.
     """
     trace = str(tmp / "trace.jsonl")
     out = [
         ("e2e --quick", _E2E + ["--quick"]),
-        ("e2e --seconds 0", _E2E + ["--seconds", "0"]),
         ("e2e --quick --trace", _E2E + ["--quick", "--trace"]),
+        ("bench figures", _PYTEST + _BENCHES),
     ]
-    out += [
-        (f"example {p.stem}", [sys.executable, str(p.relative_to(ROOT))])
-        for p in sorted((ROOT / "examples").glob("*.py"))
-    ]
-    out.append(("bench figures", _PYTEST + _BENCHES))
     benches = [
         (f"bench {name[len('test_bench_'):-len('.py')]}",
          _PYTEST + (["-m", marker] if marker else [])
@@ -690,7 +664,7 @@ def _values(seen: set[str], shown: int = 3) -> str:
 
 def knob_census(surface: dict[str, tuple], records: dict) -> int:
     """Print every setting's values per source kind; count the failures."""
-    kinds = ("e2e", "bench", "cli", "example")
+    kinds = ("e2e", "bench", "cli")
     tally = {"varied": 0, "wiring": 0, "KEEP": 0, "ONE VALUE": 0}
     failures = 0
     print(f"{len(surface)} settable values on the configuration surface")
@@ -699,10 +673,8 @@ def knob_census(surface: dict[str, tuple], records: dict) -> int:
         by_kind = {kind: set() for kind in kinds}
         for label, record in records.items():
             by_kind[_kind(label)] |= record[3].get((key, param), set())
-        served = by_kind["e2e"] | by_kind["bench"] | by_kind["cli"]
-        if param in WIRING or any(
-            v.startswith("obj:") for seen in by_kind.values() for v in seen
-        ):
+        served = set().union(*by_kind.values())
+        if param in WIRING or any(v.startswith("obj:") for v in served):
             verdict = "wiring"
         elif len(served) >= 2:
             verdict = "varied"
@@ -729,14 +701,21 @@ def _named_codes(code, prefix: str = ""):
     """``(qualname, code)`` of every class body and function in *code*.
 
     The qualname is Python's ``__qualname__`` without ``<locals>`` (built
-    here because Python 3.10 code objects lack ``co_qualname``).
+    here because Python 3.10 code objects lack ``co_qualname``).  Python
+    gives two functions of one scope that share a name the same
+    qualname; here the second one defined is ``name[2]``, the third
+    ``name[3]`` and so on, so that each has a key of its own.
     """
-    for const in code.co_consts:
-        if inspect.iscode(const):
-            name = prefix + const.co_name
-            if not const.co_name.startswith("<"):
-                yield name, const
-            yield from _named_codes(const, name + ".")
+    seen: dict[str, int] = {}
+    nested = [c for c in code.co_consts if inspect.iscode(c)]
+    for const in sorted(nested, key=lambda c: c.co_firstlineno):
+        seen[const.co_name] = seen.get(const.co_name, 0) + 1
+        name = prefix + const.co_name
+        if seen[const.co_name] > 1:
+            name += f"[{seen[const.co_name]}]"
+        if not const.co_name.startswith("<"):
+            yield name, const
+        yield from _named_codes(const, name + ".")
 
 
 def _last_line(code) -> int:

@@ -11,20 +11,18 @@ Public API re-exports the pieces a downstream user typically needs:
 * workload management: :func:`choose_victim`, :func:`choose_victims`,
   :func:`choose_victim_for_all`, :func:`plan_maintenance`,
   :func:`exact_maintenance_plan`;
-* resilience: :class:`FaultPlan` (with :class:`QueryCrash`,
-  :class:`QueryStall`, :class:`Brownout`, :class:`StatsCorruption` and the
-  node-scoped :class:`NodeCrash`, :class:`NetworkPartition`,
-  :class:`NodeBrownout`), :class:`FaultInjector`, :class:`RetryPolicy`,
-  :class:`RetryController`, :class:`RunawayQueryWatchdog`;
-  work-preserving recovery: :class:`ExecutionCheckpoint`;
+* resilience: node-fault plans (:class:`FaultPlan` with
+  :class:`NodeCrash`, :class:`NetworkPartition`, :class:`NodeBrownout`)
+  and work-preserving recovery (:class:`ExecutionCheckpoint`);
 * the sharded cluster: :class:`ShardedCluster`, :class:`ShardNode`,
   :class:`ShardCatalog`, :class:`GlobalProgressAggregator`,
-  :class:`ClusterFaultInjector`, :func:`load_tpcr`;
+  :class:`ClusterFaultInjector` (arms a fault plan; the router fails the
+  victims over), :func:`load_tpcr`;
 * observability: :class:`Observability`, :class:`AccuracyTracker`,
   :class:`MetricsRegistry`, :class:`Tracer`, :func:`observed`;
 * overload protection (QoS): :class:`AdmissionController`,
   :class:`AdmissionPolicy`, :class:`CircuitBreaker`,
-  :class:`DegradationLadder`, and the :class:`ArrivalBurst` fault shape.
+  :class:`DegradationLadder`.
 
 See ``README.md`` for a tour, ``DESIGN.md`` for the system inventory,
 ``docs/RESILIENCE.md`` for the fault/recovery model,
@@ -48,20 +46,13 @@ from repro.dist import (
     load_tpcr,
 )
 from repro.engine import Database, ExecutionCheckpoint
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
-    ArrivalBurst,
-    Brownout,
     FaultPlan,
     NetworkPartition,
     NodeBrownout,
     NodeCrash,
-    QueryCrash,
-    QueryStall,
-    StatsCorruption,
     random_fault_plan,
 )
-from repro.faults.retry import RetryController, RetryPolicy
 from repro.qos import (
     AdmissionController,
     AdmissionDecision,
@@ -83,7 +74,6 @@ from repro.wm.maintenance import LostWorkCase, plan_maintenance
 from repro.wm.multi_speedup import choose_victim_for_all
 from repro.wm.oracle import exact_maintenance_plan
 from repro.wm.speedup import choose_victim, choose_victims
-from repro.wm.watchdog import RunawayQueryWatchdog
 
 __version__ = "1.0.0"
 
@@ -93,15 +83,12 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionPolicy",
-    "ArrivalBurst",
-    "Brownout",
     "CircuitBreaker",
     "ClusterFaultInjector",
     "Database",
     "DegradationLadder",
     "EngineJob",
     "ExecutionCheckpoint",
-    "FaultInjector",
     "FaultPlan",
     "GlobalProgressAggregator",
     "IncrementalSchedule",
@@ -113,18 +100,12 @@ __all__ = [
     "NodeBrownout",
     "NodeCrash",
     "Observability",
-    "QueryCrash",
     "QuerySnapshot",
-    "QueryStall",
-    "RetryController",
-    "RetryPolicy",
-    "RunawayQueryWatchdog",
     "ShardCatalog",
     "ShardNode",
     "ShardedCluster",
     "SimulatedRDBMS",
     "SingleQueryProgressIndicator",
-    "StatsCorruption",
     "SyntheticJob",
     "SystemSnapshot",
     "Tracer",

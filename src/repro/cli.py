@@ -3,8 +3,9 @@
 Commands
 --------
 ``sql``
-    Run a SQL statement against a freshly generated TPC-R-style database
-    (``--explain`` shows the plan and cost estimate instead).
+    Run a SELECT against a freshly generated TPC-R-style database
+    (``--explain`` shows the plan and cost estimate instead); any other
+    statement is an error, since the database is discarded on exit.
 ``experiment``
     Run one of the paper's experiments (``mcq``, ``naq``, ``scq``,
     ``lambda``, ``maintenance``, ``table1``) and print the reproduced
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sql = sub.add_parser("sql", help="run SQL against a generated TPC-R database")
-    sql.add_argument("statement", help="the SQL statement to run")
+    sql.add_argument("statement", help="the SELECT statement to run")
     sql.add_argument(
         "--scale", type=float, default=1 / 2000,
         help="dataset scale relative to the paper's 24M-row lineitem",
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--seed", type=int, default=None,
-        help="use the node-scoped faults of a seeded random plan instead "
+        help="use a seeded random node-fault plan instead "
              "of the scripted crash",
     )
     shard.add_argument(
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
-    """Run (or EXPLAIN) one SQL statement against generated TPC-R data."""
+    """Run (or EXPLAIN) one SELECT against generated TPC-R data."""
     from repro.engine.errors import EngineError
     from repro.workload.tpcr import TpcrConfig, generate
 
@@ -180,15 +181,12 @@ def cmd_sql(args: argparse.Namespace) -> int:
             print(db.explain(args.statement))
             print(f"estimated cost: {db.estimated_cost(args.statement):.1f} U")
         else:
-            result = db.execute(args.statement)
-            if result is None:
-                print("ok")
-            else:
-                for row in result[:50]:
-                    print(row)
-                if len(result) > 50:
-                    print(f"... {len(result) - 50} more rows")
-                print(f"({len(result)} rows)")
+            result = db.query(args.statement)
+            for row in result[:50]:
+                print(row)
+            if len(result) > 50:
+                print(f"... {len(result) - 50} more rows")
+            print(f"({len(result)} rows)")
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -373,11 +371,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
     injector = None
     if not args.no_fault:
         if args.seed is not None:
-            plan = FaultPlan(
-                faults=random_fault_plan(
-                    args.seed, list(queries), horizon=10.0,
-                    node_ids=cluster.node_ids(),
-                ).node_faults()
+            plan = random_fault_plan(
+                args.seed, cluster.node_ids(), horizon=10.0
             )
         else:
             if args.crash_node not in cluster.node_ids():
@@ -448,14 +443,13 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 def cmd_overload(args: argparse.Namespace) -> int:
     """Ride out an arrival storm behind the QoS layer (or without it)."""
-    from repro.faults.injector import FaultInjector
-    from repro.faults.plan import ArrivalBurst, FaultPlan
     from repro.qos import (
         AdmissionController,
         AdmissionPolicy,
         DegradationLadder,
         LadderConfig,
     )
+    from repro.sim.arrivals import ArrivalSchedule
     from repro.sim.jobs import SyntheticJob
     from repro.sim.rdbms import SimulatedRDBMS
 
@@ -498,14 +492,17 @@ def cmd_overload(args: argparse.Namespace) -> int:
         rdbms.submit(
             SyntheticJob(f"vip{i}", cost=30.0, priority=1, deadline=60.0)
         )
-    plan = FaultPlan.of(
-        ArrivalBurst(
-            at=2.0, n=args.burst, cost=args.cost, spread=args.spread,
-            priority=0, seed=args.seed,
-        )
+    at = 2.0
+    storm = ArrivalSchedule()
+    storm.add_burst(
+        at, args.burst,
+        lambda i: SyntheticJob(f"burst{i}", args.cost, priority=0),
+        spread=args.spread, seed=args.seed,
     )
-    FaultInjector(rdbms, plan).arm()
-    print(f"storm: {plan.describe().strip()}")
+    rdbms.schedule(storm)
+    window = f" over {args.spread:g}s" if args.spread > 0 else ""
+    print(f"storm: burst    {args.burst} x {args.cost:g} U at t={at:g}s"
+          f"{window} (burst*)")
     print(f"capacity {args.rate:g} U/s, mpl {args.mpl}, "
           f"protection {'OFF' if args.unprotected else 'ON'}")
     rdbms.run_to_completion(max_time=100000.0)

@@ -35,9 +35,9 @@ def weight_for_priority(priority: int, weights: Mapping[int, float] | None = Non
     return float(2**priority)
 
 
-#: The priority class a demoted query drops to -- the ladder's rung 2,
-#: a degraded admission and the runaway-query watchdog all use it.  Its
-#: weight, ``2 ** -2``, lets a demoted query barely perturb the rest.
+#: The priority class a demoted query drops to -- the ladder's rung 2
+#: and a degraded admission both use it.  Its weight, ``2 ** -2``, lets
+#: a demoted query barely perturb the rest.
 DEMOTED_PRIORITY = -2
 
 

@@ -20,11 +20,11 @@ This module is the single place that policy lives:
 
 The :class:`~repro.core.model.QuerySnapshot` data carrier itself stays
 permissive about NaN/inf (a snapshot may legitimately *record* a corrupted
-runtime signal -- that is what the fault-injection layer produces); the
-guards fire at estimator entry, where acting on garbage would begin.
-Callers that want graceful degradation instead of an exception (e.g. the
-:class:`~repro.wm.watchdog.RunawayQueryWatchdog`) catch the
-:class:`ValueError` and fall back to an observed-work heuristic.
+runtime signal, such as an engine estimate gone non-finite); the guards
+fire at estimator entry, where acting on garbage would begin.  Callers
+that want graceful degradation instead of an exception (e.g. the
+adaptive maintenance manager, :mod:`repro.wm.manager`) sanitize their
+snapshots with :func:`carry_back` / :func:`finite_snapshots` first.
 """
 
 from __future__ import annotations

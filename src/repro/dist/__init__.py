@@ -25,7 +25,7 @@ This package scales the single-system simulation out to a cluster:
 
 A cluster's settings are its shard count, replication factor,
 processing rate and checkpoint interval; the epoch length (``TICK``),
-the failover timeout, the sub-query retry policy and the node breakers'
+the failover timeout, the sub-query retry backoff and the node breakers'
 thresholds are fixed constants (DESIGN.md, "Fixed settings").  See
 ``docs/SHARDING.md`` for the design.
 """

@@ -1,9 +1,7 @@
 """Node-scoped fault injection against a sharded cluster.
 
-:class:`ClusterFaultInjector` is the cluster counterpart of
-:class:`~repro.faults.injector.FaultInjector`: it arms a
-:class:`~repro.faults.plan.FaultPlan` whose faults target *nodes* --
-:class:`~repro.faults.plan.NodeCrash`,
+:class:`ClusterFaultInjector` arms a :class:`~repro.faults.plan.FaultPlan`
+-- :class:`~repro.faults.plan.NodeCrash`,
 :class:`~repro.faults.plan.NetworkPartition` and
 :class:`~repro.faults.plan.NodeBrownout` -- by scheduling virtual-time
 events on the target node's own RDBMS:
@@ -15,19 +13,7 @@ events on the target node's own RDBMS:
 * a **partition** flips the catalog's reachability bit: the node keeps
   executing, but the router neither routes to it nor hears from it, so
   its shards' PI contributions go stale-but-finite until healing;
-* a **brownout** scales the node's capacity for a window, the per-node
-  analogue of the single-system :class:`~repro.faults.plan.Brownout`.
-
-An :class:`~repro.faults.plan.ArrivalBurst` with ``sql`` set is also
-accepted: each burst arrival submits that distributed query through the
-normal router path, turning offered load itself into an injectable
-fault (the combined NodeCrash + ArrivalBurst scenario is the overload
-acceptance test).
-
-Other query-scoped faults are rejected at :meth:`arm` time with a
-pointer to :class:`~repro.faults.injector.FaultInjector`, mirroring how
-that class rejects node faults -- each injector owns exactly one fault
-vocabulary.
+* a **brownout** scales the node's capacity for a window.
 """
 
 from __future__ import annotations
@@ -36,14 +22,11 @@ from dataclasses import dataclass
 
 from repro.dist.router import ShardedCluster
 from repro.faults.plan import (
-    ArrivalBurst,
     FaultPlan,
     NetworkPartition,
-    NodeBrownout,
     NodeCrash,
     NodeFault,
 )
-from repro.sim.arrivals import burst_arrival_times
 
 
 @dataclass(frozen=True)
@@ -70,21 +53,6 @@ class ClusterFaultInjector:
         if self._armed:
             raise RuntimeError("plan already armed")
         for fault in self.plan.faults:
-            if isinstance(fault, ArrivalBurst):
-                if fault.sql is None:
-                    raise ValueError(
-                        "ArrivalBurst against a cluster needs sql= (the "
-                        "distributed query each burst arrival submits); "
-                        "synthetic-cost bursts target a single RDBMS via "
-                        "repro.faults.FaultInjector"
-                    )
-                continue
-            if not isinstance(fault, (NodeCrash, NetworkPartition, NodeBrownout)):
-                raise ValueError(
-                    f"{type(fault).__name__} targets a single query; arm it "
-                    "with repro.faults.FaultInjector against that node's "
-                    "RDBMS, not with ClusterFaultInjector"
-                )
             if fault.node_id not in self.cluster.nodes:
                 raise ValueError(
                     f"plan targets unknown node {fault.node_id!r}; cluster "
@@ -101,11 +69,8 @@ class ClusterFaultInjector:
             obs.metrics.counter("dist.faults_injected").inc()
             obs.tracer.emit(f"fault.{kind}", time, None, node=node_id)
 
-    def _arm_one(self, fault: NodeFault | ArrivalBurst) -> None:
+    def _arm_one(self, fault: NodeFault) -> None:
         cluster = self.cluster
-        if isinstance(fault, ArrivalBurst):
-            self._arm_burst(fault)
-            return
         node = cluster.nodes[fault.node_id]
         rdbms = node.rdbms
         if isinstance(fault, NodeCrash):
@@ -138,7 +103,6 @@ class ClusterFaultInjector:
             rdbms.add_event(fault.at, cut)
             rdbms.add_event(fault.at + fault.duration, heal)
         else:
-            assert isinstance(fault, NodeBrownout)
             def dim(_r, f=fault) -> None:
                 node.set_brownout(f.factor)
                 self._record(
@@ -153,30 +117,3 @@ class ClusterFaultInjector:
                 )
             rdbms.add_event(fault.at, dim)
             rdbms.add_event(fault.at + fault.duration, restore)
-
-    def _arm_burst(self, fault: ArrivalBurst) -> None:
-        """Schedule a distributed arrival storm: ``sql`` submitted n times.
-
-        Timer events ride on the first node's RDBMS (any clock works --
-        the cluster advances them in lockstep); each firing submits one
-        fresh distributed query through the normal router path, so the
-        storm contends for every node like real traffic.
-        """
-        cluster = self.cluster
-        timer_node = next(iter(cluster.nodes))
-        rdbms = cluster.nodes[timer_node].rdbms
-        times = burst_arrival_times(fault.at, fault.n, fault.spread, fault.seed)
-
-        def fire(_r, i: int, f: ArrivalBurst = fault) -> None:
-            qid = f"{f.prefix}{i}"
-            assert f.sql is not None
-            cluster.submit(qid, f.sql, priority=f.priority)
-            if i == 0:
-                window = f" over {f.spread:g}s" if f.spread > 0 else ""
-                self._record(
-                    cluster.clock, "burst-begin", timer_node,
-                    f"{f.n} x {f.sql!r}{window} ({f.prefix}*)",
-                )
-
-        for i, t in enumerate(times):
-            rdbms.add_event(t, lambda r, i=i: fire(r, i))

@@ -12,8 +12,7 @@ degradation hooks the cluster's fault layer scripts against:
 * :meth:`recover` brings it back, empty-handed: crashed sub-queries do
   not resume here -- the router has already moved them to a replica.
 * :meth:`set_brownout` scales the node's capacity through a
-  :class:`~repro.sim.scheduler.ScaledSpeedModel` overlay, the same
-  mechanism single-node brownouts use.
+  :class:`~repro.sim.scheduler.ScaledSpeedModel` overlay.
 
 Reachability (network partitions) is deliberately *not* state on the
 node: a partitioned node keeps executing -- that is what distinguishes

@@ -55,7 +55,7 @@ from repro.dist.partition import Partitioner
 from repro.engine.catalog import Table
 from repro.engine.database import Database
 from repro.engine.sql import ast, parse_statement
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import MAX_ATTEMPTS, retry_delay
 from repro.obs.runtime import Observability, resolve
 from repro.qos.breaker import BreakerBoard
 from repro.sim.jobs import EngineJob
@@ -64,9 +64,6 @@ _EPS = 1e-9
 #: Virtual seconds a sub-query may wait with no serving replica before
 #: its query fails.
 FAILOVER_TIMEOUT = 30.0
-#: Sub-query retries: six attempts, 0.5 s backoff doubling per attempt,
-#: +-10 % deterministic jitter.
-RETRY_POLICY = RetryPolicy(max_attempts=6, base_delay=0.5)
 
 
 def fragment_table(table: str, shard: int) -> str:
@@ -710,7 +707,7 @@ class ShardedCluster:
             dq = self._queries[sub.parent_id]
             if dq.terminal:
                 continue
-            if sub.attempts >= RETRY_POLICY.max_attempts:
+            if sub.attempts >= MAX_ATTEMPTS:
                 self._give_up(dq, sub, reason)
                 continue
             target = self._route_target(sub.table, sub.shard)
@@ -749,7 +746,7 @@ class ShardedCluster:
                 )
                 breaker = self.breakers.for_node(target)
             self._parked_since.pop(sub_id, None)
-            delay = RETRY_POLICY.delay(
+            delay = retry_delay(
                 sub.attempts, sub_id, breaker=breaker, now=self._clock
             )
             self.nodes[target].rdbms.add_event(
@@ -831,7 +828,7 @@ class ShardedCluster:
         dq.finished_at = self._clock
         dq.error = (
             f"sub-query {sub.sub_id} exhausted "
-            f"{RETRY_POLICY.max_attempts} attempts: {reason}"
+            f"{MAX_ATTEMPTS} attempts: {reason}"
         )
         # Cancel the doomed query's surviving siblings so they stop
         # consuming capacity other queries could use.

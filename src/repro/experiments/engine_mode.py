@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.metrics import relative_error
 from repro.experiments.harness import PIHarness
@@ -28,30 +27,14 @@ from repro.workload.tpcr import TpcrConfig, add_part_table, build_lineitem
 from repro.engine.database import Database
 from repro.workload.zipf import ZipfSampler
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
-    from repro.faults.retry import RetryPolicy
-
 
 def make_job(db: Database, query_id: str, i: int, config: "EngineMCQConfig") -> EngineJob:
-    """Build the ``i``-th workload query, honouring the query mix.
-
-    Every job carries a prepare factory so the retry layer can replan it
-    after an injected crash, resuming from the last checkpoint when the
-    config sets a ``checkpoint_interval``.
-    """
-    interval = config.checkpoint_interval
+    """Build the ``i``-th workload query, honouring the query mix."""
     if config.query_mix and i % 4 == 3:
-        sql = join_query(i)
-    elif config.query_mix and i % 4 == 0:
-        sql = scan_query(i)
-    else:
-        return engine_job(db, query_id, i, checkpoint_interval=interval)
-
-    def prepare():
-        return db.prepare(sql, checkpoint_interval=interval)
-
-    return EngineJob(query_id, prepare(), prepare=prepare)
+        return EngineJob(query_id, db.prepare(join_query(i)))
+    if config.query_mix and i % 4 == 0:
+        return EngineJob(query_id, db.prepare(scan_query(i)))
+    return engine_job(db, query_id, i)
 
 
 @dataclass(frozen=True)
@@ -72,9 +55,6 @@ class EngineMCQConfig:
     #: ``query_mix=True`` every third/fourth query is the join / filtered
     #: scan template instead of the correlated-subquery one.
     query_mix: bool = False
-    #: Work-preserving checkpoint cadence (U's) for every engine execution,
-    #: or None to run without checkpoints.
-    checkpoint_interval: float | None = None
     seed: int = 11
 
 
@@ -205,30 +185,14 @@ def run_engine_maintenance(
 
 def run_engine_mcq(
     config: EngineMCQConfig = EngineMCQConfig(),
-    fault_plan: "FaultPlan | None" = None,
-    retry_policy: "RetryPolicy | None" = None,
 ) -> EngineMCQResult:
-    """Run the engine-backed MCQ experiment.
-
-    With a ``fault_plan`` the run executes under injected faults; pair it
-    with a ``retry_policy`` (and a config ``checkpoint_interval``) so
-    crashed queries are resubmitted -- resuming from their checkpoints --
-    and the experiment still produces a complete report.
-    """
+    """Run the engine-backed MCQ experiment."""
     rng = random.Random(config.seed + 1)
     db, _sizes = build_database(config)
 
     rdbms = SimulatedRDBMS(
         processing_rate=config.processing_rate, quantum=config.quantum
     )
-    if retry_policy is not None:
-        from repro.faults.retry import RetryController
-
-        RetryController(rdbms, retry_policy)
-    if fault_plan is not None:
-        from repro.faults.injector import FaultInjector
-
-        FaultInjector(rdbms, fault_plan).arm()
     jobs = []
     initial_costs = {}
     for i in range(1, config.n_queries + 1):
@@ -253,11 +217,7 @@ def run_engine_mcq(
         name: list(series)
         for name, series in trace.estimates.items()
     }
-    # Read final works off the records: a retried query's live job is the
-    # resubmitted copy, not the object submitted at time 0.
-    final_works = {
-        j.query_id: rdbms.record(j.query_id).job.completed_work for j in jobs
-    }
+    final_works = {j.query_id: j.completed_work for j in jobs}
     return EngineMCQResult(
         focus_query=focus,
         finish_time=finish,

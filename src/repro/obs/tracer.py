@@ -218,7 +218,7 @@ class Tracer:
         """Record one event.
 
         ``event`` is a dotted lowercase name (``"query.finish"``,
-        ``"watchdog.abort"``); ``virtual_time`` is the simulation clock or
+        ``"shard.failover"``); ``virtual_time`` is the simulation clock or
         ``None`` when no simulation is in scope; extra keyword fields must
         be JSON scalars.
         """

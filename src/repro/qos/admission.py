@@ -22,8 +22,7 @@ submission gets a typed decision:
   could not be met even alone, or it has been deferred too many times.
 
 The feasibility check runs on a *fresh* schedule over the live queries'
-engine-internal snapshots, so a corrupt external estimate cannot poison
-admission; when even those snapshots are non-finite the check degrades
+own job snapshots; when those snapshots are non-finite the check degrades
 to budgets only (robustness: the gate must keep functioning when the
 projection cannot).
 """

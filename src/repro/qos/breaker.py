@@ -115,7 +115,7 @@ class CircuitBreaker:
 
         Pure -- never changes state.  While open this is the remaining
         cooldown; the breaker-aware
-        :meth:`~repro.faults.retry.RetryPolicy.delay` uses it instead of
+        :func:`~repro.faults.retry.retry_delay` uses it instead of
         burning exponential-backoff attempts against a tripped node.
         """
         if self._state != "open":

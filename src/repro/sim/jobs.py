@@ -21,7 +21,7 @@ for the assumption-violation ablations.
 from __future__ import annotations
 
 import abc
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.core.model import QuerySnapshot, weight_for_priority
 
@@ -92,20 +92,6 @@ class Job(abc.ABC):
             self.weight, self.priority,
         )
 
-    def retry_copy(self) -> "Job":
-        """A fresh, zero-progress copy of this job for retry resubmission.
-
-        Used by the retry layer after a runtime failure: the failed attempt's
-        partial work is lost and the query starts over.  Job types whose
-        execution state cannot be recreated (engine-backed jobs hold a live
-        executor) raise :class:`NotImplementedError`; callers then must
-        supply an explicit job factory to the retry controller.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot be restarted automatically; "
-            "pass an explicit job_factory to the retry controller"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} {self.query_id!r} "
@@ -114,11 +100,7 @@ class Job(abc.ABC):
 
 
 class SyntheticJob(Job):
-    """A job with an exactly known total cost in U's.
-
-    A synthetic job keeps no checkpoints: a retry copy restarts from zero
-    (engine jobs resume from their real execution checkpoints).
-    """
+    """A job with an exactly known total cost in U's."""
 
     def __init__(
         self,
@@ -159,13 +141,6 @@ class SyntheticJob(Job):
         self._done += consumed
         return consumed
 
-    def retry_copy(self) -> "SyntheticJob":
-        """A zero-progress retry copy: all partial work is lost."""
-        return SyntheticJob(
-            self.query_id, self.total_cost, priority=self.priority,
-            weight=self.weight, deadline=self.deadline,
-        )
-
 
 class EngineJob(Job):
     """A job backed by a steppable SQL-engine execution.
@@ -174,11 +149,6 @@ class EngineJob(Job):
     ``step(units)`` (run up to that much work) and a progress tracker with a
     refined remaining-cost estimate.  The simulator neither knows nor needs
     the true total cost -- the job is done when the executor says so.
-
-    With a ``prepare`` factory (a zero-argument callable returning a fresh
-    execution of the same SQL) the job becomes retryable: a retry copy
-    plans the query anew and, when the failed execution took a
-    work-preserving checkpoint, resumes from it instead of starting over.
     """
 
     def __init__(
@@ -188,11 +158,9 @@ class EngineJob(Job):
         priority: int = 0,
         weight: float | None = None,
         deadline: float | None = None,
-        prepare: Callable[[], "QueryExecution"] | None = None,
     ) -> None:
         super().__init__(query_id, priority, weight, deadline=deadline)
         self._execution = execution
-        self._prepare = prepare
 
     @property
     def execution(self) -> "QueryExecution":
@@ -223,20 +191,6 @@ class EngineJob(Job):
         if self.finished:
             return 0.0
         return self._execution.step(work)
-
-    def retry_copy(self) -> "EngineJob":
-        """A fresh execution, resumed from the last checkpoint if one exists."""
-        if self._prepare is None:
-            return super().retry_copy()  # raises NotImplementedError
-        execution = self._prepare()
-        ckpt = self._execution.last_checkpoint
-        if ckpt is not None:
-            execution.restore(ckpt)
-        return EngineJob(
-            self.query_id, execution, priority=self.priority,
-            weight=self.weight, deadline=self.deadline,
-            prepare=self._prepare,
-        )
 
 
 class CostNoiseJob(Job):
@@ -274,7 +228,3 @@ class CostNoiseJob(Job):
 
     def advance(self, work: float) -> float:
         return self._inner.advance(work)
-
-    def retry_copy(self) -> "CostNoiseJob":
-        """A fresh copy wrapping a retry copy of the inner job."""
-        return CostNoiseJob(self._inner.retry_copy(), self._factor)

@@ -11,12 +11,12 @@
 * periodic samplers fire so progress indicators can observe the system,
 * the workload-management actions of Section 3 (abort / block / unblock /
   priority change / drain) can be applied at any virtual time, and
-* resilience hooks let the fault-injection layer (:mod:`repro.faults`)
-  script failures against the system: one-shot virtual-time events
-  (:meth:`SimulatedRDBMS.add_event`), forced runtime failures
-  (:meth:`SimulatedRDBMS.fail`), retry resubmission
-  (:meth:`SimulatedRDBMS.resubmit`) and estimate corruption
-  (:meth:`SimulatedRDBMS.corrupt_estimates`), with ``on_failure`` /
+* resilience hooks let a cluster node's fault injector and the shard
+  router (:mod:`repro.dist`) script failures and failover against the
+  system: one-shot virtual-time events (:meth:`SimulatedRDBMS.add_event`),
+  forced runtime failures (:meth:`SimulatedRDBMS.fail`,
+  :meth:`SimulatedRDBMS.fail_everything`) and resubmission of a failed
+  query (:meth:`SimulatedRDBMS.resubmit`), with ``on_failure`` /
   ``on_resubmit`` observer hooks.
 
 Synthetic jobs finish at analytically exact instants.  Engine-backed jobs
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 from repro.core.incremental import IncrementalSchedule
@@ -156,7 +156,6 @@ class SimulatedRDBMS:
         self._samplers: list[list] = []  # [interval, next_time, callback]
         self._events: list[tuple[float, int, Callable[["SimulatedRDBMS"], None]]] = []
         self._event_seq = 0
-        self._estimate_corruption: dict[str | None, float] = {}
         self._rejecting_arrivals = False
         #: When set (see :meth:`repro.qos.AdmissionController.attach`),
         #: scripted arrivals are routed through its ``submit`` gate
@@ -264,10 +263,7 @@ class SimulatedRDBMS:
         """The system as a :class:`SystemSnapshot` for the PI algorithms.
 
         Remaining costs are the jobs' own (possibly imprecise) estimates,
-        exactly what a real PI would read from executor counters.  Any
-        active estimate corruption (see :meth:`corrupt_estimates`) is
-        applied here: the PIs see the corrupted numbers, the execution
-        itself is unaffected.
+        exactly what a real PI would read from executor counters.
         """
         running = self._snapshots_of_running()
         queued = self._queued_snapshots
@@ -275,9 +271,6 @@ class SimulatedRDBMS:
             queued = tuple(j.snapshot() for j in self._queue)
             if self._sharing_reads:
                 self._queued_snapshots = queued
-        if self._estimate_corruption:
-            running = tuple(self._corrupted(s) for s in running)
-            queued = tuple(self._corrupted(s) for s in queued)
         return SystemSnapshot(
             running=running,
             queued=queued,
@@ -287,7 +280,7 @@ class SimulatedRDBMS:
         )
 
     def _snapshots_of_running(self) -> tuple[QuerySnapshot, ...]:
-        """The running jobs' own (uncorrupted) snapshots.
+        """The running jobs' snapshots.
 
         Taken once per simulator state, however many readers of a
         running simulator ask.
@@ -326,14 +319,6 @@ class SimulatedRDBMS:
         self._queued_snapshots = None
         self._solved_cache = None
 
-    def _corrupted(self, snap):
-        factor = self._estimate_corruption.get(
-            snap.query_id, self._estimate_corruption.get(None)
-        )
-        if factor is None:
-            return snap
-        return replace(snap, remaining_cost=snap.remaining_cost * factor)
-
     def current_speeds(self) -> dict[str, float]:
         """Instantaneous per-query speeds, U/s."""
         return self.speed_model.speeds(self._running, self.processing_rate)
@@ -348,9 +333,9 @@ class SimulatedRDBMS:
 
         True only under pure weighted fair sharing (the paper's
         Assumptions 1+3) with analytically-predictable synthetic jobs.
-        Engine jobs, degraded speed models and fault-injection overlays
-        (which replace ``speed_model`` with a
-        :class:`~repro.sim.scheduler.ScaledSpeedModel`) make the shared
+        Engine jobs, degraded speed models and a cluster node's brownout
+        overlay (a :class:`~repro.sim.scheduler.ScaledSpeedModel` in
+        place of ``speed_model``) make the shared
         schedule's predictions diverge from execution, so those
         configurations are solved from scratch -- once per simulator
         state, by the flat kernel, for all readers together.
@@ -379,10 +364,6 @@ class SimulatedRDBMS:
         (see :attr:`shared_schedule_supported`) or a running job carries
         a non-finite estimate; callers fall back to
         :func:`~repro.core.standard_case.standard_case`.
-
-        The schedule reads the jobs' own uncorrupted estimates (the
-        engine-internal view); :meth:`corrupt_estimates` only affects
-        :meth:`snapshot`, i.e. what external PIs observe.
         """
         if not self.shared_schedule_supported:
             self._invalidate_schedule()
@@ -532,11 +513,11 @@ class SimulatedRDBMS:
         """Schedule *callback(self)* to fire once at virtual *time*.
 
         The one-shot counterpart of :meth:`add_sampler`, and the hook the
-        fault-injection and retry layers script against: brownout windows,
-        stall windows and backoff-delayed resubmissions are all timed
-        events.  Events count as outstanding work for
-        :meth:`run_to_completion`, so a scheduled retry is never silently
-        skipped because the system looked idle.
+        cluster's fault injector and failover script against: crash,
+        partition and brownout edges and backoff-delayed failovers are all
+        timed events.  Events count as outstanding work for
+        :meth:`run_to_completion`, so a scheduled failover is never
+        silently skipped because the system looked idle.
         """
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time}")
@@ -563,7 +544,7 @@ class SimulatedRDBMS:
         even while draining -- before the system is quiescent.
         ``reason`` is recorded in the trace's fault event.  An abort is
         an intentional decision: it does not fire ``on_failure`` and is
-        therefore never retried by the retry layer.
+        therefore never failed over.
         """
         if rollback_overhead < 0:
             raise ValueError("rollback_overhead must be >= 0")
@@ -592,11 +573,11 @@ class SimulatedRDBMS:
     def fail(self, query_id: str, reason: str = "injected fault") -> None:
         """Fail a query with a runtime error at the current virtual time.
 
-        The fault-injection analogue of an engine error: the query leaves
+        The injected analogue of an engine error: the query leaves
         the system wherever it is (running, queued or blocked), its record
         turns ``failed`` with ``reason`` as the error, the trace gets a
         ``failed_at`` timestamp and a fault event, and the ``on_failure``
-        hooks fire (which is how the retry layer notices).
+        hooks fire (which is how the shard router notices).
         """
         record = self.record(query_id)
         if record.terminal:
@@ -635,9 +616,10 @@ class SimulatedRDBMS:
         """Resubmit a failed or aborted query for another attempt.
 
         ``job`` must carry the same ``query_id`` as an existing terminal
-        (failed/aborted) record and should be a fresh, zero-progress
-        execution (see :meth:`repro.sim.jobs.Job.retry_copy`).  The record
-        is reused: its attempt count increments, the trace keeps the full
+        (failed/aborted) record: the shard router's failover builds it,
+        restored from the failed attempt's checkpoint, when a sub-query
+        fails back onto a node that already ran it.  The record is reused:
+        its attempt count increments, the trace keeps the full
         fault/attempt history, and the query re-enters the admission queue
         at the back like any other arrival.  The previous attempt's terminal
         timestamp (``failed_at`` / ``aborted_at``) is cleared -- terminal
@@ -690,31 +672,6 @@ class SimulatedRDBMS:
             )
         record.deadline_at = deadline_at
         self._invalidate_deadline_cache()
-
-    def corrupt_estimates(self, factor: float, query_id: str | None = None) -> None:
-        """Corrupt the remaining-cost estimates PIs read from snapshots.
-
-        Models corrupted optimizer statistics: every snapshot taken while
-        the corruption is active reports ``remaining_cost * factor`` for
-        the affected queries (``query_id=None`` affects all queries without
-        a per-query override).  ``factor`` may be NaN or ``inf`` -- that is
-        the point: downstream estimators must reject or survive such
-        inputs.  Execution itself is unaffected.  Negative factors are
-        rejected here because a negative cost is not expressible in a
-        snapshot.
-        """
-        if factor < 0:
-            raise ValueError(f"corruption factor must not be negative, got {factor}")
-        self._estimate_corruption[query_id] = float(factor)
-
-    def clear_estimate_corruption(self, query_id: str | None = None) -> None:
-        """Remove the estimate corruption for *query_id* (or the global one)."""
-        self._estimate_corruption.pop(query_id, None)
-
-    @property
-    def estimate_corruption(self) -> dict[str | None, float]:
-        """Active corruption factors, keyed by query id (``None`` = global)."""
-        return dict(self._estimate_corruption)
 
     def _submit_internal(self, job: Job) -> QueryRecord:
         """Submit system work (e.g. rollback) that bypasses drain rejection."""

@@ -16,9 +16,8 @@ The other models deliberately break the assumptions, for the Section 4
   (buffer-pool contention), another Assumption 1 violation.
 
 :class:`ScaledSpeedModel` is the resilience hook: a mutable overlay over any
-base model that the fault-injection layer uses to realise system-wide
-brownouts (total-capacity factor) and per-query stalls (per-query factor),
-both scripted in virtual time.
+base model that a cluster node uses to realise node brownouts (a
+total-capacity factor), scripted in virtual time.
 """
 
 from __future__ import annotations
@@ -97,29 +96,19 @@ class NoisyFairSharing(SpeedModel):
 class ScaledSpeedModel(SpeedModel):
     """Mutable capacity overlay over any base speed model.
 
-    The fault-injection layer wraps the RDBMS's speed model in this once,
-    then scripts two kinds of degradation against it:
+    A cluster node (:class:`~repro.dist.node.ShardNode`) wraps its RDBMS's
+    speed model in this once; ``rate_factor`` then scales the total
+    processing rate handed to the base model -- a node *brownout*
+    (``0.0`` is a full outage, ``1.0`` nominal).
 
-    * ``rate_factor`` scales the total processing rate handed to the base
-      model -- a *brownout* (``0.0`` is a full outage, ``1.0`` nominal);
-    * per-query factors scale individual query speeds after the base model
-      has divided capacity -- a factor of ``0.0`` is a *stall*.
-
-    Factors must be finite and >= 0.  The base model still sees the scaled
-    rate, so its own behaviour (fair sharing, thrashing, noise) composes
-    with the injected degradation.
+    The factor must be finite and >= 0.  The base model still sees the
+    scaled rate, so its own behaviour (fair sharing, thrashing, noise)
+    composes with the injected degradation.
     """
 
     def __init__(self, base: SpeedModel) -> None:
         self._base = base
         self._rate_factor = 1.0
-        self._query_factors: dict[str, float] = {}
-
-    @staticmethod
-    def _check_factor(factor: float) -> float:
-        if not math.isfinite(factor) or factor < 0:
-            raise ValueError(f"factor must be finite and >= 0, got {factor}")
-        return float(factor)
 
     @property
     def base(self) -> SpeedModel:
@@ -128,33 +117,18 @@ class ScaledSpeedModel(SpeedModel):
 
     @property
     def rate_factor(self) -> float:
-        """Current system-wide capacity factor (1.0 = nominal)."""
+        """Current capacity factor (1.0 = nominal)."""
         return self._rate_factor
 
     def set_rate_factor(self, factor: float) -> None:
         """Scale the total processing rate by *factor* (brownout control)."""
-        self._rate_factor = self._check_factor(factor)
-
-    def set_query_factor(self, query_id: str, factor: float) -> None:
-        """Scale one query's speed by *factor* (``0.0`` stalls it)."""
-        self._query_factors[query_id] = self._check_factor(factor)
-
-    def clear_query_factor(self, query_id: str) -> None:
-        """Remove any per-query factor for *query_id* (back to nominal)."""
-        self._query_factors.pop(query_id, None)
-
-    def query_factor(self, query_id: str) -> float:
-        """The per-query factor currently applied to *query_id*."""
-        return self._query_factors.get(query_id, 1.0)
+        if not math.isfinite(factor) or factor < 0:
+            raise ValueError(f"factor must be finite and >= 0, got {factor}")
+        self._rate_factor = float(factor)
 
     def speeds(self, jobs: Sequence[Job], rate: float) -> dict[str, float]:
-        """Base-model speeds under the scaled rate, per-query factors applied."""
-        raw = self._base.speeds(jobs, rate * self._rate_factor)
-        if not self._query_factors:
-            return raw
-        return {
-            qid: s * self._query_factors.get(qid, 1.0) for qid, s in raw.items()
-        }
+        """Base-model speeds under the scaled rate."""
+        return self._base.speeds(jobs, rate * self._rate_factor)
 
 
 class ThrashingModel(SpeedModel):

@@ -17,11 +17,10 @@ from repro.core.metrics import StepSeries
 class FaultEvent:
     """One resilience-relevant event in a query's lifetime.
 
-    Recorded by the simulator and the fault-injection layer: runtime
-    errors, injected crashes and stalls, stats corruption, retries,
-    watchdog actions.  ``kind`` is a short machine-readable tag
-    (``"runtime-error"``, ``"crash"``, ``"stall-begin"``, ``"retry"``,
-    ...); ``detail`` is free-form human-readable context.
+    Recorded by the simulator: runtime errors, injected crashes,
+    resubmissions, aborts and expired deadlines.  ``kind`` is a short
+    machine-readable tag (``"runtime-error"``, ``"crash"``, ``"retry"``,
+    ``"abort"``, ...); ``detail`` is free-form human-readable context.
     """
 
     time: float

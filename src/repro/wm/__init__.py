@@ -17,10 +17,6 @@ multi-query PI provides:
 * :mod:`repro.wm.policies` -- executable policies (no-PI / single-query-PI /
   multi-query-PI) that drive a :class:`~repro.sim.rdbms.SimulatedRDBMS`
   through operations O1 / O2 / O2' / O3.
-* :mod:`repro.wm.watchdog` -- the runaway-query watchdog: PI-predicted
-  budget enforcement (deprioritize, then abort) with per-query stale
-  carry-back under partially corrupted snapshots and an observed-work
-  fallback when no usable estimate exists at all.
 """
 
 from repro.wm.maintenance import (
@@ -48,16 +44,13 @@ from repro.wm.speedup import (
     choose_victim_equal_priority,
     choose_victims,
 )
-from repro.wm.watchdog import RunawayQueryWatchdog, WatchdogAction
 
 __all__ = [
     "AdaptiveMaintenanceManager",
     "LostWorkCase",
     "MaintenancePlan",
     "MultiSpeedupChoice",
-    "RunawayQueryWatchdog",
     "SpeedupChoice",
-    "WatchdogAction",
     "choose_victim",
     "choose_victim_equal_priority",
     "choose_victim_for_all",

@@ -141,7 +141,7 @@ def execute_policy(
     rdbms.drain(True)
 
     considered = list(rdbms.running) + list(rdbms.queued)
-    # Decision functions see the PI's view (estimate corruption included);
+    # Decision functions see the PI's view (non-finite estimates included);
     # queries whose snapshots are non-finite are excluded from the up-front
     # decision rather than poisoning it -- operation O3 still catches them.
     system = rdbms.snapshot()

@@ -51,11 +51,9 @@ def scan_query(i: int) -> str:
     )
 
 
-def prepare_paper_query(
-    db: Database, i: int, checkpoint_interval: float | None = None
-) -> QueryExecution:
+def prepare_paper_query(db: Database, i: int) -> QueryExecution:
     """Plan ``Q_i`` for cooperative execution."""
-    return db.prepare(paper_query(i), checkpoint_interval=checkpoint_interval)
+    return db.prepare(paper_query(i))
 
 
 def engine_job(
@@ -63,23 +61,12 @@ def engine_job(
     query_id: str,
     i: int,
     priority: int = 0,
-    checkpoint_interval: float | None = None,
     deadline: float | None = None,
 ) -> EngineJob:
-    """Wrap ``Q_i`` as a simulator job (estimated costs, real execution).
-
-    The job carries a prepare factory, so the retry layer can replan the
-    same SQL after a crash -- resuming from the last work-preserving
-    checkpoint when ``checkpoint_interval`` is set.
-    """
-
-    def prepare() -> QueryExecution:
-        return prepare_paper_query(db, i, checkpoint_interval)
-
+    """Wrap ``Q_i`` as a simulator job (estimated costs, real execution)."""
     return EngineJob(
         query_id=query_id,
-        execution=prepare(),
+        execution=prepare_paper_query(db, i),
         priority=priority,
         deadline=deadline,
-        prepare=prepare,
     )

@@ -23,6 +23,13 @@ NAN = float("nan")
 INF = float("inf")
 
 
+class NaNEstimateJob(SyntheticJob):
+    """A synthetic job whose remaining-cost estimate reads NaN."""
+
+    def estimated_remaining_cost(self) -> float:
+        return NAN
+
+
 class TestValidateFinite:
     def test_accepts_ordinary_values(self):
         validate_finite(1.5, "x")
@@ -180,8 +187,7 @@ class TestEstimatorsRejectCorruptInputs:
 
     def test_multi_query_pi_rejects_corrupted_snapshot(self):
         rdbms = SimulatedRDBMS(processing_rate=10.0)
-        rdbms.submit(SyntheticJob("q", 100))
-        rdbms.corrupt_estimates(NAN)
+        rdbms.submit(NaNEstimateJob("q", 100))
         with pytest.raises(ValueError):
             MultiQueryProgressIndicator().estimate(rdbms.snapshot())
 

@@ -243,3 +243,64 @@ class TestTwoHopFailoverOnALongScan:
         # One hop deep, not a chain: the survivor does not reach the first
         # attempt's checkpoint through the second's.
         assert id(dead[0][1]) not in seen
+
+
+class TestFailBackOntoARecoveredNode:
+    """A sub-query fails back onto a node that already ran it.
+
+    Shard 0's primary dies and recovers; the replica that resumed the
+    sub-query dies in turn, and the router fails it back onto the primary,
+    which still holds the record of the first attempt.  The router's
+    branch for that case resubmits into the existing record
+    (``SimulatedRDBMS.resubmit``) instead of submitting a new one.
+    """
+
+    CONFIG = TpcrConfig(scale=1 / 1000, seed=0)
+    SQL = "SELECT * FROM lineitem"
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        cluster = ShardedCluster(
+            n_shards=4, replication=2, processing_rate=10.0,
+            checkpoint_interval=2.0,
+        )
+        load_tpcr(cluster, config=self.CONFIG, part_sizes=PART_SIZES)
+        dq = cluster.submit("Q", self.SQL)
+        sub = next(s for s in dq.subqueries.values() if s.shard == 0)
+        assert sub.node_id == "node0"
+        crashed = []
+        t = 0.0
+        while not dq.terminal:
+            t += 0.5
+            assert t < 2000.0, "cluster failed to quiesce"
+            cluster.run_until(t)
+            if (
+                len(crashed) < 2 and sub.status == "running"
+                and sub.node_id not in crashed
+                and cluster.nodes["node0"].up
+                and sub.execution.checkpoints_taken >= 1
+            ):
+                # The primary comes back at once; the replica stays down.
+                down_for = 0.5 if not crashed else None
+                crashed.append(sub.node_id)
+                ClusterFaultInjector(cluster, FaultPlan.of(NodeCrash(
+                    sub.node_id, at=cluster.clock + 0.01, down_for=down_for,
+                ))).arm()
+                cluster.run_until(cluster.clock + 0.02)
+        return cluster, sub, crashed
+
+    def test_failed_back_into_the_first_record(self, run):
+        cluster, sub, crashed = run
+        assert crashed == ["node0", "node1"]
+        assert sub.node_id == "node0" and sub.attempts == 3
+        record = cluster.nodes["node0"].rdbms.record(sub.sub_id)
+        assert record.attempts == 2
+        assert record.status == "finished"
+        kinds = [f.kind for f in record.trace.fault_events]
+        assert kinds.count("crash") == 1 and "retry" in kinds
+
+    def test_result_byte_identical_to_single_node(self, run):
+        cluster, _, _ = run
+        single = generate(self.CONFIG, part_sizes=PART_SIZES).db
+        assert cluster.query("Q").finished, cluster.query("Q").error
+        assert cluster.result_rows("Q") == single.query(self.SQL)

@@ -10,11 +10,18 @@ finished.
 
 import pytest
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, QueryCrash
-from repro.faults.retry import RetryController, RetryPolicy
 from repro.sim.jobs import SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS
+
+
+def crash_and_resubmit(rdbms, crash_at, retry_at, replacement):
+    """Fail ``q`` at *crash_at* and resubmit *replacement* at *retry_at*.
+
+    The shape of the shard router's failover onto a node that already ran
+    the sub-query.
+    """
+    rdbms.add_event(crash_at, lambda r: r.fail("q", reason="node crash"))
+    rdbms.add_event(retry_at, lambda r: r.resubmit(replacement))
 
 
 class TestJobDeadlines:
@@ -78,13 +85,14 @@ class TestEnforcement:
     def test_deadline_abort_is_not_retried(self):
         rdbms = SimulatedRDBMS(processing_rate=10.0)
         rdbms.submit(SyntheticJob("slow", 900, deadline=10.0))
-        controller = RetryController(
-            rdbms, RetryPolicy(max_attempts=3, base_delay=1.0)
-        )
+        failures = []
+        rdbms.on_failure.append(lambda *event: failures.append(event))
         rdbms.run_to_completion(max_time=200.0)
         assert rdbms.record("slow").status == "aborted"
         assert rdbms.record("slow").attempts == 1
-        assert controller.retried("slow") == 0
+        # An abort is not a failure: nothing that fails queries over hears
+        # of it.
+        assert failures == []
 
 
 class TestDeadlineSurvivesRetry:
@@ -93,8 +101,9 @@ class TestDeadlineSurvivesRetry:
         # Needs 30 s of work; crashes at t=5; deadline at t=20 holds even
         # though the retry starts a fresh attempt at t=6.
         rdbms.submit(SyntheticJob("q", 300, deadline=20.0))
-        FaultInjector(rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))).arm()
-        RetryController(rdbms, RetryPolicy(max_attempts=3, base_delay=1.0))
+        crash_and_resubmit(
+            rdbms, 5.0, 6.0, SyntheticJob("q", 300, deadline=20.0)
+        )
         rdbms.run_to_completion(max_time=200.0)
         record = rdbms.record("q")
         assert record.attempts == 2
@@ -107,22 +116,15 @@ class TestDeadlineSurvivesRetry:
         # done, so the query finishes before its deadline instead.
         rdbms = SimulatedRDBMS(processing_rate=10.0)
         rdbms.submit(SyntheticJob("q", 100, deadline=13.0))
-        FaultInjector(rdbms, FaultPlan.of(QueryCrash("q", at_time=5.0))).arm()
-        policy = RetryPolicy(max_attempts=3, base_delay=1.0)
-        RetryController(
-            rdbms, policy,
-            job_factory=lambda job, attempt: SyntheticJob(
-                job.query_id, job.total_cost, initial_done=40.0,
-                deadline=job.deadline,
-            ),
+        crash_and_resubmit(
+            rdbms, 5.0, 6.0,
+            SyntheticJob("q", 100, initial_done=40.0, deadline=13.0),
         )
         rdbms.run_to_completion(max_time=200.0)
         record = rdbms.record("q")
         assert record.status == "finished"
-        # t=5 crash + ~1 s backoff + (100 - 40 preserved) U / 10 U/s ~ 12 s.
-        assert record.trace.finished_at == pytest.approx(
-            5.0 + policy.delay(1, "q") + 6.0
-        )
+        # t=5 crash + 1 s backoff + (100 - 40 preserved) U / 10 U/s = 12 s.
+        assert record.trace.finished_at == pytest.approx(12.0)
 
 
 class TestSetDeadlineApi:

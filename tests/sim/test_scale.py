@@ -225,23 +225,3 @@ class TestSharedScheduleIntegration:
         assert set(rdbms.remaining_times()) == {
             j.query_id for j in rdbms.running
         }
-
-    def test_corruption_does_not_reach_shared_schedule(self):
-        rdbms = self._rdbms(n=4)
-        rdbms.remaining_times()
-        rdbms.corrupt_estimates(float("nan"))
-        # snapshot-based PIs now refuse...
-        with pytest.raises(ValueError):
-            MultiQueryProgressIndicator().estimate(rdbms.snapshot())
-        # ...but the engine-internal schedule still serves exact answers.
-        assert_matches_oracle_uncorrupted(rdbms)
-
-
-def assert_matches_oracle_uncorrupted(rdbms):
-    snaps = [j.snapshot() for j in rdbms.running]
-    expected = standard_case(
-        snaps, rdbms.processing_rate, include_stages=False
-    ).remaining_times
-    got = rdbms.remaining_times()
-    for qid, want in expected.items():
-        assert math.isclose(got[qid], want, rel_tol=1e-9, abs_tol=1e-9)

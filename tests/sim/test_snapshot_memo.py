@@ -12,7 +12,6 @@ it; the finish / failure / arrival hooks and a sampler read in between.
 """
 
 import math
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,7 @@ from repro.core.model import SystemSnapshot
 from repro.core.standard_case import standard_case
 from repro.engine import Database
 from repro.obs import observed
-from repro.sim.jobs import CostNoiseJob, EngineJob, Job, SyntheticJob
+from repro.sim.jobs import CostNoiseJob, EngineJob, SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS
 
 TOL = 1e-9
@@ -42,18 +41,9 @@ def small_db() -> Database:
 
 
 def fresh_system_snapshot(rdbms: SimulatedRDBMS) -> SystemSnapshot:
-    corruption = rdbms.estimate_corruption
-
-    def corrupted(job: Job):
-        snap = job.snapshot()
-        factor = corruption.get(snap.query_id, corruption.get(None))
-        if factor is None:
-            return snap
-        return replace(snap, remaining_cost=snap.remaining_cost * factor)
-
     return SystemSnapshot(
-        running=tuple(corrupted(j) for j in rdbms.running),
-        queued=tuple(corrupted(j) for j in rdbms.queued),
+        running=tuple(j.snapshot() for j in rdbms.running),
+        queued=tuple(j.snapshot() for j in rdbms.queued),
         processing_rate=rdbms.processing_rate,
         multiprogramming_limit=rdbms.multiprogramming_limit,
         time=rdbms.clock,
@@ -62,7 +52,7 @@ def fresh_system_snapshot(rdbms: SimulatedRDBMS) -> SystemSnapshot:
 
 def assert_reads_are_fresh(rdbms: SimulatedRDBMS, context: str) -> None:
     expected = fresh_system_snapshot(rdbms)
-    # NaN corruption makes == fail on equal snapshots; compare by repr.
+    # A NaN estimate makes == fail on equal snapshots; compare by repr.
     assert repr(rdbms.snapshot()) == repr(expected), context
     oracle = standard_case(
         [j.snapshot() for j in rdbms.running], rdbms.processing_rate,
@@ -85,7 +75,7 @@ def assert_reads_are_fresh(rdbms: SimulatedRDBMS, context: str) -> None:
 
 
 OPS = ("submit", "submit", "run", "block", "unblock", "abort", "fail",
-       "set_priority", "corrupt", "clear")
+       "set_priority")
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,18 +145,6 @@ def test_reads_equal_a_fresh_recomputation_after_every_operation(data):
             rdbms.set_priority(
                 data.draw(st.sampled_from(live), label="reprioritised"),
                 data.draw(st.integers(0, 3), label="new_priority"),
-            )
-        elif op == "corrupt":
-            rdbms.corrupt_estimates(
-                data.draw(
-                    st.sampled_from([0.0, 0.5, 3.0, float("inf"), float("nan")]),
-                    label="corruption",
-                ),
-                data.draw(st.sampled_from([None] + live), label="corrupted"),
-            )
-        elif op == "clear":
-            rdbms.clear_estimate_corruption(
-                data.draw(st.sampled_from([None] + live), label="cleared")
             )
 
     for step in range(data.draw(st.integers(1, 14), label="n_ops")):

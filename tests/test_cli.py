@@ -45,10 +45,16 @@ class TestSql:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_ddl_ok(self, capsys):
-        code = main(["sql", "CREATE TABLE z (a INT)", "--scale", "0.0001"])
-        assert code == 0
-        assert "ok" in capsys.readouterr().out
+    def test_ddl_rejected(self, capsys):
+        # The database is generated per call and discarded on exit, so a
+        # CREATE would have no effect: only SELECT runs.
+        for ddl in ("CREATE TABLE z (a INT)",
+                    "CREATE INDEX z_i ON part_1 (partkey)"):
+            code = main(["sql", ddl, "--scale", "0.0001"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "error:" in captured.err
+            assert "ok" not in captured.out
 
     def test_bad_sql_reports_error(self, capsys):
         code = main(["sql", "SELEC oops", "--scale", "0.0001"])

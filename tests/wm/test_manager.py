@@ -1,10 +1,28 @@
 """Tests for the adaptive maintenance manager."""
 
+import math
+
 import pytest
 
 from repro.sim.jobs import CostNoiseJob, SyntheticJob
 from repro.sim.rdbms import SimulatedRDBMS
 from repro.wm.manager import AdaptiveMaintenanceManager, run_adaptive_maintenance
+
+
+class StatsGoBadJob(SyntheticJob):
+    """A synthetic job whose estimate turns NaN once ``bad`` is set.
+
+    It executes normally (the simulator times it off the true remaining
+    cost); only what a PI reads through its snapshot goes non-finite.
+    """
+
+    bad = False
+
+    def estimated_remaining_cost(self) -> float:
+        return math.nan if self.bad else super().estimated_remaining_cost()
+
+    def true_remaining_cost(self) -> float:
+        return max(self.total_cost - self.completed_work, 0.0)
 
 
 def build_rdbms(costs, noise=None):
@@ -71,13 +89,15 @@ class TestAdaptiveManager:
         # One query's stats go non-finite mid-run: revisions keep
         # planning it from its last finite observation and record it as
         # degraded, instead of abandoning the whole revision.
-        db = build_rdbms([10, 20, 30])
+        db = build_rdbms([10, 20])
+        q3 = StatsGoBadJob("Q3", 30)
+        db.submit(q3)
         manager = AdaptiveMaintenanceManager(
             db, deadline=200.0, check_interval=2.0
         )
         manager.start()
         db.run_until(3.0)
-        db.corrupt_estimates(float("nan"), "Q3")
+        q3.bad = True
         db.run_to_completion(max_time=500.0)
         manager.finish()
         degraded_events = [e for e in manager.events if e.degraded]
